@@ -175,9 +175,13 @@ class Tensor:
 
     # ---- elementwise functions ----
 
+    # exp and tanh close over their result array, not ``out``: a closure over
+    # ``out`` makes the tape a reference cycle that only the cyclic GC frees.
+
     def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
-        out._backward = lambda g: _accumulate(self, g * out.data)
+        y = np.exp(self.data)
+        out = Tensor(y, (self,))
+        out._backward = lambda g: _accumulate(self, g * y)
         return out
 
     def log(self):
@@ -186,8 +190,9 @@ class Tensor:
         return out
 
     def tanh(self):
-        out = Tensor(np.tanh(self.data), (self,))
-        out._backward = lambda g: _accumulate(self, g * (1.0 - out.data * out.data))
+        y = np.tanh(self.data)
+        out = Tensor(y, (self,))
+        out._backward = lambda g: _accumulate(self, g * (1.0 - y * y))
         return out
 
     def cos(self):

@@ -257,7 +257,7 @@ def cmd_build_graph(args) -> int:
     d = _load_data(args)
     g = _build_graph(d, args)
     graph_mod.save_graph(g, args.out)
-    nnz = int(np.count_nonzero(np.triu(g.w, k=1)))
+    nnz = int(np.count_nonzero(g.w)) // 2
     print(f"wrote graph [{g.filter_tag}] with {g.n} accounts, {nnz} edges -> {args.out}")
     return 0
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp as np_logsumexp
 
 from .autodiff import Tensor
 from .graph import KnowledgeGraph
@@ -105,6 +104,7 @@ class MeanField:
 
     q: np.ndarray                    # (V, M), rows on the simplex
     clamped: np.ndarray | None = None  # (V,) bool
+    residual: float | None = None    # max change of the last sweep (estep_converge)
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
@@ -124,6 +124,12 @@ def _row_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
+    """log sum exp(a) along ``axis``, shifted by the maximum (for the oracles)."""
+    m = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
 def potential(Y, crf: CrfParams, E: np.ndarray) -> float:
@@ -158,13 +164,13 @@ def _all_potentials(crf: CrfParams, E: np.ndarray) -> np.ndarray:
 
 def log_partition_bruteforce(crf: CrfParams, E: np.ndarray) -> float:
     """log sum_Y exp(Phi(Y)) by exhaustive enumeration (small instances only)."""
-    return float(np_logsumexp(_all_potentials(crf, E)))
+    return float(_logsumexp(_all_potentials(crf, E)))
 
 
 def marginals_bruteforce(crf: CrfParams, E: np.ndarray) -> MeanField:
     """Exact per-account marginals of P(Y) by enumeration."""
     phi = _all_potentials(crf, E)
-    weights = np.exp(phi - np_logsumexp(phi))
+    weights = np.exp(phi - _logsumexp(phi))
     n = len(crf.unary(E))
     Y_all = enumerate_assignments(n, crf.n_groups)
     q = np.zeros((n, crf.n_groups))
@@ -205,7 +211,10 @@ def estep_converge(crf: CrfParams, E: np.ndarray, init: MeanField,
                    schedule: str = "jacobi") -> tuple:
     """Sweep until the max row-wise L-inf change drops below ``tol``.
 
-    Returns (MeanField, iterations used). Default iteration cap is 10.
+    Returns (MeanField, iterations used). Default iteration cap is 10. The
+    MeanField's ``residual`` is the last sweep's max change (inf if no sweep
+    ran), so it converged exactly when ``residual < tol``; at the cap it may
+    not have.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -214,13 +223,14 @@ def estep_converge(crf: CrfParams, E: np.ndarray, init: MeanField,
     q = init.q.copy()
     clamped = init.clamped.copy()
     iterations = 0
+    delta = np.inf
     for iterations in range(1, max_iter + 1):
         q_next = _sweep(q, theta, B, clamped, schedule)
-        delta = np.max(np.abs(q_next - q)) if len(q) else 0.0
+        delta = float(np.max(np.abs(q_next - q))) if len(q) else 0.0
         q = q_next
         if delta < tol:
             break
-    return MeanField(q, clamped), iterations
+    return MeanField(q, clamped, delta), iterations
 
 
 def mean_field_free_energy(mf: MeanField, crf: CrfParams, E: np.ndarray) -> float:

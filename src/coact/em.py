@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.special import logsumexp as np_logsumexp
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -32,6 +31,7 @@ from .crf import (
     CrfParams,
     MeanField,
     UnaryScorer,
+    _logsumexp,
     enumerate_assignments,
     estep_converge,
     log_partition_bruteforce,
@@ -287,7 +287,7 @@ def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
         for v in range(u + 1, n):
             if B[u, v] != 0.0:
                 pair_scores += B[u, v] * (Y_all[:, u] == Y_all[:, v])
-    rhs = float(pair_scores.max() + np_logsumexp(theta, axis=1).sum())
+    rhs = float(pair_scores.max() + _logsumexp(theta, axis=1).sum())
     if lhs > rhs + 1e-9:
         raise AssertionError(f"partition-bound violation: {lhs} > {rhs}")
     return lhs, rhs
@@ -376,30 +376,32 @@ def run_em(
     train_seqs = train_ds.sequences or d.sequences
     val_seqs = val_ds.sequences or train_seqs
 
-    def estep(init_mf):
+    def estep(init_mf, loop):
+        """Run one E-step; returns its beliefs and its history record."""
         mf, iters = estep_converge(
             crf, model.params["E"].data, init_mf,
             tol=cfg.estep_tol, max_iter=cfg.estep_max_iter,
             schedule=cfg.estep_schedule,
         )
-        return mf, iters
+        return mf, {
+            "loop": loop,
+            "estep_iterations": iters,
+            "estep_residual": mf.residual,
+            "estep_converged": bool(mf.residual < cfg.estep_tol),
+        }
 
-    history = []
     mf = softmax_init(crf, model.params["E"].data, clamp_rows, clamp_groups)
-    mf, iters = estep(mf)
-    history.append({"loop": 0, "estep_iterations": iters})
+    mf, record = estep(mf, 0)
+    history = [record]
 
     if not cfg.estep_only:
         rng = np.random.default_rng(cfg.seed + 1)
         for loop in range(1, cfg.n_loops + 1):
             before, after = _m_step(model, crf, train_seqs, val_seqs, mf.q, cfg, rng)
-            mf, iters = estep(MeanField(mf.q.copy(), mf.clamped.copy()))
-            history.append({
-                "loop": loop,
-                "estep_iterations": iters,
-                "val_objective_before": before,
-                "val_objective_after": after,
-            })
+            mf, record = estep(MeanField(mf.q.copy(), mf.clamped.copy()), loop)
+            record["val_objective_before"] = before
+            record["val_objective_after"] = after
+            history.append(record)
 
     heuristic = cfg.coordinated_heuristic
     if heuristic == "auto":

@@ -29,6 +29,17 @@ __all__ = [
 ]
 
 
+# Whole-matrix passes over a dense (V, V) array run in blocks of rows with
+# about this many entries, so their temporaries stay small next to the array.
+BLOCK_ENTRIES = 2 ** 20
+
+
+def _row_blocks(n: int):
+    """Slices covering rows 0..n of an (n, n) array, about BLOCK_ENTRIES each."""
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 @dataclass
 class KnowledgeGraph:
     accounts: list             # account keys, index-aligned with w
@@ -38,16 +49,19 @@ class KnowledgeGraph:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64)
+        w = self.w
         n = len(self.accounts)
-        if self.w.shape != (n, n):
+        if w.shape != (n, n):
             raise ValueError("weight matrix must be square over the accounts")
-        if not np.allclose(self.w, self.w.T):
+        # the same tests as np.allclose(w, w.T) etc. on the whole matrix
+        if not all(np.allclose(w[rows], w[:, rows].T) for rows in _row_blocks(n)):
             raise ValueError("weight matrix must be symmetric")
-        if np.any(np.diag(self.w) != 0):
+        if np.any(np.diag(w) != 0):
             raise ValueError("diagonal must be zero")
-        if not np.all(np.isfinite(self.w)) or np.any(self.w < 0):
-            raise ValueError("weights must be finite and non-negative")
-        self.deg = self.w.sum(axis=1)
+        for rows in _row_blocks(n):
+            if not np.all(np.isfinite(w[rows])) or np.any(w[rows] < 0):
+                raise ValueError("weights must be finite and non-negative")
+        self.deg = w.sum(axis=1)
 
     @property
     def n(self) -> int:
@@ -56,9 +70,10 @@ class KnowledgeGraph:
     def coupling(self) -> np.ndarray:
         """Degree-normalized weights w_uv / sqrt(d_u d_v); 0 for isolated nodes."""
         d = self.deg
-        denom = np.sqrt(np.outer(d, d))
         out = np.zeros_like(self.w)
-        np.divide(self.w, denom, out=out, where=denom > 0)
+        for rows in _row_blocks(self.n):
+            denom = np.sqrt(np.outer(d[rows], d))
+            np.divide(self.w[rows], denom, out=out[rows], where=denom > 0)
         return out
 
 
@@ -141,9 +156,11 @@ def save_graph(g: KnowledgeGraph, path) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# filter_tag={g.filter_tag} accounts={json.dumps(g.accounts)}\n")
         fh.write("u,v,weight\n")
-        rows, cols = np.nonzero(np.triu(g.w, k=1))
-        for u, v in zip(rows, cols):
-            fh.write(f"{g.accounts[u]},{g.accounts[v]},{float(g.w[u, v])!r}\n")
+        for u in range(g.n):
+            upper = g.w[u, u + 1:]
+            cols = np.flatnonzero(upper)
+            fh.writelines(f"{g.accounts[u]},{g.accounts[v]},{x!r}\n"
+                          for v, x in zip((cols + u + 1).tolist(), upper[cols].tolist()))
 
 
 def load_graph(path) -> KnowledgeGraph:

@@ -347,12 +347,14 @@ def train(
     bad_epochs = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(train_seqs))
+        nll_sum = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             batch = [train_seqs[i] for i in order[lo:lo + cfg.batch_size]]
             opt.zero_grad()
             scale = 1.0 / len(batch)
             for s in batch:
                 mark, time = model._ll_terms_t(s)
+                nll_sum -= mark.item() + time.item()
                 loss = (mark + time) * (-scale)
                 if not np.isfinite(loss.data):
                     raise TrainingDiverged(
@@ -365,7 +367,9 @@ def train(
             raise TrainingDiverged(f"non-finite validation log-likelihood at epoch {epoch}")
         model.history.append({
             "epoch": epoch,
-            "train_nll": -mean_log_likelihood(model, train_seqs),
+            # running loss: each sequence is scored at the parameters before
+            # the step its minibatch takes, not re-scored after the epoch
+            "train_nll": nll_sum / len(train_seqs),
             "val_ll": val_ll,
         })
         if val_ll > best_val + 1e-12:

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,27 @@ def test_diamond_graph_grad():
 def test_backward_requires_scalar():
     with pytest.raises(ValueError):
         Tensor(np.zeros((2, 2))).backward()
+
+
+def test_tapes_are_freed_without_the_cycle_collector():
+    # a backward closure that reads its own output node makes the tape a
+    # reference cycle, which only the cyclic collector frees; the scorer fit
+    # in em.initialize then holds hundreds of dead tapes at once
+    gc.collect()
+    gc.disable()
+    try:
+        before = {id(o) for o in gc.get_objects() if isinstance(o, Tensor)}
+        x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
+        out = (x.exp() + x.tanh() + ad.softmax(x, axis=1)).sum()
+        out = out + ad.logsumexp(x, axis=1).sum()
+        out.backward()
+        assert x.grad is not None
+        del x, out
+        leaked = [o for o in gc.get_objects()
+                  if isinstance(o, Tensor) and id(o) not in before]
+    finally:
+        gc.enable()
+    assert leaked == []
 
 
 def test_adam_decreases_quadratic():

@@ -160,6 +160,25 @@ def test_estep_strong_edge_consensus():
         assert mf.q[1, 0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-9)
 
 
+def test_estep_reports_residual_and_convergence():
+    # a 20-leaf star from opposite modes: slow under Jacobi, not a cycle
+    n = 21
+    w = np.zeros((n, n))
+    w[0, 1:] = w[1:, 0] = 1.0
+    crf = CrfParams(zero_scorer(3, 2), graph_of(w), 2)
+    E = np.zeros((n, 3))
+    q0 = np.tile([0.1, 0.9], (n, 1))
+    q0[0] = [0.9, 0.1]
+    mf, iters = estep_converge(crf, E, MeanField(q0))
+    assert iters == 10
+    assert mf.residual == pytest.approx(2.2e-3, rel=0.01)
+    assert not mf.residual < 1e-6
+    mf, iters = estep_converge(crf, E, MeanField(q0), max_iter=50)
+    assert iters == 21
+    assert mf.residual < 1e-6
+    np.testing.assert_allclose(mf.q, 0.5, rtol=0, atol=1e-6)
+
+
 def test_estep_agrees_with_enumeration_marginals_on_tilted_edge():
     crf = CrfParams(zero_scorer(3, 2), graph_of([[0, 5], [5, 0]]), 2)
     crf.scorer.params["b2"].data = np.array([0.4, 0.0])  # slight pull to group 0

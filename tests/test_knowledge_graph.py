@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from coact.events import Dataset, Event, EventSequence
 from coact.graph import (
+    BLOCK_ENTRIES,
     KnowledgeGraph,
     co_occurrence,
     filter_power,
@@ -224,7 +227,65 @@ def test_graph_save_load_round_trip(tmp_path):
     g2 = load_graph(p)
     assert g2.accounts == g.accounts
     assert g2.filter_tag == g.filter_tag
-    assert np.allclose(g2.w, g.w)
+    np.testing.assert_array_equal(g2.w, g.w)
+
+
+def whole_matrix_save_graph(g, path):
+    """Reference writer: one pass over the nonzero upper triangle."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# filter_tag={g.filter_tag} accounts={json.dumps(g.accounts)}\n")
+        fh.write("u,v,weight\n")
+        rows, cols = np.nonzero(np.triu(g.w, k=1))
+        for u, v in zip(rows, cols):
+            fh.write(f"{g.accounts[u]},{g.accounts[v]},{float(g.w[u, v])!r}\n")
+
+
+def sparse_graph(rng, n, density, n_isolated=0):
+    """Random symmetric weights with arbitrary floats; the first nodes isolated."""
+    w = np.triu(rng.exponential(1.0, (n, n)) * (rng.random((n, n)) < density), 1)
+    w[:n_isolated] = 0.0
+    w[:, :n_isolated] = 0.0
+    return KnowledgeGraph([f"u{i}" for i in range(n)], w + w.T, "power(p=2)")
+
+
+def test_save_graph_matches_whole_matrix_writer(tmp_path):
+    rng = np.random.default_rng(13)
+    for n, density in ((1, 1.0), (2, 1.0), (7, 0.0), (60, 0.3), (400, 0.05)):
+        g = sparse_graph(rng, n, density, n_isolated=n // 5)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_graph(g, got)
+        whole_matrix_save_graph(g, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_coupling_in_row_blocks_matches_one_shot_formula():
+    n = 1500
+    assert n * n > 2 * BLOCK_ENTRIES  # three row blocks
+    g = sparse_graph(np.random.default_rng(14), n, 0.01, n_isolated=40)
+    d = g.w.sum(axis=1)
+    denom = np.sqrt(np.outer(d, d))
+    want = np.zeros_like(g.w)
+    np.divide(g.w, denom, out=want, where=denom > 0)
+    assert np.all(want[:40] == 0)
+    np.testing.assert_array_equal(g.coupling(), want)
+
+
+def test_graph_validation_checks_the_last_row_block():
+    n = 1500
+    assert n * n > 2 * BLOCK_ENTRIES
+    keys = [f"u{i}" for i in range(n)]
+    w = np.zeros((n, n))
+    w[0, 1] = w[1, 0] = 1.0
+    u, v = n - 1, n - 2
+    for a, b in ((1.0, 0.0), (-1.0, -1.0), (np.nan, np.nan)):
+        bad = w.copy()
+        bad[u, v], bad[v, u] = a, b
+        with pytest.raises(ValueError):
+            KnowledgeGraph(keys, bad, "none")
+    # np.allclose semantics: a relative asymmetry of 1e-12 is accepted
+    ok = w.copy()
+    ok[u, v], ok[v, u] = 1.0, 1.0 + 1e-12
+    KnowledgeGraph(keys, ok, "none")
 
 
 def test_graph_validation_rejects_asymmetry():

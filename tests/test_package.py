@@ -1,0 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the CLI pays its import time otherwise
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import coact, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True, timeout=60,
+    )

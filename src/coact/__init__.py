@@ -30,7 +30,6 @@ from .graph import (
     filter_power,
     filter_temporal_logic,
     load_graph,
-    pairwise_potential,
     save_graph,
 )
 from .pointprocess import (
@@ -58,8 +57,6 @@ from .em import (
     identify_coordinated_group,
     initialize,
     kmeans,
-    m_step_objective,
-    m_step_gradients,
     run_em,
     select_group_count,
 )

@@ -407,7 +407,8 @@ def _fractions(text: str):
     return parts
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(detect_defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The ``coact`` parser; ``detect_defaults`` override detect's defaults."""
     parser = argparse.ArgumentParser(
         prog="coact",
         description="Coordinated account-group detection from temporal event sequences.",
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", default="run")
     p.add_argument("--config", default=None,
                    help="JSON config; flags given on the command line override it")
-    p.set_defaults(func=cmd_detect)
+    p.set_defaults(func=cmd_detect, **(detect_defaults or {}))
 
     p = sub.add_parser("eval", help="score a result CSV against truth labels")
     p.add_argument("--result", required=True)
@@ -481,33 +482,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv):
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    cfg_path = argv[i + 1]
-    config = json.loads(Path(cfg_path).read_text(encoding="utf-8"))
-    config.pop("command", None)
-    config.pop("config", None)
-    known = {
-        action.dest for action in parser._subparsers._group_actions[0]
-        .choices[argv[0]]._actions
-    }
-    defaults = {}
-    for key, value in config.items():
-        if key in known:
-            defaults[key] = tuple(value) if key == "fractions" else value
-    parser._subparsers._group_actions[0].choices[argv[0]].set_defaults(**defaults)
-    return argv
+def _config_defaults(args) -> dict:
+    """The keys of the ``--config`` file that detect knows, as its defaults."""
+    try:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read --config {args.config}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"--config {args.config} does not hold a JSON object")
+    defaults = {k: v for k, v in config.items()
+                if k in vars(args) and k not in ("command", "config", "func")}
+    if "fractions" in defaults:
+        defaults["fractions"] = tuple(defaults["fractions"])
+    return defaults
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    if argv and argv[0] == "detect":
-        _apply_config_file(parser, argv)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "detect" and args.config:
+            # parse again with the file's values as defaults: flags still win
+            args = build_parser(_config_defaults(args)).parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

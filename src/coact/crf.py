@@ -149,17 +149,22 @@ def enumerate_assignments(n: int, m: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _all_potentials(crf: CrfParams, E: np.ndarray) -> np.ndarray:
-    theta = crf.unary(E)
-    B = crf.coupling()
-    n = len(theta)
-    Y_all = enumerate_assignments(n, crf.n_groups)
-    phi = theta[np.arange(n), Y_all].sum(axis=1)
+def _pair_scores(B: np.ndarray, Y_all: np.ndarray) -> np.ndarray:
+    """sum_{u<v} B_uv * 1(y_u = y_v) for each assignment row of ``Y_all``."""
+    n = Y_all.shape[1]
+    scores = np.zeros(len(Y_all))
     for u in range(n):
         for v in range(u + 1, n):
             if B[u, v] != 0.0:
-                phi = phi + B[u, v] * (Y_all[:, u] == Y_all[:, v])
-    return phi
+                scores += B[u, v] * (Y_all[:, u] == Y_all[:, v])
+    return scores
+
+
+def _all_potentials(crf: CrfParams, E: np.ndarray) -> np.ndarray:
+    theta = crf.unary(E)
+    n = len(theta)
+    Y_all = enumerate_assignments(n, crf.n_groups)
+    return theta[np.arange(n), Y_all].sum(axis=1) + _pair_scores(crf.coupling(), Y_all)
 
 
 def log_partition_bruteforce(crf: CrfParams, E: np.ndarray) -> float:

@@ -21,7 +21,7 @@ read from, so a single loop is genuinely different from the E-step-only
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .crf import (
     MeanField,
     UnaryScorer,
     _logsumexp,
+    _pair_scores,
     enumerate_assignments,
     estep_converge,
     log_partition_bruteforce,
@@ -39,15 +40,13 @@ from .crf import (
 )
 from .events import Dataset, train_val_test_split
 from .graph import KnowledgeGraph
-from .pointprocess import SequenceModel, TrainingDiverged
+from .pointprocess import SequenceModel, fit
 
 __all__ = [
     "EmConfig",
     "DetectionResult",
     "kmeans",
     "initialize",
-    "m_step_objective",
-    "m_step_gradients",
     "check_prop1_bound",
     "run_em",
     "select_group_count",
@@ -74,18 +73,12 @@ class EmConfig:
     scorer_hidden: int = 64
     scorer_weight_decay: float = 1e-3
     seed: int = 0
-    coordinated_heuristic: str = "auto"  # auto | smaller_cluster | revealed_labels
 
     def __post_init__(self):
         if self.n_loops < 1:
             raise ValueError("n_loops must be >= 1")
         if self.lambda_balance <= 0:
             raise ValueError("lambda_balance must be positive")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["fractions"] = list(self.fractions)
-        return d
 
 
 @dataclass
@@ -166,6 +159,12 @@ def kmeans(X, k, seed: int, max_iter: int = 300, n_init: int = 10, restarts: int
 
 # ---- initialization ----
 
+# the scorer fit stops after five epochs in a row that improve the loss by
+# less than SCORER_FIT_TOL relative, or after SCORER_FIT_EPOCHS epochs
+SCORER_FIT_EPOCHS = 300
+SCORER_FIT_TOL = 1e-7
+
+
 def _align_to_revealed(labels, n_groups, rows, groups):
     """Permute cluster indices to best agree with revealed group labels.
 
@@ -188,8 +187,6 @@ def initialize(
     seed: int,
     graph: KnowledgeGraph | None = None,
     hidden: int = 64,
-    fit_epochs: int = 300,
-    fit_tol: float = 1e-7,
     fit_weight_decay: float = 1e-3,
     align_rows=None,
     align_groups=None,
@@ -214,14 +211,14 @@ def initialize(
     opt = ad.Adam(scorer.params, lr=1e-2, weight_decay=fit_weight_decay)
     last = np.inf
     stale = 0
-    for _ in range(fit_epochs):
+    for _ in range(SCORER_FIT_EPOCHS):
         opt.zero_grad()
         theta = scorer.forward_t(Tensor(E))
         log_probs = theta - ad.logsumexp(theta, axis=1, keepdims=True)
         loss = -(Tensor(onehot) * log_probs).sum() * (1.0 / len(E))
         loss.backward()
         opt.step()
-        if last - loss.item() < fit_tol * (1.0 + abs(loss.item())):
+        if last - loss.item() < SCORER_FIT_TOL * (1.0 + abs(loss.item())):
             stale += 1
             if stale >= 5:
                 break
@@ -243,34 +240,6 @@ def _crossent_t(scorer: UnaryScorer, E: Tensor, Q: np.ndarray) -> Tensor:
     return (Tensor(Q) * log_probs).sum()
 
 
-def m_step_objective(batch, Q: np.ndarray, model: SequenceModel,
-                     crf: CrfParams, lambda_balance: float = 1.0) -> float:
-    """Summed sequence log-likelihood plus the weighted surrogate term."""
-    ll = sum(model.log_likelihood(s) for s in batch)
-    ce = _crossent_t(crf.scorer, Tensor(model.params["E"].data), Q).item()
-    return ll + lambda_balance * ce
-
-
-def m_step_gradients(batch, Q: np.ndarray, model: SequenceModel,
-                     crf: CrfParams, lambda_balance: float = 1.0) -> dict:
-    """Exact gradients of the objective; scorer keys prefixed ``unary_``."""
-    model.zero_grad()
-    crf.scorer.zero_grad()
-    for s in batch:
-        mark, time = model._ll_terms_t(s)
-        (mark + time).backward()
-    (_crossent_t(crf.scorer, model.params["E"], Q) * lambda_balance).backward()
-    grads = {
-        k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-        for k, t in model.params.items()
-    }
-    for k, t in crf.scorer.params.items():
-        grads[f"unary_{k}"] = t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
-    model.zero_grad()
-    crf.scorer.zero_grad()
-    return grads
-
-
 def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
     """Verify log Z <= max_Y pairwise(Y) + sum_u log sum_m exp(theta_u(m)).
 
@@ -279,15 +248,8 @@ def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
     """
     lhs = log_partition_bruteforce(crf, E)
     theta = crf.unary(E)
-    B = crf.coupling()
-    n = len(theta)
-    Y_all = enumerate_assignments(n, crf.n_groups)
-    pair_scores = np.zeros(len(Y_all))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if B[u, v] != 0.0:
-                pair_scores += B[u, v] * (Y_all[:, u] == Y_all[:, v])
-    rhs = float(pair_scores.max() + _logsumexp(theta, axis=1).sum())
+    Y_all = enumerate_assignments(len(theta), crf.n_groups)
+    rhs = float(_pair_scores(crf.coupling(), Y_all).max() + _logsumexp(theta, axis=1).sum())
     if lhs > rhs + 1e-9:
         raise AssertionError(f"partition-bound violation: {lhs} > {rhs}")
     return lhs, rhs
@@ -302,44 +264,29 @@ def _val_objective(model, scorer, val_seqs, Q, lam) -> float:
 
 
 def _m_step(model, crf, train_seqs, val_seqs, Q, cfg: EmConfig, rng):
-    """Ascend the surrogate objective; early stop on the validation version."""
+    """Ascend the surrogate objective; early stop on the validation version.
+
+    Returns the validation objective before and after (at the best epoch).
+    """
     params = dict(model.params)
     for k, t in crf.scorer.params.items():
         params[f"unary_{k}"] = t
-    opt = ad.Adam(params, lr=cfg.m_step_lr, weight_decay=cfg.weight_decay)
-    before = _val_objective(model, crf.scorer, val_seqs, Q, cfg.lambda_balance)
-    best_val = before
-    best = ad.snapshot(params)
-    bad = 0
-    n_train = len(train_seqs)
-    for epoch in range(cfg.m_step_epochs):
-        order = rng.permutation(n_train)
-        for lo in range(0, n_train, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            opt.zero_grad()
-            for i in idx:
-                mark, time = model._ll_terms_t(train_seqs[i])
-                loss = (mark + time) * -1.0
-                if not np.isfinite(loss.data):
-                    raise TrainingDiverged(f"non-finite loss in M-step epoch {epoch}")
-                loss.backward()
-            # spread the account-level term across the epoch's batches
-            ce_weight = cfg.lambda_balance * len(idx) / n_train
-            (_crossent_t(crf.scorer, model.params["E"], Q) * -ce_weight).backward()
-            opt.step()
-        value = _val_objective(model, crf.scorer, val_seqs, Q, cfg.lambda_balance)
-        if not np.isfinite(value):
-            raise TrainingDiverged(f"non-finite validation objective in M-step epoch {epoch}")
-        if value > best_val + 1e-12:
-            best_val = value
-            best = ad.snapshot(params)
-            bad = 0
-        else:
-            bad += 1
-            if bad >= cfg.patience:
-                break
-    ad.restore(params, best)
-    return before, best_val
+
+    def batch_loss(batch):
+        nll = model.backward_nll(batch)
+        # spread the account-level term across the epoch's batches
+        ce_weight = cfg.lambda_balance * len(batch) / len(train_seqs)
+        ce = _crossent_t(crf.scorer, model.params["E"], Q) * -ce_weight
+        ce.backward()
+        return nll + ce.item()
+
+    start, best, _ = fit(
+        params, train_seqs, batch_loss,
+        lambda: _val_objective(model, crf.scorer, val_seqs, Q, cfg.lambda_balance),
+        epochs=cfg.m_step_epochs, lr=cfg.m_step_lr, weight_decay=cfg.weight_decay,
+        batch_size=cfg.batch_size, patience=cfg.patience, rng=rng,
+    )
+    return start, best
 
 
 def run_em(
@@ -403,9 +350,7 @@ def run_em(
             record["val_objective_after"] = after
             history.append(record)
 
-    heuristic = cfg.coordinated_heuristic
-    if heuristic == "auto":
-        heuristic = "revealed_labels" if revealed else "smaller_cluster"
+    heuristic = "revealed_labels" if revealed else "smaller_cluster"
     coord = identify_coordinated_group(
         mf.q, heuristic, revealed_rows=clamp_rows, revealed_groups=clamp_groups
     )

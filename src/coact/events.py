@@ -28,7 +28,6 @@ __all__ = [
     "save_labels",
     "split_long_sequences",
     "train_val_test_split",
-    "sequence_arrays",
 ]
 
 
@@ -297,10 +296,3 @@ def train_val_test_split(d: Dataset, fractions, seed: int):
         Dataset([d.sequences[i] for i in sorted(idx)], d.registry, d.labels)
         for idx in parts
     )
-
-
-def sequence_arrays(s: EventSequence, registry: AccountRegistry):
-    """(account indices, timestamps) as numpy arrays."""
-    idx = np.array([registry.index(e.account) for e in s.events], dtype=np.intp)
-    t = np.array([e.t for e in s.events], dtype=np.float64)
-    return idx, t

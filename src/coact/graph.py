@@ -23,7 +23,6 @@ __all__ = [
     "co_occurrence",
     "filter_power",
     "filter_temporal_logic",
-    "pairwise_potential",
     "save_graph",
     "load_graph",
 ]
@@ -138,16 +137,6 @@ def filter_temporal_logic(d: Dataset, c: float) -> KnowledgeGraph:
         w[np.ix_(idx, idx)] += hit
     np.fill_diagonal(w, 0.0)
     return KnowledgeGraph(d.registry.keys, w, f"temporal_logic(c={c:g})")
-
-
-def pairwise_potential(g: KnowledgeGraph, u: int, v: int, y_u: int, y_v: int) -> float:
-    """Degree-normalized edge reward, paid only for equal group labels."""
-    if y_u != y_v:
-        return 0.0
-    du, dv = g.deg[u], g.deg[v]
-    if du <= 0 or dv <= 0:
-        return 0.0
-    return float(g.w[u, v] / np.sqrt(du * dv))
 
 
 def save_graph(g: KnowledgeGraph, path) -> None:

@@ -30,6 +30,7 @@ __all__ = [
     "TrainConfig",
     "SequenceModel",
     "TrainingDiverged",
+    "fit",
     "train",
     "positional_encoding",
 ]
@@ -82,7 +83,6 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     val_fraction: float = 0.15  # used when no validation set is supplied
-    calibrate_time_head: bool = True  # moment-match mixture biases to the data
 
 
 def positional_encoding(length: int, dim: int, base: float = 1e4) -> np.ndarray:
@@ -248,15 +248,26 @@ class SequenceModel:
     def grad_log_likelihood(self, batch) -> dict:
         """Exact gradients of the summed log-likelihood over ``batch``."""
         self.zero_grad()
-        for s in batch:
-            mark, time = self._ll_terms_t(s)
-            (mark + time).backward()
+        self.backward_nll(batch, scale=-1.0)
         grads = {
             k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
             for k, t in self.params.items()
         }
         self.zero_grad()
         return grads
+
+    def backward_nll(self, batch, scale: float = 1.0) -> float:
+        """Add the gradient of ``scale`` times each sequence's negative
+        log-likelihood to the parameters' ``grad``; returns the summed NLL.
+
+        One tape per sequence, each freed before the next is built.
+        """
+        nll = 0.0
+        for s in batch:
+            mark, time = self._ll_terms_t(s)
+            nll -= mark.item() + time.item()
+            ((mark + time) * -scale).backward()
+        return nll
 
     def mark_probs(self, s: EventSequence) -> np.ndarray:
         C = Tensor(self.encode(self.featurize(s)))
@@ -305,6 +316,53 @@ def mean_log_likelihood(model: SequenceModel, sequences) -> float:
     return float(np.mean([model.log_likelihood(s) for s in sequences]))
 
 
+def fit(params: dict, items, batch_loss, val_fn, *, epochs: int, lr: float,
+        weight_decay: float, batch_size: int, patience: int, rng) -> tuple:
+    """Minibatch Adam on ``params`` with early stopping on ``val_fn``.
+
+    Each epoch visits ``items`` in the order of ``rng.permutation``. For each
+    minibatch, ``batch_loss(batch)`` accumulates the gradient of the loss into
+    the parameters' ``grad`` and returns the batch's summed loss; Adam then
+    takes one step. After the epoch ``val_fn()`` scores the parameters (higher
+    is better). Training stops once ``patience`` epochs in a row fail to beat
+    the best score by more than 1e-12, and the best parameters are restored
+    (the starting ones if no epoch beat them).
+
+    Returns (start value, best value, history), with one history record per
+    epoch: ``train_loss`` is the running loss per item, each scored at the
+    parameters before its batch's step.
+    """
+    opt = ad.Adam(params, lr=lr, weight_decay=weight_decay)
+    start = best_val = val_fn()
+    best = ad.snapshot(params)
+    history = []
+    bad_epochs = 0
+    for epoch in range(epochs):
+        order = rng.permutation(len(items))
+        loss_sum = 0.0
+        for lo in range(0, len(order), batch_size):
+            opt.zero_grad()
+            loss = batch_loss([items[i] for i in order[lo:lo + batch_size]])
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite training loss at epoch {epoch}")
+            loss_sum += loss
+            opt.step()
+        value = val_fn()
+        if not np.isfinite(value):
+            raise TrainingDiverged(f"non-finite validation value at epoch {epoch}")
+        history.append({"epoch": epoch, "train_loss": loss_sum / len(items), "val": value})
+        if value > best_val + 1e-12:
+            best_val = value
+            best = ad.snapshot(params)
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= patience:
+                break
+    ad.restore(params, best)
+    return start, best_val, history
+
+
 def train(
     d: Dataset,
     cfg: TrainConfig | None = None,
@@ -331,54 +389,19 @@ def train(
         train_seqs, val_seqs = d.sequences, d.sequences
 
     model = SequenceModel(d.registry.keys, model_config, seed=cfg.seed)
-    if cfg.calibrate_time_head:
-        # land the log-normal heads on the data's log-gap scale up front;
-        # otherwise the time loss swamps every shared gradient for a long time
-        logs = np.concatenate(
-            [np.log(model._decoder_gaps(model._times(s))) for s in train_seqs]
-        )
-        model.params["mix_bmu"].data += logs.mean()
-        model.params["mix_bs"].data += np.log(max(logs.std(), 1e-3))
-    opt = ad.Adam(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed + 1)
-
-    best = ad.snapshot(model.params)
-    best_val = mean_log_likelihood(model, val_seqs)
-    bad_epochs = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(train_seqs))
-        nll_sum = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [train_seqs[i] for i in order[lo:lo + cfg.batch_size]]
-            opt.zero_grad()
-            scale = 1.0 / len(batch)
-            for s in batch:
-                mark, time = model._ll_terms_t(s)
-                nll_sum -= mark.item() + time.item()
-                loss = (mark + time) * (-scale)
-                if not np.isfinite(loss.data):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, sequence {s.seq_id!r}"
-                    )
-                loss.backward()
-            opt.step()
-        val_ll = mean_log_likelihood(model, val_seqs)
-        if not np.isfinite(val_ll):
-            raise TrainingDiverged(f"non-finite validation log-likelihood at epoch {epoch}")
-        model.history.append({
-            "epoch": epoch,
-            # running loss: each sequence is scored at the parameters before
-            # the step its minibatch takes, not re-scored after the epoch
-            "train_nll": nll_sum / len(train_seqs),
-            "val_ll": val_ll,
-        })
-        if val_ll > best_val + 1e-12:
-            best_val = val_ll
-            best = ad.snapshot(model.params)
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
-    ad.restore(model.params, best)
+    # land the log-normal heads on the data's log-gap scale up front;
+    # otherwise the time loss swamps every shared gradient for a long time
+    logs = np.concatenate(
+        [np.log(model._decoder_gaps(model._times(s))) for s in train_seqs]
+    )
+    model.params["mix_bmu"].data += logs.mean()
+    model.params["mix_bs"].data += np.log(max(logs.std(), 1e-3))
+    _, _, model.history = fit(
+        model.params, train_seqs,
+        lambda batch: model.backward_nll(batch, 1.0 / len(batch)),
+        lambda: mean_log_likelihood(model, val_seqs),
+        epochs=cfg.epochs, lr=cfg.lr, weight_decay=cfg.weight_decay,
+        batch_size=cfg.batch_size, patience=cfg.patience,
+        rng=np.random.default_rng(cfg.seed + 1),
+    )
     return model

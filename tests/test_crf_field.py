@@ -65,10 +65,13 @@ def test_potential_unary_only():
 
 
 def test_potential_single_edge_equal_labels():
-    crf = CrfParams(zero_scorer(3, 2), graph_of([[0, 1], [1, 0]]), 2)
-    E = np.zeros((2, 3))
-    assert potential(np.array([0, 0]), crf, E) == pytest.approx(1.0, abs=1e-12)
-    assert potential(np.array([0, 1]), crf, E) == pytest.approx(0.0, abs=1e-12)
+    # a lone edge normalizes to B = 1 whatever its weight
+    for weight in (1.0, 4.0):
+        crf = CrfParams(zero_scorer(3, 2), graph_of([[0, weight], [weight, 0]]), 2)
+        E = np.zeros((2, 3))
+        assert potential(np.array([0, 0]), crf, E) == pytest.approx(1.0, abs=1e-12)
+        assert potential(np.array([1, 1]), crf, E) == pytest.approx(1.0, abs=1e-12)
+        assert potential(np.array([0, 1]), crf, E) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_potential_matches_term_by_term_sum():

@@ -1,8 +1,10 @@
 import numpy as np
 
-from coact.em import EmConfig, run_em
+from coact import em
+from coact.crf import CrfParams, UnaryScorer
+from coact.em import EmConfig, check_prop1_bound, initialize, run_em
 from coact.events import Dataset, Event, EventSequence
-from coact.graph import co_occurrence
+from coact.graph import KnowledgeGraph, co_occurrence
 from coact.pointprocess import SeqModelConfig, SequenceModel
 
 TINY = SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=2,
@@ -32,3 +34,72 @@ def test_run_em_history_reports_estep_convergence():
             assert h["estep_converged"] is converged
             assert h["estep_converged"] == (h["estep_residual"] < cfg.estep_tol)
             assert h["estep_iterations"] <= max_iter
+
+
+def test_prop1_bound_holds_and_is_tight_without_edges():
+    rng = np.random.default_rng(12)
+    n_tight = 0
+    for i in range(50):
+        n, m = int(rng.integers(1, 8)), int(rng.choice([2, 3]))
+        E = rng.normal(size=(n, 3))
+        w = np.triu(rng.uniform(0, 3, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+        if i % 4 == 0:
+            w[:] = 0.0
+        crf = CrfParams(UnaryScorer(3, m, hidden=6, seed=i),
+                        KnowledgeGraph([f"u{j}" for j in range(n)], w + w.T, "none"), m)
+        lhs, rhs = check_prop1_bound(crf, E)
+        assert lhs <= rhs + 1e-9
+        if not w.any():
+            assert abs(lhs - rhs) <= 1e-9
+            n_tight += 1
+    assert n_tight >= 12
+
+
+def test_m_step_gradient_matches_finite_differences(monkeypatch):
+    rng = np.random.default_rng(5)
+    d = random_dataset(rng)
+    cfg = SeqModelConfig(d_embed=8, d_pos=4, d_time=4, n_mix=2,
+                         time_scale_min=0.1, time_scale_max=100.0)
+    model = SequenceModel(d.registry.keys, cfg, seed=1)
+    crf = initialize(model, 2, seed=0, graph=co_occurrence(d), hidden=6)
+    Q = rng.dirichlet(np.ones(2), size=model.n_accounts)
+    em_cfg = EmConfig(lambda_balance=0.7)
+    seqs = d.sequences
+
+    handed = {}
+
+    def capture(params, items, batch_loss, val_fn, **kwargs):
+        handed.update(params=params, batch_loss=batch_loss)
+        return 0.0, 0.0, []
+
+    monkeypatch.setattr(em, "fit", capture)
+    em._m_step(model, crf, seqs, seqs, Q, em_cfg, np.random.default_rng(0))
+    params = handed["params"]
+    assert {f"unary_{k}" for k in crf.scorer.params} <= set(params)
+    for t in params.values():
+        t.grad = None
+    handed["batch_loss"](seqs)  # one batch spanning the epoch: loss = -objective
+
+    def objective():
+        return em._val_objective(model, crf.scorer, seqs, Q, em_cfg.lambda_balance)
+
+    h = 1e-4
+    coord_rng = np.random.default_rng(0)
+    n_checked = 0
+    for name, t in params.items():
+        flat = t.data.ravel()
+        grad = t.grad.ravel() if t.grad is not None else np.zeros(flat.size)
+        for _ in range(3):
+            j = int(coord_rng.integers(flat.size))
+            orig = flat[j]
+            flat[j] = orig + h
+            up = objective()
+            flat[j] = orig - h
+            dn = objective()
+            flat[j] = orig
+            fd = -(up - dn) / (2 * h)
+            an = grad[j]
+            if abs(fd) > 1e-10 or abs(an) > 1e-10:
+                assert abs(fd - an) / max(abs(fd), abs(an)) < 1e-4, (name, j)
+            n_checked += 1
+    assert n_checked >= 50

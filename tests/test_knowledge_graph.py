@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from coact.crf import CrfParams, UnaryScorer, potential
 from coact.events import Dataset, Event, EventSequence
 from coact.graph import (
     BLOCK_ENTRIES,
@@ -11,7 +12,6 @@ from coact.graph import (
     filter_power,
     filter_temporal_logic,
     load_graph,
-    pairwise_potential,
     save_graph,
 )
 
@@ -176,16 +176,27 @@ def test_temporal_logic_bounded_by_co_occurrence():
 
 
 def test_pairwise_potential_values():
+    # the pairwise reward of an edge is B_uv = w_uv / sqrt(d_u d_v), paid only
+    # for equal labels: a lone edge of weight 4 pays 1.0, unequal labels 0
     g = KnowledgeGraph(["a", "b"], np.array([[0.0, 4.0], [4.0, 0.0]]), "none")
-    assert pairwise_potential(g, 0, 1, 1, 1) == 1.0
-    assert pairwise_potential(g, 0, 1, 0, 1) == 0.0
+    np.testing.assert_array_equal(g.coupling(), [[0.0, 1.0], [1.0, 0.0]])
+    scorer = UnaryScorer(3, 2, hidden=4, seed=0)
+    scorer.params["W2"].data = np.zeros_like(scorer.params["W2"].data)
+    scorer.params["b2"].data = np.zeros_like(scorer.params["b2"].data)
+    crf = CrfParams(scorer, g, 2)
+    E = np.zeros((2, 3))
+    assert potential(np.array([1, 1]), crf, E) == 1.0
+    assert potential(np.array([0, 1]), crf, E) == 0.0
 
 
 def test_pairwise_potential_isolated_node():
     g = KnowledgeGraph(["a", "b", "c"],
                        np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
                        "none")
-    assert pairwise_potential(g, 0, 2, 1, 1) == 0.0
+    B = g.coupling()
+    assert B[0, 1] == 1.0
+    assert B[0, 2] == 0.0
+    assert not B[2].any() and not B[:, 2].any()
 
 
 def test_pairwise_potential_symmetry():
@@ -193,11 +204,12 @@ def test_pairwise_potential_symmetry():
     w = rng.uniform(0, 3, (5, 5))
     w = np.triu(w, 1)
     w = w + w.T
-    g = KnowledgeGraph([f"u{i}" for i in range(5)], w, "none")
+    B = KnowledgeGraph([f"u{i}" for i in range(5)], w, "none").coupling()
     for _ in range(50):
         u, v = rng.integers(5, size=2)
         a, b = rng.integers(3, size=2)
-        assert pairwise_potential(g, u, v, a, b) == pairwise_potential(g, v, u, b, a)
+        assert B[u, v] * (a == b) == B[v, u] * (b == a)
+    np.testing.assert_array_equal(B, B.T)
 
 
 def test_coupling_spectral_norm_at_most_one():
@@ -215,6 +227,7 @@ def test_coupling_spectral_norm_at_most_one():
         keep = rng.random((n, n)) < rng.uniform(0.05, 1.0)  # sparse ones leave isolated nodes
         w = np.triu(rng.exponential(2.0, (n, n)) * keep, 1)
         B = KnowledgeGraph([f"u{i}" for i in range(n)], w + w.T, "none").coupling()
+        np.testing.assert_array_equal(B, B.T)
         assert np.linalg.norm(B, 2) <= 1.0 + 1e-12
 
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from coact.autodiff import Tensor
 from coact.events import Dataset, Event, EventSequence
 from coact.pointprocess import (
     SeqModelConfig,
     SequenceModel,
     TrainConfig,
+    fit,
     positional_encoding,
     train,
 )
@@ -235,9 +237,34 @@ def test_training_loss_non_increasing_smoothed():
     d = random_dataset(rng, n_accounts=5, n_sequences=20)
     cfg = TrainConfig(epochs=12, batch_size=32, patience=12, seed=0, val_fraction=0.0)
     m = train(d, cfg, TINY)
-    nll = np.array([h["train_nll"] for h in m.history])
+    nll = np.array([h["train_loss"] for h in m.history])
     smooth = np.convolve(nll, np.ones(3) / 3, mode="valid")
     assert np.all(np.diff(smooth) <= 1e-6)
+
+
+def test_fit_stops_after_patience_and_restores_best_epoch():
+    best_epoch, patience = 3, 2
+    x = Tensor(np.zeros(2))
+    scored = []  # parameter values at each val_fn call; the first is the start
+
+    def batch_loss(batch):
+        x.grad = np.array([1.0, -2.0]) * len(batch)
+        return float(len(batch))
+
+    def val_fn():
+        scored.append(x.data.copy())
+        epoch = len(scored) - 2
+        return float(epoch if epoch <= best_epoch else 2 * best_epoch - epoch)
+
+    start, best, history = fit(
+        {"x": x}, list(range(5)), batch_loss, val_fn, epochs=50, lr=0.1,
+        weight_decay=0.0, batch_size=2, patience=patience, rng=np.random.default_rng(0))
+    assert [h["epoch"] for h in history] == list(range(best_epoch + 1 + patience))
+    assert [h["val"] for h in history] == [0.0, 1.0, 2.0, 3.0, 2.0, 1.0]
+    assert all(h["train_loss"] == 1.0 for h in history)
+    assert (start, best) == (-1.0, float(best_epoch))
+    np.testing.assert_array_equal(x.data, scored[best_epoch + 1])
+    assert not np.array_equal(x.data, scored[-1])
 
 
 def test_training_beats_untrained_on_heldout():

@@ -6,6 +6,11 @@ Gradients accumulate into ``Tensor.grad`` until cleared, so several scalar
 losses that share parameters can be backpropagated one after another and
 their gradients add up. Everything is float64 and single-threaded, which
 keeps results bit-reproducible.
+
+A leaf built with ``Tensor(...)`` is a parameter and needs a gradient; a
+value that ``as_tensor`` wraps from a non-Tensor is a constant and does not.
+An operation's output needs a gradient when any of its parents does, and
+backward computes a parent's gradient only when that parent needs one.
 """
 
 from __future__ import annotations
@@ -42,11 +47,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "needs_grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.needs_grad = any(p.needs_grad for p in parents) if parents else True
         self._parents = parents
         self._backward = backward
 
@@ -90,8 +96,10 @@ class Tensor:
         out = Tensor(self.data + other.data, (self, other))
 
         def bw(g):
-            _accumulate(self, _unbroadcast(g, self.data.shape))
-            _accumulate(other, _unbroadcast(g, other.data.shape))
+            if self.needs_grad:
+                _accumulate(self, _unbroadcast(g, self.data.shape))
+            if other.needs_grad:
+                _accumulate(other, _unbroadcast(g, other.data.shape))
 
         out._backward = bw
         return out
@@ -108,8 +116,10 @@ class Tensor:
         out = Tensor(self.data - other.data, (self, other))
 
         def bw(g):
-            _accumulate(self, _unbroadcast(g, self.data.shape))
-            _accumulate(other, _unbroadcast(-g, other.data.shape))
+            if self.needs_grad:
+                _accumulate(self, _unbroadcast(g, self.data.shape))
+            if other.needs_grad:
+                _accumulate(other, _unbroadcast(-g, other.data.shape))
 
         out._backward = bw
         return out
@@ -122,8 +132,10 @@ class Tensor:
         out = Tensor(self.data * other.data, (self, other))
 
         def bw(g):
-            _accumulate(self, _unbroadcast(g * other.data, self.data.shape))
-            _accumulate(other, _unbroadcast(g * self.data, other.data.shape))
+            if self.needs_grad:
+                _accumulate(self, _unbroadcast(g * other.data, self.data.shape))
+            if other.needs_grad:
+                _accumulate(other, _unbroadcast(g * self.data, other.data.shape))
 
         out._backward = bw
         return out
@@ -135,11 +147,13 @@ class Tensor:
         out = Tensor(self.data / other.data, (self, other))
 
         def bw(g):
-            _accumulate(self, _unbroadcast(g / other.data, self.data.shape))
-            _accumulate(
-                other,
-                _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape),
-            )
+            if self.needs_grad:
+                _accumulate(self, _unbroadcast(g / other.data, self.data.shape))
+            if other.needs_grad:
+                _accumulate(
+                    other,
+                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape),
+                )
 
         out._backward = bw
         return out
@@ -161,8 +175,10 @@ class Tensor:
         out = Tensor(self.data @ other.data, (self, other))
 
         def bw(g):
-            _accumulate(self, g @ other.data.T)
-            _accumulate(other, self.data.T @ g)
+            if self.needs_grad:
+                _accumulate(self, g @ other.data.T)
+            if other.needs_grad:
+                _accumulate(other, self.data.T @ g)
 
         out._backward = bw
         return out
@@ -225,7 +241,12 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """``x`` itself if it is a Tensor, else ``x`` as a constant (no gradient)."""
+    if isinstance(x, Tensor):
+        return x
+    t = Tensor(x)
+    t.needs_grad = False
+    return t
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -236,6 +257,8 @@ def concat(tensors, axis=0) -> Tensor:
 
     def bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if not t.needs_grad:
+                continue
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             _accumulate(t, g[tuple(sl)])
@@ -267,9 +290,10 @@ def take_rows(t: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor(t.data[idx], (t,))
 
     def bw(g):
-        acc = np.zeros_like(t.data)
-        np.add.at(acc, idx, g)
-        _accumulate(t, acc)
+        if t.needs_grad:
+            acc = np.zeros_like(t.data)
+            np.add.at(acc, idx, g)
+            _accumulate(t, acc)
 
     out._backward = bw
     return out
@@ -282,9 +306,10 @@ def pick(t: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     out = Tensor(t.data[rows, cols], (t,))
 
     def bw(g):
-        acc = np.zeros_like(t.data)
-        np.add.at(acc, (rows, cols), g)
-        _accumulate(t, acc)
+        if t.needs_grad:
+            acc = np.zeros_like(t.data)
+            np.add.at(acc, (rows, cols), g)
+            _accumulate(t, acc)
 
     out._backward = bw
     return out

@@ -22,6 +22,7 @@ from . import graph as graph_mod
 from . import metrics as metrics_mod
 from .events import (
     Dataset,
+    _csv_field,
     load_dataset,
     load_labels,
     save_dataset,
@@ -116,7 +117,7 @@ def write_result_csv(result: em_mod.DetectionResult, path) -> None:
         fh.write("account,score,label,group\n")
         for i, account in enumerate(result.accounts):
             fh.write(
-                f"{account},{_fmt(result.scores[i])},"
+                f"{_csv_field(account)},{_fmt(result.scores[i])},"
                 f"{int(result.labels[i])},{int(result.group_of[i])}\n"
             )
 
@@ -136,7 +137,7 @@ def write_q_csv(result: em_mod.DetectionResult, path) -> None:
         fh.write("account," + ",".join(f"q_{m}" for m in range(M)) + "\n")
         for i, account in enumerate(result.accounts):
             row = ",".join(_fmt(v) for v in result.mean_field.q[i])
-            fh.write(f"{account},{row}\n")
+            fh.write(f"{_csv_field(account)},{row}\n")
 
 
 def evaluate_scores(rows, labels: dict, exclude=(), threshold: float = 0.5) -> dict:
@@ -490,8 +491,11 @@ def _config_defaults(args) -> dict:
         raise UsageError(f"cannot read --config {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"--config {args.config} does not hold a JSON object")
+    # where a run writes is never taken from the file, so re-running from
+    # R1/config.json cannot overwrite R1
     defaults = {k: v for k, v in config.items()
-                if k in vars(args) and k not in ("command", "config", "func")}
+                if k in vars(args)
+                and k not in ("command", "config", "func", "run_dir", "tag")}
     if "fractions" in defaults:
         defaults["fractions"] = tuple(defaults["fractions"])
     return defaults

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .graph import KnowledgeGraph
 
@@ -72,7 +73,7 @@ class UnaryScorer:
 
     def scores(self, E: np.ndarray) -> np.ndarray:
         """(V, M) score matrix, no gradient tracking."""
-        return self.forward_t(Tensor(np.asarray(E, dtype=np.float64))).data
+        return self.forward_t(ad.as_tensor(np.asarray(E, dtype=np.float64))).data
 
     def zero_grad(self) -> None:
         for t in self.params.values():

@@ -113,9 +113,10 @@ def _kpp_seeds(X, k, rng):
 
 def _lloyd(X, centers, k, max_iter):
     labels = None
+    x2 = (X * X).sum(axis=1)[:, None]
     for _ in range(max_iter):
         d2 = (
-            (X * X).sum(axis=1)[:, None]
+            x2
             - 2.0 * X @ centers.T
             + (centers * centers).sum(axis=1)[None, :]
         )
@@ -213,9 +214,9 @@ def initialize(
     stale = 0
     for _ in range(SCORER_FIT_EPOCHS):
         opt.zero_grad()
-        theta = scorer.forward_t(Tensor(E))
+        theta = scorer.forward_t(ad.as_tensor(E))
         log_probs = theta - ad.logsumexp(theta, axis=1, keepdims=True)
-        loss = -(Tensor(onehot) * log_probs).sum() * (1.0 / len(E))
+        loss = -(ad.as_tensor(onehot) * log_probs).sum() * (1.0 / len(E))
         loss.backward()
         opt.step()
         if last - loss.item() < SCORER_FIT_TOL * (1.0 + abs(loss.item())):
@@ -237,7 +238,7 @@ def _crossent_t(scorer: UnaryScorer, E: Tensor, Q: np.ndarray) -> Tensor:
     """sum_u sum_m Q_u(m) log softmax_m(theta_u); gradient flows into E too."""
     theta = scorer.forward_t(E)
     log_probs = theta - ad.logsumexp(theta, axis=1, keepdims=True)
-    return (Tensor(Q) * log_probs).sum()
+    return (ad.as_tensor(Q) * log_probs).sum()
 
 
 def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
@@ -259,7 +260,7 @@ def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
 
 def _val_objective(model, scorer, val_seqs, Q, lam) -> float:
     ll = sum(model.log_likelihood(s) for s in val_seqs)
-    ce = _crossent_t(scorer, Tensor(model.params["E"].data), Q).item()
+    ce = _crossent_t(scorer, ad.as_tensor(model.params["E"].data), Q).item()
     return ll + lam * ce
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,7 +127,7 @@ def _check_event(account, t, where) -> Event:
         t = float(t)
     except (TypeError, ValueError):
         raise DataError(f"{where}: timestamp {t!r} is not a number")
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise DataError(f"{where}: non-finite timestamp {t!r}")
     if t < 0:
         raise DataError(f"{where}: negative timestamp {t!r}")
@@ -245,12 +246,23 @@ def load_labels(path) -> dict:
     return labels
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a CSV line that ``csv.reader`` reads back.
+
+    Quoted, with inner quotes doubled, only when it holds a comma, a quote
+    or a line break, so plain keys are written as they are.
+    """
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def save_labels(labels: dict, path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("account,group\n")
         for account, group in labels.items():
-            fh.write(f"{account},{group}\n")
+            fh.write(f"{_csv_field(account)},{group}\n")
 
 
 def split_long_sequences(d: Dataset, max_len: int) -> Dataset:

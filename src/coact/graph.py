@@ -10,13 +10,14 @@ threshold. The pairwise potential used downstream normalizes each edge by
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .events import Dataset
+from .events import Dataset, _csv_field
 
 __all__ = [
     "KnowledgeGraph",
@@ -41,6 +42,19 @@ def _row_blocks(n: int):
 
 @dataclass
 class KnowledgeGraph:
+    """Account keys and their dense (V, V) edge weights, validated on creation.
+
+    The checks run in row blocks of about BLOCK_ENTRIES entries, in this
+    order, and give the same verdicts as the whole-matrix tests
+    ``np.allclose(w, w.T)``, ``diag(w) == 0`` and ``isfinite(w) & (w >= 0)``:
+
+    - symmetry: each block of rows equals the matching block of columns
+      exactly, or failing that within ``np.allclose``'s tolerances;
+    - a zero diagonal;
+    - every weight in [0, inf), one comparison pair per block, which also
+      rejects NaN.
+    """
+
     accounts: list             # account keys, index-aligned with w
     w: np.ndarray              # (V, V) symmetric, zero diagonal, >= 0
     filter_tag: str = "none"
@@ -52,13 +66,14 @@ class KnowledgeGraph:
         n = len(self.accounts)
         if w.shape != (n, n):
             raise ValueError("weight matrix must be square over the accounts")
-        # the same tests as np.allclose(w, w.T) etc. on the whole matrix
-        if not all(np.allclose(w[rows], w[:, rows].T) for rows in _row_blocks(n)):
+        if not all(np.array_equal(w[rows], w[:, rows].T) or np.allclose(w[rows], w[:, rows].T)
+                   for rows in _row_blocks(n)):
             raise ValueError("weight matrix must be symmetric")
         if np.any(np.diag(w) != 0):
             raise ValueError("diagonal must be zero")
         for rows in _row_blocks(n):
-            if not np.all(np.isfinite(w[rows])) or np.any(w[rows] < 0):
+            b = w[rows]
+            if not ((b >= 0) & (b < np.inf)).all():
                 raise ValueError("weights must be finite and non-negative")
         self.deg = w.sum(axis=1)
 
@@ -105,7 +120,10 @@ def filter_power(g: KnowledgeGraph, p: float) -> KnowledgeGraph:
         raise ValueError("power exponent must be >= 1")
     if g.filter_tag != "none":
         raise ValueError(f"expected raw co-occurrence weights, got {g.filter_tag!r}")
-    return KnowledgeGraph(g.accounts, g.w ** p, f"power(p={p:g})")
+    # pow(0, p) = 0 for p >= 1, so only the edges need the power
+    w = np.zeros_like(g.w)
+    np.power(g.w, p, out=w, where=g.w != 0)
+    return KnowledgeGraph(g.accounts, w, f"power(p={p:g})")
 
 
 def filter_temporal_logic(d: Dataset, c: float) -> KnowledgeGraph:
@@ -139,22 +157,52 @@ def filter_temporal_logic(d: Dataset, c: float) -> KnowledgeGraph:
     return KnowledgeGraph(d.registry.keys, w, f"temporal_logic(c={c:g})")
 
 
+# Pads the fixed-width byte rows that save_graph assembles its lines from.
+# 0xFF never occurs in UTF-8, while NUL may occur in a key.
+_PAD = 0xFF
+
+
+def _fixed_width(items: list) -> np.ndarray:
+    """(len(items), max length) uint8 rows holding ``items`` (bytes), _PAD after each."""
+    lengths = np.array([len(b) for b in items], dtype=np.intp)
+    width = max(int(lengths.max(initial=0)), 1)
+    rows = np.array(items, dtype=f"S{width}").view(np.uint8).reshape(len(items), width)
+    rows[np.arange(width) >= lengths[:, None]] = _PAD
+    return rows
+
+
 def save_graph(g: KnowledgeGraph, path) -> None:
-    """CSV triplets ``u,v,weight`` (upper triangle, nonzero), tagged header."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# filter_tag={g.filter_tag} accounts={json.dumps(g.accounts)}\n")
-        fh.write("u,v,weight\n")
-        for u in range(g.n):
-            upper = g.w[u, u + 1:]
-            cols = np.flatnonzero(upper)
-            fh.writelines(f"{g.accounts[u]},{g.accounts[v]},{x!r}\n"
-                          for v, x in zip((cols + u + 1).tolist(), upper[cols].tolist()))
+    """CSV triplets ``u,v,weight`` (upper triangle, nonzero), tagged header.
+
+    Keys are quoted CSV-style where they need it (``csv.reader`` reads them
+    back) and weights are written with ``repr``. Each line is assembled from
+    two per-account byte rows ``key,`` and one per-distinct-weight byte row
+    holding the weight and the newline.
+    """
+    keys = _fixed_width([f"{_csv_field(a)},".encode("utf-8") for a in g.accounts])
+    with Path(path).open("wb") as fh:
+        fh.write(f"# filter_tag={g.filter_tag} accounts={json.dumps(g.accounts)}\n"
+                 .encode("utf-8"))
+        fh.write(b"u,v,weight\n")
+        for rows in _row_blocks(g.n):
+            block = g.w[rows]
+            iu, iv = np.nonzero(np.triu(block, k=rows.start + 1))
+            if not len(iu):
+                continue
+            values, which = np.unique(block[iu, iv], return_inverse=True)
+            weights = _fixed_width([f"{x!r}\n".encode("ascii") for x in values.tolist()])
+            # long keys must not blow up the bytes assembled at once
+            step = max(1, 8 * BLOCK_ENTRIES // (2 * keys.shape[1] + weights.shape[1]))
+            for lo in range(0, len(iu), step):
+                e = slice(lo, lo + step)
+                lines = np.concatenate(
+                    [keys[iu[e] + rows.start], keys[iv[e]], weights[which[e]]], axis=1).ravel()
+                fh.write(lines[lines != _PAD].tobytes())
 
 
 def load_graph(path) -> KnowledgeGraph:
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8", newline="") as fh:
         meta = fh.readline().strip()
         if not meta.startswith("# filter_tag="):
             raise ValueError(f"{path}: missing filter_tag header line")
@@ -165,10 +213,9 @@ def load_graph(path) -> KnowledgeGraph:
             raise ValueError(f"{path}: expected 'u,v,weight' header")
         index = {a: i for i, a in enumerate(accounts)}
         w = np.zeros((len(accounts), len(accounts)))
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for row in csv.reader(fh):
+            if not row:
                 continue
-            u, v, weight = line.split(",")
+            u, v, weight = row
             w[index[u], index[v]] = w[index[v], index[u]] = float(weight)
     return KnowledgeGraph(accounts, w, tag)

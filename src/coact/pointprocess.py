@@ -173,8 +173,9 @@ class SequenceModel:
         feat_gaps = np.zeros(L)
         feat_gaps[1:] = np.diff(t)  # first event has gap 0 by definition
         emb = ad.take_rows(self.params["E"], idx)
-        pe = Tensor(positional_encoding(L, cfg.d_pos, cfg.pe_base))
-        angles = Tensor(feat_gaps[:, None]) * self.params["time_freq"] + self.params["time_phase"]
+        pe = ad.as_tensor(positional_encoding(L, cfg.d_pos, cfg.pe_base))
+        angles = (ad.as_tensor(feat_gaps[:, None]) * self.params["time_freq"]
+                  + self.params["time_phase"])
         return ad.concat([emb, pe, angles.cos()], axis=1)
 
     def encode_t(self, X: Tensor) -> Tensor:
@@ -220,7 +221,7 @@ class SequenceModel:
         log_w = w_logits - ad.logsumexp(w_logits, axis=1, keepdims=True)
         mu = C @ self.params["mix_Wmu"] + self.params["mix_bmu"]
         log_s = C @ self.params["mix_Ws"] + self.params["mix_bs"]
-        z = (Tensor(log_tau[:, None]) - mu) * (-log_s).exp()
+        z = (ad.as_tensor(log_tau[:, None]) - mu) * (-log_s).exp()
         comp = log_w - log_s - 0.5 * LOG_2PI - 0.5 * (z * z)
         time_ll = ad.logsumexp(comp, axis=1).sum()
         if self.config.time_density_jacobian:
@@ -235,7 +236,7 @@ class SequenceModel:
         return self.featurize_t(self._indices(s), self._times(s)).data
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        return self.encode_t(Tensor(np.asarray(X, dtype=np.float64))).data
+        return self.encode_t(ad.as_tensor(np.asarray(X, dtype=np.float64))).data
 
     def log_likelihood(self, s: EventSequence) -> float:
         mark, time = self._ll_terms_t(s)
@@ -270,12 +271,12 @@ class SequenceModel:
         return nll
 
     def mark_probs(self, s: EventSequence) -> np.ndarray:
-        C = Tensor(self.encode(self.featurize(s)))
+        C = ad.as_tensor(self.encode(self.featurize(s)))
         return ad.softmax(self._mark_logits_t(C), axis=1).data
 
     def time_mixture(self, s: EventSequence) -> tuple:
         """Per-event mixture parameters (weights, locations, scales)."""
-        C = Tensor(self.encode(self.featurize(s)))
+        C = ad.as_tensor(self.encode(self.featurize(s)))
         w = ad.softmax(C @ self.params["mix_Ww"] + self.params["mix_bw"], axis=1).data
         mu = (C @ self.params["mix_Wmu"] + self.params["mix_bmu"]).data
         s_ = (C @ self.params["mix_Ws"] + self.params["mix_bs"]).exp().data

@@ -140,6 +140,69 @@ def test_tapes_are_freed_without_the_cycle_collector():
     assert leaked == []
 
 
+def test_constants_get_no_gradient_and_parameter_gradients_do_not_change():
+    # the scorer-fit loss of em.initialize plus a gather, a pick and a concat:
+    # built once with every input a Tensor leaf (so backward also fills the
+    # inputs' gradients) and once with the inputs as constants
+    from coact.crf import UnaryScorer
+
+    rng = np.random.default_rng(4)
+    E = rng.normal(size=(30, 5))
+    onehot = np.eye(2)[rng.integers(2, size=30)]
+    extra = rng.normal(size=(30, 3))
+    idx = rng.integers(30, size=12)
+
+    def grads(wrap):
+        scorer = UnaryScorer(5, 2, hidden=7, seed=1)
+        consts = [wrap(E), wrap(onehot), wrap(extra), wrap(idx[:, None] * 0.5)]
+        e, y, x, s = consts
+        theta = scorer.forward_t(e)
+        log_probs = theta - ad.logsumexp(theta, axis=1, keepdims=True)
+        loss = -(y * log_probs).sum() * (1.0 / len(E))
+        mixed = ad.concat([ad.take_rows(theta, idx), ad.take_rows(x, idx), s], axis=1)
+        loss = loss + (mixed * mixed).sum() / (x.sum() + 100.0)
+        loss = loss + ad.pick(theta - y, idx, idx % 2).sum()
+        loss.backward()
+        return {k: t.grad for k, t in scorer.params.items()}, [c.grad for c in consts]
+
+    want, leaf_grads = grads(Tensor)
+    got, const_grads = grads(ad.as_tensor)
+    assert all(g is not None for g in leaf_grads)
+    assert const_grads == [None] * 4
+    assert want.keys() == got.keys()
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+
+
+def test_model_gradients_and_scorer_fit_do_not_depend_on_constants(monkeypatch):
+    # every constant call site goes through ad.as_tensor; patched to build
+    # Tensor leaves, backward also fills gradients for those constants
+    from coact.em import initialize
+    from coact.events import Dataset, Event, EventSequence
+    from coact.pointprocess import SeqModelConfig, SequenceModel
+
+    rng = np.random.default_rng(6)
+    seqs = [EventSequence(f"s{i}", [Event(f"u{int(rng.integers(8))}", float(t))
+                                    for t in np.sort(rng.uniform(0, 20, 6))])
+            for i in range(5)]
+    d = Dataset.from_sequences(seqs)
+    cfg = SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=2)
+
+    def run():
+        model = SequenceModel(d.registry.keys, cfg, seed=2)
+        grads = model.grad_log_likelihood(d.sequences)
+        scorer = initialize(model, 2, seed=0, hidden=5).scorer
+        return grads, {k: t.data for k, t in scorer.params.items()}
+
+    got = run()
+    monkeypatch.setattr(ad, "as_tensor", lambda x: x if isinstance(x, Tensor) else Tensor(x))
+    want = run()
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for k in g:
+            assert np.array_equal(g[k], w[k]), k
+
+
 def test_adam_decreases_quadratic():
     t = Tensor(np.array([5.0, -3.0]))
     opt = Adam({"t": t}, lr=0.1)

@@ -70,3 +70,15 @@ def test_config_without_a_readable_file_is_a_usage_error(tmp_path, data, capsys)
     assert code == 2
     assert "usage error" in capsys.readouterr().err
     assert not run_dir.exists()
+
+
+def test_rerun_from_a_config_without_run_dir_leaves_that_run_alone(tmp_path, data, monkeypatch):
+    code, first = detect(tmp_path, "R1", *data, *SMALL)
+    assert code == 0
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in first.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    assert main(["detect", *data, "--config", str(first / "config.json")]) == 0
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in first.iterdir()} == before
+    (rerun,) = (tmp_path / "runs").iterdir()
+    assert (rerun / "result.csv").read_bytes() == before["result.csv"][0]
+    assert config_of(rerun)["config"] == str(first / "config.json")

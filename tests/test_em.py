@@ -103,3 +103,38 @@ def test_m_step_gradient_matches_finite_differences(monkeypatch):
                 assert abs(fd - an) / max(abs(fd), abs(an)) < 1e-4, (name, j)
             n_checked += 1
     assert n_checked >= 50
+
+
+def reference_lloyd(X, centers, k, max_iter):
+    """Lloyd iterations with the row norms recomputed every iteration."""
+    labels = None
+    for _ in range(max_iter):
+        d2 = (
+            (X * X).sum(axis=1)[:, None]
+            - 2.0 * X @ centers.T
+            + (centers * centers).sum(axis=1)[None, :]
+        )
+        new_labels = d2.argmin(axis=1)
+        if np.any(np.bincount(new_labels, minlength=k) == 0):
+            return None, None, np.inf
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        centers = np.stack([X[labels == j].mean(axis=0) for j in range(k)])
+    inertia = float(((X - centers[labels]) ** 2).sum())
+    return labels, centers, inertia
+
+
+def test_kmeans_matches_reference_lloyd(monkeypatch):
+    rng = np.random.default_rng(21)
+    cases = [rng.normal(size=(200, 8)) * 10.0 + 3.0,  # norms far above the gaps
+             np.repeat(rng.normal(size=(5, 3)), 6, axis=0),  # duplicates: empty clusters
+             rng.normal(size=(400, 16)) + (rng.random((400, 1)) < 0.2) * 2.0]
+    for X in cases:
+        for k in (2, 3, 5):
+            got = em.kmeans(X, k, seed=k)
+            with monkeypatch.context() as m:
+                m.setattr(em, "_lloyd", reference_lloyd)
+                want = em.kmeans(X, k, seed=k)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])

@@ -44,6 +44,19 @@ def test_negative_timestamp_rejected(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("json_t, csv_t", [("NaN", "nan"), ("Infinity", "inf"),
+                                           ("-Infinity", "-inf"), ('"nan"', "NaN")])
+def test_non_finite_timestamp_rejected(tmp_path, json_t, csv_t):
+    # -inf must be caught as non-finite, not as negative
+    p = write(tmp_path, "d.jsonl",
+              f'{{"seq_id": "a", "events": [{{"account": "u", "t": {json_t}}}]}}\n')
+    with pytest.raises(DataError, match="d.jsonl:1: non-finite timestamp"):
+        load_dataset(p)
+    p = write(tmp_path, "d.csv", f"seq_id,account,t\na,u,1.0\na,v,{csv_t}\n")
+    with pytest.raises(DataError, match="d.csv:3: non-finite timestamp"):
+        load_dataset(p)
+
+
 def test_empty_file_rejected(tmp_path):
     p = write(tmp_path, "d.jsonl", "")
     with pytest.raises(DataError):

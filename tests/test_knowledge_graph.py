@@ -301,6 +301,58 @@ def test_graph_validation_checks_the_last_row_block():
     KnowledgeGraph(keys, ok, "none")
 
 
+def whole_matrix_verdict(w):
+    """The message KnowledgeGraph raises for ``w``, or None, by whole-matrix tests."""
+    if not np.allclose(w, w.T):
+        return "weight matrix must be symmetric"
+    if np.any(np.diag(w) != 0):
+        return "diagonal must be zero"
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        return "weights must be finite and non-negative"
+    return None
+
+
+def test_graph_validation_gives_the_whole_matrix_verdicts():
+    n = 1500
+    assert n * n > 2 * BLOCK_ENTRIES  # three row blocks
+    keys = [f"u{i}" for i in range(n)]
+    w = sparse_graph(np.random.default_rng(15), n, 0.02).w
+    edits = [  # (w[u, v], w[v, u])
+        (np.nan, np.nan), (np.inf, np.inf), (-np.inf, -np.inf), (np.inf, 1.0),
+        (-2.0, -2.0), (-0.0, -0.0), (0.0, -0.0), (5.0, 5.0 * (1 + 1e-12)),
+        (5.0, 5.0 * (1 + 1e-3)), (1e-3, 0.0), (np.nan, 1.0),
+    ]
+    verdicts = set()
+    for u, v in ((3, 900), (1499, 5), (1499, 1498)):  # first and last row block
+        for a, b in edits:
+            bad = w.copy()
+            bad[u, v], bad[v, u] = a, b
+            want = whole_matrix_verdict(bad)
+            verdicts.add(want)
+            if want is None:
+                KnowledgeGraph(keys, bad, "none")
+            else:
+                with pytest.raises(ValueError) as exc:
+                    KnowledgeGraph(keys, bad, "none")
+                assert str(exc.value) == want, (u, v, a, b)
+    bad = w.copy()
+    bad[1499, 1499] = 1.0
+    with pytest.raises(ValueError, match="^diagonal must be zero$"):
+        KnowledgeGraph(keys, bad, "none")
+    assert len(verdicts) == 3  # accepted, asymmetric, and not finite or negative
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, 3.0])
+def test_filter_power_equals_the_whole_matrix_power(p):
+    rng = np.random.default_rng(16)
+    for n, density in ((1, 1.0), (9, 0.0), (50, 0.3), (300, 0.05)):
+        g = sparse_graph(rng, n, density)
+        g.filter_tag = "none"
+        got = filter_power(g, p).w
+        want = g.w ** p
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+
+
 def test_graph_validation_rejects_asymmetry():
     with pytest.raises(ValueError):
         KnowledgeGraph(["a", "b"], np.array([[0.0, 1.0], [2.0, 0.0]]), "none")

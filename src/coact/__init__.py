@@ -58,13 +58,11 @@ from .em import (
     initialize,
     kmeans,
     run_em,
-    select_group_count,
 )
 from .metrics import (
     average_precision,
     max_f1,
     roc_auc,
-    silhouette,
     thresholded_metrics,
 )
 

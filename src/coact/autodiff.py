@@ -124,9 +124,6 @@ class Tensor:
         out._backward = bw
         return out
 
-    def __rsub__(self, other):
-        return as_tensor(other) - self
-
     def __mul__(self, other):
         other = as_tensor(other)
         out = Tensor(self.data * other.data, (self, other))
@@ -141,34 +138,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data / other.data, (self, other))
-
-        def bw(g):
-            if self.needs_grad:
-                _accumulate(self, _unbroadcast(g / other.data, self.data.shape))
-            if other.needs_grad:
-                _accumulate(
-                    other,
-                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape),
-                )
-
-        out._backward = bw
-        return out
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out = Tensor(self.data ** exponent, (self,))
-        out._backward = lambda g: _accumulate(
-            self, g * exponent * self.data ** (exponent - 1)
-        )
-        return out
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -200,11 +169,6 @@ class Tensor:
         out._backward = lambda g: _accumulate(self, g * y)
         return out
 
-    def log(self):
-        out = Tensor(np.log(self.data), (self,))
-        out._backward = lambda g: _accumulate(self, g / self.data)
-        return out
-
     def tanh(self):
         y = np.tanh(self.data)
         out = Tensor(y, (self,))
@@ -216,7 +180,7 @@ class Tensor:
         out._backward = lambda g: _accumulate(self, -g * np.sin(self.data))
         return out
 
-    # ---- reductions / shaping ----
+    # ---- reductions ----
 
     def sum(self, axis=None, keepdims=False):
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
@@ -229,11 +193,6 @@ class Tensor:
                 _accumulate(self, np.broadcast_to(gk, self.data.shape))
 
         out._backward = bw
-        return out
-
-    def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), (self,))
-        out._backward = lambda g: _accumulate(self, g.reshape(self.data.shape))
         return out
 
     def item(self) -> float:

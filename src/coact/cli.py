@@ -92,24 +92,31 @@ def _build_graph(d: Dataset, args) -> graph_mod.KnowledgeGraph:
 
 
 def _em_config(args) -> em_mod.EmConfig:
-    return em_mod.EmConfig(
-        n_groups=args.groups,
-        n_loops=args.loops,
-        estep_only=args.estep_only,
-        m_step_epochs=args.em_epochs,
-        m_step_lr=args.em_lr,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        patience=args.patience,
-        estep_tol=args.estep_tol,
-        estep_max_iter=args.estep_iters,
-        estep_schedule=args.schedule,
-        lambda_balance=args.lam,
-        threshold=args.threshold,
-        fractions=tuple(args.fractions),
-        scorer_hidden=args.scorer_hidden,
-        seed=args.seed,
-    )
+    """EM settings from the flags; a bad value is a usage error."""
+    if args.groups != 2 and not args.revealed:
+        raise UsageError("--groups other than 2 needs --revealed: without revealed "
+                         "accounts the coordinated group is the smaller of two")
+    try:
+        return em_mod.EmConfig(
+            n_groups=args.groups,
+            n_loops=args.loops,
+            estep_only=args.estep_only,
+            m_step_epochs=args.em_epochs,
+            m_step_lr=args.em_lr,
+            weight_decay=args.weight_decay,
+            batch_size=args.batch_size,
+            patience=args.patience,
+            estep_tol=args.estep_tol,
+            estep_max_iter=args.estep_iters,
+            estep_schedule=args.schedule,
+            lambda_balance=args.lam,
+            threshold=args.threshold,
+            fractions=tuple(args.fractions),
+            scorer_hidden=args.scorer_hidden,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def write_result_csv(result: em_mod.DetectionResult, path) -> None:
@@ -183,6 +190,7 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def run_pipeline(args, run_dir: Path) -> dict | None:
     """detect pipeline; returns the metrics dict when truth labels are given."""
+    em_config = _em_config(args)  # checked before any stage runs
     run_dir.mkdir(parents=True, exist_ok=True)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     (run_dir / "config.json").write_text(
@@ -209,7 +217,7 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
         revealed = _stage("read-revealed", load_labels, args.revealed)
         revealed = {a: g_ for a, g_ in revealed.items() if a in d.registry}
 
-    result = _stage("em", em_mod.run_em, d, g, model, _em_config(args), revealed)
+    result = _stage("em", em_mod.run_em, d, g, model, em_config, revealed)
     _stage("write-result", write_result_csv, result, run_dir / "result.csv")
     _stage("write-result", write_q_csv, result, run_dir / "q_matrix.csv")
 
@@ -301,6 +309,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("--loops-grid and --seeds must be non-empty")
     if not args.labels:
         raise UsageError("sweep needs --labels to aggregate metrics")
+    _em_config(args)  # fail before any pretraining
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -373,9 +382,9 @@ def _add_train_opts(p):
 def _add_graph_opts(p):
     p.add_argument("--filter", choices=["none", "power", "tl"], default="power",
                    help="edge-weight filter (default: power)")
-    p.add_argument("--p", type=float, default=3.0,
-                   help="power-filter exponent (default: 3)")
-    p.add_argument("--c", type=float, default=43200.0,
+    p.add_argument("--p", type=_at_least(1.0), default=3.0,
+                   help="power-filter exponent, >= 1 (default: 3)")
+    p.add_argument("--c", type=_at_least(0.0), default=43200.0,
                    help="temporal-overlap threshold in seconds (default: 43200 = 12h)")
 
 
@@ -399,6 +408,19 @@ def _add_em_opts(p):
     p.add_argument("--scorer-hidden", type=int, default=64)
     p.add_argument("--revealed", default=None,
                    help="labels CSV of revealed accounts (semi-supervised)")
+
+
+def _at_least(low: float):
+    """An argparse type: a float no smaller than ``low``."""
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            x = float("nan")
+        if not x >= low:
+            raise argparse.ArgumentTypeError(f"expected a number >= {low:g}, got {text!r}")
+        return x
+    return parse
 
 
 def _fractions(text: str):

@@ -49,7 +49,6 @@ __all__ = [
     "initialize",
     "check_prop1_bound",
     "run_em",
-    "select_group_count",
     "identify_coordinated_group",
 ]
 
@@ -75,10 +74,14 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_groups < 2:
+            raise ValueError("n_groups must be >= 2")
         if self.n_loops < 1:
             raise ValueError("n_loops must be >= 1")
         if self.lambda_balance <= 0:
             raise ValueError("lambda_balance must be positive")
+        if not self.estep_tol > 0:
+            raise ValueError("estep_tol must be positive")
 
 
 @dataclass
@@ -131,12 +134,17 @@ def _lloyd(X, centers, k, max_iter):
     return labels, centers, inertia
 
 
-def kmeans(X, k, seed: int, max_iter: int = 300, n_init: int = 10, restarts: int = 10):
-    """Best of ``n_init`` Lloyd runs from k-means++ seeds (lowest inertia).
+KMEANS_MAX_ITER = 300  # Lloyd iterations per start
+KMEANS_STARTS = 10     # completed starts, the lowest inertia wins
+KMEANS_RESTARTS = 10   # extra starts allowed to replace abandoned ones
+
+
+def kmeans(X, k, seed: int):
+    """Best of KMEANS_STARTS Lloyd runs from k-means++ seeds (lowest inertia).
 
     Deterministic given ``seed``. A start that produces an empty cluster is
     abandoned and replaced from the continuing random stream, up to
-    ``restarts`` extra attempts beyond the planned starts.
+    KMEANS_RESTARTS extra attempts beyond the planned starts.
     """
     X = np.asarray(X, dtype=np.float64)
     if not 1 <= k <= len(X):
@@ -144,17 +152,18 @@ def kmeans(X, k, seed: int, max_iter: int = 300, n_init: int = 10, restarts: int
     rng = np.random.default_rng(seed)
     best = (None, None, np.inf)
     completed = 0
-    for attempt in range(n_init + restarts):
-        labels, centers, inertia = _lloyd(X, _kpp_seeds(X, k, rng), k, max_iter)
+    for _ in range(KMEANS_STARTS + KMEANS_RESTARTS):
+        labels, centers, inertia = _lloyd(X, _kpp_seeds(X, k, rng), k, KMEANS_MAX_ITER)
         if labels is None:
             continue
         completed += 1
         if inertia < best[2]:
             best = (labels, centers, inertia)
-        if completed >= n_init:
+        if completed >= KMEANS_STARTS:
             break
     if best[0] is None:
-        raise RuntimeError(f"k-means kept producing empty clusters over {n_init + restarts} starts")
+        raise RuntimeError("k-means kept producing empty clusters over "
+                           f"{KMEANS_STARTS + KMEANS_RESTARTS} starts")
     return best[0], best[1]
 
 
@@ -370,31 +379,7 @@ def run_em(
     )
 
 
-# ---- model selection and group identification ----
-
-def select_group_count(pretrained: SequenceModel, candidates, seed: int = 0) -> int:
-    """Group count whose k-means clustering maximizes the mean silhouette.
-
-    Ties break toward the smaller count.
-    """
-    from .metrics import silhouette
-
-    candidates = sorted(set(int(c) for c in candidates))
-    if len(candidates) < 2:
-        raise ValueError("need at least 2 candidate group counts")
-    if candidates[0] < 2:
-        raise ValueError("candidate group counts must be >= 2")
-    E = pretrained.params["E"].data
-    if np.allclose(E, E[0]):
-        raise ValueError("degenerate embeddings: all accounts identical")
-    best_m, best_score = None, -np.inf
-    for m in candidates:
-        labels, _ = kmeans(E, m, seed)
-        score = silhouette(E, labels)
-        if score > best_score:
-            best_m, best_score = m, score
-    return best_m
-
+# ---- group identification ----
 
 def identify_coordinated_group(
     q: np.ndarray,

@@ -91,13 +91,23 @@ class KnowledgeGraph:
         return out
 
 
-def _membership(d: Dataset) -> np.ndarray:
-    """Binary (n_sequences, V) presence matrix."""
-    Z = np.zeros((len(d.sequences), len(d.registry)), dtype=np.float64)
-    for i, s in enumerate(d.sequences):
+def _participants(d: Dataset):
+    """Per sequence: (account indices, first event times, last event times).
+
+    Each participant appears once, in order of first appearance; its first
+    and last event times in the sequence bound its active interval there.
+    """
+    for s in d.sequences:
+        first: dict[int, float] = {}
+        last: dict[int, float] = {}
         for e in s.events:
-            Z[i, d.registry.index(e.account)] = 1.0
-    return Z
+            i = d.registry.index(e.account)
+            if i not in first:
+                first[i] = e.t
+            last[i] = e.t
+        yield (np.fromiter(first.keys(), dtype=np.intp),
+               np.fromiter(first.values(), dtype=np.float64),
+               np.fromiter(last.values(), dtype=np.float64))
 
 
 def co_occurrence(d: Dataset) -> KnowledgeGraph:
@@ -108,8 +118,10 @@ def co_occurrence(d: Dataset) -> KnowledgeGraph:
     """
     if not d.sequences:
         raise ValueError("dataset is empty")
-    Z = _membership(d)
-    w = Z.T @ Z
+    V = len(d.registry)
+    w = np.zeros((V, V))
+    for idx, _, _ in _participants(d):
+        w[np.ix_(idx, idx)] += 1.0
     np.fill_diagonal(w, 0.0)
     return KnowledgeGraph(d.registry.keys, w, "none")
 
@@ -139,20 +151,9 @@ def filter_temporal_logic(d: Dataset, c: float) -> KnowledgeGraph:
         raise ValueError("dataset is empty")
     V = len(d.registry)
     w = np.zeros((V, V))
-    for s in d.sequences:
-        first: dict[int, float] = {}
-        last: dict[int, float] = {}
-        for e in s.events:
-            i = d.registry.index(e.account)
-            if i not in first:
-                first[i] = e.t
-            last[i] = e.t
-        idx = np.fromiter(first.keys(), dtype=np.intp)
-        lo = np.fromiter(first.values(), dtype=np.float64)
-        hi = np.fromiter(last.values(), dtype=np.float64)
+    for idx, lo, hi in _participants(d):
         overlap = np.minimum.outer(hi, hi) - np.maximum.outer(lo, lo)
-        hit = (overlap > c).astype(np.float64)
-        w[np.ix_(idx, idx)] += hit
+        w[np.ix_(idx, idx)] += overlap > c
     np.fill_diagonal(w, 0.0)
     return KnowledgeGraph(d.registry.keys, w, f"temporal_logic(c={c:g})")
 

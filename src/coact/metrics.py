@@ -1,4 +1,4 @@
-"""Detection metrics and the silhouette score used for group-count selection.
+"""Detection metrics: average precision, ROC AUC, max-F1 and thresholded F1.
 
 Tie conventions: equal scores are grouped into one threshold step for
 average precision and max-F1, and tied positive/negative pairs get half
@@ -15,7 +15,6 @@ __all__ = [
     "roc_auc",
     "thresholded_metrics",
     "max_f1",
-    "silhouette",
 ]
 
 
@@ -115,34 +114,3 @@ def max_f1(scores, truth) -> float:
         )
     return float(max(f1.max(), 0.0))  # the +inf threshold predicts nothing: F1 = 0
 
-
-def silhouette(points, labels) -> float:
-    """Mean of (b - a) / max(a, b) with Euclidean distances.
-
-    ``a`` is the mean distance to the point's own cluster (excluding itself),
-    ``b`` the smallest mean distance to another cluster. Singleton clusters
-    contribute 0, as do points where a = b = 0. O(n^2) memory.
-    """
-    X = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels).ravel()
-    if X.ndim != 2 or len(X) != len(labels):
-        raise ValueError("points must be (n, d) with one label per row")
-    if len(X) < 3:
-        raise ValueError("need at least 3 points")
-    uniq = np.unique(labels)
-    if len(uniq) < 2:
-        raise ValueError("need at least 2 clusters")
-    # direct differences, not the Gram-matrix identity: the oracle tolerance
-    # is 1e-12 and sq-norm cancellation costs ~1e-9
-    D = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=-1))
-    members = {c: np.nonzero(labels == c)[0] for c in uniq}
-    s = np.zeros(len(X))
-    for i in range(len(X)):
-        own = members[labels[i]]
-        if len(own) == 1:
-            continue  # singleton: contributes 0
-        a = D[i, own].sum() / (len(own) - 1)
-        b = min(D[i, members[c]].mean() for c in uniq if c != labels[i])
-        denom = max(a, b)
-        s[i] = (b - a) / denom if denom > 0 else 0.0
-    return float(s.mean())

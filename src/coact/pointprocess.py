@@ -6,18 +6,16 @@ single-layer self-attention encoder with a strictly causal shift produces
 context vectors: the context for event i attends over a learned start token
 plus events 1..i-1 only, so the likelihood of event i never sees event i
 itself. The decoder scores the mark with a softmax MLP head and the
-inter-event gap with a K-component log-normal mixture.
-
-The gap density includes the 1/tau change-of-variables factor by default so
-it integrates to one; ``time_density_jacobian=False`` drops it and scores
-the plain normal density of log tau instead (the two modes differ by a
-constant sum of log gaps for fixed data).
+inter-event gap with a K-component log-normal mixture (Shchur, Bilos &
+Gunnemann, "Intensity-Free Learning of Temporal Point Processes", ICLR 2020),
+whose density includes the 1/tau change-of-variables factor, so it
+integrates to one over tau > 0.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,6 +35,8 @@ __all__ = [
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 NEG_INF = -1e30  # masked attention logit; exp underflows to exactly 0
+FIRST_GAP = 1.0  # decoder gap for the first event of a sequence
+MIN_GAP = 1e-8   # clamp before log; simultaneous events exist
 
 
 class TrainingDiverged(RuntimeError):
@@ -49,29 +49,40 @@ class SeqModelConfig:
     d_pos: int = 8          # position-encoding width
     d_time: int = 8         # temporal-embedding width
     n_mix: int = 32         # log-normal mixture components
-    d_attn: int = 0         # attention width; 0 = feature width
-    d_context: int = 0      # context width; 0 = attention width
-    d_mark_hidden: int = 0  # mark-head hidden width; 0 = context width
-    tie_mark_head: bool = True  # factor the mark head's output layer through E
-    first_gap: float = 1.0  # decoder gap for the first event of a sequence
-    min_gap: float = 1e-8   # clamp before log; simultaneous events exist
-    time_density_jacobian: bool = True
-    pe_base: float = 1e4
     # initial temporal-kernel periods span this range (tune to the data's unit)
     time_scale_min: float = 1.0
     time_scale_max: float = 1e6
-    time_unit: float = 1.0  # gaps are divided by this before the decoder/features
 
     @property
     def d_feat(self) -> int:
+        """Feature width, which is also the attention, context and mark-head width."""
         return self.d_embed + self.d_pos + self.d_time
 
-    def resolved(self) -> "SeqModelConfig":
-        cfg = SeqModelConfig(**asdict(self))
-        cfg.d_attn = cfg.d_attn or cfg.d_feat
-        cfg.d_context = cfg.d_context or cfg.d_attn
-        cfg.d_mark_hidden = cfg.d_mark_hidden or cfg.d_context
-        return cfg
+
+# Config keys that older checkpoints carry, with the one value the model now
+# uses for each; the three widths were stored as d_feat, or as 0 for d_feat.
+_FOLDED_KEYS = {"tie_mark_head": True, "first_gap": FIRST_GAP, "min_gap": MIN_GAP,
+                "time_density_jacobian": True, "pe_base": 1e4, "time_unit": 1.0}
+_FOLDED_WIDTHS = ("d_attn", "d_context", "d_mark_hidden")
+
+
+def _config_from_checkpoint(stored: dict) -> SeqModelConfig:
+    """The config a checkpoint stores; a folded key must hold its fixed value."""
+    known = {f.name for f in fields(SeqModelConfig)}
+    cfg = SeqModelConfig(**{k: v for k, v in stored.items() if k in known})
+    for k, v in stored.items():
+        if k in known:
+            continue
+        if k in _FOLDED_WIDTHS:
+            allowed = (0, cfg.d_feat)
+        elif k in _FOLDED_KEYS:
+            allowed = (_FOLDED_KEYS[k],)
+        else:
+            raise ValueError(f"unknown checkpoint config key {k!r}")
+        if v not in allowed:
+            raise ValueError(f"checkpoint config key {k!r} = {v!r} is not supported; "
+                             f"the model requires {' or '.join(map(repr, allowed))}")
+    return cfg
 
 
 @dataclass
@@ -104,31 +115,29 @@ class SequenceModel:
 
     def __init__(self, accounts, config: SeqModelConfig | None = None, seed: int = 0):
         self.accounts = list(accounts)
-        self.config = (config or SeqModelConfig()).resolved()
+        self.config = config or SeqModelConfig()
         cfg = self.config
-        V, d, da, dc = len(self.accounts), cfg.d_feat, cfg.d_attn, cfg.d_context
+        V, d = len(self.accounts), cfg.d_feat
         rng = np.random.default_rng(seed)
         # small embedding init: learned structure must outgrow the init noise
         # within a short training budget for downstream clustering to see it
         p = {
             "E": rng.normal(0.0, 0.05, size=(V, cfg.d_embed)),
             "start_token": rng.normal(0.0, 1.0 / np.sqrt(d), size=(1, d)),
-            "W_q": _glorot(rng, d, da),
-            "W_k": _glorot(rng, d, da),
-            "W_v": _glorot(rng, d, da),
-            "F_W": _glorot(rng, da, dc),
-            "F_b": np.zeros(dc),
-            "mark_W1": _glorot(rng, dc, cfg.d_mark_hidden),
-            "mark_b1": np.zeros(cfg.d_mark_hidden),
-            "mark_W2": _glorot(
-                rng, cfg.d_mark_hidden, cfg.d_embed if cfg.tie_mark_head else V
-            ),
+            "W_q": _glorot(rng, d, d),
+            "W_k": _glorot(rng, d, d),
+            "W_v": _glorot(rng, d, d),
+            "F_W": _glorot(rng, d, d),
+            "F_b": np.zeros(d),
+            "mark_W1": _glorot(rng, d, d),
+            "mark_b1": np.zeros(d),
+            "mark_W2": _glorot(rng, d, cfg.d_embed),
             "mark_b2": np.zeros(V),
-            "mix_Ww": _glorot(rng, dc, cfg.n_mix),
+            "mix_Ww": _glorot(rng, d, cfg.n_mix),
             "mix_bw": np.zeros(cfg.n_mix),
-            "mix_Ws": _glorot(rng, dc, cfg.n_mix),
+            "mix_Ws": _glorot(rng, d, cfg.n_mix),
             "mix_bs": np.zeros(cfg.n_mix),
-            "mix_Wmu": _glorot(rng, dc, cfg.n_mix),
+            "mix_Wmu": _glorot(rng, d, cfg.n_mix),
             "mix_bmu": np.zeros(cfg.n_mix),
             "time_freq": 2.0 * np.pi / np.geomspace(
                 cfg.time_scale_min, cfg.time_scale_max, cfg.d_time
@@ -173,7 +182,7 @@ class SequenceModel:
         feat_gaps = np.zeros(L)
         feat_gaps[1:] = np.diff(t)  # first event has gap 0 by definition
         emb = ad.take_rows(self.params["E"], idx)
-        pe = ad.as_tensor(positional_encoding(L, cfg.d_pos, cfg.pe_base))
+        pe = ad.as_tensor(positional_encoding(L, cfg.d_pos))
         angles = (ad.as_tensor(feat_gaps[:, None]) * self.params["time_freq"]
                   + self.params["time_phase"])
         return ad.concat([emb, pe, angles.cos()], axis=1)
@@ -187,23 +196,30 @@ class SequenceModel:
         q = shifted @ self.params["W_q"]
         k = shifted @ self.params["W_k"]
         v = shifted @ self.params["W_v"]
-        scores = (q @ k.T) * (1.0 / np.sqrt(self.config.d_attn))
+        scores = (q @ k.T) * (1.0 / np.sqrt(self.config.d_feat))
         mask = np.triu(np.full((L, L), NEG_INF), k=1)
         attn = ad.softmax(scores + mask, axis=1)
         return ((attn @ v) @ self.params["F_W"] + self.params["F_b"]).tanh()
 
     def _mark_logits_t(self, C: Tensor) -> Tensor:
         h = (C @ self.params["mark_W1"] + self.params["mark_b1"]).tanh()
-        out = h @ self.params["mark_W2"]
-        if self.config.tie_mark_head:
-            out = out @ self.params["E"].T  # score marks against their embeddings
-        return out + self.params["mark_b2"]
+        # score marks against their embeddings
+        return h @ self.params["mark_W2"] @ self.params["E"].T + self.params["mark_b2"]
 
-    def _decoder_gaps(self, t: np.ndarray) -> np.ndarray:
+    def _mixture_t(self, C: Tensor) -> tuple:
+        """Per-event log-weights, locations and log-scales of the gap mixture."""
+        w_logits = C @ self.params["mix_Ww"] + self.params["mix_bw"]
+        log_w = w_logits - ad.logsumexp(w_logits, axis=1, keepdims=True)
+        mu = C @ self.params["mix_Wmu"] + self.params["mix_bmu"]
+        log_s = C @ self.params["mix_Ws"] + self.params["mix_bs"]
+        return log_w, mu, log_s
+
+    @staticmethod
+    def _decoder_gaps(t: np.ndarray) -> np.ndarray:
         gaps = np.empty(len(t))
-        gaps[0] = self.config.first_gap
-        gaps[1:] = np.diff(t) / self.config.time_unit
-        return np.maximum(gaps, self.config.min_gap)
+        gaps[0] = FIRST_GAP
+        gaps[1:] = np.diff(t)
+        return np.maximum(gaps, MIN_GAP)
 
     def _ll_terms_t(self, s: EventSequence) -> tuple:
         """(mark, time) log-likelihood tensors for one sequence."""
@@ -217,15 +233,10 @@ class SequenceModel:
         mark_ll = ad.pick(log_probs, np.arange(L), idx).sum()
 
         log_tau = np.log(self._decoder_gaps(t))
-        w_logits = C @ self.params["mix_Ww"] + self.params["mix_bw"]
-        log_w = w_logits - ad.logsumexp(w_logits, axis=1, keepdims=True)
-        mu = C @ self.params["mix_Wmu"] + self.params["mix_bmu"]
-        log_s = C @ self.params["mix_Ws"] + self.params["mix_bs"]
+        log_w, mu, log_s = self._mixture_t(C)
         z = (ad.as_tensor(log_tau[:, None]) - mu) * (-log_s).exp()
         comp = log_w - log_s - 0.5 * LOG_2PI - 0.5 * (z * z)
-        time_ll = ad.logsumexp(comp, axis=1).sum()
-        if self.config.time_density_jacobian:
-            time_ll = time_ll - float(log_tau.sum())
+        time_ll = ad.logsumexp(comp, axis=1).sum() - float(log_tau.sum())
         return mark_ll, time_ll
 
     # ---- public numpy surface ----
@@ -276,21 +287,15 @@ class SequenceModel:
 
     def time_mixture(self, s: EventSequence) -> tuple:
         """Per-event mixture parameters (weights, locations, scales)."""
-        C = ad.as_tensor(self.encode(self.featurize(s)))
-        w = ad.softmax(C @ self.params["mix_Ww"] + self.params["mix_bw"], axis=1).data
-        mu = (C @ self.params["mix_Wmu"] + self.params["mix_bmu"]).data
-        s_ = (C @ self.params["mix_Ws"] + self.params["mix_bs"]).exp().data
-        return w, mu, s_
+        log_w, mu, log_s = self._mixture_t(ad.as_tensor(self.encode(self.featurize(s))))
+        return np.exp(log_w.data), mu.data, np.exp(log_s.data)
 
     def time_density(self, tau: np.ndarray, w, mu, s_) -> np.ndarray:
         """Mixture density of the gap for one event's (w, mu, s) row."""
         tau = np.asarray(tau, dtype=np.float64)
         z = (np.log(tau)[..., None] - mu) / s_
         comp = np.exp(-0.5 * z * z) / (s_ * np.sqrt(2.0 * np.pi))
-        dens = (w * comp).sum(axis=-1)
-        if self.config.time_density_jacobian:
-            dens = dens / tau
-        return dens
+        return (w * comp).sum(axis=-1) / tau
 
     # ---- persistence ----
 
@@ -307,7 +312,7 @@ class SequenceModel:
             meta = json.loads(archive["__meta__"].tobytes().decode())
             if meta.get("version") != 1:
                 raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-            model = cls(meta["accounts"], SeqModelConfig(**meta["config"]), seed=0)
+            model = cls(meta["accounts"], _config_from_checkpoint(meta["config"]), seed=0)
             for k in model.params:
                 model.params[k].data = np.array(archive[k], dtype=np.float64)
         return model

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +83,37 @@ def test_rerun_from_a_config_without_run_dir_leaves_that_run_alone(tmp_path, dat
     (rerun,) = (tmp_path / "runs").iterdir()
     assert (rerun / "result.csv").read_bytes() == before["result.csv"][0]
     assert config_of(rerun)["config"] == str(first / "config.json")
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the flag's value itself
+        return exc.code
+
+
+@pytest.mark.parametrize("bad", [["--groups", "3"], ["--groups", "1"], ["--loops", "0"],
+                                 ["--lam", "0"], ["--p", "0.5"], ["--c", "-1"],
+                                 ["--estep-tol", "0"]])
+def test_bad_detect_config_fails_before_any_stage(tmp_path, data, bad):
+    run_dir = tmp_path / "run"
+    assert exit_code(["detect", *data, *SMALL, *bad, "--run-dir", str(run_dir)]) == 2
+    assert not run_dir.exists()  # so no checkpoint.npz and no graph.csv
+
+
+def test_bad_sweep_config_fails_before_pretraining(tmp_path, data):
+    out = tmp_path / "sweep"
+    assert exit_code(["sweep", *data, *SMALL, "--groups", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_more_than_two_groups_run_with_revealed_accounts(tmp_path, data):
+    rows = (Path(data[3]).read_text(encoding="utf-8").splitlines())[1:]
+    picked = [r for r in rows if r.endswith(",1")][:2] + [r for r in rows if r.endswith(",0")][:2]
+    revealed = tmp_path / "revealed.csv"
+    revealed.write_text("account,group\n" + "".join(f"{r}\n" for r in picked), encoding="utf-8")
+    code, run_dir = detect(tmp_path, "run", *data, *SMALL, "--groups", "3",
+                           "--revealed", str(revealed))
+    assert code == 0
+    header = (run_dir / "q_matrix.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "account,q_0,q_1,q_2"

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from coact import em
 from coact.crf import CrfParams, UnaryScorer
@@ -138,3 +139,20 @@ def test_kmeans_matches_reference_lloyd(monkeypatch):
                 want = em.kmeans(X, k, seed=k)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+
+
+def test_kmeans_raises_when_every_start_leaves_a_cluster_empty():
+    # two distinct values and k = 3: the third k-means++ seed duplicates one
+    # of the first two, and the duplicate center never wins a point
+    X = np.array([[0.0], [0.0], [1.0], [1.0]])
+    with pytest.raises(RuntimeError, match="empty clusters"):
+        em.kmeans(X, 3, seed=0)
+
+
+def test_kmeans_is_deterministic_given_the_seed():
+    X = np.random.default_rng(9).normal(size=(80, 5))
+    labels, centers = em.kmeans(X, 3, seed=4)
+    again_labels, again_centers = em.kmeans(X, 3, seed=4)
+    assert np.array_equal(labels, again_labels)
+    assert np.array_equal(centers, again_centers)
+    assert np.array_equal(np.unique(labels), [0, 1, 2])

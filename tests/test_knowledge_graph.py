@@ -67,6 +67,32 @@ def test_co_occurrence_matches_bruteforce():
         assert np.array_equal(g.w, brute)
 
 
+def presence_product(d):
+    """Z.T @ Z of the (sequences, accounts) 0/1 presence matrix, zero diagonal."""
+    Z = np.zeros((len(d.sequences), len(d.registry)))
+    for i, s in enumerate(d.sequences):
+        for e in s.events:
+            Z[i, d.registry.index(e.account)] = 1.0
+    w = Z.T @ Z
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def test_co_occurrence_equals_presence_matrix_product():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n_accounts = int(rng.integers(2, 25))
+        seqs = []
+        for i in range(int(rng.integers(1, 40))):
+            # a few accounts per sequence, most of them repeated; one in
+            # five sequences holds a single account, often several times
+            pool = rng.choice(n_accounts, size=1 if i % 5 == 0 else int(rng.integers(1, 6)))
+            who = pool[rng.integers(len(pool), size=int(rng.integers(1, 12)))]
+            seqs.append(EventSequence(f"s{i}", [Event(f"u{a}", float(t)) for a, t in
+                                                zip(who, np.sort(rng.uniform(0, 50, len(who))))]))
+        d = Dataset.from_sequences(seqs)
+        assert np.array_equal(co_occurrence(d).w, presence_product(d))
+
 def test_filter_power_example():
     d = Dataset.from_sequences([seq(f"s{k}", ("A", 0), ("B", 1)) for k in range(2)])
     g = filter_power(co_occurrence(d), 3.0)

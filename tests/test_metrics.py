@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coact.metrics import average_precision, max_f1, roc_auc, silhouette, thresholded_metrics
+from coact.metrics import average_precision, max_f1, roc_auc, thresholded_metrics
 
 
 # ---- oracles: definition-level recomputations ----
@@ -38,24 +38,6 @@ def max_f1_oracle(scores, truth):
         denom = 2 * tp + fp + fn
         best = max(best, 2 * tp / denom if denom else 0.0)
     return best
-
-
-def silhouette_oracle(X, labels):
-    n = len(X)
-    vals = []
-    for i in range(n):
-        same = [j for j in range(n) if labels[j] == labels[i] and j != i]
-        if not same:
-            vals.append(0.0)
-            continue
-        a = np.mean([np.linalg.norm(X[i] - X[j]) for j in same])
-        b = min(
-            np.mean([np.linalg.norm(X[i] - X[j]) for j in range(n) if labels[j] == c])
-            for c in set(labels) if c != labels[i]
-        )
-        m = max(a, b)
-        vals.append((b - a) / m if m > 0 else 0.0)
-    return float(np.mean(vals))
 
 
 def random_scored(rng, n=200, tie_fraction=0.3):
@@ -200,32 +182,3 @@ def test_threshold_free_metrics_invariant_to_monotone_transform():
     assert roc_auc(scores, truth) == roc_auc(warped, truth)
     assert max_f1(scores, truth) == max_f1(warped, truth)
 
-
-# ---- silhouette ----
-
-def test_silhouette_separated_blobs():
-    rng = np.random.default_rng(7)
-    X = np.vstack([rng.normal(0, 0.05, (20, 3)), rng.normal(5, 0.05, (20, 3))])
-    labels = np.array([0] * 20 + [1] * 20)
-    assert silhouette(X, labels) > 0.9
-
-
-def test_silhouette_identical_points_zero():
-    X = np.zeros((6, 2))
-    labels = np.array([0, 0, 0, 1, 1, 1])
-    assert silhouette(X, labels) == 0.0
-
-
-def test_silhouette_matches_oracle():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        X = rng.normal(size=(30, 4))
-        labels = rng.integers(0, 3, size=30)
-        labels[:3] = [0, 1, 2]  # every cluster non-empty
-        assert silhouette(X, labels) == pytest.approx(
-            silhouette_oracle(X, labels), abs=1e-12)
-
-
-def test_silhouette_requires_two_clusters():
-    with pytest.raises(ValueError):
-        silhouette(np.zeros((4, 2)), np.zeros(4))

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -102,7 +105,7 @@ def test_encode_matches_straight_line_recomputation():
     Wq, Wk, Wv = (m.params[k].data for k in ("W_q", "W_k", "W_v"))
     Fw, Fb = m.params["F_W"].data, m.params["F_b"].data
     rows = [start, X[0], X[1]]  # strictly-causal shift
-    scale = 1.0 / np.sqrt(m.config.d_attn)
+    scale = 1.0 / np.sqrt(m.config.d_feat)
     for i in range(3):
         q = rows[i] @ Wq
         keys = np.stack([r @ Wk for r in rows[: i + 1]])
@@ -144,24 +147,29 @@ def test_mark_probabilities_normalize():
 
 def test_time_density_integrates_to_one():
     m = toy_model(seed=7)
-    w, mu, s_ = m.time_mixture(seq(("u0", 0.0), ("u1", 2.0), ("u2", 2.4)))
+    s = seq(("u0", 0.0), ("u1", 2.0), ("u2", 2.4))
+    w, mu, s_ = m.time_mixture(s)
     for i in range(len(w)):
         total, _ = quad(lambda tau: m.time_density(tau, w[i], mu[i], s_[i]),
                         0, np.inf, limit=200)
         assert total == pytest.approx(1.0, abs=1e-3)
+    # the same head the likelihood trains: first gap 1.0, then the time diffs
+    _, time_ll = m.log_likelihood_terms(s)
+    logs = [np.log(m.time_density(tau, w[i], mu[i], s_[i])) for i, tau in enumerate((1.0, 2.0, 0.4))]
+    assert sum(logs) == pytest.approx(time_ll, abs=1e-9)
 
 
 def test_density_without_jacobian_is_plain_normal_of_log_gap():
     cfg = SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=1,
-                         time_density_jacobian=False,
                          time_scale_min=0.1, time_scale_max=100.0)
     m = toy_model(config=cfg)
     for k in ("mix_Ww", "mix_bw", "mix_Ws", "mix_bs", "mix_Wmu", "mix_bmu"):
         m.params[k].data = np.zeros_like(m.params[k].data)
+    taus = (1.0, 3.0)
     _, time_ll = m.log_likelihood_terms(seq(("u0", 0.0), ("u1", 3.0)))
-    # both events: standard normal density evaluated at log(tau)
-    want = sum(-0.5 * np.log(2 * np.pi) - 0.5 * np.log(tau) ** 2 for tau in (1.0, 3.0))
-    assert time_ll == pytest.approx(want, abs=1e-9)
+    # both events: standard normal density of log(tau), times the 1/tau Jacobian
+    plain = sum(-0.5 * np.log(2 * np.pi) - 0.5 * np.log(tau) ** 2 for tau in taus)
+    assert time_ll == pytest.approx(plain - sum(np.log(tau) for tau in taus), abs=1e-9)
 
 
 def test_translation_invariance_exact():
@@ -301,6 +309,39 @@ def test_checkpoint_round_trip(tmp_path):
     s = d.sequences[0]
     assert m2.log_likelihood(s) == m.log_likelihood(s)
 
+
+def legacy_checkpoint(path, m, **changes):
+    """Save ``m`` with the config keys an older release stored, then ``changes``."""
+    d = m.config.d_feat
+    config = {**asdict(m.config), "d_attn": d, "d_context": d, "d_mark_hidden": d,
+              "tie_mark_head": True, "first_gap": 1.0, "min_gap": 1e-8,
+              "time_density_jacobian": True, "pe_base": 1e4, "time_unit": 1.0, **changes}
+    meta = json.dumps({"version": 1, "accounts": m.accounts, "config": config})
+    np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8),
+             **{k: t.data for k, t in m.params.items()})
+    return path
+
+
+def test_checkpoint_with_folded_config_keys_loads_at_their_fixed_values(tmp_path):
+    rng = np.random.default_rng(9)
+    d = random_dataset(rng, n_accounts=4, n_sequences=3)
+    m = SequenceModel(d.registry.keys, TINY, seed=4)
+    for i, changes in enumerate([{}, {"d_attn": 0, "d_context": 0, "d_mark_hidden": 0}]):
+        m2 = SequenceModel.load(legacy_checkpoint(tmp_path / f"old{i}.npz", m, **changes))
+        assert m2.config == m.config
+        for s in d.sequences:
+            assert m2.log_likelihood(s) == m.log_likelihood(s)
+
+
+@pytest.mark.parametrize("key,value", [("time_unit", 2.0), ("tie_mark_head", False),
+                                       ("time_density_jacobian", False), ("first_gap", 0.5),
+                                       ("min_gap", 1e-6), ("pe_base", 100.0),
+                                       ("d_attn", 7), ("d_mark_hidden", 3), ("no_such_key", 1)])
+def test_checkpoint_with_another_value_of_a_folded_key_is_rejected(tmp_path, key, value):
+    m = toy_model()
+    path = legacy_checkpoint(tmp_path / "old.npz", m, **{key: value})
+    with pytest.raises(ValueError, match=repr(key)):
+        SequenceModel.load(path)
 
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):

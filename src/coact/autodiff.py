@@ -11,6 +11,14 @@ A leaf built with ``Tensor(...)`` is a parameter and needs a gradient; a
 value that ``as_tensor`` wraps from a non-Tensor is a constant and does not.
 An operation's output needs a gradient when any of its parents does, and
 backward computes a parent's gradient only when that parent needs one.
+
+Users: every trainable parameter is a ``Tensor`` and ``Adam`` updates it.
+The unary scorer (``crf.UnaryScorer``) and its two losses (the scorer fit
+in ``em.initialize`` and the M-step's cross-entropy term ``em._crossent_t``)
+run as tapes. The sequence model does not: its likelihood has a
+hand-written adjoint in ``pointprocess``, which adds into the same
+``Tensor.grad`` with ``_accumulate``. The tests keep the sequence model's
+tape form as the reference that adjoint must match bit for bit.
 """
 
 from __future__ import annotations

@@ -119,6 +119,19 @@ def _em_config(args) -> em_mod.EmConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _read_revealed(args, d: Dataset) -> dict | None:
+    """The ``--revealed`` labels of the accounts in ``d``; bad groups are a usage error."""
+    if not args.revealed:
+        return None
+    revealed = _stage("read-revealed", load_labels, args.revealed)
+    revealed = {a: g_ for a, g_ in revealed.items() if a in d.registry}
+    try:
+        em_mod.check_revealed(list(revealed.values()), args.groups)
+    except ValueError as exc:
+        raise UsageError(f"--revealed {args.revealed}: {exc}") from exc
+    return revealed
+
+
 def write_result_csv(result: em_mod.DetectionResult, path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write("account,score,label,group\n")
@@ -199,6 +212,7 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
     )
 
     d = _stage("ingest", _load_data, args)
+    revealed = _read_revealed(args, d)  # checked before pretraining
 
     if args.checkpoint:
         model = _stage("load-checkpoint", SequenceModel.load, args.checkpoint)
@@ -211,11 +225,6 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
 
     g = _stage("build-graph", _build_graph, d, args)
     _stage("build-graph", graph_mod.save_graph, g, run_dir / "graph.csv")
-
-    revealed = None
-    if args.revealed:
-        revealed = _stage("read-revealed", load_labels, args.revealed)
-        revealed = {a: g_ for a, g_ in revealed.items() if a in d.registry}
 
     result = _stage("em", em_mod.run_em, d, g, model, em_config, revealed)
     _stage("write-result", write_result_csv, result, run_dir / "result.csv")
@@ -310,10 +319,11 @@ def cmd_sweep(args) -> int:
     if not args.labels:
         raise UsageError("sweep needs --labels to aggregate metrics")
     _em_config(args)  # fail before any pretraining
+    d = _load_data(args)
+    _read_revealed(args, d)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    d = _load_data(args)
     checkpoints = {}
     for seed in seeds:  # pretraining depends on the seed only, cache per seed
         sub = argparse.Namespace(**vars(args))
@@ -430,8 +440,8 @@ def _fractions(text: str):
     return parts
 
 
-def build_parser(detect_defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The ``coact`` parser; ``detect_defaults`` override detect's defaults."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``coact`` parser."""
     parser = argparse.ArgumentParser(
         prog="coact",
         description="Coordinated account-group detection from temporal event sequences.",
@@ -481,7 +491,7 @@ def build_parser(detect_defaults: dict | None = None) -> argparse.ArgumentParser
     p.add_argument("--tag", default="run")
     p.add_argument("--config", default=None,
                    help="JSON config; flags given on the command line override it")
-    p.set_defaults(func=cmd_detect, **(detect_defaults or {}))
+    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="score a result CSV against truth labels")
     p.add_argument("--result", required=True)
@@ -505,22 +515,34 @@ def build_parser(detect_defaults: dict | None = None) -> argparse.ArgumentParser
     return parser
 
 
-def _config_defaults(args) -> dict:
-    """The keys of the ``--config`` file that detect knows, as its defaults."""
+def _config_flags(args) -> list:
+    """The keys of the ``--config`` file that detect knows, written as flags.
+
+    They are parsed with the same types and choices as flags typed on the
+    command line. A null value leaves the flag alone, and a true or false
+    one sets or leaves an on/off flag.
+    """
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read --config {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"--config {args.config} does not hold a JSON object")
-    # where a run writes is never taken from the file, so re-running from
-    # R1/config.json cannot overwrite R1
-    defaults = {k: v for k, v in config.items()
-                if k in vars(args)
-                and k not in ("command", "config", "func", "run_dir", "tag")}
-    if "fractions" in defaults:
-        defaults["fractions"] = tuple(defaults["fractions"])
-    return defaults
+    flags = []
+    for k, v in config.items():
+        # where a run writes is never taken from the file, so re-running from
+        # R1/config.json cannot overwrite R1
+        if (v is None or k not in vars(args)
+                or k in ("command", "config", "func", "run_dir", "tag")):
+            continue
+        flag = "--" + k.replace("_", "-")
+        if isinstance(vars(args)[k], bool) and isinstance(v, bool):
+            flags += [flag] if v else []
+        elif isinstance(v, list):
+            flags.append(f"{flag}={','.join(str(x) for x in v)}")
+        else:
+            flags.append(f"{flag}={v}")
+    return flags
 
 
 def main(argv=None) -> int:
@@ -528,8 +550,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "detect" and args.config:
-            # parse again with the file's values as defaults: flags still win
-            args = build_parser(_config_defaults(args)).parse_args(argv)
+            # parse again with the file's values as flags before the command
+            # line's own, so that those win
+            at = argv.index("detect") + 1
+            args = build_parser().parse_args(argv[:at] + _config_flags(args) + argv[at:])
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

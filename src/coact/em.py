@@ -49,6 +49,7 @@ __all__ = [
     "initialize",
     "check_prop1_bound",
     "run_em",
+    "check_revealed",
     "identify_coordinated_group",
 ]
 
@@ -267,15 +268,16 @@ def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
 
 # ---- EM driver ----
 
-def _val_objective(model, scorer, val_seqs, Q, lam) -> float:
-    ll = sum(model.log_likelihood(s) for s in val_seqs)
+def _val_objective(model, scorer, val_items, Q, lam) -> float:
+    ll = sum(model.log_likelihoods(val_items))
     ce = _crossent_t(scorer, ad.as_tensor(model.params["E"].data), Q).item()
     return ll + lam * ce
 
 
-def _m_step(model, crf, train_seqs, val_seqs, Q, cfg: EmConfig, rng):
+def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng):
     """Ascend the surrogate objective; early stop on the validation version.
 
+    ``train_items`` and ``val_items`` are sequences from ``model.prepare``.
     Returns the validation objective before and after (at the best epoch).
     """
     params = dict(model.params)
@@ -285,14 +287,14 @@ def _m_step(model, crf, train_seqs, val_seqs, Q, cfg: EmConfig, rng):
     def batch_loss(batch):
         nll = model.backward_nll(batch)
         # spread the account-level term across the epoch's batches
-        ce_weight = cfg.lambda_balance * len(batch) / len(train_seqs)
+        ce_weight = cfg.lambda_balance * len(batch) / len(train_items)
         ce = _crossent_t(crf.scorer, model.params["E"], Q) * -ce_weight
         ce.backward()
         return nll + ce.item()
 
     start, best, _ = fit(
-        params, train_seqs, batch_loss,
-        lambda: _val_objective(model, crf.scorer, val_seqs, Q, cfg.lambda_balance),
+        params, train_items, batch_loss,
+        lambda: _val_objective(model, crf.scorer, val_items, Q, cfg.lambda_balance),
         epochs=cfg.m_step_epochs, lr=cfg.m_step_lr, weight_decay=cfg.weight_decay,
         batch_size=cfg.batch_size, patience=cfg.patience, rng=rng,
     )
@@ -323,6 +325,8 @@ def run_em(
             clamp_groups.append(int(group))
     clamp_rows = np.asarray(clamp_rows, dtype=np.intp)
     clamp_groups = np.asarray(clamp_groups, dtype=np.intp)
+    if revealed:
+        check_revealed(clamp_groups, cfg.n_groups)
 
     model = pretrained.copy()
     crf = initialize(model, cfg.n_groups, cfg.seed, graph=g, hidden=cfg.scorer_hidden,
@@ -353,8 +357,9 @@ def run_em(
 
     if not cfg.estep_only:
         rng = np.random.default_rng(cfg.seed + 1)
+        train_items, val_items = model.prepare(train_seqs), model.prepare(val_seqs)
         for loop in range(1, cfg.n_loops + 1):
-            before, after = _m_step(model, crf, train_seqs, val_seqs, mf.q, cfg, rng)
+            before, after = _m_step(model, crf, train_items, val_items, mf.q, cfg, rng)
             mf, record = estep(MeanField(mf.q.copy(), mf.clamped.copy()), loop)
             record["val_objective_before"] = before
             record["val_objective_after"] = after
@@ -380,6 +385,21 @@ def run_em(
 
 
 # ---- group identification ----
+
+def check_revealed(groups, n_groups: int) -> None:
+    """Raise ``ValueError`` unless the revealed accounts' ``groups`` can be used.
+
+    Every group must be one of the ``n_groups``, and at least one account
+    must be in group 1, the coordinated group that
+    ``identify_coordinated_group`` looks for.
+    """
+    groups = {int(g) for g in groups}
+    out = sorted(g for g in groups if not 0 <= g < n_groups)
+    if out:
+        raise ValueError(f"revealed groups {out} are outside 0..{n_groups - 1}")
+    if 1 not in groups:
+        raise ValueError("no revealed account is in the coordinated group 1")
+
 
 def identify_coordinated_group(
     q: np.ndarray,

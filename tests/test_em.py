@@ -65,7 +65,7 @@ def test_m_step_gradient_matches_finite_differences(monkeypatch):
     crf = initialize(model, 2, seed=0, graph=co_occurrence(d), hidden=6)
     Q = rng.dirichlet(np.ones(2), size=model.n_accounts)
     em_cfg = EmConfig(lambda_balance=0.7)
-    seqs = d.sequences
+    seqs = model.prepare(d.sequences)
 
     handed = {}
 

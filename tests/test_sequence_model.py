@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import coact.autodiff as ad
+import tape_reference as ref
 from coact.autodiff import Tensor
 from coact.events import Dataset, Event, EventSequence
 from coact.pointprocess import (
@@ -211,20 +213,96 @@ def test_gradients_match_finite_differences():
 
 
 def test_structurally_unused_parameters_get_zero_grad():
+    # on the tape reference, which the kernel matches bit for bit
     m = toy_model(seed=2)
     s = seq(("u0", 0.0), ("u1", 1.0))
     m.zero_grad()
-    _, time_t = m._ll_terms_t(s)
+    _, time_t = ref.ll_terms_t(m, s)
     time_t.backward()
     # the time term never touches the mark head
     for k in ("mark_W1", "mark_b1", "mark_W2", "mark_b2"):
         assert m.params[k].grad is None or not np.any(m.params[k].grad)
     m.zero_grad()
-    mark_t, _ = m._ll_terms_t(s)
+    mark_t, _ = ref.ll_terms_t(m, s)
     mark_t.backward()
     for k in ("mix_Ww", "mix_bw", "mix_Ws", "mix_bs", "mix_Wmu", "mix_bmu"):
         assert m.params[k].grad is None or not np.any(m.params[k].grad)
     m.zero_grad()
+
+
+def awkward_dataset(rng, n_accounts, n_sequences, max_len=40):
+    """Sequences of 1..max_len events that repeat a few accounts, some with tied times."""
+    accounts = [f"u{i}" for i in range(n_accounts)]
+    seqs = []
+    for i in range(n_sequences):
+        n = 1 if i % 4 == 0 else int(rng.integers(2, max_len))
+        t = np.sort(rng.uniform(0, 20, n))
+        if n > 2 and i % 3 == 0:
+            t[2] = t[1]
+        pool = rng.choice(n_accounts, size=max(1, n // 3))
+        seqs.append(EventSequence(f"s{i}", [
+            Event(accounts[int(pool[rng.integers(len(pool))])], float(x)) for x in t
+        ]))
+    return Dataset.from_sequences(seqs)
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_kernel_matches_the_tape_bit_for_bit(trial):
+    rng = np.random.default_rng(100 + trial)
+    d = awkward_dataset(rng, int(rng.integers(2, 10)), int(rng.integers(2, 9)))
+    config = TINY if trial % 2 else SeqModelConfig()
+    m = SequenceModel(d.registry.keys, config, seed=trial)
+    scale = (1.0, 1.0 / 3.0, -1.0, 0.7)[trial % 4]
+    held = {k: np.random.default_rng(trial).normal(size=t.data.shape)
+            for k, t in m.params.items()} if trial % 3 == 0 else {}
+
+    def run(backward_nll, batch):
+        m.zero_grad()
+        for k, g in held.items():  # gradient left over from an earlier batch
+            m.params[k].grad = g.copy()
+        nll = backward_nll(batch, scale)
+        grads = {k: t.grad for k, t in m.params.items()}
+        m.zero_grad()
+        return nll, grads
+
+    want_nll, want = run(lambda b, sc: ref.backward_nll(m, b, sc), d.sequences)
+    got_nll, got = run(m.backward_nll, m.prepare(d.sequences))
+    assert got_nll == want_nll
+    assert got.keys() == want.keys()
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+    for s in d.sequences:
+        mark_t, time_t = ref.ll_terms_t(m, s)
+        assert m.log_likelihood_terms(s) == (mark_t.item(), time_t.item())
+        assert m.log_likelihood(s) == mark_t.item() + time_t.item()
+    want = ref.grad_log_likelihood(m, d.sequences)
+    got = m.grad_log_likelihood(d.sequences)
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+
+
+def test_numpy_surface_matches_the_tape():
+    rng = np.random.default_rng(31)
+    d = awkward_dataset(rng, 6, 6)
+    m = SequenceModel(d.registry.keys, TINY, seed=3)
+    for s in d.sequences:
+        idx = np.array([d.registry.index(e.account) for e in s.events])
+        X_t = ref.featurize_t(m, idx, np.array([e.t for e in s.events]))
+        C_t = ref.encode_t(m, X_t)
+        assert np.array_equal(m.featurize(s), X_t.data)
+        assert np.array_equal(m.encode(X_t.data), C_t.data)
+        assert np.array_equal(m.mark_probs(s), ad.softmax(ref.mark_logits_t(m, C_t), axis=1).data)
+        log_w, mu, log_s = ref.mixture_t(m, C_t)
+        for got, want in zip(m.time_mixture(s), (np.exp(log_w.data), mu.data, np.exp(log_s.data))):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_shorter_position_encodings_are_the_top_rows_of_a_longer_one(dim):
+    # prepare slices one table at the batch's longest length
+    table = positional_encoding(300, dim)
+    for length in range(1, 301):
+        assert np.array_equal(positional_encoding(length, dim), table[:length])
 
 
 def test_batch_gradient_is_sum_of_sequence_gradients():

@@ -369,8 +369,8 @@ def _add_data_opts(p, with_labels=True):
         p.add_argument("--labels", default=None, help="truth labels CSV (account,group)")
     p.add_argument("--min-account-count", type=int, default=0,
                    help="drop accounts with fewer events than this (default: off)")
-    p.add_argument("--max-len", type=int, default=128,
-                   help="split sequences longer than this (default: 128)")
+    p.add_argument("--max-len", type=_int_at_least(2, or_zero=True), default=128,
+                   help="split sequences longer than this, 0 = do not split (default: 128)")
 
 
 def _add_train_opts(p):
@@ -378,12 +378,13 @@ def _add_train_opts(p):
     p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default: 1e-3)")
     p.add_argument("--weight-decay", type=float, default=1e-5,
                    help="L2 regularization (default: 1e-5)")
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=64)
     p.add_argument("--patience", type=int, default=10, help="early-stopping patience")
-    p.add_argument("--d-embed", type=int, default=64, help="account embedding width")
+    p.add_argument("--d-embed", type=_int_at_least(1), default=64,
+                   help="account embedding width")
     p.add_argument("--d-pos", type=int, default=8)
     p.add_argument("--d-time", type=int, default=8)
-    p.add_argument("--mix-components", type=int, default=32,
+    p.add_argument("--mix-components", type=_int_at_least(1), default=32,
                    help="log-normal mixture size (default: 32)")
     p.add_argument("--fractions", type=_fractions, default=(0.70, 0.15, 0.15),
                    help="train/val/test fractions (default: 0.70,0.15,0.15)")
@@ -408,14 +409,14 @@ def _add_em_opts(p):
                    help="M-step epoch cap (default: 50, early-stopped)")
     p.add_argument("--em-lr", type=float, default=1e-3)
     p.add_argument("--estep-tol", type=float, default=1e-6)
-    p.add_argument("--estep-iters", type=int, default=10,
+    p.add_argument("--estep-iters", type=_int_at_least(1), default=10,
                    help="E-step sweep cap (default: 10)")
     p.add_argument("--schedule", choices=["jacobi", "gauss_seidel"], default="jacobi")
     p.add_argument("--lam", type=float, default=1.0,
                    help="weight of the assignment term vs the likelihood (default: 1)")
     p.add_argument("--threshold", type=float, default=0.5,
                    help="detection threshold on the coordinated score (default: 0.5)")
-    p.add_argument("--scorer-hidden", type=int, default=64)
+    p.add_argument("--scorer-hidden", type=_int_at_least(1), default=64)
     p.add_argument("--revealed", default=None,
                    help="labels CSV of revealed accounts (semi-supervised)")
 
@@ -429,6 +430,21 @@ def _at_least(low: float):
             x = float("nan")
         if not x >= low:
             raise argparse.ArgumentTypeError(f"expected a number >= {low:g}, got {text!r}")
+        return x
+    return parse
+
+
+def _int_at_least(low: int, or_zero: bool = False):
+    """An argparse type: an integer no smaller than ``low``, or 0 with ``or_zero``."""
+    want = f"an integer >= {low}" + (" or 0" if or_zero else "")
+
+    def parse(text: str) -> int:
+        try:
+            x = int(text)
+        except ValueError:
+            x = None
+        if x is None or not (x >= low or (or_zero and x == 0)):
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
         return x
     return parse
 
@@ -464,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["jsonl", "csv"], default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--min-account-count", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=0, help="0 = do not split")
+    p.add_argument("--max-len", type=_int_at_least(2, or_zero=True), default=0,
+                   help="split sequences longer than this, 0 = do not split (default: 0)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("build-graph", help="build the prior co-appearance graph")

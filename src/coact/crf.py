@@ -24,6 +24,11 @@ Degree normalization bounds the spectral norm of B by 1, and softmax is
 label-symmetric whenever the unaries are: the coupling cannot break label
 symmetry on its own, and agreement between neighbours comes from unary
 scores or clamped rows.
+
+The unary scorer is a two-layer tanh MLP. Its cross-entropy against target
+beliefs (``UnaryScorer.crossent``), which the scorer fit and the M-step
+ascend, has a hand-written numpy adjoint; it is bit-identical to the
+autodiff tape that the tests keep as its oracle.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _accumulate
 from .graph import KnowledgeGraph
 
 __all__ = [
@@ -67,17 +71,43 @@ class UnaryScorer:
             "b2": Tensor(np.zeros(n_groups)),
         }
 
-    def forward_t(self, E: Tensor) -> Tensor:
-        h = (E @ self.params["W1"] + self.params["b1"]).tanh()
-        return h @ self.params["W2"] + self.params["b2"]
+    def _forward(self, E: np.ndarray) -> tuple:
+        """Hidden layer h and scores theta for embeddings ``E``."""
+        p = self.params
+        h = np.tanh(E @ p["W1"].data + p["b1"].data)
+        return h, h @ p["W2"].data + p["b2"].data
 
     def scores(self, E: np.ndarray) -> np.ndarray:
-        """(V, M) score matrix, no gradient tracking."""
-        return self.forward_t(ad.as_tensor(np.asarray(E, dtype=np.float64))).data
+        """(V, M) score matrix, no gradient."""
+        return self._forward(np.asarray(E, dtype=np.float64))[1]
 
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None
+    def crossent(self, E, targets: np.ndarray, scale: float | None = None) -> float:
+        """``scale`` times sum_u sum_m targets_u(m) log softmax_m(theta_u).
+
+        ``E`` is an embedding array, or the ``Tensor`` that holds one. Without
+        ``scale`` this returns the bare sum and computes no gradient. With it,
+        the gradient of the returned value is added into the scorer's
+        ``grad`` and, when ``E`` is a Tensor, into ``E.grad``. Each adjoint
+        step is the numpy expression an autodiff tape of this loss runs, in
+        the tape's order, so the gradients are bit-identical to the tape's.
+        """
+        E_param, E = (E, E.data) if isinstance(E, Tensor) else (None, E)
+        h, theta = self._forward(E)
+        lse = _logsumexp(theta, axis=1)[:, None]
+        total = (targets * (theta - lse)).sum()
+        if scale is None:
+            return float(total)
+        p = self.params
+        g_lp = scale * targets
+        g_theta = g_lp + (-g_lp).sum(axis=1, keepdims=True) * np.exp(theta - lse)
+        _accumulate(p["b2"], g_theta.sum(axis=0))
+        _accumulate(p["W2"], h.T @ g_theta)
+        g_a = (g_theta @ p["W2"].data.T) * (1.0 - h * h)
+        _accumulate(p["b1"], g_a.sum(axis=0))
+        if E_param is not None:
+            _accumulate(E_param, g_a @ p["W1"].data.T)
+        _accumulate(p["W1"], E.T @ g_a)
+        return float(total * scale)
 
 
 @dataclass

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Adam
 from .crf import (
     CrfParams,
     MeanField,
@@ -83,6 +82,10 @@ class EmConfig:
             raise ValueError("lambda_balance must be positive")
         if not self.estep_tol > 0:
             raise ValueError("estep_tol must be positive")
+        if self.estep_max_iter < 1:
+            raise ValueError("estep_max_iter must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -204,12 +207,13 @@ def initialize(
 ) -> CrfParams:
     """Cluster the embeddings and fit the unary scorer to the clusters.
 
-    The scorer is trained by cross-entropy against the one-hot k-means
-    assignment until the regularized loss stops improving; the L2 term keeps
-    the fitted scores calibrated instead of saturating, which leaves the
-    pairwise messages room to act. With ``graph=None`` the field carries a
-    zero prior graph (unary-only). ``align_rows``/``align_groups`` relabel
-    the clusters to agree with revealed accounts (semi-supervised runs).
+    The scorer is trained by Adam on the cross-entropy against the one-hot
+    k-means assignment, with L2 weight decay ``fit_weight_decay``, for up to
+    SCORER_FIT_EPOCHS full-batch epochs; it stops early once the loss has
+    plateaued (five epochs in a row improving it by less than SCORER_FIT_TOL
+    relative). With ``graph=None`` the field carries a zero prior graph
+    (unary-only). ``align_rows``/``align_groups`` relabel the clusters to
+    agree with revealed accounts (semi-supervised runs).
     """
     if n_groups < 2:
         raise ValueError("need at least 2 groups")
@@ -219,23 +223,20 @@ def initialize(
         labels = _align_to_revealed(labels, n_groups, align_rows, align_groups)
     scorer = UnaryScorer(E.shape[1], n_groups, hidden=hidden, seed=seed)
     onehot = np.eye(n_groups)[labels]
-    opt = ad.Adam(scorer.params, lr=1e-2, weight_decay=fit_weight_decay)
+    opt = Adam(scorer.params, lr=1e-2, weight_decay=fit_weight_decay)
     last = np.inf
     stale = 0
     for _ in range(SCORER_FIT_EPOCHS):
         opt.zero_grad()
-        theta = scorer.forward_t(ad.as_tensor(E))
-        log_probs = theta - ad.logsumexp(theta, axis=1, keepdims=True)
-        loss = -(ad.as_tensor(onehot) * log_probs).sum() * (1.0 / len(E))
-        loss.backward()
+        loss = scorer.crossent(E, onehot, -1.0 / len(E))
         opt.step()
-        if last - loss.item() < SCORER_FIT_TOL * (1.0 + abs(loss.item())):
+        if last - loss < SCORER_FIT_TOL * (1.0 + abs(loss)):
             stale += 1
             if stale >= 5:
                 break
         else:
             stale = 0
-        last = loss.item()
+        last = loss
     if graph is None:
         graph = KnowledgeGraph(list(pretrained.accounts),
                                np.zeros((len(E), len(E))), "none")
@@ -243,13 +244,6 @@ def initialize(
 
 
 # ---- M-step objective ----
-
-def _crossent_t(scorer: UnaryScorer, E: Tensor, Q: np.ndarray) -> Tensor:
-    """sum_u sum_m Q_u(m) log softmax_m(theta_u); gradient flows into E too."""
-    theta = scorer.forward_t(E)
-    log_probs = theta - ad.logsumexp(theta, axis=1, keepdims=True)
-    return (ad.as_tensor(Q) * log_probs).sum()
-
 
 def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
     """Verify log Z <= max_Y pairwise(Y) + sum_u log sum_m exp(theta_u(m)).
@@ -270,8 +264,7 @@ def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
 
 def _val_objective(model, scorer, val_items, Q, lam) -> float:
     ll = sum(model.log_likelihoods(val_items))
-    ce = _crossent_t(scorer, ad.as_tensor(model.params["E"].data), Q).item()
-    return ll + lam * ce
+    return ll + lam * scorer.crossent(model.params["E"].data, Q)
 
 
 def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng):
@@ -288,9 +281,7 @@ def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng):
         nll = model.backward_nll(batch)
         # spread the account-level term across the epoch's batches
         ce_weight = cfg.lambda_balance * len(batch) / len(train_items)
-        ce = _crossent_t(crf.scorer, model.params["E"], Q) * -ce_weight
-        ce.backward()
-        return nll + ce.item()
+        return nll + crf.scorer.crossent(model.params["E"], Q, -ce_weight)
 
     start, best, _ = fit(
         params, train_items, batch_loss,

@@ -69,9 +69,6 @@ class AccountRegistry:
     def index(self, key: str) -> int:
         return self._index[key]
 
-    def key(self, idx: int) -> str:
-        return self._keys[idx]
-
     @property
     def keys(self) -> list:
         return list(self._keys)

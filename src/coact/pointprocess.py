@@ -14,11 +14,12 @@ integrates to one over tau > 0.
 Training needs each sequence's log-likelihood and its gradient, over and
 over. ``SequenceModel`` computes them with one hand-written numpy forward
 (``_forward``) and its adjoint (``_backward``), with no autodiff tape. Each
-step of the adjoint is the same numpy expression that the matching
-``autodiff`` op would run, and the terms of every gradient are summed in
-the order a tape would sum them. So the values and gradients are
-bit-identical to backpropagating the model written as an ``autodiff``
-graph, which the tests keep as their reference (``tests/tape_reference.py``).
+step of the adjoint is the same numpy expression that the matching op of a
+reverse-mode tape would run, and the terms of every gradient are summed in
+the order the tape would sum them. So the values and gradients are
+bit-identical to backpropagating the model written as a tape; that tape
+lives only in the tests, as their oracle (``tests/tape.py`` is the engine,
+``tests/tape_reference.py`` the model written on it).
 The per-sequence constants (account indices, gaps, position encodings and
 the causal mask) come from ``SequenceModel.prepare``, once per fit.
 """
@@ -459,6 +460,8 @@ def fit(params: dict, items, batch_loss, val_fn, *, epochs: int, lr: float,
     epoch: ``train_loss`` is the running loss per item, each scored at the
     parameters before its batch's step.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     opt = ad.Adam(params, lr=lr, weight_decay=weight_decay)
     start = best_val = val_fn()
     best = ad.snapshot(params)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import coact.autodiff as ad
+import tape
 import tape_reference as ref
-from coact.autodiff import Adam, Tensor
+from coact.autodiff import Adam
+from coact.crf import UnaryScorer
+from tape import Tensor
 
 
 def fd_grad(f, x, h=1e-6):
@@ -59,24 +62,24 @@ def test_sum_axis_keepdims():
 
 
 def test_logsumexp_grad():
-    check(lambda a: ad.logsumexp(a, axis=1).sum(), (4, 6))
+    check(lambda a: tape.logsumexp(a, axis=1).sum(), (4, 6))
 
 
 def test_logsumexp_matches_value():
     from scipy.special import logsumexp
     x = np.random.default_rng(0).normal(size=(3, 5))
-    np.testing.assert_allclose(ad.logsumexp(Tensor(x), axis=1).data,
+    np.testing.assert_allclose(tape.logsumexp(Tensor(x), axis=1).data,
                                logsumexp(x, axis=1), rtol=1e-12)
 
 
 def test_softmax_rows_normalize():
     x = np.random.default_rng(1).normal(size=(4, 7))
-    p = ad.softmax(Tensor(x), axis=1).data
+    p = tape.softmax(Tensor(x), axis=1).data
     np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_concat_grad():
-    check(lambda a, b: (ad.concat([a, b], axis=1) * ad.concat([a, b], axis=1)).sum(),
+    check(lambda a, b: (tape.concat([a, b], axis=1) * tape.concat([a, b], axis=1)).sum(),
           (3, 2), (3, 4))
 
 
@@ -84,7 +87,7 @@ def test_take_rows_repeated_indices():
     rng = np.random.default_rng(2)
     t = Tensor(rng.normal(size=(4, 3)))
     idx = np.array([0, 2, 0, 3])
-    rows = ad.take_rows(t, idx)
+    rows = tape.take_rows(t, idx)
     out = (rows * rows).sum()
     out.backward()
     want = fd_grad(lambda: float((t.data[idx] ** 2).sum()), t.data)
@@ -96,7 +99,7 @@ def test_pick_grad():
     t = Tensor(rng.normal(size=(5, 4)))
     rows = np.arange(5)
     cols = np.array([0, 3, 1, 1, 2])
-    ad.pick(t, rows, cols).sum().backward()
+    tape.pick(t, rows, cols).sum().backward()
     want = np.zeros((5, 4))
     want[rows, cols] = 1.0
     np.testing.assert_allclose(t.grad, want)
@@ -131,8 +134,8 @@ def test_tapes_are_freed_without_the_cycle_collector():
     try:
         before = {id(o) for o in gc.get_objects() if isinstance(o, Tensor)}
         x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        out = (x.exp() + x.tanh() + ad.softmax(x, axis=1)).sum()
-        out = out + ad.logsumexp(x, axis=1).sum()
+        out = (x.exp() + x.tanh() + tape.softmax(x, axis=1)).sum()
+        out = out + tape.logsumexp(x, axis=1).sum()
         out.backward()
         assert x.grad is not None
         del x, out
@@ -147,8 +150,6 @@ def test_constants_get_no_gradient_and_parameter_gradients_do_not_change():
     # the scorer-fit loss of em.initialize plus a gather, a pick and a concat:
     # built once with every input a Tensor leaf (so backward also fills the
     # inputs' gradients) and once with the inputs as constants
-    from coact.crf import UnaryScorer
-
     rng = np.random.default_rng(4)
     E = rng.normal(size=(30, 5))
     onehot = np.eye(2)[rng.integers(2, size=30)]
@@ -159,17 +160,17 @@ def test_constants_get_no_gradient_and_parameter_gradients_do_not_change():
         scorer = UnaryScorer(5, 2, hidden=7, seed=1)
         consts = [wrap(E), wrap(onehot), wrap(extra), wrap(idx[:, None] * 0.5)]
         e, y, x, s = consts
-        theta = scorer.forward_t(e)
-        log_probs = theta - ad.logsumexp(theta, axis=1, keepdims=True)
+        theta = ref.scorer_forward_t(scorer, e)
+        log_probs = theta - tape.logsumexp(theta, axis=1, keepdims=True)
         loss = -(y * log_probs).sum() * (1.0 / len(E))
-        mixed = ad.concat([ad.take_rows(theta, idx), ad.take_rows(x, idx), s], axis=1)
+        mixed = tape.concat([tape.take_rows(theta, idx), tape.take_rows(x, idx), s], axis=1)
         loss = loss + (mixed * mixed).sum() * (x.sum() + 100.0)
-        loss = loss + ad.pick(theta - y, idx, idx % 2).sum()
+        loss = loss + tape.pick(theta - y, idx, idx % 2).sum()
         loss.backward()
         return {k: t.grad for k, t in scorer.params.items()}, [c.grad for c in consts]
 
     want, leaf_grads = grads(Tensor)
-    got, const_grads = grads(ad.as_tensor)
+    got, const_grads = grads(tape.as_tensor)
     assert all(g is not None for g in leaf_grads)
     assert const_grads == [None] * 4
     assert want.keys() == got.keys()
@@ -178,9 +179,10 @@ def test_constants_get_no_gradient_and_parameter_gradients_do_not_change():
 
 
 def test_model_gradients_and_scorer_fit_do_not_depend_on_constants(monkeypatch):
-    # every constant call site goes through ad.as_tensor; patched to build
-    # Tensor leaves, backward also fills gradients for those constants. The
-    # model's gradients come from its tape form, which the kernel matches
+    # every constant of the tapes goes through tape.as_tensor; patched to
+    # build Tensor leaves, backward also fills gradients for those constants.
+    # The model's gradients and the scorer fit of em.initialize run on their
+    # tape forms, which the library's adjoints match bit for bit
     from coact.em import initialize
     from coact.events import Dataset, Event, EventSequence
     from coact.pointprocess import SeqModelConfig, SequenceModel
@@ -191,6 +193,7 @@ def test_model_gradients_and_scorer_fit_do_not_depend_on_constants(monkeypatch):
             for i in range(5)]
     d = Dataset.from_sequences(seqs)
     cfg = SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=2)
+    monkeypatch.setattr(UnaryScorer, "crossent", ref.scorer_crossent)
 
     def run():
         model = SequenceModel(d.registry.keys, cfg, seed=2)
@@ -199,7 +202,9 @@ def test_model_gradients_and_scorer_fit_do_not_depend_on_constants(monkeypatch):
         return grads, {k: t.data for k, t in scorer.params.items()}
 
     got = run()
-    monkeypatch.setattr(ad, "as_tensor", lambda x: x if isinstance(x, Tensor) else Tensor(x))
+    as_tensor = tape.as_tensor
+    monkeypatch.setattr(tape, "as_tensor", lambda x: as_tensor(x) if isinstance(
+        x, (Tensor, ad.Tensor)) else Tensor(x))
     want = run()
     for g, w in zip(got, want):
         assert g.keys() == w.keys()
@@ -208,22 +213,22 @@ def test_model_gradients_and_scorer_fit_do_not_depend_on_constants(monkeypatch):
 
 
 def test_adam_decreases_quadratic():
-    t = Tensor(np.array([5.0, -3.0]))
+    t = ad.Tensor(np.array([5.0, -3.0]))
     opt = Adam({"t": t}, lr=0.1)
     for _ in range(200):
         opt.zero_grad()
-        (t * t).sum().backward()
+        t.grad = 2.0 * t.data  # gradient of sum(t * t)
         opt.step()
     assert np.all(np.abs(t.data) < 0.05)
 
 
 def test_adam_weight_decay_shrinks_unused_param():
-    t = Tensor(np.array([1.0]))
-    u = Tensor(np.array([4.0]))  # never in the loss
+    t = ad.Tensor(np.array([1.0]))
+    u = ad.Tensor(np.array([4.0]))  # never in the loss
     opt = Adam({"t": t, "u": u}, lr=0.01, weight_decay=0.1)
     for _ in range(50):
         opt.zero_grad()
-        (t * t).sum().backward()
+        t.grad = 2.0 * t.data
         u.grad = np.zeros_like(u.data)  # decay applies on top of a zero grad
         opt.step()
     assert abs(u.data[0]) < 4.0

@@ -94,7 +94,11 @@ def exit_code(argv):
 
 @pytest.mark.parametrize("bad", [["--groups", "3"], ["--groups", "1"], ["--loops", "0"],
                                  ["--lam", "0"], ["--p", "0.5"], ["--c", "-1"],
-                                 ["--estep-tol", "0"]])
+                                 ["--estep-tol", "0"], ["--batch-size", "0"],
+                                 ["--batch-size", "-3"], ["--estep-iters", "0"],
+                                 ["--scorer-hidden", "0"], ["--d-embed", "0"],
+                                 ["--mix-components", "0"], ["--max-len", "1"],
+                                 ["--max-len", "-1"]])
 def test_bad_detect_config_fails_before_any_stage(tmp_path, data, bad):
     run_dir = tmp_path / "run"
     assert exit_code(["detect", *data, *SMALL, *bad, "--run-dir", str(run_dir)]) == 2
@@ -121,7 +125,8 @@ def test_more_than_two_groups_run_with_revealed_accounts(tmp_path, data):
 
 @pytest.mark.parametrize("values", [{"p": 0.5}, {"c": -1}, {"groups": 2.5}, {"epochs": "many"},
                                     {"fractions": [0.5, 0.5]}, {"schedule": "random"},
-                                    {"filter": "median"}])
+                                    {"filter": "median"}, {"batch_size": 0}, {"max_len": 1},
+                                    {"estep_iters": 0}, {"d_embed": 0}])
 def test_config_file_values_are_checked_like_flags(tmp_path, data, values):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values), encoding="utf-8")
@@ -158,3 +163,15 @@ def test_valid_revealed_labels_still_run(tmp_path, data):
     code, run_dir = detect(tmp_path, "run", *data, *SMALL, "--revealed", str(revealed))
     assert code == 0
     assert (run_dir / "result.csv").exists()
+
+
+def test_eval_reproduces_the_metrics_that_detect_wrote(tmp_path, data):
+    revealed = revealed_file(tmp_path, data, {"1": 1, "0": 0})
+    code, run_dir = detect(tmp_path, "run", *data, *SMALL, "--revealed", str(revealed))
+    assert code == 0
+    out = tmp_path / "eval" / "metrics.csv"
+    out.parent.mkdir()
+    assert main(["eval", "--result", str(run_dir / "result.csv"), "--labels", data[3],
+                 "--exclude", str(revealed), "--out", str(out)]) == 0
+    assert out.read_bytes() == (run_dir / "metrics.csv").read_bytes()
+    assert out.with_suffix(".txt").read_bytes() == (run_dir / "metrics.txt").read_bytes()

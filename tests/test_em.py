@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import tape_reference as ref
 from coact import em
+from coact.autodiff import Tensor
 from coact.crf import CrfParams, UnaryScorer
 from coact.em import EmConfig, check_prop1_bound, initialize, run_em
 from coact.events import Dataset, Event, EventSequence
@@ -35,6 +37,13 @@ def test_run_em_history_reports_estep_convergence():
             assert h["estep_converged"] is converged
             assert h["estep_converged"] == (h["estep_residual"] < cfg.estep_tol)
             assert h["estep_iterations"] <= max_iter
+
+
+@pytest.mark.parametrize("bad", [{"estep_max_iter": 0}, {"batch_size": 0},
+                                 {"batch_size": -3}])
+def test_em_config_rejects_sizes_below_one(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        EmConfig(**bad)
 
 
 def test_prop1_bound_holds_and_is_tight_without_edges():
@@ -156,3 +165,71 @@ def test_kmeans_is_deterministic_given_the_seed():
     assert np.array_equal(labels, again_labels)
     assert np.array_equal(centers, again_centers)
     assert np.array_equal(np.unique(labels), [0, 1, 2])
+
+
+@pytest.mark.parametrize("n_accounts,n_groups", [(30, 2), (400, 2), (400, 3)])
+def test_scorer_fit_matches_the_tape_bit_for_bit(monkeypatch, n_accounts, n_groups):
+    model = SequenceModel([f"u{i}" for i in range(n_accounts)],
+                          SeqModelConfig(d_embed=8, d_pos=4, d_time=4, n_mix=2), seed=n_accounts)
+    start = UnaryScorer(8, n_groups, hidden=6, seed=1).params
+    got = initialize(model, n_groups, seed=1, hidden=6).scorer.params
+    monkeypatch.setattr(UnaryScorer, "crossent", ref.scorer_crossent)
+    want = initialize(model, n_groups, seed=1, hidden=6).scorer.params
+    for k in want:
+        assert not np.array_equal(want[k].data, start[k].data), k  # the fit moved it
+        assert np.array_equal(got[k].data, want[k].data), k
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_m_step_crossent_matches_the_tape_bit_for_bit(trial):
+    rng = np.random.default_rng(trial)
+    V, d, M = (1, 30, 400)[trial % 3], 5, 2 + trial % 2
+    scale = (-0.7, -1.0 / 3.0, 1.0)[trial % 3]
+    E0 = rng.normal(size=(V, d))
+    Q = rng.dirichlet(np.ones(M), size=V)
+    held = rng.normal(size=(V, d))  # E.grad from the batch's NLL terms
+
+    def run(crossent):
+        scorer = UnaryScorer(d, M, hidden=7, seed=trial)
+        E = Tensor(E0)
+        E.grad = held.copy()
+        value = crossent(scorer, E, Q, scale)
+        grads = {k: t.grad for k, t in scorer.params.items()}
+        return value, crossent(scorer, E0, Q), dict(grads, E=E.grad)
+
+    want_value, want_bare, want = run(ref.scorer_crossent)
+    got_value, got_bare, got = run(UnaryScorer.crossent)
+    assert (got_value, got_bare) == (want_value, want_bare)
+    assert got.keys() == want.keys() == {"W1", "b1", "W2", "b2", "E"}
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+
+
+def test_run_em_matches_the_tape_bit_for_bit(monkeypatch):
+    # the scorer fit, the M-step's gradients and its validation objective
+    d = random_dataset(np.random.default_rng(8))
+    g = co_occurrence(d)
+    model = SequenceModel(d.registry.keys, TINY, seed=4)
+    cfg = EmConfig(n_loops=2, m_step_epochs=3, batch_size=4, scorer_hidden=5)
+    got = run_em(d, g, model, cfg)
+    monkeypatch.setattr(UnaryScorer, "crossent", ref.scorer_crossent)
+    want = run_em(d, g, model, cfg)
+    assert np.array_equal(got.mean_field.q, want.mean_field.q)
+    assert got.history == want.history
+
+
+def test_identify_coordinated_group_raises_on_exact_ties():
+    with pytest.raises(ValueError, match="tie"):
+        em.identify_coordinated_group(np.array([[0.9, 0.1], [0.1, 0.9]]), "smaller_cluster")
+    q = np.array([[0.8, 0.2], [0.3, 0.7], [0.6, 0.4]])
+    with pytest.raises(ValueError, match="split evenly"):
+        em.identify_coordinated_group(q, "revealed_labels", revealed_rows=[0, 1, 2],
+                                      revealed_groups=[1, 1, 0])
+
+
+def test_identify_coordinated_group_picks_the_revealed_majority_of_three_groups():
+    q = np.array([[0.1, 0.2, 0.7], [0.5, 0.1, 0.4], [0.2, 0.2, 0.6], [0.1, 0.8, 0.1]])
+    # accounts 0-2 are revealed coordinated: two vote group 2, one group 0;
+    # account 3 is revealed normal and does not vote
+    assert em.identify_coordinated_group(q, "revealed_labels", revealed_rows=[0, 1, 2, 3],
+                                         revealed_groups=[1, 1, 1, 0]) == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import coact.autodiff as ad
+import tape
 import tape_reference as ref
 from coact.autodiff import Tensor
 from coact.events import Dataset, Event, EventSequence
@@ -291,7 +291,7 @@ def test_numpy_surface_matches_the_tape():
         C_t = ref.encode_t(m, X_t)
         assert np.array_equal(m.featurize(s), X_t.data)
         assert np.array_equal(m.encode(X_t.data), C_t.data)
-        assert np.array_equal(m.mark_probs(s), ad.softmax(ref.mark_logits_t(m, C_t), axis=1).data)
+        assert np.array_equal(m.mark_probs(s), tape.softmax(ref.mark_logits_t(m, C_t), axis=1).data)
         log_w, mu, log_s = ref.mixture_t(m, C_t)
         for got, want in zip(m.time_mixture(s), (np.exp(log_w.data), mu.data, np.exp(log_s.data))):
             assert np.array_equal(got, want)
@@ -351,6 +351,16 @@ def test_fit_stops_after_patience_and_restores_best_epoch():
     assert (start, best) == (-1.0, float(best_epoch))
     np.testing.assert_array_equal(x.data, scored[best_epoch + 1])
     assert not np.array_equal(x.data, scored[-1])
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_fit_rejects_a_batch_size_below_one(batch_size):
+    # range(0, n, -3) is empty: no Adam step would run and nothing would say so
+    x = Tensor(np.zeros(2))
+    with pytest.raises(ValueError, match="batch_size"):
+        fit({"x": x}, [1, 2, 3], lambda batch: 0.0, lambda: 0.0, epochs=2, lr=0.1,
+            weight_decay=0.0, batch_size=batch_size, patience=2,
+            rng=np.random.default_rng(0))
 
 
 def test_training_beats_untrained_on_heldout():

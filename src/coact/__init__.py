@@ -44,7 +44,6 @@ from .crf import (
     MeanField,
     UnaryScorer,
     estep_converge,
-    estep_update,
     log_partition_bruteforce,
     marginals_bruteforce,
     mean_field_free_energy,

@@ -5,6 +5,8 @@ it so far (``grad``, ``None`` until the first addition). Gradients add up
 until they are cleared, so several losses that share parameters can each
 add their part. ``Adam`` updates every parameter from its ``grad``;
 ``snapshot`` and ``restore`` copy parameter values for best-epoch restore.
+``logsumexp`` and ``row_softmax`` are the one log-sum-exp and the one
+softmax that the sequence model, the scorer and the E-step share.
 
 No autodiff tape runs in the library. The sequence model
 (``pointprocess.SequenceModel``) and the unary scorer (``crf.UnaryScorer``)
@@ -44,16 +46,30 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
+    """log sum exp(a) along ``axis``, shifted by the maximum."""
+    m = np.max(a, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def row_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the maximum."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class Adam:
     """Adam with (coupled) L2 regularization added to the raw gradient."""
 
-    def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, params: dict, lr=1e-3, weight_decay=0.0):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -65,7 +81,7 @@ class Adam:
 
     def step(self) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -76,7 +92,7 @@ class Adam:
             self._v[k] = b2 * self._v[k] + (1.0 - b2) * (g * g)
             m_hat = self._m[k] / (1.0 - b1 ** self._t)
             v_hat = self._v[k] / (1.0 - b2 ** self._t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def snapshot(params: dict) -> dict:

@@ -3,7 +3,14 @@
 ``detect`` chains every stage (pretraining can be skipped by passing a
 checkpoint) and writes all artifacts plus the fully resolved configuration
 under one run directory, so any run can be reproduced byte-for-byte from
-its persisted config and seed.
+its persisted config and seed. ``pretrain`` and ``build-graph`` run detect's
+own stages, so with the same flags they write the same ``checkpoint.npz``
+and ``graph.csv`` bytes. ``sweep`` runs detect over a grid of EM loop counts
+and seeds, pretraining once per seed.
+
+Flag values are checked by their argparse types, and the EM settings of
+every run by ``EmConfig``, before any stage starts: a bad value exits 2 and
+writes nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from . import metrics as metrics_mod
 from .events import (
     Dataset,
     _csv_field,
+    check_fractions,
     load_dataset,
     load_labels,
     save_dataset,
@@ -67,8 +75,7 @@ def _model_config(args) -> SeqModelConfig:
 
 
 def _pretrain(d: Dataset, args) -> SequenceModel:
-    fractions = args.fractions
-    tr, va, _ = train_val_test_split(d, fractions, args.seed)
+    tr, va, _ = train_val_test_split(d, args.fractions, args.seed)
     cfg = TrainConfig(
         epochs=args.epochs,
         lr=args.lr,
@@ -318,32 +325,24 @@ def cmd_sweep(args) -> int:
         raise UsageError("--loops-grid and --seeds must be non-empty")
     if not args.labels:
         raise UsageError("sweep needs --labels to aggregate metrics")
-    _em_config(args)  # fail before any pretraining
+    out_dir = Path(args.out)
+    runs = [argparse.Namespace(**{**vars(args), "loops": loops, "seed": seed,
+                                  "checkpoint": str(out_dir / f"checkpoint-seed{seed}.npz")})
+            for loops in loops_grid for seed in seeds]
+    for sub in runs:
+        _em_config(sub)  # fail before any pretraining
     d = _load_data(args)
     _read_revealed(args, d)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    checkpoints = {}
-    for seed in seeds:  # pretraining depends on the seed only, cache per seed
-        sub = argparse.Namespace(**vars(args))
-        sub.seed = seed
-        ckpt = out_dir / f"checkpoint-seed{seed}.npz"
-        if not ckpt.exists():
-            model = _pretrain(d, sub)
-            model.save(ckpt)
-        checkpoints[seed] = ckpt
+    for sub in runs:  # pretraining depends on the seed only: one checkpoint per seed
+        if not Path(sub.checkpoint).exists():
+            _pretrain(d, sub).save(sub.checkpoint)
 
     per_run = []
-    for loops in loops_grid:
-        for seed in seeds:
-            sub = argparse.Namespace(**vars(args))
-            sub.loops = loops
-            sub.seed = seed
-            sub.checkpoint = str(checkpoints[seed])
-            run_dir = out_dir / f"loops{loops}-seed{seed}"
-            metrics = run_pipeline(sub, run_dir)
-            per_run.append((loops, seed, metrics))
+    for sub in runs:
+        metrics = run_pipeline(sub, out_dir / f"loops{sub.loops}-seed{sub.seed}")
+        per_run.append((sub.loops, sub.seed, metrics))
 
     with (out_dir / "summary.csv").open("w", encoding="utf-8", newline="") as fh:
         head = ["loops", "n_runs"]
@@ -375,8 +374,9 @@ def _add_data_opts(p, with_labels=True):
 
 def _add_train_opts(p):
     p.add_argument("--epochs", type=int, default=100, help="pretraining epoch cap")
-    p.add_argument("--lr", type=float, default=1e-3, help="learning rate (default: 1e-3)")
-    p.add_argument("--weight-decay", type=float, default=1e-5,
+    p.add_argument("--lr", type=_number(0.0, above=True), default=1e-3,
+                   help="learning rate (default: 1e-3)")
+    p.add_argument("--weight-decay", type=_number(0.0), default=1e-5,
                    help="L2 regularization (default: 1e-5)")
     p.add_argument("--batch-size", type=_int_at_least(1), default=64)
     p.add_argument("--patience", type=int, default=10, help="early-stopping patience")
@@ -393,9 +393,9 @@ def _add_train_opts(p):
 def _add_graph_opts(p):
     p.add_argument("--filter", choices=["none", "power", "tl"], default="power",
                    help="edge-weight filter (default: power)")
-    p.add_argument("--p", type=_at_least(1.0), default=3.0,
+    p.add_argument("--p", type=_number(1.0), default=3.0,
                    help="power-filter exponent, >= 1 (default: 3)")
-    p.add_argument("--c", type=_at_least(0.0), default=43200.0,
+    p.add_argument("--c", type=_number(0.0), default=43200.0,
                    help="temporal-overlap threshold in seconds (default: 43200 = 12h)")
 
 
@@ -407,12 +407,12 @@ def _add_em_opts(p):
                    help="single E-step as post-processing, no M-step")
     p.add_argument("--em-epochs", type=int, default=50,
                    help="M-step epoch cap (default: 50, early-stopped)")
-    p.add_argument("--em-lr", type=float, default=1e-3)
+    p.add_argument("--em-lr", type=_number(0.0, above=True), default=1e-3)
     p.add_argument("--estep-tol", type=float, default=1e-6)
     p.add_argument("--estep-iters", type=_int_at_least(1), default=10,
                    help="E-step sweep cap (default: 10)")
     p.add_argument("--schedule", choices=["jacobi", "gauss_seidel"], default="jacobi")
-    p.add_argument("--lam", type=float, default=1.0,
+    p.add_argument("--lam", type=_number(0.0, above=True), default=1.0,
                    help="weight of the assignment term vs the likelihood (default: 1)")
     p.add_argument("--threshold", type=float, default=0.5,
                    help="detection threshold on the coordinated score (default: 0.5)")
@@ -421,15 +421,18 @@ def _add_em_opts(p):
                    help="labels CSV of revealed accounts (semi-supervised)")
 
 
-def _at_least(low: float):
-    """An argparse type: a float no smaller than ``low``."""
+def _number(low: float, above: bool = False):
+    """An argparse type: a finite float no smaller than ``low``, or above it
+    with ``above``."""
+    want = f"a finite number {'>' if above else '>='} {low:g}"
+
     def parse(text: str) -> float:
         try:
             x = float(text)
         except ValueError:
             x = float("nan")
-        if not x >= low:
-            raise argparse.ArgumentTypeError(f"expected a number >= {low:g}, got {text!r}")
+        if not (np.isfinite(x) and (x > low if above else x >= low)):
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
         return x
     return parse
 
@@ -450,10 +453,11 @@ def _int_at_least(low: int, or_zero: bool = False):
 
 
 def _fractions(text: str):
-    parts = tuple(float(x) for x in text.split(","))
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated fractions")
-    return parts
+    """An argparse type: three comma-separated train/val/test fractions."""
+    try:
+        return check_fractions(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,8 +16,10 @@ free-energy functional E_Q[Phi] + H(Q). The row update is
 whose fixed points are exactly the stationary points of the functional
 under this unordered-pair counting. A Jacobi schedule updates all rows from
 a snapshot; the Gauss-Seidel schedule updates rows in place and never
-decreases the free energy. Exhaustive-enumeration versions of the partition
-function and marginals serve as test oracles for small instances.
+decreases the free energy. ``estep_converge`` is the one E-step: it sweeps
+until the beliefs stop moving, and ``max_iter=1`` runs a single sweep.
+Exhaustive-enumeration versions of the partition function and marginals
+serve as test oracles for small instances.
 
 Degree normalization bounds the spectral norm of B by 1, and softmax is
 1/2-Lipschitz, so the update is a contraction whose unique fixed point is
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate
+from .autodiff import Tensor, _accumulate, logsumexp, row_softmax
 from .graph import KnowledgeGraph
 
 __all__ = [
@@ -48,7 +50,6 @@ __all__ = [
     "enumerate_assignments",
     "log_partition_bruteforce",
     "marginals_bruteforce",
-    "estep_update",
     "estep_converge",
     "mean_field_free_energy",
 ]
@@ -93,7 +94,7 @@ class UnaryScorer:
         """
         E_param, E = (E, E.data) if isinstance(E, Tensor) else (None, E)
         h, theta = self._forward(E)
-        lse = _logsumexp(theta, axis=1)[:, None]
+        lse = logsumexp(theta, axis=1, keepdims=True)
         total = (targets * (theta - lse)).sum()
         if scale is None:
             return float(total)
@@ -114,13 +115,14 @@ class UnaryScorer:
 class CrfParams:
     scorer: UnaryScorer
     graph: KnowledgeGraph
-    n_groups: int
 
     def __post_init__(self):
         if self.n_groups < 2:
             raise ValueError("need at least 2 groups")
-        if self.scorer.n_groups != self.n_groups:
-            raise ValueError("scorer output width must equal the group count")
+
+    @property
+    def n_groups(self) -> int:
+        return self.scorer.n_groups
 
     def unary(self, E: np.ndarray) -> np.ndarray:
         return self.scorer.scores(E)
@@ -149,18 +151,6 @@ class MeanField:
     @property
     def n_groups(self) -> int:
         return self.q.shape[1]
-
-
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    """log sum exp(a) along ``axis``, shifted by the maximum (for the oracles)."""
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
 def potential(Y, crf: CrfParams, E: np.ndarray) -> float:
@@ -200,13 +190,13 @@ def _all_potentials(crf: CrfParams, E: np.ndarray) -> np.ndarray:
 
 def log_partition_bruteforce(crf: CrfParams, E: np.ndarray) -> float:
     """log sum_Y exp(Phi(Y)) by exhaustive enumeration (small instances only)."""
-    return float(_logsumexp(_all_potentials(crf, E)))
+    return float(logsumexp(_all_potentials(crf, E)))
 
 
 def marginals_bruteforce(crf: CrfParams, E: np.ndarray) -> MeanField:
     """Exact per-account marginals of P(Y) by enumeration."""
     phi = _all_potentials(crf, E)
-    weights = np.exp(phi - _logsumexp(phi))
+    weights = np.exp(phi - logsumexp(phi))
     n = len(crf.unary(E))
     Y_all = enumerate_assignments(n, crf.n_groups)
     q = np.zeros((n, crf.n_groups))
@@ -218,7 +208,7 @@ def marginals_bruteforce(crf: CrfParams, E: np.ndarray) -> MeanField:
 
 def _sweep(q, theta, B, clamped, schedule):
     if schedule == "jacobi":
-        out = _row_softmax(theta + B @ q)
+        out = row_softmax(theta + B @ q)
         out[clamped] = q[clamped]
         return out
     if schedule == "gauss_seidel":
@@ -226,20 +216,9 @@ def _sweep(q, theta, B, clamped, schedule):
         for u in range(len(q)):
             if clamped[u]:
                 continue
-            logits = theta[u] + B[u] @ out
-            z = logits - logits.max()
-            e = np.exp(z)
-            out[u] = e / e.sum()
+            out[u] = row_softmax(theta[u] + B[u] @ out)
         return out
     raise ValueError(f"unknown schedule {schedule!r}")
-
-
-def estep_update(mf: MeanField, crf: CrfParams, E: np.ndarray,
-                 schedule: str = "jacobi") -> MeanField:
-    """One full sweep of the fixed-point update; clamped rows are skipped."""
-    theta = crf.unary(E)
-    B = crf.coupling()
-    return MeanField(_sweep(mf.q, theta, B, mf.clamped, schedule), mf.clamped.copy())
 
 
 def estep_converge(crf: CrfParams, E: np.ndarray, init: MeanField,
@@ -285,7 +264,7 @@ def mean_field_free_energy(mf: MeanField, crf: CrfParams, E: np.ndarray) -> floa
 def softmax_init(crf: CrfParams, E: np.ndarray, clamp_rows=None,
                  clamp_groups=None) -> MeanField:
     """Unary-only warm start: rows are softmax(theta_u), clamps one-hot."""
-    q = _row_softmax(crf.unary(E))
+    q = row_softmax(crf.unary(E))
     clamped = np.zeros(len(q), dtype=bool)
     if clamp_rows is not None and len(clamp_rows):
         rows = np.asarray(clamp_rows, dtype=np.intp)

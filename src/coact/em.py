@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam
+from .autodiff import Adam, logsumexp
 from .crf import (
     CrfParams,
     MeanField,
     UnaryScorer,
-    _logsumexp,
     _pair_scores,
     enumerate_assignments,
     estep_converge,
@@ -39,7 +38,7 @@ from .crf import (
 )
 from .events import Dataset, train_val_test_split
 from .graph import KnowledgeGraph
-from .pointprocess import SequenceModel, fit
+from .pointprocess import SequenceModel, _check_step_sizes, fit
 
 __all__ = [
     "EmConfig",
@@ -78,8 +77,9 @@ class EmConfig:
             raise ValueError("n_groups must be >= 2")
         if self.n_loops < 1:
             raise ValueError("n_loops must be >= 1")
-        if self.lambda_balance <= 0:
-            raise ValueError("lambda_balance must be positive")
+        if not (np.isfinite(self.lambda_balance) and self.lambda_balance > 0):
+            raise ValueError("lambda_balance must be finite and positive")
+        _check_step_sizes(self.m_step_lr, self.weight_decay)
         if not self.estep_tol > 0:
             raise ValueError("estep_tol must be positive")
         if self.estep_max_iter < 1:
@@ -96,7 +96,6 @@ class DetectionResult:
     labels: np.ndarray        # scores >= threshold
     group_of: np.ndarray      # argmax group per account
     coordinated_group: int
-    revealed_mask: np.ndarray
     history: list = field(default_factory=list)
 
 
@@ -240,7 +239,7 @@ def initialize(
     if graph is None:
         graph = KnowledgeGraph(list(pretrained.accounts),
                                np.zeros((len(E), len(E))), "none")
-    return CrfParams(scorer, graph, n_groups)
+    return CrfParams(scorer, graph)
 
 
 # ---- M-step objective ----
@@ -254,7 +253,7 @@ def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
     lhs = log_partition_bruteforce(crf, E)
     theta = crf.unary(E)
     Y_all = enumerate_assignments(len(theta), crf.n_groups)
-    rhs = float(_pair_scores(crf.coupling(), Y_all).max() + _logsumexp(theta, axis=1).sum())
+    rhs = float(_pair_scores(crf.coupling(), Y_all).max() + logsumexp(theta, axis=1).sum())
     if lhs > rhs + 1e-9:
         raise AssertionError(f"partition-bound violation: {lhs} > {rhs}")
     return lhs, rhs
@@ -302,8 +301,8 @@ def run_em(
     """Full detection: initialize, alternate E/M, score the coordinated group.
 
     ``revealed`` maps account keys to group indices; those beliefs are
-    clamped one-hot through every E-step and their rows are flagged in the
-    result so evaluation can exclude them.
+    clamped one-hot through every E-step, and they pick the coordinated
+    group (``identify_coordinated_group``).
     """
     accounts = d.registry.keys
     if g.accounts != accounts or pretrained.accounts != accounts:
@@ -356,13 +355,8 @@ def run_em(
             record["val_objective_after"] = after
             history.append(record)
 
-    heuristic = "revealed_labels" if revealed else "smaller_cluster"
-    coord = identify_coordinated_group(
-        mf.q, heuristic, revealed_rows=clamp_rows, revealed_groups=clamp_groups
-    )
+    coord = identify_coordinated_group(mf.q, clamp_rows, clamp_groups)
     scores = mf.q[:, coord].copy()
-    revealed_mask = np.zeros(len(accounts), dtype=bool)
-    revealed_mask[clamp_rows] = True
     return DetectionResult(
         accounts=accounts,
         mean_field=mf,
@@ -370,7 +364,6 @@ def run_em(
         labels=(scores >= cfg.threshold).astype(np.intp),
         group_of=mf.q.argmax(axis=1),
         coordinated_group=int(coord),
-        revealed_mask=revealed_mask,
         history=history,
     )
 
@@ -392,39 +385,28 @@ def check_revealed(groups, n_groups: int) -> None:
         raise ValueError("no revealed account is in the coordinated group 1")
 
 
-def identify_coordinated_group(
-    q: np.ndarray,
-    heuristic: str = "smaller_cluster",
-    revealed_rows=None,
-    revealed_groups=None,
-    positive_label: int = 1,
-) -> int:
+def identify_coordinated_group(q: np.ndarray, revealed_rows=None, revealed_groups=None) -> int:
     """Map a group index to the coordinated class.
 
-    ``smaller_cluster`` (binary only) picks the group with smaller expected
-    mass; ``revealed_labels`` picks the group most often assigned to the
-    revealed coordinated accounts. Exact ties raise.
+    With revealed accounts, this is the group most often assigned to the
+    revealed accounts of group 1. Without them (two groups only), it is the
+    group with the smaller expected mass. Exact ties raise.
     """
     q = np.asarray(q, dtype=np.float64)
-    if heuristic == "smaller_cluster":
+    if revealed_rows is None or len(revealed_rows) == 0:
         if q.shape[1] != 2:
-            raise ValueError("smaller_cluster requires exactly 2 groups")
+            raise ValueError("without revealed accounts the groups must be exactly 2")
         masses = q.sum(axis=0)
         if masses[0] == masses[1]:
             raise ValueError("group masses tie exactly; pick the group explicitly")
         return int(masses.argmin())
-    if heuristic == "revealed_labels":
-        if revealed_rows is None or len(revealed_rows) == 0:
-            raise ValueError("revealed_labels heuristic needs revealed accounts")
-        rows = np.asarray(revealed_rows, dtype=np.intp)
-        groups = np.asarray(revealed_groups, dtype=np.intp)
-        coord_rows = rows[groups == positive_label]
-        if len(coord_rows) == 0:
-            raise ValueError("no revealed coordinated accounts")
-        votes = np.bincount(q[coord_rows].argmax(axis=1), minlength=q.shape[1])
-        top = votes.max()
-        winners = np.nonzero(votes == top)[0]
-        if len(winners) > 1:
-            raise ValueError("revealed accounts split evenly; pick the group explicitly")
-        return int(winners[0])
-    raise ValueError(f"unknown heuristic {heuristic!r}")
+    rows = np.asarray(revealed_rows, dtype=np.intp)
+    groups = np.asarray(revealed_groups, dtype=np.intp)
+    coord_rows = rows[groups == 1]
+    if len(coord_rows) == 0:
+        raise ValueError("no revealed coordinated accounts")
+    votes = np.bincount(q[coord_rows].argmax(axis=1), minlength=q.shape[1])
+    winners = np.nonzero(votes == votes.max())[0]
+    if len(winners) > 1:
+        raise ValueError("revealed accounts split evenly; pick the group explicitly")
+    return int(winners[0])

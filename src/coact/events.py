@@ -28,6 +28,7 @@ __all__ = [
     "load_labels",
     "save_labels",
     "split_long_sequences",
+    "check_fractions",
     "train_val_test_split",
 ]
 
@@ -280,14 +281,27 @@ def split_long_sequences(d: Dataset, max_len: int) -> Dataset:
     return Dataset(out, d.registry, d.labels)
 
 
-def train_val_test_split(d: Dataset, fractions, seed: int):
-    """Deterministic sequence-level partition; splits share the registry."""
-    f_tr, f_va, f_te = fractions
-    if min(f_tr, f_va, f_te) <= 0:
-        raise ValueError("fractions must be positive")
-    total = f_tr + f_va + f_te
+def check_fractions(fractions) -> tuple:
+    """The train/val/test ``fractions`` as a tuple of floats.
+
+    Raises ``ValueError`` unless there are three, each finite and positive,
+    and they sum to at most 1.
+    """
+    parts = tuple(float(f) for f in fractions)
+    if len(parts) != 3:
+        raise ValueError(f"expected three fractions, got {len(parts)}")
+    if not all(math.isfinite(f) and f > 0 for f in parts):
+        raise ValueError(f"fractions must be finite and positive, got {parts}")
+    total = parts[0] + parts[1] + parts[2]
     if total > 1.0 + 1e-9:
         raise ValueError(f"fractions sum to {total:g} > 1")
+    return parts
+
+
+def train_val_test_split(d: Dataset, fractions, seed: int):
+    """Deterministic sequence-level partition; splits share the registry."""
+    f_tr, f_va, f_te = check_fractions(fractions)
+    total = f_tr + f_va + f_te
     n = len(d.sequences)
     order = np.random.default_rng(seed).permutation(n)
     n_tr = int(np.floor(f_tr * n + 1e-9))

@@ -12,7 +12,10 @@ accounts join the same "campaign" sequences together, normal accounts join
 independently. Participants are then restricted to an active window, whose
 offset the coordinated block shares (synchronised activity). Joint
 participation drives the co-appearance counts apart; the shared window
-gives the temporal-overlap filter its signal.
+gives the temporal-overlap filter its signal. The planted scenario's rates,
+branching ratios, kernel decay, window width and participation
+probabilities are the module constants below; only the block sizes, the
+signal strength, the seed, the sequence count and the horizon vary.
 """
 
 from __future__ import annotations
@@ -26,17 +29,28 @@ from .events import Dataset, Event, EventSequence
 __all__ = ["HawkesParams", "Participation", "intensity", "simulate", "make_planted_scenario"]
 
 
+# the planted scenario (``make_planted_scenario``)
+BASE_RATE = 1.6e-5             # base intensity of every account, per second
+BACKGROUND_BRANCHING = 0.05    # branching ratio spread over all other accounts
+COORD_BRANCHING = 0.2          # extra in-block branching per unit of strength
+SELF_BRANCHING = 0.3           # every account re-triggers itself (bursts)
+BETA = 2e-3                    # kernel decay rate, per second
+WINDOW_WIDTH = 86_400.0        # active-window width: one day
+PARTICIPATION_PROB = 0.25      # chance that an account joins a sequence
+CAMPAIGN_PROB = 0.3            # fraction of sequences that are campaigns
+
+
 @dataclass
 class Participation:
     """Per-sequence participant sampling.
 
     Members of the campaign set join campaign sequences with ``in_prob`` and
     the rest with ``out_prob``; every other account joins any sequence with
-    its ``base_prob``. All draws are independent across accounts, so equal
+    ``base_prob``. All draws are independent across accounts, so equal
     probabilities mean no correlation at all.
     """
 
-    base_prob: np.ndarray        # (V,) participation probability
+    base_prob: float             # participation probability of non-members
     members: np.ndarray          # (V,) bool, campaign set
     campaign_prob: float = 0.0   # fraction of sequences that are campaigns
     in_prob: float = 1.0
@@ -52,7 +66,7 @@ class HawkesParams:
     accounts: list              # account keys, index-aligned with mu
     planted_labels: dict | None = None   # account key -> group index
     window_width: float | None = None    # active-window width; None = always on
-    window_sync: np.ndarray | None = None  # (V,) sync-group id, -1 = independent
+    window_shared: np.ndarray | None = None  # (V,) bool: these share one window offset
     participation: Participation | None = None
 
     def __post_init__(self):
@@ -78,17 +92,17 @@ class HawkesParams:
 
 
 def intensity(params: HawkesParams, v, t: float, history) -> float:
-    """Conditional intensity of account ``v`` at time ``t`` given past events.
+    """Conditional intensity of account key ``v`` at time ``t`` given past events.
 
     lambda_v(t) = mu_v + sum over history of alpha[v, u] * exp(-beta (t - t_i)).
     """
-    vi = params.accounts.index(v) if isinstance(v, str) else int(v)
-    acc = params.mu[vi]
     index = {a: i for i, a in enumerate(params.accounts)}
+    vi = index[v]
+    acc = params.mu[vi]
     for e in history:
         if e.t >= t:
             raise ValueError("history events must precede the query time")
-        ui = index[e.account] if isinstance(e.account, str) else int(e.account)
+        ui = index[e.account]
         acc += params.alpha[vi, ui] * np.exp(-params.beta * (t - e.t))
     return float(acc)
 
@@ -104,7 +118,7 @@ def _draw_gates(params: HawkesParams, rng):
         active = np.ones(V, dtype=bool)
     else:
         campaign = rng.uniform() < part.campaign_prob
-        probs = np.asarray(part.base_prob, dtype=np.float64).copy()
+        probs = np.full(V, part.base_prob)
         probs[part.members] = part.in_prob if campaign else part.out_prob
         active = rng.uniform(size=V) < probs
 
@@ -112,14 +126,11 @@ def _draw_gates(params: HawkesParams, rng):
         return active, np.zeros(V), np.full(V, params.horizon)
     width = min(params.window_width, params.horizon)
     span = params.horizon - width
+    shared = np.zeros(V, dtype=bool) if params.window_shared is None else params.window_shared
     starts = np.empty(V)
-    sync = params.window_sync
-    if sync is None:
-        sync = np.full(V, -1, dtype=np.intp)
-    group_ids = sorted(set(int(s) for s in sync if s >= 0))
-    group_off = {g: rng.uniform(0.0, span) for g in group_ids}
-    for v in range(V):
-        starts[v] = group_off[int(sync[v])] if sync[v] >= 0 else rng.uniform(0.0, span)
+    if shared.any():
+        starts[shared] = rng.uniform(0.0, span)
+    starts[~shared] = rng.uniform(0.0, span, size=int((~shared).sum()))
     return active, starts, starts + width
 
 
@@ -182,22 +193,14 @@ def make_planted_scenario(
     seed: int,
     n_sequences: int = 120,
     horizon: float = 259_200.0,      # 3 days in seconds
-    base_rate: float = 1.6e-5,
-    background_branching: float = 0.05,
-    coord_branching: float = 0.2,    # extra branching per unit of strength
-    self_branching: float = 0.3,     # every account re-triggers itself (bursts)
-    beta: float = 2e-3,
-    window_width: float | None = 86_400.0,
-    participation_prob: float = 0.25,
-    campaign_prob: float = 0.3,
 ) -> tuple:
     """Build Hawkes parameters with a planted coordinated block and simulate.
 
     Normal accounts join each sequence independently with
-    ``participation_prob`` and draw their own active window. Coordinated
+    ``PARTICIPATION_PROB`` and draw their own active window. Coordinated
     accounts pile onto the same campaign sequences (with probability rising
     in ``strength``), share one window offset there, and excite each other
-    with extra branching ``strength * coord_branching`` (capped for
+    with extra branching ``strength * COORD_BRANCHING`` (capped for
     stationarity). ``strength == 0`` is the no-signal control: couplings,
     participation and windows all match the normal accounts, with every
     draw independent.
@@ -209,40 +212,35 @@ def make_planted_scenario(
     V = n_normal + n_coord
     accounts = [f"acct{v:04d}" for v in range(V)]
     labels = {a: (1 if v >= n_normal else 0) for v, a in enumerate(accounts)}
-    mu = np.full(V, base_rate)
-    a0 = background_branching * beta / (V - 1)
+    mu = np.full(V, BASE_RATE)
+    a0 = BACKGROUND_BRANCHING * BETA / (V - 1)
     alpha = np.full((V, V), a0)
     np.fill_diagonal(alpha, 0.0)
     coord = np.arange(n_normal, V)
     if strength > 0:
-        rho_extra = min(0.6, strength * coord_branching)
-        alpha[np.ix_(coord, coord)] += rho_extra * beta / (n_coord - 1)
-        alpha[coord, coord] = 0.0
-    if self_branching > 0:
-        alpha[np.diag_indices(V)] = self_branching * beta
+        rho_extra = min(0.6, strength * COORD_BRANCHING)
+        alpha[np.ix_(coord, coord)] += rho_extra * BETA / (n_coord - 1)
+    alpha[np.diag_indices(V)] = SELF_BRANCHING * BETA
 
     members = np.zeros(V, dtype=bool)
     members[coord] = True
     mix = 1.0 - np.exp(-0.5 * strength)  # 0 at no signal, -> 1 as strength grows
     participation = Participation(
-        base_prob=np.full(V, participation_prob),
+        base_prob=PARTICIPATION_PROB,
         members=members,
-        campaign_prob=campaign_prob,
-        in_prob=participation_prob + (1.0 - participation_prob) * mix,
-        out_prob=participation_prob * (1.0 - mix),
+        campaign_prob=CAMPAIGN_PROB,
+        in_prob=PARTICIPATION_PROB + (1.0 - PARTICIPATION_PROB) * mix,
+        out_prob=PARTICIPATION_PROB * (1.0 - mix),
     )
-    sync = np.full(V, -1, dtype=np.intp)
-    if strength > 0:
-        sync[coord] = 0
     params = HawkesParams(
         mu=mu,
         alpha=alpha,
-        beta=beta,
+        beta=BETA,
         horizon=horizon,
         accounts=accounts,
         planted_labels=labels,
-        window_width=window_width,
-        window_sync=sync,
+        window_width=WINDOW_WIDTH,
+        window_shared=members if strength > 0 else None,
         participation=participation,
     )
     data = simulate(params, n_sequences, seed)

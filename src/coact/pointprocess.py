@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _accumulate
+from .autodiff import Tensor, _accumulate, logsumexp
 from .events import Dataset, EventSequence
 
 __all__ = [
@@ -50,6 +50,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 NEG_INF = -1e30  # masked attention logit; exp underflows to exactly 0
 FIRST_GAP = 1.0  # decoder gap for the first event of a sequence
 MIN_GAP = 1e-8   # clamp before log; simultaneous events exist
+PE_BASE = 1e4    # position-encoding wavelength base
 
 
 class TrainingDiverged(RuntimeError):
@@ -75,7 +76,7 @@ class SeqModelConfig:
 # Config keys that older checkpoints carry, with the one value the model now
 # uses for each; the three widths were stored as d_feat, or as 0 for d_feat.
 _FOLDED_KEYS = {"tie_mark_head": True, "first_gap": FIRST_GAP, "min_gap": MIN_GAP,
-                "time_density_jacobian": True, "pe_base": 1e4, "time_unit": 1.0}
+                "time_density_jacobian": True, "pe_base": PE_BASE, "time_unit": 1.0}
 _FOLDED_WIDTHS = ("d_attn", "d_context", "d_mark_hidden")
 
 
@@ -106,22 +107,15 @@ class TrainConfig:
     batch_size: int = 64
     patience: int = 10
     seed: int = 0
-    val_fraction: float = 0.15  # used when no validation set is supplied
 
 
-def positional_encoding(length: int, dim: int, base: float = 1e4) -> np.ndarray:
+def positional_encoding(length: int, dim: int) -> np.ndarray:
     """Interleaved sine/cosine encoding, positions 0..length-1."""
     pos = np.arange(length, dtype=np.float64)[:, None]
     j = np.arange(dim, dtype=np.float64)[None, :]
-    angle = pos / base ** (2.0 * np.floor(j / 2.0) / dim)
+    angle = pos / PE_BASE ** (2.0 * np.floor(j / 2.0) / dim)
     pe = np.where(j % 2 == 0, np.sin(angle), np.cos(angle))
     return pe
-
-
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each row, kept as a column."""
-    m = np.max(a, axis=1, keepdims=True)
-    return m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True))
 
 
 class _Prepared(NamedTuple):
@@ -241,7 +235,7 @@ class SequenceModel:
         k = shifted @ p["W_k"].data
         v = shifted @ p["W_v"].data
         S = (q @ k.T) * (1.0 / np.sqrt(self.config.d_feat)) + mask
-        attn = np.exp(S - _logsumexp_rows(S))
+        attn = np.exp(S - logsumexp(S, axis=1, keepdims=True))
         AV = attn @ v
         C = np.tanh(AV @ p["F_W"].data + p["F_b"].data)
         return C, (shifted, q, k, v, attn, AV)
@@ -255,7 +249,7 @@ class SequenceModel:
         # score marks against their embeddings
         logits = hW @ p["E"].data.T + p["mark_b2"].data
         w_logits = C @ p["mix_Ww"].data + p["mix_bw"].data
-        log_w = w_logits - _logsumexp_rows(w_logits)
+        log_w = w_logits - logsumexp(w_logits, axis=1, keepdims=True)
         mu = C @ p["mix_Wmu"].data + p["mix_bmu"].data
         log_s = C @ p["mix_Ws"].data + p["mix_bs"].data
         return h, hW, logits, log_w, mu, log_s
@@ -266,14 +260,14 @@ class SequenceModel:
         X, angles = self._features(seq)
         C, enc = self._encode(X, seq.mask)
         h, hW, logits, log_w, mu, log_s = self._heads(C)
-        log_probs = logits - _logsumexp_rows(logits)
+        log_probs = logits - logsumexp(logits, axis=1, keepdims=True)
         mark = log_probs[np.arange(len(seq.idx)), seq.idx].sum()
 
         inv_s = np.exp(-log_s)
         dev = seq.log_tau - mu
         z = dev * inv_s
         comp = log_w - log_s - 0.5 * LOG_2PI - 0.5 * (z * z)
-        lse = _logsumexp_rows(comp)
+        lse = logsumexp(comp, axis=1, keepdims=True)
         time = lse[:, 0].sum() - seq.log_tau_sum
         cache = (angles, C, enc, h, hW, log_probs, log_w, inv_s, dev, z, comp, lse)
         return float(mark), float(time), cache
@@ -409,7 +403,7 @@ class SequenceModel:
 
     def mark_probs(self, s: EventSequence) -> np.ndarray:
         logits = self._heads(self._context(s))[2]
-        return np.exp(logits - _logsumexp_rows(logits))
+        return np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
 
     def time_mixture(self, s: EventSequence) -> tuple:
         """Per-event mixture parameters (weights, locations, scales)."""
@@ -462,6 +456,7 @@ def fit(params: dict, items, batch_loss, val_fn, *, epochs: int, lr: float,
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    _check_step_sizes(lr, weight_decay)
     opt = ad.Adam(params, lr=lr, weight_decay=weight_decay)
     start = best_val = val_fn()
     best = ad.snapshot(params)
@@ -493,6 +488,15 @@ def fit(params: dict, items, batch_loss, val_fn, *, epochs: int, lr: float,
     return start, best_val, history
 
 
+def _check_step_sizes(lr: float, weight_decay: float) -> None:
+    """Raise ``ValueError`` unless ``lr`` is finite and positive and
+    ``weight_decay`` is finite and non-negative."""
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr!r}")
+    if not (np.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError(f"weight_decay must be finite and non-negative, got {weight_decay!r}")
+
+
 def train(
     d: Dataset,
     cfg: TrainConfig | None = None,
@@ -501,25 +505,16 @@ def train(
 ) -> SequenceModel:
     """Fit by minimizing mean negative log-likelihood with Adam.
 
-    Early stopping monitors validation log-likelihood (an internal split of
-    ``d`` when ``val`` is not given); the best checkpoint is restored.
+    Early stopping monitors the mean log-likelihood of ``val``, or of ``d``
+    itself when ``val`` is not given; the best checkpoint is restored.
     Deterministic given ``cfg.seed``.
     """
     cfg = cfg or TrainConfig()
     if not d.sequences:
         raise ValueError("training dataset is empty")
-    if val is not None:
-        train_seqs, val_seqs = d.sequences, val.sequences
-    elif cfg.val_fraction > 0 and len(d.sequences) >= 5:
-        order = np.random.default_rng(cfg.seed).permutation(len(d.sequences))
-        n_val = max(1, int(cfg.val_fraction * len(d.sequences)))
-        val_seqs = [d.sequences[i] for i in sorted(order[:n_val])]
-        train_seqs = [d.sequences[i] for i in sorted(order[n_val:])]
-    else:
-        train_seqs, val_seqs = d.sequences, d.sequences
-
     model = SequenceModel(d.registry.keys, model_config, seed=cfg.seed)
-    train_items, val_items = model.prepare(train_seqs), model.prepare(val_seqs)
+    train_items = model.prepare(d.sequences)
+    val_items = train_items if val is None else model.prepare(val.sequences)
     # land the log-normal heads on the data's log-gap scale up front;
     # otherwise the time loss swamps every shared gradient for a long time
     logs = np.concatenate([seq.log_tau[:, 0] for seq in train_items])

@@ -1,12 +1,15 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coact.cli import main
 
-SMALL = ["--d-embed", "4", "--d-pos", "4", "--d-time", "4", "--mix-components", "2",
-         "--scorer-hidden", "4", "--epochs", "2", "--em-epochs", "1"]
+TRAIN = ["--d-embed", "4", "--d-pos", "4", "--d-time", "4", "--mix-components", "2",
+         "--epochs", "2"]
+SMALL = [*TRAIN, "--scorer-hidden", "4", "--em-epochs", "1"]
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +101,12 @@ def exit_code(argv):
                                  ["--batch-size", "-3"], ["--estep-iters", "0"],
                                  ["--scorer-hidden", "0"], ["--d-embed", "0"],
                                  ["--mix-components", "0"], ["--max-len", "1"],
-                                 ["--max-len", "-1"]])
+                                 ["--max-len", "-1"], ["--lr", "-1"], ["--lr", "0"],
+                                 ["--lr", "inf"], ["--weight-decay", "-5"],
+                                 ["--weight-decay", "nan"], ["--em-lr", "nan"],
+                                 ["--em-lr", "-1"], ["--lam", "inf"], ["--lam", "nan"],
+                                 ["--fractions", "0.5,0.5,0.5"], ["--fractions", "0,0,1"],
+                                 ["--fractions", "nan,0.1,0.1"], ["--fractions", "inf,0.1,0.1"]])
 def test_bad_detect_config_fails_before_any_stage(tmp_path, data, bad):
     run_dir = tmp_path / "run"
     assert exit_code(["detect", *data, *SMALL, *bad, "--run-dir", str(run_dir)]) == 2
@@ -107,8 +115,45 @@ def test_bad_detect_config_fails_before_any_stage(tmp_path, data, bad):
 
 def test_bad_sweep_config_fails_before_pretraining(tmp_path, data):
     out = tmp_path / "sweep"
-    assert exit_code(["sweep", *data, *SMALL, "--groups", "3", "--out", str(out)]) == 2
-    assert not out.exists()
+    for bad in (["--groups", "3"], ["--loops-grid", "1,0"]):  # 0 loops: the second runs
+        assert exit_code(["sweep", *data, *SMALL, *bad, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def read_csv(path):
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_summarizes_its_runs_and_reuses_its_checkpoints(tmp_path, data):
+    out = tmp_path / "sweep"
+    argv = ["sweep", *data, *SMALL, "--loops-grid", "1,2", "--seeds", "0,1", "--out", str(out)]
+    assert main(argv) == 0
+    summary = read_csv(out / "summary.csv")
+    assert [(row["loops"], row["n_runs"]) for row in summary] == [("1", "2"), ("2", "2")]
+    for row in summary:
+        runs = [{m["metric"]: float(m["value"])
+                 for m in read_csv(out / f"loops{row['loops']}-seed{seed}" / "metrics.csv")}
+                for seed in (0, 1)]
+        for name in runs[0]:
+            xs = np.array([r[name] for r in runs])
+            assert float(row[f"{name}_mean"]) == xs.mean(), name
+            assert float(row[f"{name}_std"]) == xs.std(), name
+    checkpoints = {p.name: p.read_bytes() for p in out.glob("checkpoint-seed*.npz")}
+    assert sorted(checkpoints) == ["checkpoint-seed0.npz", "checkpoint-seed1.npz"]
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in out.glob("checkpoint-seed*.npz")} == checkpoints
+
+
+def test_pretrain_and_build_graph_write_the_bytes_detect_writes(tmp_path, data):
+    graph_flags = ["--filter", "power", "--p", "2"]
+    code, run_dir = detect(tmp_path, "run", *data, *SMALL, *graph_flags, "--seed", "3")
+    assert code == 0
+    ckpt, graph = tmp_path / "pretrained.npz", tmp_path / "graph.csv"
+    assert main(["pretrain", data[0], data[1], *TRAIN, "--seed", "3", "--out", str(ckpt)]) == 0
+    assert main(["build-graph", data[0], data[1], *graph_flags, "--out", str(graph)]) == 0
+    assert ckpt.read_bytes() == (run_dir / "checkpoint.npz").read_bytes()
+    assert graph.read_bytes() == (run_dir / "graph.csv").read_bytes()
 
 
 def test_more_than_two_groups_run_with_revealed_accounts(tmp_path, data):
@@ -126,7 +171,11 @@ def test_more_than_two_groups_run_with_revealed_accounts(tmp_path, data):
 @pytest.mark.parametrize("values", [{"p": 0.5}, {"c": -1}, {"groups": 2.5}, {"epochs": "many"},
                                     {"fractions": [0.5, 0.5]}, {"schedule": "random"},
                                     {"filter": "median"}, {"batch_size": 0}, {"max_len": 1},
-                                    {"estep_iters": 0}, {"d_embed": 0}])
+                                    {"estep_iters": 0}, {"d_embed": 0}, {"lr": -1},
+                                    {"weight_decay": -5}, {"em_lr": float("nan")},
+                                    {"lam": float("inf")}, {"fractions": [0.5, 0.5, 0.5]},
+                                    {"fractions": [0, 0, 1]},
+                                    {"fractions": [float("nan"), 0.1, 0.1]}])
 def test_config_file_values_are_checked_like_flags(tmp_path, data, values):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values), encoding="utf-8")

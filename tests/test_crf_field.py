@@ -10,7 +10,6 @@ from coact.crf import (
     UnaryScorer,
     enumerate_assignments,
     estep_converge,
-    estep_update,
     log_partition_bruteforce,
     marginals_bruteforce,
     mean_field_free_energy,
@@ -18,6 +17,11 @@ from coact.crf import (
     softmax_init,
 )
 from coact.graph import KnowledgeGraph
+
+
+def one_sweep(mf, crf, E, schedule="jacobi"):
+    """One sweep of the fixed-point update."""
+    return estep_converge(crf, E, mf, max_iter=1, schedule=schedule)[0]
 
 
 def zero_scorer(d_embed, n_groups):
@@ -38,7 +42,7 @@ def random_instance(rng, n=None, m=None, coupling_scale=2.0):
     E = rng.normal(size=(n, 3))
     w = np.triu(rng.uniform(0, coupling_scale, (n, n)), 1)
     crf = CrfParams(UnaryScorer(3, m, hidden=6, seed=int(rng.integers(1000))),
-                    graph_of(w + w.T), m)
+                    graph_of(w + w.T))
     return crf, E
 
 
@@ -58,7 +62,7 @@ def exact_kl(q, crf, E):
 def test_potential_unary_only():
     rng = np.random.default_rng(0)
     E = rng.normal(size=(4, 3))
-    crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=1), graph_of(np.zeros((4, 4))), 2)
+    crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=1), graph_of(np.zeros((4, 4))))
     Y = np.array([0, 1, 1, 0])
     theta = crf.unary(E)
     assert potential(Y, crf, E) == pytest.approx(theta[np.arange(4), Y].sum(), abs=1e-12)
@@ -67,7 +71,7 @@ def test_potential_unary_only():
 def test_potential_single_edge_equal_labels():
     # a lone edge normalizes to B = 1 whatever its weight
     for weight in (1.0, 4.0):
-        crf = CrfParams(zero_scorer(3, 2), graph_of([[0, weight], [weight, 0]]), 2)
+        crf = CrfParams(zero_scorer(3, 2), graph_of([[0, weight], [weight, 0]]))
         E = np.zeros((2, 3))
         assert potential(np.array([0, 0]), crf, E) == pytest.approx(1.0, abs=1e-12)
         assert potential(np.array([1, 1]), crf, E) == pytest.approx(1.0, abs=1e-12)
@@ -92,14 +96,14 @@ def test_potential_matches_term_by_term_sum():
 # ---- partition function ----
 
 def test_log_partition_single_node_uniform():
-    crf = CrfParams(zero_scorer(3, 2), graph_of(np.zeros((1, 1))), 2)
+    crf = CrfParams(zero_scorer(3, 2), graph_of(np.zeros((1, 1))))
     E = np.zeros((1, 3))
     assert log_partition_bruteforce(crf, E) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_log_partition_factorizes_for_independent_nodes():
     rng = np.random.default_rng(2)
-    crf = CrfParams(UnaryScorer(3, 3, hidden=5, seed=3), graph_of(np.zeros((2, 2))), 3)
+    crf = CrfParams(UnaryScorer(3, 3, hidden=5, seed=3), graph_of(np.zeros((2, 2))))
     E = rng.normal(size=(2, 3))
     theta = crf.unary(E)
     assert log_partition_bruteforce(crf, E) == pytest.approx(
@@ -107,7 +111,7 @@ def test_log_partition_factorizes_for_independent_nodes():
 
 
 def test_log_partition_guards_large_instances():
-    crf = CrfParams(zero_scorer(3, 2), graph_of(np.zeros((25, 25))), 2)
+    crf = CrfParams(zero_scorer(3, 2), graph_of(np.zeros((25, 25))))
     with pytest.raises(ValueError, match="too large"):
         log_partition_bruteforce(crf, np.zeros((25, 3)))
 
@@ -116,20 +120,20 @@ def test_log_partition_guards_large_instances():
 
 def test_estep_unary_only_is_softmax_and_fixed_point():
     rng = np.random.default_rng(3)
-    crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=4), graph_of(np.zeros((5, 5))), 2)
+    crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=4), graph_of(np.zeros((5, 5))))
     E = rng.normal(size=(5, 3))
     theta = crf.unary(E)
     want = np.exp(theta - logsumexp(theta, axis=1, keepdims=True))
     uniform = MeanField(np.full((5, 2), 0.5))
-    one = estep_update(uniform, crf, E)
+    one = one_sweep(uniform, crf, E)
     np.testing.assert_allclose(one.q, want, atol=1e-12)
-    two = estep_update(one, crf, E)
+    two = one_sweep(one, crf, E)
     np.testing.assert_array_equal(one.q, two.q)
 
 
 def test_estep_unary_only_converges_in_one_iteration():
     rng = np.random.default_rng(4)
-    crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=5), graph_of(np.zeros((4, 4))), 2)
+    crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=5), graph_of(np.zeros((4, 4))))
     E = rng.normal(size=(4, 3))
     mf, iters = estep_converge(crf, E, softmax_init(crf, E), tol=1e-9)
     assert iters == 1
@@ -142,7 +146,7 @@ def test_estep_default_iteration_cap_is_ten():
 
 def test_estep_strong_edge_consensus():
     # the degree normalization caps a single-edge coupling at exactly 1
-    crf = CrfParams(zero_scorer(3, 2), graph_of([[0, 5], [5, 0]]), 2)
+    crf = CrfParams(zero_scorer(3, 2), graph_of([[0, 5], [5, 0]]))
     assert crf.coupling()[0, 1] == 1.0
     E = np.zeros((2, 3))
     exact = marginals_bruteforce(crf, E)
@@ -168,7 +172,7 @@ def test_estep_reports_residual_and_convergence():
     n = 21
     w = np.zeros((n, n))
     w[0, 1:] = w[1:, 0] = 1.0
-    crf = CrfParams(zero_scorer(3, 2), graph_of(w), 2)
+    crf = CrfParams(zero_scorer(3, 2), graph_of(w))
     E = np.zeros((n, 3))
     q0 = np.tile([0.1, 0.9], (n, 1))
     q0[0] = [0.9, 0.1]
@@ -183,7 +187,7 @@ def test_estep_reports_residual_and_convergence():
 
 
 def test_estep_agrees_with_enumeration_marginals_on_tilted_edge():
-    crf = CrfParams(zero_scorer(3, 2), graph_of([[0, 5], [5, 0]]), 2)
+    crf = CrfParams(zero_scorer(3, 2), graph_of([[0, 5], [5, 0]]))
     crf.scorer.params["b2"].data = np.array([0.4, 0.0])  # slight pull to group 0
     E = np.zeros((2, 3))
     mf, _ = estep_converge(crf, E, softmax_init(crf, E),
@@ -202,7 +206,7 @@ def test_estep_clamped_rows_never_move():
     for schedule in ("jacobi", "gauss_seidel"):
         cur = mf
         for _ in range(7):
-            cur = estep_update(cur, crf, E, schedule)
+            cur = one_sweep(cur, crf, E, schedule)
             np.testing.assert_array_equal(cur.q[2], [0.0, 1.0])
 
 
@@ -212,7 +216,7 @@ def test_estep_rows_stay_normalized():
         crf, E = random_instance(rng)
         mf = softmax_init(crf, E)
         for _ in range(5):
-            mf = estep_update(mf, crf, E, "jacobi")
+            mf = one_sweep(mf, crf, E, "jacobi")
             assert np.all(mf.q >= 0)
             np.testing.assert_allclose(mf.q.sum(axis=1), 1.0, atol=1e-9)
 
@@ -224,7 +228,7 @@ def test_gauss_seidel_free_energy_monotone_over_many_instances():
         mf = softmax_init(crf, E)
         f_prev = mean_field_free_energy(mf, crf, E)
         for _ in range(8):
-            mf = estep_update(mf, crf, E, "gauss_seidel")
+            mf = one_sweep(mf, crf, E, "gauss_seidel")
             f = mean_field_free_energy(mf, crf, E)
             assert f >= f_prev - 1e-9
             f_prev = f
@@ -246,28 +250,28 @@ def test_converged_beliefs_satisfy_fixed_point_equation():
 def test_label_permutation_equivariance():
     rng = np.random.default_rng(9)
     crf, E = random_instance(rng, n=5, m=3)
-    mf1 = estep_update(softmax_init(crf, E), crf, E)
+    mf1 = one_sweep(softmax_init(crf, E), crf, E)
     perm = np.array([2, 0, 1])
     # permute the scorer's output columns
     crf.scorer.params["W2"].data = crf.scorer.params["W2"].data[:, perm]
     crf.scorer.params["b2"].data = crf.scorer.params["b2"].data[perm]
-    mf2 = estep_update(softmax_init(crf, E), crf, E)
+    mf2 = one_sweep(softmax_init(crf, E), crf, E)
     np.testing.assert_allclose(mf2.q, mf1.q[:, perm], atol=1e-12)
 
 
 def test_unary_shift_invariance():
     rng = np.random.default_rng(10)
     crf, E = random_instance(rng, n=4, m=2)
-    mf1 = estep_update(softmax_init(crf, E), crf, E)
+    mf1 = one_sweep(softmax_init(crf, E), crf, E)
     crf.scorer.params["b2"].data = crf.scorer.params["b2"].data + 7.5  # same shift per group
-    mf2 = estep_update(softmax_init(crf, E), crf, E)
+    mf2 = one_sweep(softmax_init(crf, E), crf, E)
     np.testing.assert_allclose(mf2.q, mf1.q, atol=1e-12)
 
 
 # ---- free energy and KL ----
 
 def test_free_energy_pure_entropy():
-    crf = CrfParams(zero_scorer(3, 2), graph_of(np.zeros((3, 3))), 2)
+    crf = CrfParams(zero_scorer(3, 2), graph_of(np.zeros((3, 3))))
     E = np.zeros((3, 3))
     mf = MeanField(np.full((3, 2), 0.5))
     assert mean_field_free_energy(mf, crf, E) == pytest.approx(3 * np.log(2), abs=1e-12)
@@ -296,7 +300,7 @@ def test_kl_identity_against_enumeration():
 
 def test_marginals_independent_nodes_are_softmax():
     rng = np.random.default_rng(13)
-    crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=14), graph_of(np.zeros((4, 4))), 2)
+    crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=14), graph_of(np.zeros((4, 4))))
     E = rng.normal(size=(4, 3))
     theta = crf.unary(E)
     want = np.exp(theta - logsumexp(theta, axis=1, keepdims=True))
@@ -304,7 +308,7 @@ def test_marginals_independent_nodes_are_softmax():
 
 
 def test_marginals_symmetric_instance_swap_invariant():
-    crf = CrfParams(zero_scorer(3, 2), graph_of([[0, 2], [2, 0]]), 2)
+    crf = CrfParams(zero_scorer(3, 2), graph_of([[0, 2], [2, 0]]))
     E = np.zeros((2, 3))
     q = marginals_bruteforce(crf, E).q
     np.testing.assert_allclose(q[0], q[1], atol=1e-12)

@@ -66,7 +66,7 @@ def test_result_files_round_trip_any_key(tmp_path_factory, keys, seed):
     result = DetectionResult(
         accounts=keys, mean_field=MeanField(q), scores=scores,
         labels=(scores >= 0.5).astype(np.intp), group_of=q.argmax(axis=1),
-        coordinated_group=1, revealed_mask=np.zeros(len(keys), dtype=bool))
+        coordinated_group=1)
     tmp = tmp_path_factory.mktemp("result")
     write_result_csv(result, tmp / "result.csv")
     write_q_csv(result, tmp / "q_matrix.csv")

@@ -46,6 +46,15 @@ def test_em_config_rejects_sizes_below_one(bad):
         EmConfig(**bad)
 
 
+@pytest.mark.parametrize("bad", [{"lambda_balance": np.nan}, {"lambda_balance": np.inf},
+                                 {"m_step_lr": np.nan}, {"m_step_lr": -1.0},
+                                 {"weight_decay": np.inf}, {"weight_decay": -5.0}])
+def test_em_config_rejects_non_finite_or_out_of_range_rates(bad):
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match="lr" if name == "m_step_lr" else name):
+        EmConfig(**bad)
+
+
 def test_prop1_bound_holds_and_is_tight_without_edges():
     rng = np.random.default_rng(12)
     n_tight = 0
@@ -56,7 +65,7 @@ def test_prop1_bound_holds_and_is_tight_without_edges():
         if i % 4 == 0:
             w[:] = 0.0
         crf = CrfParams(UnaryScorer(3, m, hidden=6, seed=i),
-                        KnowledgeGraph([f"u{j}" for j in range(n)], w + w.T, "none"), m)
+                        KnowledgeGraph([f"u{j}" for j in range(n)], w + w.T, "none"))
         lhs, rhs = check_prop1_bound(crf, E)
         assert lhs <= rhs + 1e-9
         if not w.any():
@@ -220,16 +229,15 @@ def test_run_em_matches_the_tape_bit_for_bit(monkeypatch):
 
 def test_identify_coordinated_group_raises_on_exact_ties():
     with pytest.raises(ValueError, match="tie"):
-        em.identify_coordinated_group(np.array([[0.9, 0.1], [0.1, 0.9]]), "smaller_cluster")
+        em.identify_coordinated_group(np.array([[0.9, 0.1], [0.1, 0.9]]))
     q = np.array([[0.8, 0.2], [0.3, 0.7], [0.6, 0.4]])
     with pytest.raises(ValueError, match="split evenly"):
-        em.identify_coordinated_group(q, "revealed_labels", revealed_rows=[0, 1, 2],
-                                      revealed_groups=[1, 1, 0])
+        em.identify_coordinated_group(q, revealed_rows=[0, 1, 2], revealed_groups=[1, 1, 0])
 
 
 def test_identify_coordinated_group_picks_the_revealed_majority_of_three_groups():
     q = np.array([[0.1, 0.2, 0.7], [0.5, 0.1, 0.4], [0.2, 0.2, 0.6], [0.1, 0.8, 0.1]])
     # accounts 0-2 are revealed coordinated: two vote group 2, one group 0;
     # account 3 is revealed normal and does not vote
-    assert em.identify_coordinated_group(q, "revealed_labels", revealed_rows=[0, 1, 2, 3],
+    assert em.identify_coordinated_group(q, revealed_rows=[0, 1, 2, 3],
                                          revealed_groups=[1, 1, 1, 0]) == 2

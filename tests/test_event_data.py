@@ -201,3 +201,11 @@ def test_split_is_partition():
 def test_split_rejects_oversum():
     with pytest.raises(ValueError):
         train_val_test_split(make_dataset(10), (0.8, 0.3, 0.1), seed=0)
+
+
+@pytest.mark.parametrize("fractions,message", [
+    ((0, 0, 1), "positive"), ((float("nan"), 0.1, 0.1), "finite"),
+    ((float("inf"), 0.1, 0.1), "finite"), ((0.5, 0.5), "three")])
+def test_split_rejects_fractions_that_are_not_three_finite_positive_parts(fractions, message):
+    with pytest.raises(ValueError, match=message):
+        train_val_test_split(make_dataset(10), fractions, seed=0)

@@ -209,7 +209,7 @@ def test_pairwise_potential_values():
     scorer = UnaryScorer(3, 2, hidden=4, seed=0)
     scorer.params["W2"].data = np.zeros_like(scorer.params["W2"].data)
     scorer.params["b2"].data = np.zeros_like(scorer.params["b2"].data)
-    crf = CrfParams(scorer, g, 2)
+    crf = CrfParams(scorer, g)
     E = np.zeros((2, 3))
     assert potential(np.array([1, 1]), crf, E) == 1.0
     assert potential(np.array([0, 1]), crf, E) == 0.0

@@ -321,7 +321,7 @@ def test_batch_gradient_is_sum_of_sequence_gradients():
 def test_training_loss_non_increasing_smoothed():
     rng = np.random.default_rng(5)
     d = random_dataset(rng, n_accounts=5, n_sequences=20)
-    cfg = TrainConfig(epochs=12, batch_size=32, patience=12, seed=0, val_fraction=0.0)
+    cfg = TrainConfig(epochs=12, batch_size=32, patience=12, seed=0)
     m = train(d, cfg, TINY)
     nll = np.array([h["train_loss"] for h in m.history])
     smooth = np.convolve(nll, np.ones(3) / 3, mode="valid")
@@ -363,12 +363,22 @@ def test_fit_rejects_a_batch_size_below_one(batch_size):
             rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("lr,weight_decay", [(np.nan, 0.0), (0.0, 0.0), (-0.1, 0.0),
+                                             (np.inf, 0.0), (0.1, -1.0), (0.1, np.nan)])
+def test_fit_rejects_non_finite_or_out_of_range_step_sizes(lr, weight_decay):
+    x = Tensor(np.zeros(2))
+    with pytest.raises(ValueError, match="lr" if weight_decay == 0.0 else "weight_decay"):
+        fit({"x": x}, [1, 2, 3], lambda batch: 0.0, lambda: 0.0, epochs=2, lr=lr,
+            weight_decay=weight_decay, batch_size=2, patience=2,
+            rng=np.random.default_rng(0))
+
+
 def test_training_beats_untrained_on_heldout():
     rng = np.random.default_rng(6)
     d = random_dataset(rng, n_accounts=5, n_sequences=24)
     held = Dataset(d.sequences[-4:], d.registry)
     fit_on = Dataset(d.sequences[:-4], d.registry)
-    cfg = TrainConfig(epochs=15, batch_size=32, patience=15, seed=0, val_fraction=0.0)
+    cfg = TrainConfig(epochs=15, batch_size=32, patience=15, seed=0)
     trained = train(fit_on, cfg, TINY)
     untrained = SequenceModel(d.registry.keys, TINY, seed=0)
     ll_trained = sum(trained.log_likelihood(s) for s in held.sequences)

@@ -254,8 +254,6 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
 def cmd_synth(args) -> int:
     if args.coord < 2:
         raise UsageError("--coord must be >= 2")
-    if args.strength < 0:
-        raise UsageError("--strength must be non-negative")
     _, data = make_planted_scenario(
         args.normal, args.coord, args.strength, args.seed,
         n_sequences=args.sequences, horizon=args.horizon,
@@ -282,8 +280,8 @@ def cmd_build_graph(args) -> int:
     d = _load_data(args)
     g = _build_graph(d, args)
     graph_mod.save_graph(g, args.out)
-    nnz = int(np.count_nonzero(g.w)) // 2
-    print(f"wrote graph [{g.filter_tag}] with {g.n} accounts, {nnz} edges -> {args.out}")
+    print(f"wrote graph [{g.filter_tag}] with {g.n} accounts, {len(g.weight)} edges "
+          f"-> {args.out}")
     return 0
 
 
@@ -366,24 +364,25 @@ def _add_data_opts(p, with_labels=True):
     p.add_argument("--data", required=True, help="dataset file (JSON-lines or CSV)")
     if with_labels:
         p.add_argument("--labels", default=None, help="truth labels CSV (account,group)")
-    p.add_argument("--min-account-count", type=int, default=0,
+    p.add_argument("--min-account-count", type=_int_at_least(0), default=0,
                    help="drop accounts with fewer events than this (default: off)")
     p.add_argument("--max-len", type=_int_at_least(2, or_zero=True), default=128,
                    help="split sequences longer than this, 0 = do not split (default: 128)")
 
 
 def _add_train_opts(p):
-    p.add_argument("--epochs", type=int, default=100, help="pretraining epoch cap")
+    p.add_argument("--epochs", type=_int_at_least(1), default=100, help="pretraining epoch cap")
     p.add_argument("--lr", type=_number(0.0, above=True), default=1e-3,
                    help="learning rate (default: 1e-3)")
     p.add_argument("--weight-decay", type=_number(0.0), default=1e-5,
                    help="L2 regularization (default: 1e-5)")
     p.add_argument("--batch-size", type=_int_at_least(1), default=64)
-    p.add_argument("--patience", type=int, default=10, help="early-stopping patience")
+    p.add_argument("--patience", type=_int_at_least(1), default=10,
+                   help="early-stopping patience")
     p.add_argument("--d-embed", type=_int_at_least(1), default=64,
                    help="account embedding width")
-    p.add_argument("--d-pos", type=int, default=8)
-    p.add_argument("--d-time", type=int, default=8)
+    p.add_argument("--d-pos", type=_int_at_least(0), default=8)
+    p.add_argument("--d-time", type=_int_at_least(0), default=8)
     p.add_argument("--mix-components", type=_int_at_least(1), default=32,
                    help="log-normal mixture size (default: 32)")
     p.add_argument("--fractions", type=_fractions, default=(0.70, 0.15, 0.15),
@@ -405,33 +404,35 @@ def _add_em_opts(p):
                    help="EM loops; pick from {1,2,3} on validation (default: 1)")
     p.add_argument("--estep-only", action="store_true",
                    help="single E-step as post-processing, no M-step")
-    p.add_argument("--em-epochs", type=int, default=50,
+    p.add_argument("--em-epochs", type=_int_at_least(1), default=50,
                    help="M-step epoch cap (default: 50, early-stopped)")
     p.add_argument("--em-lr", type=_number(0.0, above=True), default=1e-3)
-    p.add_argument("--estep-tol", type=float, default=1e-6)
+    p.add_argument("--estep-tol", type=_number(0.0, above=True), default=1e-6)
     p.add_argument("--estep-iters", type=_int_at_least(1), default=10,
                    help="E-step sweep cap (default: 10)")
     p.add_argument("--schedule", choices=["jacobi", "gauss_seidel"], default="jacobi")
     p.add_argument("--lam", type=_number(0.0, above=True), default=1.0,
                    help="weight of the assignment term vs the likelihood (default: 1)")
-    p.add_argument("--threshold", type=float, default=0.5,
+    p.add_argument("--threshold", type=_number(0.0, at_most=1.0), default=0.5,
                    help="detection threshold on the coordinated score (default: 0.5)")
     p.add_argument("--scorer-hidden", type=_int_at_least(1), default=64)
     p.add_argument("--revealed", default=None,
                    help="labels CSV of revealed accounts (semi-supervised)")
 
 
-def _number(low: float, above: bool = False):
+def _number(low: float, above: bool = False, at_most: float = np.inf):
     """An argparse type: a finite float no smaller than ``low``, or above it
-    with ``above``."""
+    with ``above``, and no larger than ``at_most``."""
     want = f"a finite number {'>' if above else '>='} {low:g}"
+    if at_most < np.inf:
+        want += f" and <= {at_most:g}"
 
     def parse(text: str) -> float:
         try:
             x = float(text)
         except ValueError:
             x = float("nan")
-        if not (np.isfinite(x) and (x > low if above else x >= low)):
+        if not (np.isfinite(x) and (x > low if above else x >= low) and x <= at_most):
             raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
         return x
     return parse
@@ -471,10 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a planted-group synthetic dataset")
     p.add_argument("--normal", type=int, default=80)
     p.add_argument("--coord", type=int, default=20)
-    p.add_argument("--strength", type=float, default=2.0)
+    p.add_argument("--strength", type=_number(0.0), default=2.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sequences", type=int, default=150)
-    p.add_argument("--horizon", type=float, default=259200.0)
+    p.add_argument("--sequences", type=_int_at_least(1), default=150)
+    p.add_argument("--horizon", type=_number(0.0, above=True), default=259200.0)
     p.add_argument("--out", default="synth.jsonl")
     p.add_argument("--labels", default="synth_labels.csv")
     p.set_defaults(func=cmd_synth)
@@ -483,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["jsonl", "csv"], default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--min-account-count", type=int, default=0)
+    p.add_argument("--min-account-count", type=_int_at_least(0), default=0)
     p.add_argument("--max-len", type=_int_at_least(2, or_zero=True), default=0,
                    help="split sequences longer than this, 0 = do not split (default: 0)")
     p.set_defaults(func=cmd_ingest)
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--exclude", default=None,
                    help="labels CSV of accounts to exclude (e.g. revealed)")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_number(0.0, at_most=1.0), default=0.5)
     p.add_argument("--out", default=None, help="metrics CSV path")
     p.set_defaults(func=cmd_eval)
 

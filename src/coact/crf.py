@@ -18,6 +18,10 @@ under this unordered-pair counting. A Jacobi schedule updates all rows from
 a snapshot; the Gauss-Seidel schedule updates rows in place and never
 decreases the free energy. ``estep_converge`` is the one E-step: it sweeps
 until the beliefs stop moving, and ``max_iter=1`` runs a single sweep.
+B is never formed in a sweep: ``KnowledgeGraph.couple`` sums
+sum_v B_uv Q_v over the graph's edge list, for all rows at once (Jacobi)
+or for one row (Gauss-Seidel), so a sweep costs time and memory in
+proportion to the number of edges.
 Exhaustive-enumeration versions of the partition function and marginals
 serve as test oracles for small instances.
 
@@ -206,9 +210,9 @@ def marginals_bruteforce(crf: CrfParams, E: np.ndarray) -> MeanField:
     return MeanField(q)
 
 
-def _sweep(q, theta, B, clamped, schedule):
+def _sweep(q, theta, g, clamped, schedule):
     if schedule == "jacobi":
-        out = row_softmax(theta + B @ q)
+        out = row_softmax(theta + g.couple(q))
         out[clamped] = q[clamped]
         return out
     if schedule == "gauss_seidel":
@@ -216,7 +220,7 @@ def _sweep(q, theta, B, clamped, schedule):
         for u in range(len(q)):
             if clamped[u]:
                 continue
-            out[u] = row_softmax(theta[u] + B[u] @ out)
+            out[u] = row_softmax(theta[u] + g.couple(out, u))
         return out
     raise ValueError(f"unknown schedule {schedule!r}")
 
@@ -234,13 +238,12 @@ def estep_converge(crf: CrfParams, E: np.ndarray, init: MeanField,
     if tol <= 0:
         raise ValueError("tol must be positive")
     theta = crf.unary(E)
-    B = crf.coupling()
     q = init.q.copy()
     clamped = init.clamped.copy()
     iterations = 0
     delta = np.inf
     for iterations in range(1, max_iter + 1):
-        q_next = _sweep(q, theta, B, clamped, schedule)
+        q_next = _sweep(q, theta, crf.graph, clamped, schedule)
         delta = float(np.max(np.abs(q_next - q))) if len(q) else 0.0
         q = q_next
         if delta < tol:
@@ -251,10 +254,9 @@ def estep_converge(crf: CrfParams, E: np.ndarray, init: MeanField,
 def mean_field_free_energy(mf: MeanField, crf: CrfParams, E: np.ndarray) -> float:
     """E_Q[Phi] + H(Q); log Z minus this value is the exact KL(Q || P)."""
     theta = crf.unary(E)
-    B = crf.coupling()
     q = mf.q
     expected_unary = float((q * theta).sum())
-    expected_pair = 0.5 * float((B * (q @ q.T)).sum())  # B has zero diagonal
+    expected_pair = 0.5 * float((q * crf.graph.couple(q)).sum())  # B has zero diagonal
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(q > 0, q * np.log(q), 0.0)
     entropy = -float(plogp.sum())

@@ -80,8 +80,12 @@ class EmConfig:
         if not (np.isfinite(self.lambda_balance) and self.lambda_balance > 0):
             raise ValueError("lambda_balance must be finite and positive")
         _check_step_sizes(self.m_step_lr, self.weight_decay)
-        if not self.estep_tol > 0:
-            raise ValueError("estep_tol must be positive")
+        if self.m_step_epochs < 1 or self.patience < 1:
+            raise ValueError("m_step_epochs and patience must be >= 1")
+        if not (np.isfinite(self.estep_tol) and self.estep_tol > 0):
+            raise ValueError("estep_tol must be finite and positive")
+        if not 0 <= self.threshold <= 1:
+            raise ValueError("threshold must be in [0, 1]")
         if self.estep_max_iter < 1:
             raise ValueError("estep_max_iter must be >= 1")
         if self.batch_size < 1:
@@ -237,8 +241,7 @@ def initialize(
             stale = 0
         last = loss
     if graph is None:
-        graph = KnowledgeGraph(list(pretrained.accounts),
-                               np.zeros((len(E), len(E))), "none")
+        graph = KnowledgeGraph(list(pretrained.accounts), [], [], [], "none")
     return CrfParams(scorer, graph)
 
 

@@ -6,13 +6,21 @@ and a temporal-overlap rule that only counts a sequence when the accounts'
 [first, last] activity intervals inside it overlap by more than a
 threshold. The pairwise potential used downstream normalizes each edge by
 1/sqrt(d_u d_v), which is where low-value edges get suppressed.
+
+A graph is stored as a sorted upper-triangle edge list ``(u, v, weight)``,
+so its memory grows with the number of edges, not with the square of the
+number of accounts. The builders count the account pairs of each sequence
+directly, and the E-step applies the coupling through
+``KnowledgeGraph.couple``. Dense (V, V) views (``w``, ``coupling()``) are
+built on demand for tests and small instances.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,66 +37,100 @@ __all__ = [
 ]
 
 
-# Whole-matrix passes over a dense (V, V) array run in blocks of rows with
-# about this many entries, so their temporaries stay small next to the array.
-BLOCK_ENTRIES = 2 ** 20
-
-
-def _row_blocks(n: int):
-    """Slices covering rows 0..n of an (n, n) array, about BLOCK_ENTRIES each."""
-    step = max(1, BLOCK_ENTRIES // max(n, 1))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+# couple() sums this many edges at a time, or one per account if that is
+# more: its temporaries stay small, and zeroing its per-account sums costs
+# no more than the edges do
+COUPLE_EDGES = 2 ** 16
 
 
 @dataclass
 class KnowledgeGraph:
-    """Account keys and their dense (V, V) edge weights, validated on creation.
+    """Account keys and a sorted upper-triangle edge list, validated on creation.
 
-    The checks run in row blocks of about BLOCK_ENTRIES entries, in this
-    order, and give the same verdicts as the whole-matrix tests
-    ``np.allclose(w, w.T)``, ``diag(w) == 0`` and ``isfinite(w) & (w >= 0)``:
-
-    - symmetry: each block of rows equals the matching block of columns
-      exactly, or failing that within ``np.allclose``'s tolerances;
-    - a zero diagonal;
-    - every weight in [0, inf), one comparison pair per block, which also
-      rejects NaN.
+    Edge k joins accounts ``u[k] < v[k]`` with weight ``weight[k]``. The
+    edges are sorted row-major (by u, then by v) and distinct, and every
+    weight is finite and positive; a pair without an edge has weight 0. So
+    the weights are those of a symmetric (V, V) matrix with a zero diagonal.
     """
 
-    accounts: list             # account keys, index-aligned with w
-    w: np.ndarray              # (V, V) symmetric, zero diagonal, >= 0
+    accounts: list             # account keys; u and v index into them
+    u: np.ndarray              # (E,) first account of each edge
+    v: np.ndarray              # (E,) second account of each edge, u < v
+    weight: np.ndarray         # (E,) finite, > 0
     filter_tag: str = "none"
-    deg: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        w = self.w
-        n = len(self.accounts)
-        if w.shape != (n, n):
-            raise ValueError("weight matrix must be square over the accounts")
-        if not all(np.array_equal(w[rows], w[:, rows].T) or np.allclose(w[rows], w[:, rows].T)
-                   for rows in _row_blocks(n)):
-            raise ValueError("weight matrix must be symmetric")
-        if np.any(np.diag(w) != 0):
-            raise ValueError("diagonal must be zero")
-        for rows in _row_blocks(n):
-            b = w[rows]
-            if not ((b >= 0) & (b < np.inf)).all():
-                raise ValueError("weights must be finite and non-negative")
-        self.deg = w.sum(axis=1)
+        self.u = np.asarray(self.u, dtype=np.intp)
+        self.v = np.asarray(self.v, dtype=np.intp)
+        self.weight = np.asarray(self.weight, dtype=np.float64)
+        u, v, w, n = self.u, self.v, self.weight, self.n
+        if not (u.ndim == 1 and u.shape == v.shape == w.shape):
+            raise ValueError("u, v and weight must be vectors of one length")
+        if len(u) and not (u.min() >= 0 and v.max() < n and (u < v).all()):
+            raise ValueError("edges must join two accounts u < v")
+        if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+            raise ValueError("edges must be sorted row-major and distinct")
+        if not ((w > 0) & (w < np.inf)).all():
+            raise ValueError("weights must be finite and positive")
 
     @property
     def n(self) -> int:
         return len(self.accounts)
 
-    def coupling(self) -> np.ndarray:
-        """Degree-normalized weights w_uv / sqrt(d_u d_v); 0 for isolated nodes."""
-        d = self.deg
-        out = np.zeros_like(self.w)
-        for rows in _row_blocks(self.n):
-            denom = np.sqrt(np.outer(d[rows], d))
-            np.divide(self.w[rows], denom, out=out[rows], where=denom > 0)
+    @cached_property
+    def deg(self) -> np.ndarray:
+        """(V,) weighted degree of each account."""
+        return np.bincount(self.u, self.weight, self.n) + np.bincount(self.v, self.weight, self.n)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """(E,) per-edge coupling w_uv / sqrt(d_u d_v), computed once."""
+        return self.weight / np.sqrt(self.deg[self.u] * self.deg[self.v])
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """Both orientations of every edge grouped by row: (row starts, columns, couplings)."""
+        rows = np.concatenate([self.u, self.v])
+        order = np.argsort(rows, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))])
+        return (starts, np.concatenate([self.v, self.u])[order],
+                np.concatenate([self.b, self.b])[order])
+
+    def couple(self, q: np.ndarray, row: int | None = None) -> np.ndarray:
+        """sum_v B_uv q_v for every account u, as a (V, M) array like ``q``.
+
+        The sums run over the edges with ``np.bincount`` on both ends. With
+        ``row``, only that account's (M,) sum, from its slice of a layout
+        that lists both orientations of each edge by row; that layout is
+        built on the first such call.
+        """
+        if row is not None:
+            starts, cols, b = self._rows
+            lo, hi = starts[row], starts[row + 1]
+            return b[lo:hi] @ q[cols[lo:hi]]
+        out = np.zeros_like(q)
+        step = max(COUPLE_EDGES, self.n)
+        for lo in range(0, len(self.u), step):
+            u, v, b = self.u[lo:lo + step], self.v[lo:lo + step], self.b[lo:lo + step]
+            for m in range(q.shape[1]):
+                qm = q[:, m]
+                out[:, m] += np.bincount(u, b * qm[v], self.n) + np.bincount(v, b * qm[u], self.n)
         return out
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.n, self.n))
+        out[self.u, self.v] = values
+        out[self.v, self.u] = values
+        return out
+
+    @property
+    def w(self) -> np.ndarray:
+        """Dense (V, V) weights, built on each access: for tests and small instances."""
+        return self._dense(self.weight)
+
+    def coupling(self) -> np.ndarray:
+        """Dense (V, V) coupling B, built on each call: for tests and small instances."""
+        return self._dense(self.b)
 
 
 def _participants(d: Dataset):
@@ -110,32 +152,60 @@ def _participants(d: Dataset):
                np.fromiter(last.values(), dtype=np.float64))
 
 
+def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
+    """Edge arrays (u, v, count): the number of sequences holding both accounts.
+
+    Each sequence gives the sorted pair keys u * V + v of its participants,
+    and the keys of all sequences are counted at once. With ``c``, a pair
+    counts in a sequence only when its active intervals there overlap by
+    more than ``c``.
+    """
+    if not d.sequences:
+        raise ValueError("dataset is empty")
+    V = len(d.registry)
+    keys = []
+    for idx, lo, hi in _participants(d):
+        order = np.argsort(idx)
+        idx = idx[order]
+        iu, iv = np.triu_indices(len(idx), 1)
+        pairs = idx[iu] * V + idx[iv]
+        if c is not None:
+            lo, hi = lo[order], hi[order]
+            pairs = pairs[np.minimum(hi[iu], hi[iv]) - np.maximum(lo[iu], lo[iv]) > c]
+        keys.append(pairs)
+    # np.unique(keys, return_counts=True), sorting in place and dropping
+    # each array once it is used up, so fewer copies are alive at once
+    keys = np.concatenate(keys)
+    keys.sort()
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    n_pairs = len(keys)
+    keys = keys[first]
+    counts = np.diff(first, append=n_pairs)
+    del first
+    counts = counts.astype(np.float64)
+    u, v = np.divmod(keys, V)
+    return u, v, counts
+
+
 def co_occurrence(d: Dataset) -> KnowledgeGraph:
     """Raw weights: number of sequences containing both accounts.
 
     Presence counts once per sequence regardless of how often an account
     appears in it.
     """
-    if not d.sequences:
-        raise ValueError("dataset is empty")
-    V = len(d.registry)
-    w = np.zeros((V, V))
-    for idx, _, _ in _participants(d):
-        w[np.ix_(idx, idx)] += 1.0
-    np.fill_diagonal(w, 0.0)
-    return KnowledgeGraph(d.registry.keys, w, "none")
+    return KnowledgeGraph(d.registry.keys, *_pair_counts(d), "none")
 
 
 def filter_power(g: KnowledgeGraph, p: float) -> KnowledgeGraph:
-    """Elementwise p-th power of the raw co-occurrence counts."""
+    """Elementwise p-th power of the raw co-occurrence counts; same edges."""
     if p < 1:
         raise ValueError("power exponent must be >= 1")
     if g.filter_tag != "none":
         raise ValueError(f"expected raw co-occurrence weights, got {g.filter_tag!r}")
-    # pow(0, p) = 0 for p >= 1, so only the edges need the power
-    w = np.zeros_like(g.w)
-    np.power(g.w, p, out=w, where=g.w != 0)
-    return KnowledgeGraph(g.accounts, w, f"power(p={p:g})")
+    return KnowledgeGraph(g.accounts, g.u, g.v, np.power(g.weight, p), f"power(p={p:g})")
 
 
 def filter_temporal_logic(d: Dataset, c: float) -> KnowledgeGraph:
@@ -147,15 +217,7 @@ def filter_temporal_logic(d: Dataset, c: float) -> KnowledgeGraph:
     """
     if c < 0:
         raise ValueError("overlap threshold must be non-negative")
-    if not d.sequences:
-        raise ValueError("dataset is empty")
-    V = len(d.registry)
-    w = np.zeros((V, V))
-    for idx, lo, hi in _participants(d):
-        overlap = np.minimum.outer(hi, hi) - np.maximum.outer(lo, lo)
-        w[np.ix_(idx, idx)] += overlap > c
-    np.fill_diagonal(w, 0.0)
-    return KnowledgeGraph(d.registry.keys, w, f"temporal_logic(c={c:g})")
+    return KnowledgeGraph(d.registry.keys, *_pair_counts(d, c), f"temporal_logic(c={c:g})")
 
 
 # Pads the fixed-width byte rows that save_graph assembles its lines from.
@@ -172,8 +234,12 @@ def _fixed_width(items: list) -> np.ndarray:
     return rows
 
 
+# save_graph assembles about this many bytes of lines at once
+_LINE_BYTES = 2 ** 23
+
+
 def save_graph(g: KnowledgeGraph, path) -> None:
-    """CSV triplets ``u,v,weight`` (upper triangle, nonzero), tagged header.
+    """CSV triplets ``u,v,weight``, one line per edge in edge order, tagged header.
 
     Keys are quoted CSV-style where they need it (``csv.reader`` reads them
     back) and weights are written with ``repr``. Each line is assembled from
@@ -181,27 +247,27 @@ def save_graph(g: KnowledgeGraph, path) -> None:
     holding the weight and the newline.
     """
     keys = _fixed_width([f"{_csv_field(a)},".encode("utf-8") for a in g.accounts])
+    # a float's repr and its newline take at most 25 bytes
+    step = max(1, _LINE_BYTES // (2 * keys.shape[1] + 25))
     with Path(path).open("wb") as fh:
         fh.write(f"# filter_tag={g.filter_tag} accounts={json.dumps(g.accounts)}\n"
                  .encode("utf-8"))
         fh.write(b"u,v,weight\n")
-        for rows in _row_blocks(g.n):
-            block = g.w[rows]
-            iu, iv = np.nonzero(np.triu(block, k=rows.start + 1))
-            if not len(iu):
-                continue
-            values, which = np.unique(block[iu, iv], return_inverse=True)
+        for lo in range(0, len(g.weight), step):
+            e = slice(lo, lo + step)
+            values, which = np.unique(g.weight[e], return_inverse=True)
             weights = _fixed_width([f"{x!r}\n".encode("ascii") for x in values.tolist()])
-            # long keys must not blow up the bytes assembled at once
-            step = max(1, 8 * BLOCK_ENTRIES // (2 * keys.shape[1] + weights.shape[1]))
-            for lo in range(0, len(iu), step):
-                e = slice(lo, lo + step)
-                lines = np.concatenate(
-                    [keys[iu[e] + rows.start], keys[iv[e]], weights[which[e]]], axis=1).ravel()
-                fh.write(lines[lines != _PAD].tobytes())
+            lines = np.concatenate([keys[g.u[e]], keys[g.v[e]], weights[which]], axis=1).ravel()
+            fh.write(lines[lines != _PAD].tobytes())
 
 
 def load_graph(path) -> KnowledgeGraph:
+    """The graph ``save_graph`` wrote, or any file of that form.
+
+    A pair listed more than once, in either orientation, takes its last
+    weight; a zero weight is no edge; an account paired with itself is an
+    error.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
         meta = fh.readline().strip()
@@ -213,10 +279,20 @@ def load_graph(path) -> KnowledgeGraph:
         if header != "u,v,weight":
             raise ValueError(f"{path}: expected 'u,v,weight' header")
         index = {a: i for i, a in enumerate(accounts)}
-        w = np.zeros((len(accounts), len(accounts)))
+        ends, weights = [], []
         for row in csv.reader(fh):
             if not row:
                 continue
             u, v, weight = row
-            w[index[u], index[v]] = w[index[v], index[u]] = float(weight)
-    return KnowledgeGraph(accounts, w, tag)
+            ends.append((index[u], index[v]))
+            weights.append(float(weight))
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    weights = np.array(weights, dtype=np.float64)
+    if np.any(ends[:, 0] == ends[:, 1]):
+        raise ValueError(f"{path}: an edge joins an account to itself")
+    u, v = ends.min(axis=1), ends.max(axis=1)
+    # the first of each pair in the reversed listing is its last listing
+    _, first = np.unique((u * len(accounts) + v)[::-1], return_index=True)
+    last = len(u) - 1 - first
+    last = last[weights[last] != 0]
+    return KnowledgeGraph(accounts, u[last], v[last], weights[last], tag)

@@ -67,6 +67,12 @@ class SeqModelConfig:
     time_scale_min: float = 1.0
     time_scale_max: float = 1e6
 
+    def __post_init__(self):
+        if self.d_embed < 1 or self.n_mix < 1:
+            raise ValueError("d_embed and n_mix must be >= 1")
+        if self.d_pos < 0 or self.d_time < 0:
+            raise ValueError("d_pos and d_time must be >= 0")
+
     @property
     def d_feat(self) -> int:
         """Feature width, which is also the attention, context and mark-head width."""
@@ -457,6 +463,8 @@ def fit(params: dict, items, batch_loss, val_fn, *, epochs: int, lr: float,
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     _check_step_sizes(lr, weight_decay)
+    if epochs < 1 or patience < 1:
+        raise ValueError(f"epochs and patience must be >= 1, got {epochs!r} and {patience!r}")
     opt = ad.Adam(params, lr=lr, weight_decay=weight_decay)
     start = best_val = val_fn()
     best = ad.snapshot(params)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coact.cli import main
+from coact.graph import KnowledgeGraph
 
 TRAIN = ["--d-embed", "4", "--d-pos", "4", "--d-time", "4", "--mix-components", "2",
          "--epochs", "2"]
@@ -106,11 +107,34 @@ def exit_code(argv):
                                  ["--weight-decay", "nan"], ["--em-lr", "nan"],
                                  ["--em-lr", "-1"], ["--lam", "inf"], ["--lam", "nan"],
                                  ["--fractions", "0.5,0.5,0.5"], ["--fractions", "0,0,1"],
-                                 ["--fractions", "nan,0.1,0.1"], ["--fractions", "inf,0.1,0.1"]])
+                                 ["--fractions", "nan,0.1,0.1"], ["--fractions", "inf,0.1,0.1"],
+                                 ["--epochs", "-1"], ["--epochs", "0"], ["--em-epochs", "-1"],
+                                 ["--em-epochs", "0"], ["--patience", "0"],
+                                 ["--patience", "-2"], ["--threshold", "nan"],
+                                 ["--threshold", "2"], ["--threshold", "-0.1"],
+                                 ["--estep-tol", "inf"], ["--estep-tol", "nan"],
+                                 ["--min-account-count", "-3"], ["--d-pos", "-1"],
+                                 ["--d-time", "-1"]])
 def test_bad_detect_config_fails_before_any_stage(tmp_path, data, bad):
     run_dir = tmp_path / "run"
     assert exit_code(["detect", *data, *SMALL, *bad, "--run-dir", str(run_dir)]) == 2
     assert not run_dir.exists()  # so no checkpoint.npz and no graph.csv
+
+
+@pytest.mark.parametrize("bad", [["--sequences", "-5"], ["--sequences", "0"],
+                                 ["--strength", "nan"], ["--strength", "-1"],
+                                 ["--horizon", "0"], ["--horizon", "inf"]])
+def test_bad_synth_flags_write_nothing(tmp_path, bad):
+    out, labels = tmp_path / "data.jsonl", tmp_path / "labels.csv"
+    assert exit_code(["synth", "--normal", "4", "--coord", "2", "--sequences", "3", *bad,
+                      "--out", str(out), "--labels", str(labels)]) == 2
+    assert not out.exists() and not labels.exists()
+
+
+@pytest.mark.parametrize("bad", [["--threshold", "nan"], ["--threshold", "2"]])
+def test_bad_eval_threshold_is_a_usage_error(tmp_path, data, bad):
+    assert exit_code(["eval", "--result", str(tmp_path / "result.csv"), "--labels", data[3],
+                      *bad]) == 2
 
 
 def test_bad_sweep_config_fails_before_pretraining(tmp_path, data):
@@ -175,7 +199,11 @@ def test_more_than_two_groups_run_with_revealed_accounts(tmp_path, data):
                                     {"weight_decay": -5}, {"em_lr": float("nan")},
                                     {"lam": float("inf")}, {"fractions": [0.5, 0.5, 0.5]},
                                     {"fractions": [0, 0, 1]},
-                                    {"fractions": [float("nan"), 0.1, 0.1]}])
+                                    {"fractions": [float("nan"), 0.1, 0.1]},
+                                    {"epochs": -1}, {"em_epochs": 0}, {"patience": 0},
+                                    {"threshold": float("nan")}, {"threshold": 2},
+                                    {"estep_tol": float("inf")}, {"min_account_count": -3},
+                                    {"d_pos": -1}, {"d_time": -1}])
 def test_config_file_values_are_checked_like_flags(tmp_path, data, values):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values), encoding="utf-8")
@@ -224,3 +252,17 @@ def test_eval_reproduces_the_metrics_that_detect_wrote(tmp_path, data):
                  "--exclude", str(revealed), "--out", str(out)]) == 0
     assert out.read_bytes() == (run_dir / "metrics.csv").read_bytes()
     assert out.with_suffix(".txt").read_bytes() == (run_dir / "metrics.txt").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [["--filter", "power"],
+                                   ["--filter", "tl", "--schedule", "gauss_seidel"]])
+def test_detect_and_build_graph_never_form_a_dense_graph(tmp_path, data, monkeypatch, flags):
+    def dense(self):
+        raise AssertionError("a dense V x V graph array was formed")
+    monkeypatch.setattr(KnowledgeGraph, "w", property(dense))
+    monkeypatch.setattr(KnowledgeGraph, "coupling", dense)
+    code, run_dir = detect(tmp_path, "run", *data, *SMALL, *flags)
+    assert code == 0
+    assert (run_dir / "result.csv").exists()
+    assert main(["build-graph", data[0], data[1], *flags[:2],
+                 "--out", str(tmp_path / "graph.csv")]) == 0

@@ -16,7 +16,7 @@ from coact.crf import (
     potential,
     softmax_init,
 )
-from coact.graph import KnowledgeGraph
+from dense import dense_graph
 
 
 def one_sweep(mf, crf, E, schedule="jacobi"):
@@ -33,7 +33,7 @@ def zero_scorer(d_embed, n_groups):
 
 def graph_of(w):
     w = np.asarray(w, dtype=np.float64)
-    return KnowledgeGraph([f"a{i}" for i in range(len(w))], w, "none")
+    return dense_graph([f"a{i}" for i in range(len(w))], w)
 
 
 def random_instance(rng, n=None, m=None, coupling_scale=2.0):
@@ -329,3 +329,67 @@ def test_mean_field_validation():
         MeanField(np.array([[0.5, 0.6]]))
     with pytest.raises(ValueError):
         MeanField(np.array([[-0.1, 1.1]]))
+
+
+# ---- the edge-list coupling against the dense formulas ----
+
+def dense_sweep(q, theta, B, clamped, schedule):
+    """One sweep written on the dense coupling matrix B."""
+    out = q.copy()
+    if schedule == "jacobi":
+        z = theta + B @ q
+        out = np.exp(z - logsumexp(z, axis=1, keepdims=True))
+        out[clamped] = q[clamped]
+        return out
+    for u in range(len(q)):
+        if not clamped[u]:
+            z = theta[u] + B[u] @ out
+            out[u] = np.exp(z - logsumexp(z))
+    return out
+
+
+def sparse_instance(rng):
+    """A random field on a graph with isolated accounts, and beliefs with clamped rows."""
+    n, m = int(rng.integers(2, 40)), int(rng.integers(2, 5))
+    w = np.triu(rng.exponential(2.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1)), 1)
+    isolated = rng.random(n) < 0.2
+    w[isolated] = w[:, isolated] = 0.0
+    crf = CrfParams(UnaryScorer(3, m, hidden=6, seed=int(rng.integers(1000))),
+                    graph_of(w + w.T))
+    E = rng.normal(size=(n, 3))
+    rows = np.nonzero(rng.random(n) < 0.25)[0]
+    mf = softmax_init(crf, E, rows, rng.integers(m, size=len(rows)))
+    mf.q[~mf.clamped] = rng.dirichlet(np.ones(m), int((~mf.clamped).sum()))
+    return crf, E, mf
+
+
+@pytest.mark.parametrize("schedule", ["jacobi", "gauss_seidel"])
+def test_one_sweep_equals_the_dense_sweep(schedule):
+    rng = np.random.default_rng(40)
+    for _ in range(100):
+        crf, E, mf = sparse_instance(rng)
+        got = one_sweep(mf, crf, E, schedule).q
+        want = dense_sweep(mf.q, crf.unary(E), crf.coupling(), mf.clamped, schedule)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert np.array_equal(got[mf.clamped], mf.q[mf.clamped])
+
+
+def test_couple_equals_the_dense_product_for_all_rows_and_each_row():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        crf, _, mf = sparse_instance(rng)
+        g, B = crf.graph, crf.coupling()
+        np.testing.assert_allclose(g.couple(mf.q), B @ mf.q, rtol=0, atol=1e-12)
+        for u in range(g.n):
+            np.testing.assert_allclose(g.couple(mf.q, u), B[u] @ mf.q, rtol=0, atol=1e-12)
+
+
+def test_free_energy_pair_term_equals_the_dense_formula():
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        crf, E, mf = sparse_instance(rng)
+        q, theta = mf.q, crf.unary(E)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entropy = -np.where(q > 0, q * np.log(q), 0.0).sum()
+        want = (q * theta).sum() + 0.5 * (crf.coupling() * (q @ q.T)).sum() + entropy
+        assert mean_field_free_energy(mf, crf, E) == pytest.approx(want, rel=0, abs=1e-12)

@@ -10,7 +10,8 @@ from coact.cli import read_result_csv, write_q_csv, write_result_csv
 from coact.crf import MeanField
 from coact.em import DetectionResult
 from coact.events import _csv_field, load_labels, save_labels
-from coact.graph import KnowledgeGraph, load_graph, save_graph
+from coact.graph import load_graph, save_graph
+from dense import dense_graph
 
 # any text that UTF-8 can encode, with the awkward cases drawn often
 AWKWARD = st.sampled_from([",", '"', '""', "\r", "\n", "\r\n", "\x00", "é,\x00", ""])
@@ -37,7 +38,7 @@ def test_graph_file_round_trips_any_key(tmp_path_factory, keys, seed):
     rng = np.random.default_rng(seed)
     n = len(keys)
     w = np.triu(rng.choice([0.0, 1.0, 8.0, 0.1 + rng.random()], size=(n, n)), 1)
-    g = KnowledgeGraph(keys, w + w.T, "power(p=3)")
+    g = dense_graph(keys, w + w.T, "power(p=3)")
     tmp = tmp_path_factory.mktemp("graph")
     save_graph(g, tmp / "got.csv")
     per_edge_save_graph(g, tmp / "want.csv")

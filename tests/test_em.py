@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import tape_reference as ref
+from dense import dense_graph
 from coact import em
 from coact.autodiff import Tensor
 from coact.crf import CrfParams, UnaryScorer
 from coact.em import EmConfig, check_prop1_bound, initialize, run_em
 from coact.events import Dataset, Event, EventSequence
-from coact.graph import KnowledgeGraph, co_occurrence
+from coact.graph import co_occurrence
 from coact.pointprocess import SeqModelConfig, SequenceModel
 
 TINY = SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=2,
@@ -40,7 +41,8 @@ def test_run_em_history_reports_estep_convergence():
 
 
 @pytest.mark.parametrize("bad", [{"estep_max_iter": 0}, {"batch_size": 0},
-                                 {"batch_size": -3}])
+                                 {"batch_size": -3}, {"m_step_epochs": 0},
+                                 {"m_step_epochs": -1}, {"patience": 0}])
 def test_em_config_rejects_sizes_below_one(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         EmConfig(**bad)
@@ -48,7 +50,10 @@ def test_em_config_rejects_sizes_below_one(bad):
 
 @pytest.mark.parametrize("bad", [{"lambda_balance": np.nan}, {"lambda_balance": np.inf},
                                  {"m_step_lr": np.nan}, {"m_step_lr": -1.0},
-                                 {"weight_decay": np.inf}, {"weight_decay": -5.0}])
+                                 {"weight_decay": np.inf}, {"weight_decay": -5.0},
+                                 {"estep_tol": np.inf}, {"estep_tol": 0.0},
+                                 {"threshold": np.nan}, {"threshold": 2.0},
+                                 {"threshold": -0.1}])
 def test_em_config_rejects_non_finite_or_out_of_range_rates(bad):
     name = next(iter(bad))
     with pytest.raises(ValueError, match="lr" if name == "m_step_lr" else name):
@@ -65,7 +70,7 @@ def test_prop1_bound_holds_and_is_tight_without_edges():
         if i % 4 == 0:
             w[:] = 0.0
         crf = CrfParams(UnaryScorer(3, m, hidden=6, seed=i),
-                        KnowledgeGraph([f"u{j}" for j in range(n)], w + w.T, "none"))
+                        dense_graph([f"u{j}" for j in range(n)], w + w.T))
         lhs, rhs = check_prop1_bound(crf, E)
         assert lhs <= rhs + 1e-9
         if not w.any():

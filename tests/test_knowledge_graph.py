@@ -1,12 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coact.crf import CrfParams, UnaryScorer, potential
+from dense import dense_graph
+
+from coact import graph as graph_mod
+from coact.crf import CrfParams, UnaryScorer, estep_converge, potential, softmax_init
 from coact.events import Dataset, Event, EventSequence
 from coact.graph import (
-    BLOCK_ENTRIES,
     KnowledgeGraph,
     co_occurrence,
     filter_power,
@@ -204,7 +207,7 @@ def test_temporal_logic_bounded_by_co_occurrence():
 def test_pairwise_potential_values():
     # the pairwise reward of an edge is B_uv = w_uv / sqrt(d_u d_v), paid only
     # for equal labels: a lone edge of weight 4 pays 1.0, unequal labels 0
-    g = KnowledgeGraph(["a", "b"], np.array([[0.0, 4.0], [4.0, 0.0]]), "none")
+    g = dense_graph(["a", "b"], [[0.0, 4.0], [4.0, 0.0]])
     np.testing.assert_array_equal(g.coupling(), [[0.0, 1.0], [1.0, 0.0]])
     scorer = UnaryScorer(3, 2, hidden=4, seed=0)
     scorer.params["W2"].data = np.zeros_like(scorer.params["W2"].data)
@@ -216,9 +219,7 @@ def test_pairwise_potential_values():
 
 
 def test_pairwise_potential_isolated_node():
-    g = KnowledgeGraph(["a", "b", "c"],
-                       np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-                       "none")
+    g = dense_graph(["a", "b", "c"], [[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     B = g.coupling()
     assert B[0, 1] == 1.0
     assert B[0, 2] == 0.0
@@ -230,7 +231,7 @@ def test_pairwise_potential_symmetry():
     w = rng.uniform(0, 3, (5, 5))
     w = np.triu(w, 1)
     w = w + w.T
-    B = KnowledgeGraph([f"u{i}" for i in range(5)], w, "none").coupling()
+    B = dense_graph([f"u{i}" for i in range(5)], w).coupling()
     for _ in range(50):
         u, v = rng.integers(5, size=2)
         a, b = rng.integers(3, size=2)
@@ -244,7 +245,7 @@ def test_coupling_spectral_norm_at_most_one():
     n = 21
     w = np.zeros((n, n))
     w[0, 1:] = w[1:, 0] = 1.0  # 20-leaf star
-    B = KnowledgeGraph([f"u{i}" for i in range(n)], w, "none").coupling()
+    B = dense_graph([f"u{i}" for i in range(n)], w).coupling()
     assert B[0].sum() == pytest.approx(np.sqrt(20))
     assert abs(np.linalg.norm(B, 2) - 1.0) <= 1e-12
     rng = np.random.default_rng(11)
@@ -252,7 +253,7 @@ def test_coupling_spectral_norm_at_most_one():
         n = int(rng.integers(2, 25))
         keep = rng.random((n, n)) < rng.uniform(0.05, 1.0)  # sparse ones leave isolated nodes
         w = np.triu(rng.exponential(2.0, (n, n)) * keep, 1)
-        B = KnowledgeGraph([f"u{i}" for i in range(n)], w + w.T, "none").coupling()
+        B = dense_graph([f"u{i}" for i in range(n)], w + w.T).coupling()
         np.testing.assert_array_equal(B, B.T)
         assert np.linalg.norm(B, 2) <= 1.0 + 1e-12
 
@@ -284,7 +285,7 @@ def sparse_graph(rng, n, density, n_isolated=0):
     w = np.triu(rng.exponential(1.0, (n, n)) * (rng.random((n, n)) < density), 1)
     w[:n_isolated] = 0.0
     w[:, :n_isolated] = 0.0
-    return KnowledgeGraph([f"u{i}" for i in range(n)], w + w.T, "power(p=2)")
+    return dense_graph([f"u{i}" for i in range(n)], w + w.T, "power(p=2)")
 
 
 def test_save_graph_matches_whole_matrix_writer(tmp_path):
@@ -297,75 +298,87 @@ def test_save_graph_matches_whole_matrix_writer(tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
-def test_coupling_in_row_blocks_matches_one_shot_formula():
-    n = 1500
-    assert n * n > 2 * BLOCK_ENTRIES  # three row blocks
-    g = sparse_graph(np.random.default_rng(14), n, 0.01, n_isolated=40)
-    d = g.w.sum(axis=1)
+def test_save_graph_in_many_chunks_matches_whole_matrix_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(graph_mod, "_LINE_BYTES", 2 ** 10)
+    test_save_graph_matches_whole_matrix_writer(tmp_path)
+
+
+def dense_coupling(w):
+    """w_uv / sqrt(d_u d_v) with dense row-sum degrees; 0 where a degree is 0."""
+    d = w.sum(axis=1)
     denom = np.sqrt(np.outer(d, d))
-    want = np.zeros_like(g.w)
-    np.divide(g.w, denom, out=want, where=denom > 0)
+    out = np.zeros_like(w)
+    np.divide(w, denom, out=out, where=denom > 0)
+    return d, out
+
+
+def test_coupling_matches_one_shot_formula():
+    g = sparse_graph(np.random.default_rng(14), 1500, 0.01, n_isolated=40)
+    _, want = dense_coupling(g.w)
     assert np.all(want[:40] == 0)
-    np.testing.assert_array_equal(g.coupling(), want)
+    np.testing.assert_allclose(g.coupling(), want, rtol=1e-15, atol=0)
 
 
-def test_graph_validation_checks_the_last_row_block():
+def test_integer_weights_give_the_dense_degrees_and_couplings_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for n, density in ((2, 1.0), (30, 0.2), (300, 0.05)):
+        w = np.triu(rng.integers(1, 50, (n, n)) * (rng.random((n, n)) < density), 1)
+        w[: n // 6] = w[:, : n // 6] = 0  # isolated accounts
+        w = (w + w.T).astype(float) ** 3
+        g = dense_graph([f"u{i}" for i in range(n)], w)
+        deg, B = dense_coupling(w)
+        assert np.array_equal(g.deg, deg)
+        assert np.array_equal(g.b, B[g.u, g.v])
+        assert np.array_equal(g.coupling(), B)
+
+
+def edges(n, rng, density=0.02):
+    """A valid (u, v, weight) edge list over n accounts, in edge order."""
+    u, v = np.nonzero(np.triu(rng.random((n, n)) < density, 1))
+    return u, v, rng.exponential(1.0, len(u)) + 0.5
+
+
+def test_graph_validation_checks_every_edge():
     n = 1500
-    assert n * n > 2 * BLOCK_ENTRIES
     keys = [f"u{i}" for i in range(n)]
-    w = np.zeros((n, n))
-    w[0, 1] = w[1, 0] = 1.0
-    u, v = n - 1, n - 2
-    for a, b in ((1.0, 0.0), (-1.0, -1.0), (np.nan, np.nan)):
-        bad = w.copy()
-        bad[u, v], bad[v, u] = a, b
-        with pytest.raises(ValueError):
-            KnowledgeGraph(keys, bad, "none")
-    # np.allclose semantics: a relative asymmetry of 1e-12 is accepted
-    ok = w.copy()
-    ok[u, v], ok[v, u] = 1.0, 1.0 + 1e-12
-    KnowledgeGraph(keys, ok, "none")
-
-
-def whole_matrix_verdict(w):
-    """The message KnowledgeGraph raises for ``w``, or None, by whole-matrix tests."""
-    if not np.allclose(w, w.T):
-        return "weight matrix must be symmetric"
-    if np.any(np.diag(w) != 0):
-        return "diagonal must be zero"
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        return "weights must be finite and non-negative"
-    return None
-
-
-def test_graph_validation_gives_the_whole_matrix_verdicts():
-    n = 1500
-    assert n * n > 2 * BLOCK_ENTRIES  # three row blocks
-    keys = [f"u{i}" for i in range(n)]
-    w = sparse_graph(np.random.default_rng(15), n, 0.02).w
-    edits = [  # (w[u, v], w[v, u])
-        (np.nan, np.nan), (np.inf, np.inf), (-np.inf, -np.inf), (np.inf, 1.0),
-        (-2.0, -2.0), (-0.0, -0.0), (0.0, -0.0), (5.0, 5.0 * (1 + 1e-12)),
-        (5.0, 5.0 * (1 + 1e-3)), (1e-3, 0.0), (np.nan, 1.0),
-    ]
-    verdicts = set()
-    for u, v in ((3, 900), (1499, 5), (1499, 1498)):  # first and last row block
-        for a, b in edits:
+    u, v, w = edges(n, np.random.default_rng(15))
+    KnowledgeGraph(keys, u, v, w, "none")
+    for k in (0, len(u) // 2, len(u) - 1):  # first, middle and last edge
+        for value in (0.0, -1.0, np.nan, np.inf):
             bad = w.copy()
-            bad[u, v], bad[v, u] = a, b
-            want = whole_matrix_verdict(bad)
-            verdicts.add(want)
-            if want is None:
-                KnowledgeGraph(keys, bad, "none")
-            else:
-                with pytest.raises(ValueError) as exc:
-                    KnowledgeGraph(keys, bad, "none")
-                assert str(exc.value) == want, (u, v, a, b)
-    bad = w.copy()
-    bad[1499, 1499] = 1.0
-    with pytest.raises(ValueError, match="^diagonal must be zero$"):
-        KnowledgeGraph(keys, bad, "none")
-    assert len(verdicts) == 3  # accepted, asymmetric, and not finite or negative
+            bad[k] = value
+            with pytest.raises(ValueError, match="^weights must be finite and positive$"):
+                KnowledgeGraph(keys, u, v, bad, "none")
+        for vk in (u[k], u[k] - 1, n):  # on the diagonal, below it, past the last account
+            bad = v.copy()
+            bad[k] = vk
+            with pytest.raises(ValueError):
+                KnowledgeGraph(keys, u, bad, w, "none")
+
+
+def test_graph_validation_verdicts():
+    keys = ["a", "b", "c", "d"]
+    KnowledgeGraph(keys, [0, 0, 2], [1, 3, 3], [1.0, 2.0, 3.0], "none")
+    KnowledgeGraph(keys, [], [], [], "none")
+    cases = [  # (u, v, weight, message)
+        ([0, 0], [1], [1.0], "^u, v and weight must be vectors of one length$"),
+        ([[0]], [[1]], [[1.0]], "^u, v and weight must be vectors of one length$"),
+        ([1], [1], [1.0], "^edges must join two accounts u < v$"),
+        ([2], [1], [1.0], "^edges must join two accounts u < v$"),
+        ([-1], [1], [1.0], "^edges must join two accounts u < v$"),
+        ([0], [4], [1.0], "^edges must join two accounts u < v$"),
+        ([0, 0], [3, 1], [1.0, 1.0], "^edges must be sorted row-major and distinct$"),
+        ([1, 0], [2, 3], [1.0, 1.0], "^edges must be sorted row-major and distinct$"),
+        ([0, 0], [1, 1], [1.0, 1.0], "^edges must be sorted row-major and distinct$"),
+        ([0], [1], [0.0], "^weights must be finite and positive$"),
+        ([0], [1], [-0.0], "^weights must be finite and positive$"),
+        ([0], [1], [-2.0], "^weights must be finite and positive$"),
+        ([0], [1], [np.inf], "^weights must be finite and positive$"),
+        ([0], [1], [np.nan], "^weights must be finite and positive$"),
+    ]
+    for u, v, w, message in cases:
+        with pytest.raises(ValueError, match=message):
+            KnowledgeGraph(keys, u, v, w, "none")
 
 
 @pytest.mark.parametrize("p", [1.0, 2.5, 3.0])
@@ -374,11 +387,66 @@ def test_filter_power_equals_the_whole_matrix_power(p):
     for n, density in ((1, 1.0), (9, 0.0), (50, 0.3), (300, 0.05)):
         g = sparse_graph(rng, n, density)
         g.filter_tag = "none"
-        got = filter_power(g, p).w
+        powered = filter_power(g, p)
+        assert powered.u is g.u and powered.v is g.v  # the edges are shared
+        got = powered.w
         want = g.w ** p
         assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
 
 
 def test_graph_validation_rejects_asymmetry():
+    # an edge listed in both orientations, with two weights, is asymmetric
     with pytest.raises(ValueError):
-        KnowledgeGraph(["a", "b"], np.array([[0.0, 1.0], [2.0, 0.0]]), "none")
+        KnowledgeGraph(["a", "b"], [0, 1], [1, 0], [1.0, 2.0], "none")
+    with pytest.raises(ValueError):
+        dense_graph(["a", "b"], np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def write_triplets(path, accounts, rows):
+    path.write_text(f"# filter_tag=none accounts={json.dumps(accounts)}\nu,v,weight\n"
+                    + "".join(f"{u},{v},{w}\n" for u, v, w in rows), encoding="utf-8")
+
+
+def test_load_graph_keeps_the_last_weight_drops_zeros_and_rejects_self_pairs(tmp_path):
+    p = tmp_path / "graph.csv"
+    write_triplets(p, ["a", "b", "c", "d"], [
+        ("c", "a", 1.0), ("a", "b", 5.0), ("a", "c", 2.0),  # (a, c) twice: 2.0 wins
+        ("d", "b", 4.0), ("b", "d", 0.0),                   # (b, d) ends at 0: no edge
+        ("b", "c", 0.0), ("c", "b", 3.0),                   # (b, c) ends at 3.0
+        ("a", "d", 0.0),                                    # zero only: no edge
+    ])
+    g = load_graph(p)
+    assert g.u.tolist() == [0, 0, 1] and g.v.tolist() == [1, 2, 2]
+    assert g.weight.tolist() == [5.0, 2.0, 3.0]
+    write_triplets(p, ["a", "b"], [("a", "b", 1.0), ("b", "b", 1.0)])
+    with pytest.raises(ValueError, match="joins an account to itself"):
+        load_graph(p)
+    write_triplets(p, ["a", "b"], [("a", "b", -1.0)])
+    with pytest.raises(ValueError, match="finite and positive"):
+        load_graph(p)
+    write_triplets(p, ["a", "b"], [])
+    assert len(load_graph(p).weight) == 0
+
+
+def test_a_20k_account_graph_builds_and_sweeps_in_edge_sized_memory():
+    # a dense float64 (V, V) array would take 3.2 GB here
+    V, n_seqs = 20_000, 2_000
+    rng = np.random.default_rng(19)
+    who = np.concatenate([rng.permutation(V), rng.integers(V, size=4 * n_seqs)])
+    seqs = [EventSequence(f"s{i}", [Event(f"u{a}", float(t)) for t, a in enumerate(part)])
+            for i, part in enumerate(np.array_split(who, n_seqs))]
+    d = Dataset.from_sequences(seqs)
+    assert len(d.registry) == V
+    E = rng.normal(size=(V, 4))
+    scorer = UnaryScorer(4, 2, hidden=4, seed=0)
+    tracemalloc.start()
+    try:
+        g = filter_power(co_occurrence(d), 3.0)
+        crf = CrfParams(scorer, g)
+        mf, sweeps = estep_converge(crf, E, softmax_init(crf, E), max_iter=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweeps == 1 and mf.q.shape == (V, 2)
+    assert 100_000 < len(g.weight) < 200_000
+    assert peak < 50 * 2 ** 20, peak / 2 ** 20

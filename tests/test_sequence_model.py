@@ -363,6 +363,22 @@ def test_fit_rejects_a_batch_size_below_one(batch_size):
             rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("epochs,patience", [(0, 2), (-1, 2), (2, 0), (2, -2)])
+def test_fit_rejects_epochs_or_patience_below_one(epochs, patience):
+    # range(-1) is empty: no epoch would run and nothing would say so
+    x = Tensor(np.zeros(2))
+    with pytest.raises(ValueError, match="epochs" if patience == 2 else "patience"):
+        fit({"x": x}, [1, 2, 3], lambda batch: 0.0, lambda: 0.0, epochs=epochs, lr=0.1,
+            weight_decay=0.0, batch_size=2, patience=patience,
+            rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [{"d_pos": -1}, {"d_time": -1}, {"d_embed": 0}, {"n_mix": 0}])
+def test_model_config_rejects_negative_or_empty_widths(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        SeqModelConfig(**bad)
+
+
 @pytest.mark.parametrize("lr,weight_decay", [(np.nan, 0.0), (0.0, 0.0), (-0.1, 0.0),
                                              (np.inf, 0.0), (0.1, -1.0), (0.1, np.nan)])
 def test_fit_rejects_non_finite_or_out_of_range_step_sizes(lr, weight_decay):

@@ -36,9 +36,9 @@ from .crf import (
     log_partition_bruteforce,
     softmax_init,
 )
-from .events import Dataset, train_val_test_split
+from .events import Dataset, check_fractions, train_val_test_split
 from .graph import KnowledgeGraph
-from .pointprocess import SequenceModel, _check_step_sizes, fit
+from .pointprocess import SequenceModel, _check_step_sizes, _helper, fit
 
 __all__ = [
     "EmConfig",
@@ -50,6 +50,9 @@ __all__ = [
     "check_revealed",
     "identify_coordinated_group",
 ]
+
+
+ESTEP_SCHEDULES = ("jacobi", "gauss_seidel")
 
 
 @dataclass
@@ -90,6 +93,14 @@ class EmConfig:
             raise ValueError("estep_max_iter must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.estep_schedule not in ESTEP_SCHEDULES:
+            raise ValueError(f"estep_schedule must be one of {ESTEP_SCHEDULES}, "
+                             f"got {self.estep_schedule!r}")
+        check_fractions(self.fractions)
+        if self.scorer_hidden < 1:
+            raise ValueError("scorer_hidden must be >= 1")
+        if not (np.isfinite(self.scorer_weight_decay) and self.scorer_weight_decay >= 0):
+            raise ValueError("scorer_weight_decay must be finite and non-negative")
 
 
 @dataclass
@@ -285,12 +296,13 @@ def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng):
         ce_weight = cfg.lambda_balance * len(batch) / len(train_items)
         return nll + crf.scorer.crossent(model.params["E"], Q, -ce_weight)
 
-    start, best, _ = fit(
-        params, train_items, batch_loss,
-        lambda: _val_objective(model, crf.scorer, val_items, Q, cfg.lambda_balance),
-        epochs=cfg.m_step_epochs, lr=cfg.m_step_lr, weight_decay=cfg.weight_decay,
-        batch_size=cfg.batch_size, patience=cfg.patience, rng=rng,
-    )
+    with _helper(model, train_items, val_items):
+        start, best, _ = fit(
+            params, train_items, batch_loss,
+            lambda: _val_objective(model, crf.scorer, val_items, Q, cfg.lambda_balance),
+            epochs=cfg.m_step_epochs, lr=cfg.m_step_lr, weight_decay=cfg.weight_decay,
+            batch_size=cfg.batch_size, patience=cfg.patience, rng=rng,
+        )
     return start, best
 
 

@@ -22,11 +22,30 @@ lives only in the tests, as their oracle (``tests/tape.py`` is the engine,
 ``tests/tape_reference.py`` the model written on it).
 The per-sequence constants (account indices, gaps, position encodings and
 the causal mask) come from ``SequenceModel.prepare``, once per fit.
+
+While ``train`` and the EM M-step run ``fit``, one forked helper process
+shares the work (``_helper``). In each minibatch and each validation pass
+the parent runs the sequences at even positions and the helper those at odd
+positions. ``_backward`` hands each gradient increment to a sink: in the
+parent that is ``_accumulate``, in the helper a slot of a shared-memory
+ring. The parent adds the helper's increments for position p - 1 before it
+runs position p, so every gradient is summed in the serial order and
+training is bit-identical with or without a helper. There is a helper only
+on Linux, with two or more usable CPUs, and while this process has a single
+OS thread, so nothing forks under a multi-threaded BLAS; otherwise the
+parent runs every position.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import os
+import pickle
+import struct
+import sys
+import traceback
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -176,6 +195,7 @@ class SequenceModel:
         self.params = {k: Tensor(v) for k, v in p.items()}
         self._index = {a: i for i, a in enumerate(self.accounts)}
         self.history = []  # per-epoch training records, filled by train()
+        self._helper = None  # the _Helper sharing this model's passes, if any
 
     # ---- bookkeeping ----
 
@@ -278,9 +298,9 @@ class SequenceModel:
         cache = (angles, C, enc, h, hW, log_probs, log_w, inv_s, dev, z, comp, lse)
         return float(mark), float(time), cache
 
-    def _backward(self, seq: _Prepared, cache: tuple, g: float) -> None:
+    def _backward(self, seq: _Prepared, cache: tuple, g: float, add=_accumulate) -> None:
         """Add the gradient of ``g`` times the sequence's log-likelihood to
-        the parameters' ``grad``.
+        the parameters' ``grad``: each increment goes to ``add(tensor, array)``.
 
         Every step computes the same numpy expression as the adjoint of the
         matching autodiff op and sums the terms of one gradient in the same
@@ -307,25 +327,25 @@ class SequenceModel:
         g_lp = np.zeros_like(log_probs)
         g_lp[np.arange(L), seq.idx] = g
         g_logits = g_lp + (-g_lp).sum(axis=1, keepdims=True) * np.exp(log_probs)
-        _accumulate(p["mark_b2"], g_logits.sum(axis=0))
+        add(p["mark_b2"], g_logits.sum(axis=0))
         g_hW = g_logits @ p["E"].data
-        _accumulate(p["E"], (hW.T @ g_logits).T)
+        add(p["E"], (hW.T @ g_logits).T)
         g_h = g_hW @ p["mark_W2"].data.T
-        _accumulate(p["mark_W2"], h.T @ g_hW)
+        add(p["mark_W2"], h.T @ g_hW)
         g_h = g_h * (1.0 - h * h)
-        _accumulate(p["mark_b1"], g_h.sum(axis=0))
-        _accumulate(p["mark_W1"], C.T @ g_h)
+        add(p["mark_b1"], g_h.sum(axis=0))
+        add(p["mark_W1"], C.T @ g_h)
 
         g_C = g_h @ p["mark_W1"].data.T
         for name, g_head in (("w", g_w), ("mu", g_mu), ("s", g_log_s)):
-            _accumulate(p[f"mix_b{name}"], g_head.sum(axis=0))
-            _accumulate(p[f"mix_W{name}"], C.T @ g_head)
+            add(p[f"mix_b{name}"], g_head.sum(axis=0))
+            add(p[f"mix_W{name}"], C.T @ g_head)
             g_C += g_head @ p[f"mix_W{name}"].data.T
 
         # encoder
         g_C = g_C * (1.0 - C * C)
-        _accumulate(p["F_b"], g_C.sum(axis=0))
-        _accumulate(p["F_W"], AV.T @ g_C)
+        add(p["F_b"], g_C.sum(axis=0))
+        add(p["F_W"], AV.T @ g_C)
         g_AV = g_C @ p["F_W"].data.T
         g_attn = g_AV @ v.T
         g_v = attn.T @ g_AV
@@ -335,12 +355,12 @@ class SequenceModel:
         g_q = g_S @ k
         g_k = (q.T @ g_S).T
         g_shifted = g_q @ p["W_q"].data.T
-        _accumulate(p["W_q"], shifted.T @ g_q)
+        add(p["W_q"], shifted.T @ g_q)
         g_shifted += g_k @ p["W_k"].data.T
-        _accumulate(p["W_k"], shifted.T @ g_k)
+        add(p["W_k"], shifted.T @ g_k)
         g_shifted += g_v @ p["W_v"].data.T
-        _accumulate(p["W_v"], shifted.T @ g_v)
-        _accumulate(p["start_token"], g_shifted[0:1])
+        add(p["W_v"], shifted.T @ g_v)
+        add(p["start_token"], g_shifted[0:1])
 
         # features: row i of the shifted input is event i - 1; the last event
         # is no input, so its row of the gradient is zero
@@ -349,10 +369,10 @@ class SequenceModel:
         g_X[:L - 1] += g_shifted[1:]
         g_E = np.zeros_like(p["E"].data)
         np.add.at(g_E, seq.idx, g_X[:, :d_embed])  # repeated accounts add up in order
-        _accumulate(p["E"], g_E)
+        add(p["E"], g_E)
         g_angles = -g_X[:, d_embed + d_pos:] * np.sin(angles)
-        _accumulate(p["time_phase"], g_angles.sum(axis=0))
-        _accumulate(p["time_freq"], (g_angles * seq.feat_gaps).sum(axis=0))
+        add(p["time_phase"], g_angles.sum(axis=0))
+        add(p["time_freq"], (g_angles * seq.feat_gaps).sum(axis=0))
 
     # ---- public numpy surface ----
 
@@ -373,10 +393,15 @@ class SequenceModel:
 
     def log_likelihoods(self, items) -> list:
         """Log-likelihood of each sequence in ``items``, from ``prepare``."""
+        helper = self._helper
+        shared = helper is not None and helper.send(items)
         out = []
-        for seq in items:
-            mark, time, _ = self._forward(seq)
-            out.append(mark + time)
+        for pos, seq in enumerate(items):
+            if shared and pos % 2:
+                out.append(helper.receive())
+            else:
+                mark, time, _ = self._forward(seq)
+                out.append(mark + time)
         return out
 
     def log_likelihood_terms(self, s: EventSequence) -> tuple:
@@ -398,13 +423,20 @@ class SequenceModel:
         """Add the gradient of ``scale`` times each sequence's negative
         log-likelihood to the parameters' ``grad``; returns the summed NLL.
 
-        ``batch`` holds sequences from ``prepare``.
+        ``batch`` holds sequences from ``prepare``. With a helper, sequence
+        p runs only after the helper's sequence p - 1 has been added, so the
+        additions keep the serial order.
         """
+        helper = self._helper
+        shared = helper is not None and helper.send(batch, -scale)
         nll = 0.0
-        for seq in batch:
-            mark, time, cache = self._forward(seq)
-            nll -= mark + time
-            self._backward(seq, cache, -scale)
+        for pos, seq in enumerate(batch):
+            if shared and pos % 2:
+                nll -= helper.receive()
+            else:
+                mark, time, cache = self._forward(seq)
+                nll -= mark + time
+                self._backward(seq, cache, -scale)
         return nll
 
     def mark_probs(self, s: EventSequence) -> np.ndarray:
@@ -442,6 +474,197 @@ class SequenceModel:
             for k in model.params:
                 model.params[k].data = np.array(archive[k], dtype=np.float64)
         return model
+
+
+# ---- the helper process ----
+
+RING_SLOTS = 2                  # sequences' increments the helper may send ahead
+_TASK = struct.Struct("<?dq")   # backward pass?, its g, number of sequences
+_RESULT = struct.Struct("<qd")  # ring slot (or _NO_SLOT/_FAILED), log-likelihood
+_LENGTH = struct.Struct("<q")   # bytes of the pickled error after a _FAILED result
+_NO_SLOT, _FAILED = -1, -2
+
+
+def _helper_wanted() -> bool:
+    """Linux, two or more usable CPUs, and no other thread in this process."""
+    return (sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+            and _os_threads() == 1)
+
+
+def _os_threads() -> int:
+    """The number of OS threads in this process."""
+    return len(os.listdir("/proc/self/task"))
+
+
+def _read(fd: int, n: int) -> bytes:
+    """``n`` bytes from pipe ``fd``, or b"" if the other end closes first."""
+    buf = b""
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            return b""
+        buf += chunk
+    return buf
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _report(fd: int, exc: BaseException) -> None:
+    """Send ``exc`` and its traceback to the parent as a _FAILED result (if
+    ``exc`` does not pickle, the parent sees the helper exit instead)."""
+    payload = pickle.dumps((exc, traceback.format_exc()))
+    with suppress(OSError):  # the parent has closed the pipe and is not listening
+        _write(fd, _RESULT.pack(_FAILED, 0.0) + _LENGTH.pack(len(payload)) + payload)
+
+
+def _views(flat: np.ndarray, shapes) -> list:
+    """Views of ``flat`` with the given ``shapes``, back to back."""
+    out, off = [], 0
+    for shape in shapes:
+        n = int(np.prod(shape))
+        out.append(flat[off:off + n].reshape(shape))
+        off += n
+    return out
+
+
+class _Helper:
+    """A forked process that runs the odd positions of each batch and
+    validation pass of ``model`` over the sequences ``items``.
+
+    Before the fork, two anonymous shared mappings are made: one holds the
+    parameters, which the parent copies in before each pass and the helper
+    reads through views, and one is a ring of ``RING_SLOTS`` slots, each
+    holding one sequence's increments in ``_backward``'s call order. Three
+    pipes carry the rest: tasks (indices into ``items``, which the helper
+    inherited), results ("slot k ready, log-likelihood x") and "slot free"
+    tokens. The helper exits on EOF of a pipe, and only through ``os._exit``.
+    """
+
+    def __init__(self, model: SequenceModel, items: list):
+        self.model = model
+        self._index = {id(seq): i for i, seq in enumerate(items)}
+        names = list(model.params)
+        param_buf = mmap.mmap(-1, 8 * sum(model.params[k].data.size for k in names))
+        self._params = dict(zip(names, _views(np.frombuffer(param_buf, dtype=np.float64),
+                                              [model.params[k].data.shape for k in names])))
+        # a slot's layout: the tensor and shape of each increment, in the
+        # order of _backward's calls, recorded once by a dry run
+        layout = []
+        seq = min(items, key=lambda s: len(s.idx))
+        with np.errstate(all="ignore"):  # its values are discarded
+            model._backward(seq, model._forward(seq)[2], 0.0,
+                            add=lambda t, inc: layout.append((t, inc.shape)))
+        tensors, shapes = zip(*layout)
+        size = sum(int(np.prod(shape)) for shape in shapes)
+        ring = np.frombuffer(mmap.mmap(-1, 8 * RING_SLOTS * size), dtype=np.float64)
+        self._slots = [list(zip(tensors, _views(ring[k * size:(k + 1) * size], shapes)))
+                       for k in range(RING_SLOTS)]
+
+        task_r, self._task_w = os.pipe()
+        self._result_r, result_w = os.pipe()
+        free_r, self._free_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the helper never returns into the parent's code
+            status = 1
+            try:
+                for fd in (self._task_w, self._result_r, self._free_w):
+                    os.close(fd)
+                self._serve(items, task_r, result_w, free_r)
+                status = 0
+            except BaseException as exc:  # the parent raises it (see receive)
+                _report(result_w, exc)
+            finally:
+                os._exit(status)
+        for fd in (task_r, result_w, free_r):
+            os.close(fd)
+
+    def _serve(self, items, task_r, result_w, free_r) -> None:
+        """The helper's loop: run each task's sequences in order until EOF."""
+        model = self.model
+        for k, view in self._params.items():
+            model.params[k].data = view
+        free, slot = RING_SLOTS, 0
+        while head := _read(task_r, _TASK.size):
+            backward, g, n = _TASK.unpack(head)
+            for i in np.frombuffer(_read(task_r, 8 * n), dtype=np.int64):
+                seq = items[i]
+                mark, time, cache = model._forward(seq)
+                k = _NO_SLOT
+                if backward:
+                    if not free:
+                        tokens = os.read(free_r, RING_SLOTS)
+                        if not tokens:
+                            return
+                        free = len(tokens)
+                    views = iter(self._slots[slot])
+                    model._backward(seq, cache, g,
+                                    add=lambda t, inc: np.copyto(next(views)[1], inc))
+                    k, slot, free = slot, (slot + 1) % RING_SLOTS, free - 1
+                _write(result_w, _RESULT.pack(k, mark + time))
+
+    def send(self, batch, g: float | None = None) -> bool:
+        """Give the helper the odd positions of ``batch``: their backward
+        passes with ``g``, or with ``g=None`` their log-likelihoods only.
+
+        Returns False, and sends nothing, if the helper does not know one of
+        those sequences.
+        """
+        try:
+            idx = np.array([self._index[id(seq)] for seq in batch[1::2]], dtype=np.int64)
+        except KeyError:
+            return False
+        for k, view in self._params.items():
+            view[...] = self.model.params[k].data
+        if len(idx):
+            head = _TASK.pack(g is not None, 0.0 if g is None else g, len(idx))
+            _write(self._task_w, head + idx.tobytes())
+        return True
+
+    def receive(self) -> float:
+        """The next sequence's log-likelihood; after a backward pass its
+        increments are first added to the parameters' ``grad``."""
+        head = _read(self._result_r, _RESULT.size)
+        if not head:
+            raise RuntimeError("the helper process exited without a result")
+        k, ll = _RESULT.unpack(head)
+        if k == _FAILED:
+            (n,) = _LENGTH.unpack(_read(self._result_r, _LENGTH.size))
+            exc, trace = pickle.loads(_read(self._result_r, n))
+            raise exc from RuntimeError(f"in the helper process:\n{trace}")
+        if k != _NO_SLOT:
+            for t, inc in self._slots[k]:
+                _accumulate(t, inc)
+            _write(self._free_w, b"\0")
+        return ll
+
+    def close(self) -> None:
+        """Close the pipes, which ends the helper, and reap it."""
+        try:
+            for fd in (self._task_w, self._free_w, self._result_r):
+                os.close(fd)
+        finally:
+            os.waitpid(self.pid, 0)
+
+
+@contextmanager
+def _helper(model: SequenceModel, *item_lists):
+    """Share ``model``'s passes over the sequences of ``item_lists`` with
+    one helper process while the context is open, if ``_helper_wanted``."""
+    items = [seq for seqs in item_lists for seq in seqs]
+    if not (items and _helper_wanted()):
+        yield
+        return
+    helper = _Helper(model, items)
+    model._helper = helper
+    try:
+        yield
+    finally:
+        model._helper = None
+        helper.close()
 
 
 def fit(params: dict, items, batch_loss, val_fn, *, epochs: int, lr: float,
@@ -528,12 +751,13 @@ def train(
     logs = np.concatenate([seq.log_tau[:, 0] for seq in train_items])
     model.params["mix_bmu"].data += logs.mean()
     model.params["mix_bs"].data += np.log(max(logs.std(), 1e-3))
-    _, _, model.history = fit(
-        model.params, train_items,
-        lambda batch: model.backward_nll(batch, 1.0 / len(batch)),
-        lambda: float(np.mean(model.log_likelihoods(val_items))),
-        epochs=cfg.epochs, lr=cfg.lr, weight_decay=cfg.weight_decay,
-        batch_size=cfg.batch_size, patience=cfg.patience,
-        rng=np.random.default_rng(cfg.seed + 1),
-    )
+    with _helper(model, train_items, val_items):
+        _, _, model.history = fit(
+            model.params, train_items,
+            lambda batch: model.backward_nll(batch, 1.0 / len(batch)),
+            lambda: float(np.mean(model.log_likelihoods(val_items))),
+            epochs=cfg.epochs, lr=cfg.lr, weight_decay=cfg.weight_decay,
+            batch_size=cfg.batch_size, patience=cfg.patience,
+            rng=np.random.default_rng(cfg.seed + 1),
+        )
     return model

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,18 @@ def test_em_config_rejects_sizes_below_one(bad):
 def test_em_config_rejects_non_finite_or_out_of_range_rates(bad):
     name = next(iter(bad))
     with pytest.raises(ValueError, match="lr" if name == "m_step_lr" else name):
+        EmConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [{"estep_schedule": "foo"}, {"estep_schedule": "Jacobi"},
+                                 {"fractions": (0.9, 0.9, 0.9)}, {"fractions": (0.5, 0.5)},
+                                 {"fractions": (0.0, 0.5, 0.5)}, {"fractions": (np.nan, 0.1, 0.1)},
+                                 {"scorer_hidden": 0}, {"scorer_hidden": -4},
+                                 {"scorer_weight_decay": -1.0}, {"scorer_weight_decay": np.inf},
+                                 {"scorer_weight_decay": np.nan}])
+def test_em_config_rejects_a_bad_schedule_fractions_or_scorer_setting(bad):
+    # raised on construction, before run_em's k-means and scorer fit
+    with pytest.raises(ValueError, match=next(iter(bad))):
         EmConfig(**bad)
 
 
@@ -229,6 +243,23 @@ def test_run_em_matches_the_tape_bit_for_bit(monkeypatch):
     monkeypatch.setattr(UnaryScorer, "crossent", ref.scorer_crossent)
     want = run_em(d, g, model, cfg)
     assert np.array_equal(got.mean_field.q, want.mean_field.q)
+    assert got.history == want.history
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 64])
+def test_run_em_with_a_helper_is_bit_identical_to_without(forks, monkeypatch, batch_size):
+    d = random_dataset(np.random.default_rng(14), n_sequences=20)
+    g = co_occurrence(d)
+    model = SequenceModel(d.registry.keys, TINY, seed=6)
+    cfg = EmConfig(n_loops=2, m_step_epochs=3, batch_size=batch_size, scorer_hidden=5)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = run_em(d, g, model, cfg)
+    assert forks == []
+    got = run_em(d, g, model, cfg)
+    assert len(forks) == 2  # one helper per M-step
+    assert np.array_equal(got.mean_field.q, want.mean_field.q)
+    assert np.array_equal(got.scores, want.scores)
     assert got.history == want.history
 
 

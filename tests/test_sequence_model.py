@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -410,6 +411,30 @@ def test_training_is_deterministic():
     m2 = train(d, cfg, TINY)
     for k in m1.params:
         np.testing.assert_array_equal(m1.params[k].data, m2.params[k].data)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 4, 64])
+@pytest.mark.parametrize("with_val", [False, True])
+def test_training_with_a_helper_is_bit_identical_to_without(forks, monkeypatch, tmp_path,
+                                                            batch_size, with_val):
+    # 11 training sequences: batches of 1, of 3 (the last of 2), of 4 (the
+    # last of 3) and one batch of 11
+    d = random_dataset(np.random.default_rng(12), n_accounts=5, n_sequences=16)
+    fit_on = Dataset(d.sequences[:11], d.registry)
+    val = Dataset(d.sequences[11:], d.registry) if with_val else None
+    cfg = TrainConfig(epochs=3, batch_size=batch_size, patience=3, seed=5)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = train(fit_on, cfg, TINY, val=val)
+    assert forks == []
+    got = train(fit_on, cfg, TINY, val=val)
+    assert len(forks) == 1
+    for k in want.params:
+        assert np.array_equal(got.params[k].data, want.params[k].data), k
+    assert got.history == want.history
+    want.save(tmp_path / "want.npz")
+    got.save(tmp_path / "got.npz")
+    assert (tmp_path / "got.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -32,7 +32,7 @@ def _accumulate(t: "Tensor", g: np.ndarray) -> None:
     if t.grad is None:
         t.grad = np.array(g, dtype=np.float64, copy=True)
     else:
-        t.grad = t.grad + g
+        np.add(t.grad, g, out=t.grad)  # in place: grad is this tensor's own copy
 
 
 class Tensor:

@@ -135,10 +135,11 @@ def _kpp_seeds(X, k, rng):
 def _lloyd(X, centers, k, max_iter):
     labels = None
     x2 = (X * X).sum(axis=1)[:, None]
+    X2 = 2.0 * X  # doubled once, not in every iteration
     for _ in range(max_iter):
         d2 = (
             x2
-            - 2.0 * X @ centers.T
+            - X2 @ centers.T
             + (centers * centers).sum(axis=1)[None, :]
         )
         new_labels = d2.argmin(axis=1)

@@ -9,10 +9,19 @@ threshold. The pairwise potential used downstream normalizes each edge by
 
 A graph is stored as a sorted upper-triangle edge list ``(u, v, weight)``,
 so its memory grows with the number of edges, not with the square of the
-number of accounts. The builders count the account pairs of each sequence
-directly, and the E-step applies the coupling through
-``KnowledgeGraph.couple``. Dense (V, V) views (``w``, ``coupling()``) are
-built on demand for tests and small instances.
+number of accounts. The edge ends are int32 (at most 2**31 - 1 accounts), so
+a graph holds 24 bytes per edge once its coupling is built: 4 + 4 for the
+ends, 8 for the weight and 8 for the coupling ``b``. The builders count the
+account pairs of each sequence in one preallocated key buffer, and the
+E-step applies the coupling through ``KnowledgeGraph.couple``. Every pass
+over the edges runs in slices of ``COUPLE_EDGES``, so no full-size
+temporary, and no whole-array intp copy of the int32 ends (numpy makes one
+for each fancy index or ``bincount`` they are given), sits beside the edge
+arrays. The degrees are summed with ``np.add.at`` slice by slice: it adds
+the weights one edge at a time in edge order, as one ``np.bincount`` over all
+edges would, so the bits stay those of the unsliced sum, where adding
+per-slice ``bincount`` totals would not. Dense (V, V) views (``w``,
+``coupling()``) are built on demand for tests and small instances.
 """
 
 from __future__ import annotations
@@ -37,10 +46,31 @@ __all__ = [
 ]
 
 
-# couple() sums this many edges at a time, or one per account if that is
-# more: its temporaries stay small, and zeroing its per-account sums costs
-# no more than the edges do
+# Passes over the edges take this many at a time; couple() takes one per
+# account if that is more: its temporaries stay small, and zeroing its
+# per-account sums costs no more than the edges do
 COUPLE_EDGES = 2 ** 16
+
+
+def _slices(n: int, step: int | None = None):
+    """Consecutive slices of ``step`` (default COUPLE_EDGES) items covering range(n)."""
+    step = step or COUPLE_EDGES
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _ends(x, n: int) -> np.ndarray:
+    """``x`` as int32 account indices, checked against n accounts before narrowing.
+
+    The caller's values must be integers: floats only when integral (an empty
+    list is float). A value outside [0, n) raises before the cast could wrap it.
+    """
+    x = np.asarray(x)
+    if not (np.issubdtype(x.dtype, np.integer)
+            or (np.issubdtype(x.dtype, np.floating) and (x == np.floor(x)).all())):
+        raise ValueError("edge ends must be integers")
+    if x.size and not (x.min() >= 0 and x.max() < n):
+        raise ValueError("edges must join two accounts u < v")
+    return x.astype(np.int32, copy=False)
 
 
 @dataclass
@@ -54,19 +84,22 @@ class KnowledgeGraph:
     """
 
     accounts: list             # account keys; u and v index into them
-    u: np.ndarray              # (E,) first account of each edge
-    v: np.ndarray              # (E,) second account of each edge, u < v
+    u: np.ndarray              # (E,) int32, first account of each edge
+    v: np.ndarray              # (E,) int32, second account of each edge, u < v
     weight: np.ndarray         # (E,) finite, > 0
     filter_tag: str = "none"
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.intp)
-        self.v = np.asarray(self.v, dtype=np.intp)
+        n = self.n
+        if n > np.iinfo(np.int32).max:
+            raise ValueError("a graph holds at most 2**31 - 1 accounts")
         self.weight = np.asarray(self.weight, dtype=np.float64)
-        u, v, w, n = self.u, self.v, self.weight, self.n
-        if not (u.ndim == 1 and u.shape == v.shape == w.shape):
+        shapes = {np.shape(self.u), np.shape(self.v), self.weight.shape}
+        if len(shapes) != 1 or self.weight.ndim != 1:
             raise ValueError("u, v and weight must be vectors of one length")
-        if len(u) and not (u.min() >= 0 and v.max() < n and (u < v).all()):
+        self.u, self.v = _ends(self.u, n), _ends(self.v, n)
+        u, v, w = self.u, self.v, self.weight
+        if not (u < v).all():
             raise ValueError("edges must join two accounts u < v")
         if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
             raise ValueError("edges must be sorted row-major and distinct")
@@ -79,20 +112,34 @@ class KnowledgeGraph:
 
     @cached_property
     def deg(self) -> np.ndarray:
-        """(V,) weighted degree of each account."""
-        return np.bincount(self.u, self.weight, self.n) + np.bincount(self.v, self.weight, self.n)
+        """(V,) weighted degree of each account: its sum over u plus its sum over v."""
+        du, dv = np.zeros(self.n), np.zeros(self.n)
+        for s in _slices(len(self.weight)):
+            np.add.at(du, self.u[s], self.weight[s])
+            np.add.at(dv, self.v[s], self.weight[s])
+        return du + dv
 
     @cached_property
     def b(self) -> np.ndarray:
         """(E,) per-edge coupling w_uv / sqrt(d_u d_v), computed once."""
-        return self.weight / np.sqrt(self.deg[self.u] * self.deg[self.v])
+        out = np.empty_like(self.weight)
+        deg = self.deg
+        for s in _slices(len(self.weight)):
+            d = deg[self.u[s]]
+            np.multiply(d, deg[self.v[s]], out=d)
+            np.sqrt(d, out=d)
+            np.divide(self.weight[s], d, out=out[s])
+        return out
 
     @cached_property
     def _rows(self) -> tuple:
         """Both orientations of every edge grouped by row: (row starts, columns, couplings)."""
-        rows = np.concatenate([self.u, self.v])
-        order = np.argsort(rows, kind="stable")
-        starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))])
+        counts = np.zeros(self.n, dtype=np.intp)
+        for s in _slices(len(self.weight)):
+            np.add.at(counts, self.u[s], 1)
+            np.add.at(counts, self.v[s], 1)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        order = np.argsort(np.concatenate([self.u, self.v]), kind="stable")
         return (starts, np.concatenate([self.v, self.u])[order],
                 np.concatenate([self.b, self.b])[order])
 
@@ -109,9 +156,8 @@ class KnowledgeGraph:
             lo, hi = starts[row], starts[row + 1]
             return b[lo:hi] @ q[cols[lo:hi]]
         out = np.zeros_like(q)
-        step = max(COUPLE_EDGES, self.n)
-        for lo in range(0, len(self.u), step):
-            u, v, b = self.u[lo:lo + step], self.v[lo:lo + step], self.b[lo:lo + step]
+        for s in _slices(len(self.weight), max(COUPLE_EDGES, self.n)):
+            u, v, b = self.u[s].astype(np.intp), self.v[s].astype(np.intp), self.b[s]
             for m in range(q.shape[1]):
                 qm = q[:, m]
                 out[:, m] += np.bincount(u, b * qm[v], self.n) + np.bincount(v, b * qm[u], self.n)
@@ -119,8 +165,9 @@ class KnowledgeGraph:
 
     def _dense(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        out[self.u, self.v] = values
-        out[self.v, self.u] = values
+        for s in _slices(len(self.weight)):
+            out[self.u[s], self.v[s]] = values[s]
+            out[self.v[s], self.u[s]] = values[s]
         return out
 
     @property
@@ -155,16 +202,19 @@ def _participants(d: Dataset):
 def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
     """Edge arrays (u, v, count): the number of sequences holding both accounts.
 
-    Each sequence gives the sorted pair keys u * V + v of its participants,
-    and the keys of all sequences are counted at once. With ``c``, a pair
-    counts in a sequence only when its active intervals there overlap by
-    more than ``c``.
+    Each sequence writes the sorted pair keys u * V + v of its participants
+    into one buffer sized for every pair of every sequence, and the keys are
+    counted at once. With ``c``, a pair counts in a sequence only when its
+    active intervals there overlap by more than ``c``.
     """
     if not d.sequences:
         raise ValueError("dataset is empty")
     V = len(d.registry)
-    keys = []
-    for idx, lo, hi in _participants(d):
+    participants = list(_participants(d))
+    keys = np.empty(sum(len(idx) * (len(idx) - 1) // 2 for idx, _, _ in participants),
+                    dtype=np.int64)
+    n_pairs = 0
+    for idx, lo, hi in participants:
         order = np.argsort(idx)
         idx = idx[order]
         iu, iv = np.triu_indices(len(idx), 1)
@@ -172,21 +222,26 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
         if c is not None:
             lo, hi = lo[order], hi[order]
             pairs = pairs[np.minimum(hi[iu], hi[iv]) - np.maximum(lo[iu], lo[iv]) > c]
-        keys.append(pairs)
-    # np.unique(keys, return_counts=True), sorting in place and dropping
-    # each array once it is used up, so fewer copies are alive at once
-    keys = np.concatenate(keys)
+        keys[n_pairs:n_pairs + len(pairs)] = pairs
+        n_pairs += len(pairs)
+    del participants
+    # np.unique(keys, return_counts=True), in place and with each array
+    # dropped once it is used up, so fewer full-size arrays are alive at once
+    keys = keys[:n_pairs]
     keys.sort()
-    starts = np.empty(len(keys), dtype=bool)
+    starts = np.empty(n_pairs, dtype=bool)
     starts[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     first = np.flatnonzero(starts)
-    n_pairs = len(keys)
-    keys = keys[first]
-    counts = np.diff(first, append=n_pairs)
-    del first
-    counts = counts.astype(np.float64)
-    u, v = np.divmod(keys, V)
+    del starts
+    u = np.empty(len(first), dtype=np.int32)
+    v = np.empty(len(first), dtype=np.int32)
+    for s in _slices(len(first)):
+        np.divmod(keys[first[s]], V, out=(u[s], v[s]))
+    del keys
+    counts = np.empty(len(first))
+    np.subtract(first[1:], first[:-1], out=counts[:-1])
+    counts[-1:] = n_pairs - first[-1:]
     return u, v, counts
 
 

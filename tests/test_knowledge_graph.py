@@ -450,3 +450,108 @@ def test_a_20k_account_graph_builds_and_sweeps_in_edge_sized_memory():
     assert sweeps == 1 and mf.q.shape == (V, 2)
     assert 100_000 < len(g.weight) < 200_000
     assert peak < 50 * 2 ** 20, peak / 2 ** 20
+
+
+def test_edge_ends_must_be_integers_in_range_before_they_narrow_to_int32():
+    keys = ["a", "b", "c"]
+    with pytest.raises(ValueError, match="^edge ends must be integers$"):
+        KnowledgeGraph(keys, [0.9], [1.7], [1.0], "none")
+    with pytest.raises(ValueError, match="^edge ends must be integers$"):
+        KnowledgeGraph(keys, [0], [np.nan], [1.0], "none")
+    # 2**32 and 2**32 + 1 would wrap to 0 and 1 in a plain int32 cast
+    for u, v in (([0], [2 ** 32]), ([2 ** 32], [2 ** 32 + 1]), ([0], [float(2 ** 32)])):
+        with pytest.raises(ValueError, match="^edges must join two accounts u < v$"):
+            KnowledgeGraph(keys, np.array(u), np.array(v), [1.0], "none")
+    g = KnowledgeGraph(keys, np.array([0.0, 1.0]), np.array([2.0, 2.0]), [1.0, 2.0], "none")
+    assert g.u.dtype == g.v.dtype == np.int32
+    assert g.u.tolist() == [0, 1] and g.v.tolist() == [2, 2]
+
+
+def test_graph_rejects_more_accounts_than_int32_can_index():
+    class TooMany(list):
+        def __len__(self):
+            return 2 ** 31
+
+    with pytest.raises(ValueError, match="at most 2\\*\\*31 - 1 accounts"):
+        KnowledgeGraph(TooMany(), [0], [1], [1.0], "none")
+
+
+def edge_dominated_dataset(V=3000, n_seqs=60, size=250, seed=20):
+    """n_seqs sequences of ``size`` distinct accounts, and one single-event sequence per account."""
+    rng = np.random.default_rng(seed)
+    seqs = [EventSequence(f"a{a}", [Event(f"u{a}", 0.0)]) for a in range(V)]
+    for i in range(n_seqs):
+        who = rng.choice(V, size, replace=False)
+        seqs.append(EventSequence(f"s{i}", [Event(f"u{a}", float(t)) for t, a in enumerate(who)]))
+    return Dataset.from_sequences(seqs)
+
+
+def test_graph_build_and_one_sweep_peak_at_36_bytes_per_edge():
+    # u and v (int32), weight and b hold 24 bytes per edge once the coupling
+    # is built; the build and the sweep may add no more than half of that
+    d = edge_dominated_dataset()
+    E = np.random.default_rng(21).normal(size=(len(d.registry), 4))
+    scorer = UnaryScorer(4, 2, hidden=4, seed=0)
+    tracemalloc.start()
+    try:
+        g = co_occurrence(d)
+        crf = CrfParams(scorer, g)
+        mf, sweeps = estep_converge(crf, E, softmax_init(crf, E), max_iter=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweeps == 1 and mf.q.shape == (3000, 2)
+    assert 1_500_000 < len(g.weight) < 1_560_000
+    assert peak / len(g.weight) <= 36, peak / len(g.weight)
+    assert g.u.dtype == g.v.dtype == np.int32
+
+
+def unsliced(g):
+    """deg, b, couple and couple(row=...) by the whole-array formulas on intp copies of the ends."""
+    u, v, w, n = g.u.astype(np.intp), g.v.astype(np.intp), g.weight, g.n
+    deg = np.bincount(u, w, n) + np.bincount(v, w, n)
+    b = w / np.sqrt(deg[u] * deg[v])
+
+    def couple(q):
+        out = np.zeros_like(q)
+        step = max(graph_mod.COUPLE_EDGES, n)  # couple's slices fix its order of summation
+        for lo in range(0, len(u), step):
+            uu, vv, bb = u[lo:lo + step], v[lo:lo + step], b[lo:lo + step]
+            for m in range(q.shape[1]):
+                out[:, m] += np.bincount(uu, bb * q[vv, m], n) + np.bincount(vv, bb * q[uu, m], n)
+        return out
+
+    rows = np.concatenate([u, v])
+    order = np.argsort(rows, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    cols, bs = np.concatenate([v, u])[order], np.concatenate([b, b])[order]
+
+    def couple_row(q, r):
+        return bs[starts[r]:starts[r + 1]] @ q[cols[starts[r]:starts[r + 1]]]
+
+    return deg, b, couple, couple_row
+
+
+def test_sliced_graph_sums_equal_the_unsliced_formulas_on_non_integer_weights(
+        tmp_path, monkeypatch):
+    # integer-valued weights sum exactly in any order; these do not
+    monkeypatch.setattr(graph_mod, "COUPLE_EDGES", 457)  # fewer than the 600 accounts
+    rng = np.random.default_rng(22)
+    powered = filter_power(co_occurrence(edge_dominated_dataset(600, 40, 60, seed=23)), 2.5)
+    p = tmp_path / "graph.csv"
+    save_graph(powered, p)
+    lines = p.read_text(encoding="utf-8").splitlines()
+    weights = rng.exponential(1.0, len(lines) - 2).tolist()
+    p.write_text("\n".join(lines[:2] + [f"{line.rsplit(',', 1)[0]},{x!r}"
+                                        for line, x in zip(lines[2:], weights)]),
+                 encoding="utf-8")
+    for g in (powered, load_graph(p)):
+        assert len(g.weight) > 10 * max(graph_mod.COUPLE_EDGES, g.n)
+        assert not np.array_equal(g.weight, np.round(g.weight))
+        deg, b, couple, couple_row = unsliced(g)
+        assert np.array_equal(g.deg, deg)
+        assert np.array_equal(g.b, b)
+        q = rng.dirichlet(np.ones(3), g.n)
+        assert np.array_equal(g.couple(q), couple(q))
+        for r in (0, 1, g.n // 2, g.n - 1):
+            assert np.array_equal(g.couple(q, r), couple_row(q, r))

@@ -6,8 +6,8 @@ assignments whose pairwise potentials come from a prior co-appearance
 graph. Training alternates mean-field inference of the assignment beliefs
 with gradient ascent on a tractable surrogate objective. A Hawkes-process
 synthesizer with planted coordinated groups provides ground truth for
-end-to-end validation, and exhaustive-enumeration oracles back the field's
-numerics on small instances.
+end-to-end validation. The oracles that check the maths on small instances
+(enumeration of the field, the Hawkes intensity) live in the tests.
 """
 
 from .events import (
@@ -23,13 +23,12 @@ from .events import (
     split_long_sequences,
     train_val_test_split,
 )
-from .hawkes import HawkesParams, intensity, make_planted_scenario, simulate
+from .hawkes import HawkesParams, make_planted_scenario, simulate
 from .graph import (
     KnowledgeGraph,
     co_occurrence,
     filter_power,
     filter_temporal_logic,
-    load_graph,
     save_graph,
 )
 from .pointprocess import (
@@ -39,20 +38,10 @@ from .pointprocess import (
     TrainingDiverged,
     train,
 )
-from .crf import (
-    CrfParams,
-    MeanField,
-    UnaryScorer,
-    estep_converge,
-    log_partition_bruteforce,
-    marginals_bruteforce,
-    mean_field_free_energy,
-    potential,
-)
+from .crf import CrfParams, MeanField, UnaryScorer, estep_converge, mean_field_free_energy
 from .em import (
     DetectionResult,
     EmConfig,
-    check_prop1_bound,
     identify_coordinated_group,
     initialize,
     kmeans,

@@ -252,8 +252,6 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
 # ---- subcommands ----
 
 def cmd_synth(args) -> int:
-    if args.coord < 2:
-        raise UsageError("--coord must be >= 2")
     _, data = make_planted_scenario(
         args.normal, args.coord, args.strength, args.seed,
         n_sequences=args.sequences, horizon=args.horizon,
@@ -317,16 +315,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    loops_grid = [int(x) for x in args.loops_grid.split(",") if x.strip()]
-    seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
-    if not loops_grid or not seeds:
-        raise UsageError("--loops-grid and --seeds must be non-empty")
     if not args.labels:
         raise UsageError("sweep needs --labels to aggregate metrics")
     out_dir = Path(args.out)
     runs = [argparse.Namespace(**{**vars(args), "loops": loops, "seed": seed,
                                   "checkpoint": str(out_dir / f"checkpoint-seed{seed}.npz")})
-            for loops in loops_grid for seed in seeds]
+            for loops in args.loops_grid for seed in args.seeds]
     for sub in runs:
         _em_config(sub)  # fail before any pretraining
     d = _load_data(args)
@@ -347,7 +341,7 @@ def cmd_sweep(args) -> int:
         for name in METRIC_NAMES:
             head += [f"{name}_mean", f"{name}_std"]
         fh.write(",".join(head) + "\n")
-        for loops in loops_grid:
+        for loops in args.loops_grid:
             values = [m for lp, _, m in per_run if lp == loops]
             row = [str(loops), str(len(values))]
             for name in METRIC_NAMES:
@@ -453,6 +447,19 @@ def _int_at_least(low: int, or_zero: bool = False):
     return parse
 
 
+def _int_list(low: int):
+    """An argparse type: a comma-separated, non-empty list of integers >= ``low``."""
+    item = _int_at_least(low)
+
+    def parse(text: str) -> list:
+        items = [x for x in text.split(",") if x.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"expected a list of integers >= {low}, "
+                                             f"got {text!r}")
+        return [item(x) for x in items]
+    return parse
+
+
 def _fractions(text: str):
     """An argparse type: three comma-separated train/val/test fractions."""
     try:
@@ -470,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a planted-group synthetic dataset")
-    p.add_argument("--normal", type=int, default=80)
-    p.add_argument("--coord", type=int, default=20)
+    p.add_argument("--normal", type=_int_at_least(0), default=80)
+    p.add_argument("--coord", type=_int_at_least(2), default=20)
     p.add_argument("--strength", type=_number(0.0), default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--sequences", type=_int_at_least(1), default=150)
     p.add_argument("--horizon", type=_number(0.0, above=True), default=259200.0)
     p.add_argument("--out", default="synth.jsonl")
@@ -498,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="train the sequence model")
     _add_data_opts(p, with_labels=False)
     _add_train_opts(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
     p.set_defaults(func=cmd_pretrain)
 
@@ -507,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_opts(p)
     _add_graph_opts(p)
     _add_em_opts(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--checkpoint", default=None, help="skip pretraining, load this")
     p.add_argument("--run-dir", default=None)
     p.add_argument("--tag", default="run")
@@ -529,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_opts(p)
     _add_graph_opts(p)
     _add_em_opts(p)
-    p.add_argument("--loops-grid", default="1,2,3")
-    p.add_argument("--seeds", default="0,1,2,3,4")
+    p.add_argument("--loops-grid", type=_int_list(1), default="1,2,3")
+    p.add_argument("--seeds", type=_int_list(0), default="0,1,2,3,4")
     p.add_argument("--out", required=True, help="sweep output directory")
     p.set_defaults(func=cmd_sweep)
 

@@ -21,9 +21,8 @@ until the beliefs stop moving, and ``max_iter=1`` runs a single sweep.
 B is never formed in a sweep: ``KnowledgeGraph.couple`` sums
 sum_v B_uv Q_v over the graph's edge list, for all rows at once (Jacobi)
 or for one row (Gauss-Seidel), so a sweep costs time and memory in
-proportion to the number of edges.
-Exhaustive-enumeration versions of the partition function and marginals
-serve as test oracles for small instances.
+proportion to the number of edges. The tests check this maths against
+exhaustive enumeration of small fields (``tests/oracles.py``).
 
 Degree normalization bounds the spectral norm of B by 1, and softmax is
 1/2-Lipschitz, so the update is a contraction whose unique fixed point is
@@ -50,15 +49,9 @@ __all__ = [
     "UnaryScorer",
     "CrfParams",
     "MeanField",
-    "potential",
-    "enumerate_assignments",
-    "log_partition_bruteforce",
-    "marginals_bruteforce",
     "estep_converge",
     "mean_field_free_energy",
 ]
-
-ENUMERATION_LIMIT = 10 ** 6
 
 
 class UnaryScorer:
@@ -128,12 +121,6 @@ class CrfParams:
     def n_groups(self) -> int:
         return self.scorer.n_groups
 
-    def unary(self, E: np.ndarray) -> np.ndarray:
-        return self.scorer.scores(E)
-
-    def coupling(self) -> np.ndarray:
-        return self.graph.coupling()
-
 
 @dataclass
 class MeanField:
@@ -155,59 +142,6 @@ class MeanField:
     @property
     def n_groups(self) -> int:
         return self.q.shape[1]
-
-
-def potential(Y, crf: CrfParams, E: np.ndarray) -> float:
-    """Phi(Y): unary scores plus one pairwise reward per unordered pair."""
-    Y = np.asarray(Y, dtype=np.intp)
-    theta = crf.unary(E)
-    B = crf.coupling()
-    same = Y[:, None] == Y[None, :]
-    return float(theta[np.arange(len(Y)), Y].sum() + 0.5 * (B * same).sum())
-
-
-def enumerate_assignments(n: int, m: int) -> np.ndarray:
-    """All m**n assignments as an (m**n, n) integer array."""
-    if m ** n > ENUMERATION_LIMIT:
-        raise ValueError(f"instance too large to enumerate: {m}**{n}")
-    grids = np.meshgrid(*([np.arange(m)] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _pair_scores(B: np.ndarray, Y_all: np.ndarray) -> np.ndarray:
-    """sum_{u<v} B_uv * 1(y_u = y_v) for each assignment row of ``Y_all``."""
-    n = Y_all.shape[1]
-    scores = np.zeros(len(Y_all))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if B[u, v] != 0.0:
-                scores += B[u, v] * (Y_all[:, u] == Y_all[:, v])
-    return scores
-
-
-def _all_potentials(crf: CrfParams, E: np.ndarray) -> np.ndarray:
-    theta = crf.unary(E)
-    n = len(theta)
-    Y_all = enumerate_assignments(n, crf.n_groups)
-    return theta[np.arange(n), Y_all].sum(axis=1) + _pair_scores(crf.coupling(), Y_all)
-
-
-def log_partition_bruteforce(crf: CrfParams, E: np.ndarray) -> float:
-    """log sum_Y exp(Phi(Y)) by exhaustive enumeration (small instances only)."""
-    return float(logsumexp(_all_potentials(crf, E)))
-
-
-def marginals_bruteforce(crf: CrfParams, E: np.ndarray) -> MeanField:
-    """Exact per-account marginals of P(Y) by enumeration."""
-    phi = _all_potentials(crf, E)
-    weights = np.exp(phi - logsumexp(phi))
-    n = len(crf.unary(E))
-    Y_all = enumerate_assignments(n, crf.n_groups)
-    q = np.zeros((n, crf.n_groups))
-    for m in range(crf.n_groups):
-        q[:, m] = weights @ (Y_all == m)
-    q /= q.sum(axis=1, keepdims=True)
-    return MeanField(q)
 
 
 def _sweep(q, theta, g, clamped, schedule):
@@ -237,7 +171,7 @@ def estep_converge(crf: CrfParams, E: np.ndarray, init: MeanField,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    theta = crf.unary(E)
+    theta = crf.scorer.scores(E)
     q = init.q.copy()
     clamped = init.clamped.copy()
     iterations = 0
@@ -253,7 +187,7 @@ def estep_converge(crf: CrfParams, E: np.ndarray, init: MeanField,
 
 def mean_field_free_energy(mf: MeanField, crf: CrfParams, E: np.ndarray) -> float:
     """E_Q[Phi] + H(Q); log Z minus this value is the exact KL(Q || P)."""
-    theta = crf.unary(E)
+    theta = crf.scorer.scores(E)
     q = mf.q
     expected_unary = float((q * theta).sum())
     expected_pair = 0.5 * float((q * crf.graph.couple(q)).sum())  # B has zero diagonal
@@ -266,7 +200,7 @@ def mean_field_free_energy(mf: MeanField, crf: CrfParams, E: np.ndarray) -> floa
 def softmax_init(crf: CrfParams, E: np.ndarray, clamp_rows=None,
                  clamp_groups=None) -> MeanField:
     """Unary-only warm start: rows are softmax(theta_u), clamps one-hot."""
-    q = row_softmax(crf.unary(E))
+    q = row_softmax(crf.scorer.scores(E))
     clamped = np.zeros(len(q), dtype=bool)
     if clamp_rows is not None and len(clamp_rows):
         rows = np.asarray(clamp_rows, dtype=np.intp)

@@ -12,10 +12,10 @@ beliefs Q held fixed. The second term is the tractable surrogate for the
 expected assignment log-probability: the partition function of the full
 field is bounded by the best pairwise score (a constant here) plus the
 factorized unary partition, so the cross-entropy of the unary softmax
-against Q is a valid lower bound up to constants; ``check_prop1_bound``
-verifies the inequality numerically on enumerable instances. A final E-step
-after the last M-step produces the beliefs that the detection scores are
-read from, so a single loop is genuinely different from the E-step-only
+against Q is a valid lower bound up to constants (the tests check the
+inequality by enumeration on small instances). A final E-step after the
+last M-step produces the beliefs that the detection scores are read from,
+so a single loop is genuinely different from the E-step-only
 (post-processing) mode.
 """
 
@@ -25,17 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam, logsumexp
-from .crf import (
-    CrfParams,
-    MeanField,
-    UnaryScorer,
-    _pair_scores,
-    enumerate_assignments,
-    estep_converge,
-    log_partition_bruteforce,
-    softmax_init,
-)
+from .autodiff import Adam
+from .crf import CrfParams, MeanField, UnaryScorer, estep_converge, softmax_init
 from .events import Dataset, check_fractions, train_val_test_split
 from .graph import KnowledgeGraph
 from .pointprocess import SequenceModel, _check_step_sizes, _helper, fit
@@ -45,7 +36,6 @@ __all__ = [
     "DetectionResult",
     "kmeans",
     "initialize",
-    "check_prop1_bound",
     "run_em",
     "check_revealed",
     "identify_coordinated_group",
@@ -255,23 +245,6 @@ def initialize(
     if graph is None:
         graph = KnowledgeGraph(list(pretrained.accounts), [], [], [], "none")
     return CrfParams(scorer, graph)
-
-
-# ---- M-step objective ----
-
-def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
-    """Verify log Z <= max_Y pairwise(Y) + sum_u log sum_m exp(theta_u(m)).
-
-    Returns (lhs, rhs) and raises if the inequality fails. Equality holds
-    when all pairwise weights vanish.
-    """
-    lhs = log_partition_bruteforce(crf, E)
-    theta = crf.unary(E)
-    Y_all = enumerate_assignments(len(theta), crf.n_groups)
-    rhs = float(_pair_scores(crf.coupling(), Y_all).max() + logsumexp(theta, axis=1).sum())
-    if lhs > rhs + 1e-9:
-        raise AssertionError(f"partition-bound violation: {lhs} > {rhs}")
-    return lhs, rhs
 
 
 # ---- EM driver ----

@@ -26,7 +26,6 @@ per-slice ``bincount`` totals would not. Dense (V, V) views (``w``,
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,7 +41,6 @@ __all__ = [
     "filter_power",
     "filter_temporal_logic",
     "save_graph",
-    "load_graph",
 ]
 
 
@@ -314,40 +312,3 @@ def save_graph(g: KnowledgeGraph, path) -> None:
             weights = _fixed_width([f"{x!r}\n".encode("ascii") for x in values.tolist()])
             lines = np.concatenate([keys[g.u[e]], keys[g.v[e]], weights[which]], axis=1).ravel()
             fh.write(lines[lines != _PAD].tobytes())
-
-
-def load_graph(path) -> KnowledgeGraph:
-    """The graph ``save_graph`` wrote, or any file of that form.
-
-    A pair listed more than once, in either orientation, takes its last
-    weight; a zero weight is no edge; an account paired with itself is an
-    error.
-    """
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        meta = fh.readline().strip()
-        if not meta.startswith("# filter_tag="):
-            raise ValueError(f"{path}: missing filter_tag header line")
-        tag, _, accounts_json = meta[len("# filter_tag="):].partition(" accounts=")
-        accounts = json.loads(accounts_json)
-        header = fh.readline().strip()
-        if header != "u,v,weight":
-            raise ValueError(f"{path}: expected 'u,v,weight' header")
-        index = {a: i for i, a in enumerate(accounts)}
-        ends, weights = [], []
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            u, v, weight = row
-            ends.append((index[u], index[v]))
-            weights.append(float(weight))
-    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
-    weights = np.array(weights, dtype=np.float64)
-    if np.any(ends[:, 0] == ends[:, 1]):
-        raise ValueError(f"{path}: an edge joins an account to itself")
-    u, v = ends.min(axis=1), ends.max(axis=1)
-    # the first of each pair in the reversed listing is its last listing
-    _, first = np.unique((u * len(accounts) + v)[::-1], return_index=True)
-    last = len(u) - 1 - first
-    last = last[weights[last] != 0]
-    return KnowledgeGraph(accounts, u[last], v[last], weights[last], tag)

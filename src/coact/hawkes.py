@@ -26,7 +26,7 @@ import numpy as np
 
 from .events import Dataset, Event, EventSequence
 
-__all__ = ["HawkesParams", "Participation", "intensity", "simulate", "make_planted_scenario"]
+__all__ = ["HawkesParams", "Participation", "simulate", "make_planted_scenario"]
 
 
 # the planted scenario (``make_planted_scenario``)
@@ -89,22 +89,6 @@ class HawkesParams:
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.alpha / self.beta))))
-
-
-def intensity(params: HawkesParams, v, t: float, history) -> float:
-    """Conditional intensity of account key ``v`` at time ``t`` given past events.
-
-    lambda_v(t) = mu_v + sum over history of alpha[v, u] * exp(-beta (t - t_i)).
-    """
-    index = {a: i for i, a in enumerate(params.accounts)}
-    vi = index[v]
-    acc = params.mu[vi]
-    for e in history:
-        if e.t >= t:
-            raise ValueError("history events must precede the query time")
-        ui = index[e.account]
-        acc += params.alpha[vi, ui] * np.exp(-params.beta * (t - e.t))
-    return float(acc)
 
 
 def _draw_gates(params: HawkesParams, rng):

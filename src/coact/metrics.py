@@ -2,8 +2,9 @@
 
 Tie conventions: equal scores are grouped into one threshold step for
 average precision and max-F1, and tied positive/negative pairs get half
-credit in the ROC AUC (the Mann-Whitney convention). Degenerate ratios
-follow 0/0 := 0 throughout.
+credit in the ROC AUC (the Mann-Whitney convention). The ROC AUC is one
+exact count over those tie groups. Degenerate ratios follow 0/0 := 0
+throughout.
 """
 
 from __future__ import annotations
@@ -54,23 +55,21 @@ def average_precision(scores, truth) -> float:
 
 
 def roc_auc(scores, truth) -> float:
-    """P(score_pos > score_neg) + 0.5 P(equal).
+    """P(score_pos > score_neg) + 0.5 P(equal), counted exactly.
 
-    Computed over all positive-negative pairs for small inputs and by the
-    trapezoid rule on the tie-grouped ROC curve otherwise; the two agree
-    exactly.
+    Of P positives and N negatives, tie group g (in descending score order)
+    holds pos_g positives and neg_g negatives, and fp_g negatives score at
+    or above it:
+    wins = sum_g pos_g (N - fp_g) + 0.5 sum_g pos_g neg_g. Every term is a
+    whole or half count, so below 2**53 pairs the sum is exact and the one
+    rounding is the division by P N: the result is the correctly rounded
+    pairwise count.
     """
     scores, truth = _validate_scored(scores, truth)
-    pos = scores[truth == 1]
-    neg = scores[truth == 0]
-    if len(pos) * len(neg) <= 4_000_000:
-        diff = pos[:, None] - neg[None, :]
-        wins = (diff > 0).sum() + 0.5 * (diff == 0).sum()
-        return float(wins / (len(pos) * len(neg)))
     tp, fp = _tie_grouped_counts(scores, truth)
-    tpr = np.concatenate([[0.0], tp / tp[-1]])
-    fpr = np.concatenate([[0.0], fp / fp[-1]])
-    return float(np.trapezoid(tpr, fpr))
+    pos, neg = np.diff(tp, prepend=0.0), np.diff(fp, prepend=0.0)
+    wins = (pos * (fp[-1] - fp)).sum() + 0.5 * (pos * neg).sum()
+    return float(wins / (tp[-1] * fp[-1]))
 
 
 def _prf(tp, fp, fn):

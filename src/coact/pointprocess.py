@@ -22,6 +22,10 @@ lives only in the tests, as their oracle (``tests/tape.py`` is the engine,
 ``tests/tape_reference.py`` the model written on it).
 The per-sequence constants (account indices, gaps, position encodings and
 the causal mask) come from ``SequenceModel.prepare``, once per fit.
+A checkpoint (``SequenceModel.save``) holds the parameters, the accounts and
+the config. ``SequenceModel.load`` accepts only config keys that are
+``SeqModelConfig`` fields: it refuses a checkpoint that stores options
+since folded into constants, and names those keys.
 
 While ``train`` and the EM M-step run ``fit``, one forked helper process
 shares the work (``_helper``). In each minibatch and each validation pass
@@ -96,32 +100,6 @@ class SeqModelConfig:
     def d_feat(self) -> int:
         """Feature width, which is also the attention, context and mark-head width."""
         return self.d_embed + self.d_pos + self.d_time
-
-
-# Config keys that older checkpoints carry, with the one value the model now
-# uses for each; the three widths were stored as d_feat, or as 0 for d_feat.
-_FOLDED_KEYS = {"tie_mark_head": True, "first_gap": FIRST_GAP, "min_gap": MIN_GAP,
-                "time_density_jacobian": True, "pe_base": PE_BASE, "time_unit": 1.0}
-_FOLDED_WIDTHS = ("d_attn", "d_context", "d_mark_hidden")
-
-
-def _config_from_checkpoint(stored: dict) -> SeqModelConfig:
-    """The config a checkpoint stores; a folded key must hold its fixed value."""
-    known = {f.name for f in fields(SeqModelConfig)}
-    cfg = SeqModelConfig(**{k: v for k, v in stored.items() if k in known})
-    for k, v in stored.items():
-        if k in known:
-            continue
-        if k in _FOLDED_WIDTHS:
-            allowed = (0, cfg.d_feat)
-        elif k in _FOLDED_KEYS:
-            allowed = (_FOLDED_KEYS[k],)
-        else:
-            raise ValueError(f"unknown checkpoint config key {k!r}")
-        if v not in allowed:
-            raise ValueError(f"checkpoint config key {k!r} = {v!r} is not supported; "
-                             f"the model requires {' or '.join(map(repr, allowed))}")
-    return cfg
 
 
 @dataclass
@@ -374,19 +352,7 @@ class SequenceModel:
         add(p["time_phase"], g_angles.sum(axis=0))
         add(p["time_freq"], (g_angles * seq.feat_gaps).sum(axis=0))
 
-    # ---- public numpy surface ----
-
-    def featurize(self, s: EventSequence) -> np.ndarray:
-        return self._features(self.prepare([s])[0])[0]
-
-    def encode(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        L = len(X)
-        return self._encode(X, np.triu(np.full((L, L), NEG_INF), k=1))[0]
-
-    def _context(self, s: EventSequence) -> np.ndarray:
-        seq = self.prepare([s])[0]
-        return self._encode(self._features(seq)[0], seq.mask)[0]
+    # ---- likelihoods and gradients ----
 
     def log_likelihood(self, s: EventSequence) -> float:
         return self.log_likelihoods(self.prepare([s]))[0]
@@ -403,10 +369,6 @@ class SequenceModel:
                 mark, time, _ = self._forward(seq)
                 out.append(mark + time)
         return out
-
-    def log_likelihood_terms(self, s: EventSequence) -> tuple:
-        mark, time, _ = self._forward(self.prepare([s])[0])
-        return mark, time
 
     def grad_log_likelihood(self, batch) -> dict:
         """Exact gradients of the summed log-likelihood over ``batch``."""
@@ -439,22 +401,6 @@ class SequenceModel:
                 self._backward(seq, cache, -scale)
         return nll
 
-    def mark_probs(self, s: EventSequence) -> np.ndarray:
-        logits = self._heads(self._context(s))[2]
-        return np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-
-    def time_mixture(self, s: EventSequence) -> tuple:
-        """Per-event mixture parameters (weights, locations, scales)."""
-        log_w, mu, log_s = self._heads(self._context(s))[3:]
-        return np.exp(log_w), mu, np.exp(log_s)
-
-    def time_density(self, tau: np.ndarray, w, mu, s_) -> np.ndarray:
-        """Mixture density of the gap for one event's (w, mu, s) row."""
-        tau = np.asarray(tau, dtype=np.float64)
-        z = (np.log(tau)[..., None] - mu) / s_
-        comp = np.exp(-0.5 * z * z) / (s_ * np.sqrt(2.0 * np.pi))
-        return (w * comp).sum(axis=-1) / tau
-
     # ---- persistence ----
 
     def save(self, path) -> None:
@@ -470,7 +416,10 @@ class SequenceModel:
             meta = json.loads(archive["__meta__"].tobytes().decode())
             if meta.get("version") != 1:
                 raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-            model = cls(meta["accounts"], _config_from_checkpoint(meta["config"]), seed=0)
+            unknown = sorted(set(meta["config"]) - {f.name for f in fields(SeqModelConfig)})
+            if unknown:
+                raise ValueError(f"checkpoint config keys {unknown} are not SeqModelConfig fields")
+            model = cls(meta["accounts"], SeqModelConfig(**meta["config"]), seed=0)
             for k in model.params:
                 model.params[k].data = np.array(archive[k], dtype=np.float64)
         return model

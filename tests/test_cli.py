@@ -114,7 +114,7 @@ def exit_code(argv):
                                  ["--threshold", "2"], ["--threshold", "-0.1"],
                                  ["--estep-tol", "inf"], ["--estep-tol", "nan"],
                                  ["--min-account-count", "-3"], ["--d-pos", "-1"],
-                                 ["--d-time", "-1"]])
+                                 ["--d-time", "-1"], ["--seed", "-1"]])
 def test_bad_detect_config_fails_before_any_stage(tmp_path, data, bad):
     run_dir = tmp_path / "run"
     assert exit_code(["detect", *data, *SMALL, *bad, "--run-dir", str(run_dir)]) == 2
@@ -123,7 +123,9 @@ def test_bad_detect_config_fails_before_any_stage(tmp_path, data, bad):
 
 @pytest.mark.parametrize("bad", [["--sequences", "-5"], ["--sequences", "0"],
                                  ["--strength", "nan"], ["--strength", "-1"],
-                                 ["--horizon", "0"], ["--horizon", "inf"]])
+                                 ["--horizon", "0"], ["--horizon", "inf"],
+                                 ["--normal", "-3"], ["--normal", "-1"], ["--coord", "1"],
+                                 ["--seed", "-1"]])
 def test_bad_synth_flags_write_nothing(tmp_path, bad):
     out, labels = tmp_path / "data.jsonl", tmp_path / "labels.csv"
     assert exit_code(["synth", "--normal", "4", "--coord", "2", "--sequences", "3", *bad,
@@ -139,9 +141,17 @@ def test_bad_eval_threshold_is_a_usage_error(tmp_path, data, bad):
 
 def test_bad_sweep_config_fails_before_pretraining(tmp_path, data):
     out = tmp_path / "sweep"
-    for bad in (["--groups", "3"], ["--loops-grid", "1,0"]):  # 0 loops: the second runs
+    for bad in (["--groups", "3"], ["--loops-grid", "1,0"], ["--loops-grid", "x"],
+                ["--loops-grid", ","], ["--seeds=-1"], ["--seeds", "0,y"]):
         assert exit_code(["sweep", *data, *SMALL, *bad, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+def test_bad_pretrain_seed_writes_nothing(tmp_path, data):
+    out = tmp_path / "checkpoint.npz"
+    assert exit_code(["pretrain", data[0], data[1], *TRAIN, "--seed", "-1",
+                      "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def read_csv(path):
@@ -203,7 +213,7 @@ def test_more_than_two_groups_run_with_revealed_accounts(tmp_path, data):
                                     {"epochs": -1}, {"em_epochs": 0}, {"patience": 0},
                                     {"threshold": float("nan")}, {"threshold": 2},
                                     {"estep_tol": float("inf")}, {"min_account_count": -3},
-                                    {"d_pos": -1}, {"d_time": -1}])
+                                    {"d_pos": -1}, {"d_time": -1}, {"seed": -1}])
 def test_config_file_values_are_checked_like_flags(tmp_path, data, values):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(values), encoding="utf-8")

@@ -8,15 +8,17 @@ from coact.crf import (
     CrfParams,
     MeanField,
     UnaryScorer,
-    enumerate_assignments,
     estep_converge,
-    log_partition_bruteforce,
-    marginals_bruteforce,
     mean_field_free_energy,
-    potential,
     softmax_init,
 )
 from dense import dense_graph
+from oracles import (
+    enumerate_assignments,
+    log_partition_bruteforce,
+    marginals_bruteforce,
+    potential,
+)
 
 
 def one_sweep(mf, crf, E, schedule="jacobi"):
@@ -64,7 +66,7 @@ def test_potential_unary_only():
     E = rng.normal(size=(4, 3))
     crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=1), graph_of(np.zeros((4, 4))))
     Y = np.array([0, 1, 1, 0])
-    theta = crf.unary(E)
+    theta = crf.scorer.scores(E)
     assert potential(Y, crf, E) == pytest.approx(theta[np.arange(4), Y].sum(), abs=1e-12)
 
 
@@ -82,8 +84,8 @@ def test_potential_matches_term_by_term_sum():
     rng = np.random.default_rng(1)
     for _ in range(10):
         crf, E = random_instance(rng, n=5)
-        theta = crf.unary(E)
-        B = crf.coupling()
+        theta = crf.scorer.scores(E)
+        B = crf.graph.coupling()
         Y = rng.integers(0, crf.n_groups, size=5)
         want = sum(theta[u, Y[u]] for u in range(5))
         for u in range(5):
@@ -105,7 +107,7 @@ def test_log_partition_factorizes_for_independent_nodes():
     rng = np.random.default_rng(2)
     crf = CrfParams(UnaryScorer(3, 3, hidden=5, seed=3), graph_of(np.zeros((2, 2))))
     E = rng.normal(size=(2, 3))
-    theta = crf.unary(E)
+    theta = crf.scorer.scores(E)
     assert log_partition_bruteforce(crf, E) == pytest.approx(
         logsumexp(theta, axis=1).sum(), abs=1e-10)
 
@@ -122,7 +124,7 @@ def test_estep_unary_only_is_softmax_and_fixed_point():
     rng = np.random.default_rng(3)
     crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=4), graph_of(np.zeros((5, 5))))
     E = rng.normal(size=(5, 3))
-    theta = crf.unary(E)
+    theta = crf.scorer.scores(E)
     want = np.exp(theta - logsumexp(theta, axis=1, keepdims=True))
     uniform = MeanField(np.full((5, 2), 0.5))
     one = one_sweep(uniform, crf, E)
@@ -147,7 +149,7 @@ def test_estep_default_iteration_cap_is_ten():
 def test_estep_strong_edge_consensus():
     # the degree normalization caps a single-edge coupling at exactly 1
     crf = CrfParams(zero_scorer(3, 2), graph_of([[0, 5], [5, 0]]))
-    assert crf.coupling()[0, 1] == 1.0
+    assert crf.graph.coupling()[0, 1] == 1.0
     E = np.zeros((2, 3))
     exact = marginals_bruteforce(crf, E)
     for schedule in ("jacobi", "gauss_seidel"):
@@ -240,8 +242,8 @@ def test_converged_beliefs_satisfy_fixed_point_equation():
         crf, E = random_instance(rng, n=int(rng.integers(2, 7)))
         mf, _ = estep_converge(crf, E, softmax_init(crf, E),
                                tol=1e-10, max_iter=500, schedule="gauss_seidel")
-        theta = crf.unary(E)
-        B = crf.coupling()
+        theta = crf.scorer.scores(E)
+        B = crf.graph.coupling()
         logits = theta + B @ mf.q
         want = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
         np.testing.assert_allclose(mf.q, want, atol=1e-8)
@@ -302,7 +304,7 @@ def test_marginals_independent_nodes_are_softmax():
     rng = np.random.default_rng(13)
     crf = CrfParams(UnaryScorer(3, 2, hidden=4, seed=14), graph_of(np.zeros((4, 4))))
     E = rng.normal(size=(4, 3))
-    theta = crf.unary(E)
+    theta = crf.scorer.scores(E)
     want = np.exp(theta - logsumexp(theta, axis=1, keepdims=True))
     np.testing.assert_allclose(marginals_bruteforce(crf, E).q, want, atol=1e-12)
 
@@ -369,7 +371,7 @@ def test_one_sweep_equals_the_dense_sweep(schedule):
     for _ in range(100):
         crf, E, mf = sparse_instance(rng)
         got = one_sweep(mf, crf, E, schedule).q
-        want = dense_sweep(mf.q, crf.unary(E), crf.coupling(), mf.clamped, schedule)
+        want = dense_sweep(mf.q, crf.scorer.scores(E), crf.graph.coupling(), mf.clamped, schedule)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert np.array_equal(got[mf.clamped], mf.q[mf.clamped])
 
@@ -378,7 +380,7 @@ def test_couple_equals_the_dense_product_for_all_rows_and_each_row():
     rng = np.random.default_rng(41)
     for _ in range(50):
         crf, _, mf = sparse_instance(rng)
-        g, B = crf.graph, crf.coupling()
+        g, B = crf.graph, crf.graph.coupling()
         np.testing.assert_allclose(g.couple(mf.q), B @ mf.q, rtol=0, atol=1e-12)
         for u in range(g.n):
             np.testing.assert_allclose(g.couple(mf.q, u), B[u] @ mf.q, rtol=0, atol=1e-12)
@@ -388,8 +390,8 @@ def test_free_energy_pair_term_equals_the_dense_formula():
     rng = np.random.default_rng(42)
     for _ in range(100):
         crf, E, mf = sparse_instance(rng)
-        q, theta = mf.q, crf.unary(E)
+        q, theta = mf.q, crf.scorer.scores(E)
         with np.errstate(divide="ignore", invalid="ignore"):
             entropy = -np.where(q > 0, q * np.log(q), 0.0).sum()
-        want = (q * theta).sum() + 0.5 * (crf.coupling() * (q @ q.T)).sum() + entropy
+        want = (q * theta).sum() + 0.5 * (crf.graph.coupling() * (q @ q.T)).sum() + entropy
         assert mean_field_free_energy(mf, crf, E) == pytest.approx(want, rel=0, abs=1e-12)

@@ -10,8 +10,9 @@ from coact.cli import read_result_csv, write_q_csv, write_result_csv
 from coact.crf import MeanField
 from coact.em import DetectionResult
 from coact.events import _csv_field, load_labels, save_labels
-from coact.graph import load_graph, save_graph
+from coact.graph import save_graph
 from dense import dense_graph
+from oracles import load_graph
 
 # any text that UTF-8 can encode, with the awkward cases drawn often
 AWKWARD = st.sampled_from([",", '"', '""', "\r", "\n", "\r\n", "\x00", "é,\x00", ""])

@@ -5,10 +5,11 @@ import pytest
 
 import tape_reference as ref
 from dense import dense_graph
+from oracles import check_prop1_bound
 from coact import em
 from coact.autodiff import Tensor
 from coact.crf import CrfParams, UnaryScorer
-from coact.em import EmConfig, check_prop1_bound, initialize, run_em
+from coact.em import EmConfig, initialize, run_em
 from coact.events import Dataset, Event, EventSequence
 from coact.graph import co_occurrence
 from coact.pointprocess import SeqModelConfig, SequenceModel

@@ -1,7 +1,8 @@
 import numpy as np
 from scipy import integrate, stats
 
-from coact.hawkes import HawkesParams, intensity, make_planted_scenario, simulate
+from coact.hawkes import HawkesParams, make_planted_scenario, simulate
+from oracles import intensity
 
 
 def small_params():

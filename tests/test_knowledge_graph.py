@@ -7,16 +7,16 @@ import pytest
 from dense import dense_graph
 
 from coact import graph as graph_mod
-from coact.crf import CrfParams, UnaryScorer, estep_converge, potential, softmax_init
+from coact.crf import CrfParams, UnaryScorer, estep_converge, softmax_init
 from coact.events import Dataset, Event, EventSequence
 from coact.graph import (
     KnowledgeGraph,
     co_occurrence,
     filter_power,
     filter_temporal_logic,
-    load_graph,
     save_graph,
 )
+from oracles import load_graph, potential
 
 
 def seq(sid, *pairs):

@@ -92,20 +92,26 @@ def test_auc_matches_pairwise_oracle():
     rng = np.random.default_rng(1)
     for _ in range(20):
         scores, truth = random_scored(rng)
-        assert roc_auc(scores, truth) == pytest.approx(
-            auc_oracle(list(scores), list(truth)), abs=1e-12)
+        assert roc_auc(scores, truth) == auc_oracle(list(scores), list(truth))
 
 
-def test_auc_small_and_large_paths_agree():
+def test_auc_is_exact_above_four_million_pairs():
+    # many ties, and more pairs than the old pairwise path took
+    rng = np.random.default_rng(7)
+    scores = np.round(rng.uniform(0, 1, 4200), 2)
+    truth = np.arange(4200) % 2
+    assert (truth == 1).sum() * (truth == 0).sum() > 4_000_000
+    assert roc_auc(scores, truth) == auc_oracle(list(scores), list(truth))
+
+
+def test_auc_equals_the_area_under_the_roc_curve():
     rng = np.random.default_rng(2)
     scores, truth = random_scored(rng, n=300)
     from coact import metrics as m
-    small = m.roc_auc(scores, truth)
-    # force the trapezoid path
     tp, fp = m._tie_grouped_counts(*m._validate_scored(scores, truth))
     tpr = np.concatenate([[0.0], tp / tp[-1]])
     fpr = np.concatenate([[0.0], fp / fp[-1]])
-    assert small == pytest.approx(float(np.trapezoid(tpr, fpr)), abs=1e-12)
+    assert roc_auc(scores, truth) == pytest.approx(float(np.trapezoid(tpr, fpr)), abs=1e-12)
 
 
 def test_auc_flip_invariance():

@@ -8,6 +8,14 @@ from scipy.integrate import quad
 
 import tape
 import tape_reference as ref
+from oracles import (
+    encode,
+    featurize,
+    log_likelihood_terms,
+    mark_probs,
+    time_density,
+    time_mixture,
+)
 from coact.autodiff import Tensor
 from coact.events import Dataset, Event, EventSequence
 from coact.pointprocess import (
@@ -47,28 +55,28 @@ def random_dataset(rng, n_accounts=6, n_sequences=10, max_len=9):
 
 def test_feature_width_is_concatenation():
     m = toy_model()
-    X = m.featurize(seq(("u0", 0.0), ("u1", 1.0), ("u2", 3.0)))
+    X = featurize(m, seq(("u0", 0.0), ("u1", 1.0), ("u2", 3.0)))
     assert X.shape == (3, 12)
 
 
 def test_first_event_gap_is_zero():
     m = toy_model()
-    X = m.featurize(seq(("u0", 5.0), ("u1", 6.0)))
+    X = featurize(m, seq(("u0", 5.0), ("u1", 6.0)))
     # phase init is zero, so cos(freq * 0 + 0) = 1 for every kernel
     np.testing.assert_array_equal(X[0, 8:], np.ones(4))
 
 
 def test_equal_spacing_gives_equal_rows():
     m = toy_model()
-    X1 = m.featurize(seq(("u0", 0.0), ("u1", 2.0)))
-    X2 = m.featurize(seq(("u0", 10.0), ("u1", 12.0)))
+    X1 = featurize(m, seq(("u0", 0.0), ("u1", 2.0)))
+    X2 = featurize(m, seq(("u0", 10.0), ("u1", 12.0)))
     np.testing.assert_array_equal(X1[1], X2[1])
 
 
 def test_unknown_account_rejected():
     m = toy_model()
     with pytest.raises(KeyError):
-        m.featurize(seq(("stranger", 0.0)))
+        featurize(m, seq(("stranger", 0.0)))
 
 
 def test_positional_encoding_shape_and_range():
@@ -81,8 +89,8 @@ def test_positional_encoding_shape_and_range():
 
 def test_single_event_context_is_start_token_value():
     m = toy_model()
-    X = m.featurize(seq(("u0", 0.0)))
-    C = m.encode(X)
+    X = featurize(m, seq(("u0", 0.0)))
+    C = encode(m, X)
     start = m.params["start_token"].data
     want = np.tanh((start @ m.params["W_v"].data) @ m.params["F_W"].data
                    + m.params["F_b"].data)
@@ -93,16 +101,16 @@ def test_causality_under_future_mutation():
     m = toy_model()
     base = seq(("u0", 0.0), ("u1", 1.0), ("u2", 2.0), ("u3", 4.0))
     mutated = seq(("u0", 0.0), ("u1", 1.0), ("u0", 3.5), ("u1", 4.0))  # events 3,4 changed
-    C1 = m.encode(m.featurize(base))
-    C2 = m.encode(m.featurize(mutated))
+    C1 = encode(m, featurize(m, base))
+    C2 = encode(m, featurize(m, mutated))
     np.testing.assert_array_equal(C1[:3], C2[:3])  # exact: rows 1..3 see events < 3 only
 
 
 def test_encode_matches_straight_line_recomputation():
     m = toy_model(seed=3)
     s = seq(("u1", 0.5), ("u3", 1.25), ("u0", 4.0))
-    X = m.featurize(s)
-    C = m.encode(X)
+    X = featurize(m, s)
+    C = encode(m, X)
 
     start = m.params["start_token"].data[0]
     Wq, Wk, Wv = (m.params[k].data for k in ("W_q", "W_k", "W_v"))
@@ -127,7 +135,7 @@ def test_uniform_mark_head_gives_log_quarter():
     for k in ("mark_W1", "mark_W2", "mark_b2"):
         m.params[k].data = np.zeros_like(m.params[k].data)
     s = seq(("u0", 0.0), ("u2", 1.0), ("u3", 2.5))
-    mark, _ = m.log_likelihood_terms(s)
+    mark, _ = log_likelihood_terms(m, s)
     assert mark == pytest.approx(3 * np.log(0.25), abs=1e-12)
 
 
@@ -138,27 +146,27 @@ def test_standard_lognormal_at_unit_gap():
     for k in ("mix_Ww", "mix_bw", "mix_Ws", "mix_bs", "mix_Wmu", "mix_bmu"):
         m.params[k].data = np.zeros_like(m.params[k].data)
     # gaps: first event uses the configured constant 1.0, second has t-diff 1.0
-    _, time_ll = m.log_likelihood_terms(seq(("u0", 0.0), ("u1", 1.0)))
+    _, time_ll = log_likelihood_terms(m, seq(("u0", 0.0), ("u1", 1.0)))
     assert time_ll == pytest.approx(2 * np.log(1.0 / np.sqrt(2 * np.pi)), abs=1e-9)
 
 
 def test_mark_probabilities_normalize():
     m = toy_model(seed=5)
-    probs = m.mark_probs(seq(("u0", 0.0), ("u1", 0.5), ("u2", 0.7)))
+    probs = mark_probs(m, seq(("u0", 0.0), ("u1", 0.5), ("u2", 0.7)))
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_time_density_integrates_to_one():
     m = toy_model(seed=7)
     s = seq(("u0", 0.0), ("u1", 2.0), ("u2", 2.4))
-    w, mu, s_ = m.time_mixture(s)
+    w, mu, s_ = time_mixture(m, s)
     for i in range(len(w)):
-        total, _ = quad(lambda tau: m.time_density(tau, w[i], mu[i], s_[i]),
+        total, _ = quad(lambda tau: time_density(tau, w[i], mu[i], s_[i]),
                         0, np.inf, limit=200)
         assert total == pytest.approx(1.0, abs=1e-3)
     # the same head the likelihood trains: first gap 1.0, then the time diffs
-    _, time_ll = m.log_likelihood_terms(s)
-    logs = [np.log(m.time_density(tau, w[i], mu[i], s_[i])) for i, tau in enumerate((1.0, 2.0, 0.4))]
+    _, time_ll = log_likelihood_terms(m, s)
+    logs = [np.log(time_density(tau, w[i], mu[i], s_[i])) for i, tau in enumerate((1.0, 2.0, 0.4))]
     assert sum(logs) == pytest.approx(time_ll, abs=1e-9)
 
 
@@ -169,7 +177,7 @@ def test_density_without_jacobian_is_plain_normal_of_log_gap():
     for k in ("mix_Ww", "mix_bw", "mix_Ws", "mix_bs", "mix_Wmu", "mix_bmu"):
         m.params[k].data = np.zeros_like(m.params[k].data)
     taus = (1.0, 3.0)
-    _, time_ll = m.log_likelihood_terms(seq(("u0", 0.0), ("u1", 3.0)))
+    _, time_ll = log_likelihood_terms(m, seq(("u0", 0.0), ("u1", 3.0)))
     # both events: standard normal density of log(tau), times the 1/tau Jacobian
     plain = sum(-0.5 * np.log(2 * np.pi) - 0.5 * np.log(tau) ** 2 for tau in taus)
     assert time_ll == pytest.approx(plain - sum(np.log(tau) for tau in taus), abs=1e-9)
@@ -274,7 +282,7 @@ def test_kernel_matches_the_tape_bit_for_bit(trial):
         assert np.array_equal(got[k], want[k]), k
     for s in d.sequences:
         mark_t, time_t = ref.ll_terms_t(m, s)
-        assert m.log_likelihood_terms(s) == (mark_t.item(), time_t.item())
+        assert log_likelihood_terms(m, s) == (mark_t.item(), time_t.item())
         assert m.log_likelihood(s) == mark_t.item() + time_t.item()
     want = ref.grad_log_likelihood(m, d.sequences)
     got = m.grad_log_likelihood(d.sequences)
@@ -290,11 +298,11 @@ def test_numpy_surface_matches_the_tape():
         idx = np.array([d.registry.index(e.account) for e in s.events])
         X_t = ref.featurize_t(m, idx, np.array([e.t for e in s.events]))
         C_t = ref.encode_t(m, X_t)
-        assert np.array_equal(m.featurize(s), X_t.data)
-        assert np.array_equal(m.encode(X_t.data), C_t.data)
-        assert np.array_equal(m.mark_probs(s), tape.softmax(ref.mark_logits_t(m, C_t), axis=1).data)
+        assert np.array_equal(featurize(m, s), X_t.data)
+        assert np.array_equal(encode(m, X_t.data), C_t.data)
+        assert np.array_equal(mark_probs(m, s), tape.softmax(ref.mark_logits_t(m, C_t), axis=1).data)
         log_w, mu, log_s = ref.mixture_t(m, C_t)
-        for got, want in zip(m.time_mixture(s), (np.exp(log_w.data), mu.data, np.exp(log_s.data))):
+        for got, want in zip(time_mixture(m, s), (np.exp(log_w.data), mu.data, np.exp(log_s.data))):
             assert np.array_equal(got, want)
 
 
@@ -461,15 +469,16 @@ def legacy_checkpoint(path, m, **changes):
     return path
 
 
-def test_checkpoint_with_folded_config_keys_loads_at_their_fixed_values(tmp_path):
-    rng = np.random.default_rng(9)
-    d = random_dataset(rng, n_accounts=4, n_sequences=3)
-    m = SequenceModel(d.registry.keys, TINY, seed=4)
+def test_checkpoint_with_folded_config_keys_is_rejected_and_names_them(tmp_path):
+    # keys an older release stored, even at the one value the model now uses
+    m = toy_model()
     for i, changes in enumerate([{}, {"d_attn": 0, "d_context": 0, "d_mark_hidden": 0}]):
-        m2 = SequenceModel.load(legacy_checkpoint(tmp_path / f"old{i}.npz", m, **changes))
-        assert m2.config == m.config
-        for s in d.sequences:
-            assert m2.log_likelihood(s) == m.log_likelihood(s)
+        path = legacy_checkpoint(tmp_path / f"old{i}.npz", m, **changes)
+        with pytest.raises(ValueError, match="not SeqModelConfig fields") as exc:
+            SequenceModel.load(path)
+        for key in ("d_attn", "d_context", "d_mark_hidden", "tie_mark_head", "first_gap",
+                    "min_gap", "time_density_jacobian", "pe_base", "time_unit"):
+            assert repr(key) in str(exc.value), key
 
 
 @pytest.mark.parametrize("key,value", [("time_unit", 2.0), ("tie_mark_head", False),
@@ -481,6 +490,7 @@ def test_checkpoint_with_another_value_of_a_folded_key_is_rejected(tmp_path, key
     path = legacy_checkpoint(tmp_path / "old.npz", m, **{key: value})
     with pytest.raises(ValueError, match=repr(key)):
         SequenceModel.load(path)
+
 
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):

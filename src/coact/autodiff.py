@@ -6,7 +6,8 @@ until they are cleared, so several losses that share parameters can each
 add their part. ``Adam`` updates every parameter from its ``grad``;
 ``snapshot`` and ``restore`` copy parameter values for best-epoch restore.
 ``logsumexp`` and ``row_softmax`` are the one log-sum-exp and the one
-softmax that the sequence model, the scorer and the E-step share.
+softmax that the sequence model, the scorer and the E-step share, and
+``glorot`` the one weight-matrix draw of the sequence model and the scorer.
 
 No autodiff tape runs in the library. The sequence model
 (``pointprocess.SequenceModel``) and the unary scorer (``crf.UnaryScorer``)
@@ -58,6 +59,12 @@ def logsumexp(a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
     return out if keepdims else np.squeeze(out, axis=axis)
+
+
+def glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
+    """A (fan_in, fan_out) matrix drawn uniformly from +-sqrt(6 / (fan_in + fan_out))."""
+    lim = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-lim, lim, size=(fan_in, fan_out))
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:

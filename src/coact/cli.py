@@ -6,7 +6,8 @@ under one run directory, so any run can be reproduced byte-for-byte from
 its persisted config and seed. ``pretrain`` and ``build-graph`` run detect's
 own stages, so with the same flags they write the same ``checkpoint.npz``
 and ``graph.csv`` bytes. ``sweep`` runs detect over a grid of EM loop counts
-and seeds, pretraining once per seed.
+and seeds, pretraining once per seed. ``detect`` scores its own ``result.csv``
+with ``score_result``, as ``eval`` does, so both write the same metrics bytes.
 
 Flag values are checked by their argparse types, and the EM settings of
 every run by ``EmConfig``, before any stage starts: a bad value exits 2 and
@@ -65,15 +66,6 @@ def _load_data(args) -> Dataset:
     return d
 
 
-def _model_config(args) -> SeqModelConfig:
-    return SeqModelConfig(
-        d_embed=args.d_embed,
-        d_pos=args.d_pos,
-        d_time=args.d_time,
-        n_mix=args.mix_components,
-    )
-
-
 def _pretrain(d: Dataset, args) -> SequenceModel:
     tr, va, _ = train_val_test_split(d, args.fractions, args.seed)
     cfg = TrainConfig(
@@ -84,8 +76,9 @@ def _pretrain(d: Dataset, args) -> SequenceModel:
         patience=args.patience,
         seed=args.seed,
     )
-    return train(tr if tr.sequences else d, cfg, _model_config(args),
-                 val=va if va.sequences else None)
+    model_cfg = SeqModelConfig(d_embed=args.d_embed, d_pos=args.d_pos, d_time=args.d_time,
+                               n_mix=args.mix_components)
+    return train(tr if tr.sequences else d, cfg, model_cfg, val=va if va.sequences else None)
 
 
 def _build_graph(d: Dataset, args) -> graph_mod.KnowledgeGraph:
@@ -126,17 +119,26 @@ def _em_config(args) -> em_mod.EmConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _read_revealed(args, d: Dataset) -> dict | None:
-    """The ``--revealed`` labels of the accounts in ``d``; bad groups are a usage error."""
-    if not args.revealed:
-        return None
-    revealed = _stage("read-revealed", load_labels, args.revealed)
-    revealed = {a: g_ for a, g_ in revealed.items() if a in d.registry}
-    try:
-        em_mod.check_revealed(list(revealed.values()), args.groups)
-    except ValueError as exc:
-        raise UsageError(f"--revealed {args.revealed}: {exc}") from exc
-    return revealed
+def _read_label_files(args, d: Dataset) -> tuple:
+    """The ``--revealed`` labels of the accounts in ``d`` and the ``--labels``
+    truth labels (None if not given). Revealed groups EM cannot use, and truth
+    labels that leave no positive or no negative to score, are usage errors."""
+    revealed = labels = None
+    if args.revealed:
+        revealed = _stage("read-revealed", load_labels, args.revealed)
+        revealed = {a: g_ for a, g_ in revealed.items() if a in d.registry}
+        try:
+            em_mod.check_revealed(list(revealed.values()), args.groups)
+        except ValueError as exc:
+            raise UsageError(f"--revealed {args.revealed}: {exc}") from exc
+    if args.labels:
+        labels = _stage("read-labels", load_labels, args.labels)
+        scored = {labels[a] == 1 for a in d.registry.keys
+                  if a in labels and a not in (revealed or {})}
+        if scored != {False, True}:
+            raise UsageError(f"--labels {args.labels}: need at least one positive (group 1) "
+                             "and one negative among the scored accounts")
+    return revealed, labels
 
 
 def write_result_csv(result: em_mod.DetectionResult, path) -> None:
@@ -191,14 +193,20 @@ def evaluate_scores(rows, labels: dict, exclude=(), threshold: float = 0.5) -> d
     return {k: out[k] for k in METRIC_NAMES}
 
 
-def write_metrics(metrics: dict, csv_path, txt_path) -> None:
-    with Path(csv_path).open("w", encoding="utf-8", newline="") as fh:
+def score_result(result_csv, labels: dict, exclude, threshold: float, out_csv) -> dict:
+    """Score a ``result.csv`` against truth ``labels`` (``evaluate_scores``)
+    and write the metrics to ``out_csv`` and, as a table, beside it as .txt."""
+    metrics = evaluate_scores(read_result_csv(result_csv), labels, exclude, threshold)
+    out_csv = Path(out_csv)
+    out_csv.parent.mkdir(parents=True, exist_ok=True)
+    with out_csv.open("w", encoding="utf-8", newline="") as fh:
         fh.write("metric,value\n")
         for k in METRIC_NAMES:
             fh.write(f"{k},{_fmt(metrics[k])}\n")
     width = max(len(k) for k in METRIC_NAMES)
     lines = [f"{k:<{width}}  {metrics[k]:.4f}" for k in METRIC_NAMES]
-    Path(txt_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_csv.with_suffix(".txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return metrics
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -219,7 +227,7 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
     )
 
     d = _stage("ingest", _load_data, args)
-    revealed = _read_revealed(args, d)  # checked before pretraining
+    revealed, labels = _read_label_files(args, d)  # checked before pretraining
 
     if args.checkpoint:
         model = _stage("load-checkpoint", SequenceModel.load, args.checkpoint)
@@ -237,16 +245,10 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
     _stage("write-result", write_result_csv, result, run_dir / "result.csv")
     _stage("write-result", write_q_csv, result, run_dir / "q_matrix.csv")
 
-    if args.labels:
-        labels = _stage("eval", load_labels, args.labels)
-        exclude = set(revealed) if revealed else set()
-        rows = [(a, float(result.scores[i]), int(result.labels[i]))
-                for i, a in enumerate(result.accounts)]
-        metrics = _stage("eval", evaluate_scores, rows, labels, exclude, args.threshold)
-        _stage("eval", write_metrics, metrics,
-               run_dir / "metrics.csv", run_dir / "metrics.txt")
-        return metrics
-    return None
+    if labels is None:
+        return None
+    return _stage("eval", score_result, run_dir / "result.csv", labels, revealed or (),
+                  args.threshold, run_dir / "metrics.csv")
 
 
 # ---- subcommands ----
@@ -303,14 +305,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rows = read_result_csv(args.result)
     labels = load_labels(args.labels)
-    exclude = set(load_labels(args.exclude)) if args.exclude else set()
-    metrics = evaluate_scores(rows, labels, exclude, args.threshold)
+    exclude = load_labels(args.exclude) if args.exclude else ()
     out_csv = Path(args.out) if args.out else Path(args.result).with_name("metrics.csv")
-    out_txt = out_csv.with_suffix(".txt")
-    write_metrics(metrics, out_csv, out_txt)
-    print(out_txt.read_text(), end="")
+    score_result(args.result, labels, exclude, args.threshold, out_csv)
+    print(out_csv.with_suffix(".txt").read_text(), end="")
     return 0
 
 
@@ -324,7 +323,7 @@ def cmd_sweep(args) -> int:
     for sub in runs:
         _em_config(sub)  # fail before any pretraining
     d = _load_data(args)
-    _read_revealed(args, d)
+    _read_label_files(args, d)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for sub in runs:  # pretraining depends on the seed only: one checkpoint per seed
@@ -395,7 +394,7 @@ def _add_graph_opts(p):
 def _add_em_opts(p):
     p.add_argument("--groups", type=int, default=2, help="group count M (default: 2)")
     p.add_argument("--loops", type=int, default=1,
-                   help="EM loops; pick from {1,2,3} on validation (default: 1)")
+                   help="EM loops; sweep --loops-grid compares values (default: 1)")
     p.add_argument("--estep-only", action="store_true",
                    help="single E-step as post-processing, no M-step")
     p.add_argument("--em-epochs", type=_int_at_least(1), default=50,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _accumulate, logsumexp, row_softmax
+from .autodiff import Tensor, _accumulate, glorot, logsumexp, row_softmax
 from .graph import KnowledgeGraph
 
 __all__ = [
@@ -59,13 +59,11 @@ class UnaryScorer:
 
     def __init__(self, d_embed: int, n_groups: int, hidden: int = 64, seed: int = 0):
         rng = np.random.default_rng(seed)
-        lim1 = np.sqrt(6.0 / (d_embed + hidden))
-        lim2 = np.sqrt(6.0 / (hidden + n_groups))
         self.n_groups = n_groups
         self.params = {
-            "W1": Tensor(rng.uniform(-lim1, lim1, size=(d_embed, hidden))),
+            "W1": Tensor(glorot(rng, d_embed, hidden)),
             "b1": Tensor(np.zeros(hidden)),
-            "W2": Tensor(rng.uniform(-lim2, lim2, size=(hidden, n_groups))),
+            "W2": Tensor(glorot(rng, hidden, n_groups)),
             "b2": Tensor(np.zeros(n_groups)),
         }
 

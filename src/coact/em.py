@@ -48,7 +48,7 @@ ESTEP_SCHEDULES = ("jacobi", "gauss_seidel")
 @dataclass
 class EmConfig:
     n_groups: int = 2
-    n_loops: int = 1            # pick from {1, 2, 3} on validation data
+    n_loops: int = 1            # `coact sweep --loops-grid` reports each value
     estep_only: bool = False    # single E-step as pure post-processing
     m_step_epochs: int = 50
     m_step_lr: float = 1e-3
@@ -178,8 +178,8 @@ def kmeans(X, k, seed: int):
 
 # ---- initialization ----
 
-# the scorer fit stops after five epochs in a row that improve the loss by
-# less than SCORER_FIT_TOL relative, or after SCORER_FIT_EPOCHS epochs
+# the scorer fit stops after five epochs in a row that each fail to lower the
+# loss by SCORER_FIT_TOL relative (rises count), or after SCORER_FIT_EPOCHS
 SCORER_FIT_EPOCHS = 300
 SCORER_FIT_TOL = 1e-7
 
@@ -214,11 +214,12 @@ def initialize(
 
     The scorer is trained by Adam on the cross-entropy against the one-hot
     k-means assignment, with L2 weight decay ``fit_weight_decay``, for up to
-    SCORER_FIT_EPOCHS full-batch epochs; it stops early once the loss has
-    plateaued (five epochs in a row improving it by less than SCORER_FIT_TOL
-    relative). With ``graph=None`` the field carries a zero prior graph
-    (unary-only). ``align_rows``/``align_groups`` relabel the clusters to
-    agree with revealed accounts (semi-supervised runs).
+    SCORER_FIT_EPOCHS full-batch epochs. It stops early once five epochs in a
+    row fail to lower the loss by SCORER_FIT_TOL relative: on 100 accounts
+    that is where the loss turns up, not a plateau. With ``graph=None`` the
+    field carries a zero prior graph (unary-only). ``align_rows``/
+    ``align_groups`` relabel the clusters to agree with revealed accounts
+    (semi-supervised runs).
     """
     if n_groups < 2:
         raise ValueError("need at least 2 groups")
@@ -297,13 +298,9 @@ def run_em(
     if g.accounts != accounts or pretrained.accounts != accounts:
         raise ValueError("dataset, graph and model must share the account registry")
 
-    clamp_rows, clamp_groups = [], []
-    if revealed:
-        for account, group in revealed.items():
-            clamp_rows.append(d.registry.index(account))
-            clamp_groups.append(int(group))
-    clamp_rows = np.asarray(clamp_rows, dtype=np.intp)
-    clamp_groups = np.asarray(clamp_groups, dtype=np.intp)
+    revealed = revealed or {}
+    clamp_rows = np.array([d.registry.index(a) for a in revealed], dtype=np.intp)
+    clamp_groups = np.array(list(revealed.values()), dtype=np.intp)
     if revealed:
         check_revealed(clamp_groups, cfg.n_groups)
 
@@ -339,7 +336,7 @@ def run_em(
         train_items, val_items = model.prepare(train_seqs), model.prepare(val_seqs)
         for loop in range(1, cfg.n_loops + 1):
             before, after = _m_step(model, crf, train_items, val_items, mf.q, cfg, rng)
-            mf, record = estep(MeanField(mf.q.copy(), mf.clamped.copy()), loop)
+            mf, record = estep(mf, loop)  # estep_converge copies its init
             record["val_objective_before"] = before
             record["val_objective_after"] = after
             history.append(record)

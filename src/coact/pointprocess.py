@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, _accumulate, logsumexp
+from .autodiff import Tensor, _accumulate, glorot, logsumexp
 from .events import Dataset, EventSequence
 
 __all__ = [
@@ -131,11 +131,6 @@ class _Prepared(NamedTuple):
     mask: np.ndarray         # (L, L) causal attention mask
 
 
-def _glorot(rng, fan_in, fan_out):
-    lim = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-lim, lim, size=(fan_in, fan_out))
-
-
 class SequenceModel:
     """Account embeddings plus encoder/decoder parameters, all trainable."""
 
@@ -150,20 +145,20 @@ class SequenceModel:
         p = {
             "E": rng.normal(0.0, 0.05, size=(V, cfg.d_embed)),
             "start_token": rng.normal(0.0, 1.0 / np.sqrt(d), size=(1, d)),
-            "W_q": _glorot(rng, d, d),
-            "W_k": _glorot(rng, d, d),
-            "W_v": _glorot(rng, d, d),
-            "F_W": _glorot(rng, d, d),
+            "W_q": glorot(rng, d, d),
+            "W_k": glorot(rng, d, d),
+            "W_v": glorot(rng, d, d),
+            "F_W": glorot(rng, d, d),
             "F_b": np.zeros(d),
-            "mark_W1": _glorot(rng, d, d),
+            "mark_W1": glorot(rng, d, d),
             "mark_b1": np.zeros(d),
-            "mark_W2": _glorot(rng, d, cfg.d_embed),
+            "mark_W2": glorot(rng, d, cfg.d_embed),
             "mark_b2": np.zeros(V),
-            "mix_Ww": _glorot(rng, d, cfg.n_mix),
+            "mix_Ww": glorot(rng, d, cfg.n_mix),
             "mix_bw": np.zeros(cfg.n_mix),
-            "mix_Ws": _glorot(rng, d, cfg.n_mix),
+            "mix_Ws": glorot(rng, d, cfg.n_mix),
             "mix_bs": np.zeros(cfg.n_mix),
-            "mix_Wmu": _glorot(rng, d, cfg.n_mix),
+            "mix_Wmu": glorot(rng, d, cfg.n_mix),
             "mix_bmu": np.zeros(cfg.n_mix),
             "time_freq": 2.0 * np.pi / np.geomspace(
                 cfg.time_scale_min, cfg.time_scale_max, cfg.d_time
@@ -359,16 +354,7 @@ class SequenceModel:
 
     def log_likelihoods(self, items) -> list:
         """Log-likelihood of each sequence in ``items``, from ``prepare``."""
-        helper = self._helper
-        shared = helper is not None and helper.send(items)
-        out = []
-        for pos, seq in enumerate(items):
-            if shared and pos % 2:
-                out.append(helper.receive())
-            else:
-                mark, time, _ = self._forward(seq)
-                out.append(mark + time)
-        return out
+        return self._passes(items)
 
     def grad_log_likelihood(self, batch) -> dict:
         """Exact gradients of the summed log-likelihood over ``batch``."""
@@ -384,22 +370,29 @@ class SequenceModel:
     def backward_nll(self, batch, scale: float = 1.0) -> float:
         """Add the gradient of ``scale`` times each sequence's negative
         log-likelihood to the parameters' ``grad``; returns the summed NLL.
-
-        ``batch`` holds sequences from ``prepare``. With a helper, sequence
-        p runs only after the helper's sequence p - 1 has been added, so the
-        additions keep the serial order.
-        """
-        helper = self._helper
-        shared = helper is not None and helper.send(batch, -scale)
+        ``batch`` holds sequences from ``prepare``."""
         nll = 0.0
-        for pos, seq in enumerate(batch):
+        for ll in self._passes(batch, -scale):
+            nll -= ll
+        return nll
+
+    def _passes(self, items, g: float | None = None) -> list:
+        """Each sequence's log-likelihood; with ``g``, also add the gradient of
+        ``g`` times it to the parameters' ``grad``. With a helper, the odd
+        positions run there, and position p runs only after the helper's p - 1
+        has been added, so the additions keep the serial order."""
+        helper = self._helper
+        shared = helper is not None and helper.send(items, g)
+        out = []
+        for pos, seq in enumerate(items):
             if shared and pos % 2:
-                nll -= helper.receive()
+                out.append(helper.receive())
             else:
                 mark, time, cache = self._forward(seq)
-                nll -= mark + time
-                self._backward(seq, cache, -scale)
-        return nll
+                if g is not None:
+                    self._backward(seq, cache, g)
+                out.append(mark + time)
+        return out
 
     # ---- persistence ----
 

@@ -245,6 +245,30 @@ def test_bad_revealed_labels_fail_before_pretraining(tmp_path, data, capsys, gro
     assert not (run_dir / "graph.csv").exists()
 
 
+@pytest.mark.parametrize("groups,code", [(None, 1), ({"0": 1, "1": 1}, 2), ({"0": 0}, 2),
+                                         ({}, 2)],
+                         ids=["unreadable", "no-negative", "no-positive", "none-scored"])
+def test_bad_truth_labels_fail_before_pretraining(tmp_path, data, capsys, groups, code):
+    """A truth labels file that cannot be read (None), or that has no positive
+    or no negative among the dataset's accounts, stops detect and sweep
+    before any stage; ``groups`` maps truth groups to the group written."""
+    labels = tmp_path / "truth.csv"
+    if groups is not None:
+        rows = [r.split(",") for r in Path(data[3]).read_text(encoding="utf-8").splitlines()[1:]]
+        labels.write_text("account,group\n" + "".join(f"{a},{groups[g]}\n" for a, g in rows
+                                                       if g in groups), encoding="utf-8")
+    argv = [data[0], data[1], "--labels", str(labels), *SMALL]
+    got, run_dir = detect(tmp_path, "run", *argv)
+    assert got == code
+    assert str(labels) in capsys.readouterr().err
+    assert not (run_dir / "checkpoint.npz").exists()
+    assert not (run_dir / "graph.csv").exists()
+    out = tmp_path / "sweep"
+    assert exit_code(["sweep", *argv, "--loops-grid", "1", "--seeds", "0",
+                      "--out", str(out)]) == code
+    assert not out.exists()
+
+
 def test_valid_revealed_labels_still_run(tmp_path, data):
     revealed = revealed_file(tmp_path, data, {"1": 1, "0": 0})
     code, run_dir = detect(tmp_path, "run", *data, *SMALL, "--revealed", str(revealed))
@@ -257,7 +281,6 @@ def test_eval_reproduces_the_metrics_that_detect_wrote(tmp_path, data):
     code, run_dir = detect(tmp_path, "run", *data, *SMALL, "--revealed", str(revealed))
     assert code == 0
     out = tmp_path / "eval" / "metrics.csv"
-    out.parent.mkdir()
     assert main(["eval", "--result", str(run_dir / "result.csv"), "--labels", data[3],
                  "--exclude", str(revealed), "--out", str(out)]) == 0
     assert out.read_bytes() == (run_dir / "metrics.csv").read_bytes()

@@ -68,9 +68,14 @@ class UnaryScorer:
         }
 
     def _forward(self, E: np.ndarray) -> tuple:
-        """Hidden layer h and scores theta for embeddings ``E``."""
+        """Hidden layer h and scores theta for embeddings ``E``.
+
+        h = tanh(E @ W1 + b1) is built in one (V, hidden) array, in place.
+        """
         p = self.params
-        h = np.tanh(E @ p["W1"].data + p["b1"].data)
+        h = E @ p["W1"].data
+        np.add(h, p["b1"].data, out=h)
+        np.tanh(h, out=h)
         return h, h @ p["W2"].data + p["b2"].data
 
     def scores(self, E: np.ndarray) -> np.ndarray:
@@ -98,7 +103,11 @@ class UnaryScorer:
         g_theta = g_lp + (-g_lp).sum(axis=1, keepdims=True) * np.exp(theta - lse)
         _accumulate(p["b2"], g_theta.sum(axis=0))
         _accumulate(p["W2"], h.T @ g_theta)
-        g_a = (g_theta @ p["W2"].data.T) * (1.0 - h * h)
+        # (g_theta @ W2.T) * (1 - h * h), with 1 - h * h built over h
+        g_a = g_theta @ p["W2"].data.T
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)
+        np.multiply(g_a, h, out=g_a)
         _accumulate(p["b1"], g_a.sum(axis=0))
         if E_param is not None:
             _accumulate(E_param, g_a @ p["W1"].data.T)

@@ -5,6 +5,10 @@ A dataset is a list of event sequences, each an ordered run of
 to dense indices 0..V-1. The registry is built canonically: accounts are
 indexed in order of first appearance scanning the time-sorted sequences,
 which keeps indices stable across save/reload of the same data.
+
+The loaders hand every event of one account the same key string, and an
+``Event`` has slots and no ``__dict__``, so a loaded dataset holds one key
+string per account, not one per event.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ class DataError(ValueError):
     """Malformed input file (message carries the offending line)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     account: str
     t: float
@@ -120,7 +124,8 @@ class Dataset:
         return sum(len(s) for s in self.sequences)
 
 
-def _check_event(account, t, where) -> Event:
+def _check_event(account, t, where, keys: dict) -> Event:
+    """The checked Event; ``keys`` maps each account key to the one copy events share."""
     try:
         t = float(t)
     except (TypeError, ValueError):
@@ -129,11 +134,13 @@ def _check_event(account, t, where) -> Event:
         raise DataError(f"{where}: non-finite timestamp {t!r}")
     if t < 0:
         raise DataError(f"{where}: negative timestamp {t!r}")
-    return Event(str(account), t)
+    account = str(account)
+    return Event(keys.setdefault(account, account), t)
 
 
 def _parse_jsonl(path: Path):
     sequences = []
+    keys: dict[str, str] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -145,10 +152,9 @@ def _parse_jsonl(path: Path):
                 raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})")
             if "seq_id" not in rec or "events" not in rec:
                 raise DataError(f"{path}:{lineno}: need 'seq_id' and 'events'")
-            events = [
-                _check_event(e.get("account"), e.get("t"), f"{path}:{lineno}")
-                for e in rec["events"]
-            ]
+            where = f"{path}:{lineno}"
+            events = [_check_event(e.get("account"), e.get("t"), where, keys)
+                      for e in rec["events"]]
             sequences.append(EventSequence(str(rec["seq_id"]), events))
     return sequences
 
@@ -156,6 +162,7 @@ def _parse_jsonl(path: Path):
 def _parse_csv(path: Path):
     by_id: dict[str, list] = {}
     order: list[str] = []
+    keys: dict[str, str] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -169,7 +176,7 @@ def _parse_csv(path: Path):
             if len(row) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
             seq_id, account, t = row
-            ev = _check_event(account, t, f"{path}:{lineno}")
+            ev = _check_event(account, t, f"{path}:{lineno}", keys)
             if seq_id not in by_id:
                 by_id[seq_id] = []
                 order.append(seq_id)

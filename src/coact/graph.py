@@ -10,11 +10,12 @@ threshold. The pairwise potential used downstream normalizes each edge by
 A graph is stored as a sorted upper-triangle edge list ``(u, v, weight)``,
 so its memory grows with the number of edges, not with the square of the
 number of accounts. The edge ends are int32 (at most 2**31 - 1 accounts), so
-a graph holds 24 bytes per edge once its coupling is built: 4 + 4 for the
-ends, 8 for the weight and 8 for the coupling ``b``. The builders count the
-account pairs of each sequence in one preallocated key buffer, and the
-E-step applies the coupling through ``KnowledgeGraph.couple``. Every pass
-over the edges runs in slices of ``COUPLE_EDGES``, so no full-size
+a graph holds 16 bytes per edge: 4 + 4 for the ends and 8 for the weight.
+The coupling w_uv / sqrt(d_u d_v) is not kept: ``KnowledgeGraph.couple``,
+which applies it in the E-step, computes it slice by slice. The builders
+count the account pairs of each sequence in one preallocated key buffer,
+and that buffer then holds the second edge ends. Every pass over the edges,
+validation included, runs in slices of ``COUPLE_EDGES``, so no full-size
 temporary, and no whole-array intp copy of the int32 ends (numpy makes one
 for each fancy index or ``bincount`` they are given), sits beside the edge
 arrays. The degrees are summed with ``np.add.at`` slice by slice: it adds
@@ -53,7 +54,7 @@ COUPLE_EDGES = 2 ** 16
 def _slices(n: int, step: int | None = None):
     """Consecutive slices of ``step`` (default COUPLE_EDGES) items covering range(n)."""
     step = step or COUPLE_EDGES
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def _ends(x, n: int) -> np.ndarray:
@@ -96,13 +97,16 @@ class KnowledgeGraph:
         if len(shapes) != 1 or self.weight.ndim != 1:
             raise ValueError("u, v and weight must be vectors of one length")
         self.u, self.v = _ends(self.u, n), _ends(self.v, n)
-        u, v, w = self.u, self.v, self.weight
-        if not (u < v).all():
-            raise ValueError("edges must join two accounts u < v")
-        if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
-            raise ValueError("edges must be sorted row-major and distinct")
-        if not ((w > 0) & (w < np.inf)).all():
-            raise ValueError("weights must be finite and positive")
+        for s in _slices(len(self.weight)):
+            # each slice's order check starts at the last edge of the one before
+            p = slice(max(s.start - 1, 0), s.stop)
+            u, v, w, pu, pv = self.u[s], self.v[s], self.weight[s], self.u[p], self.v[p]
+            if not (u < v).all():
+                raise ValueError("edges must join two accounts u < v")
+            if not ((pu[1:] > pu[:-1]) | ((pu[1:] == pu[:-1]) & (pv[1:] > pv[:-1]))).all():
+                raise ValueError("edges must be sorted row-major and distinct")
+            if not ((w > 0) & (w < np.inf)).all():
+                raise ValueError("weights must be finite and positive")
 
     @property
     def n(self) -> int:
@@ -117,16 +121,23 @@ class KnowledgeGraph:
             np.add.at(dv, self.v[s], self.weight[s])
         return du + dv
 
-    @cached_property
+    def _b_slice(self, s: slice, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """w_uv / sqrt(d_u d_v) for the edges in slice ``s``, whose ends are ``u`` and ``v``."""
+        d = self.deg[u]
+        np.multiply(d, self.deg[v], out=d)
+        np.sqrt(d, out=d)
+        return np.divide(self.weight[s], d, out=d)
+
+    @property
     def b(self) -> np.ndarray:
-        """(E,) per-edge coupling w_uv / sqrt(d_u d_v), computed once."""
+        """(E,) per-edge coupling w_uv / sqrt(d_u d_v), built on each access.
+
+        The graph does not keep it; ``couple`` computes the same values slice
+        by slice with the same expression.
+        """
         out = np.empty_like(self.weight)
-        deg = self.deg
         for s in _slices(len(self.weight)):
-            d = deg[self.u[s]]
-            np.multiply(d, deg[self.v[s]], out=d)
-            np.sqrt(d, out=d)
-            np.divide(self.weight[s], d, out=out[s])
+            out[s] = self._b_slice(s, self.u[s], self.v[s])
         return out
 
     @cached_property
@@ -138,13 +149,14 @@ class KnowledgeGraph:
             np.add.at(counts, self.v[s], 1)
         starts = np.concatenate([[0], np.cumsum(counts)])
         order = np.argsort(np.concatenate([self.u, self.v]), kind="stable")
-        return (starts, np.concatenate([self.v, self.u])[order],
-                np.concatenate([self.b, self.b])[order])
+        b = self.b
+        return starts, np.concatenate([self.v, self.u])[order], np.concatenate([b, b])[order]
 
     def couple(self, q: np.ndarray, row: int | None = None) -> np.ndarray:
         """sum_v B_uv q_v for every account u, as a (V, M) array like ``q``.
 
-        The sums run over the edges with ``np.bincount`` on both ends. With
+        The sums run over the edges with ``np.bincount`` on both ends, and
+        each slice of edges computes its own coupling on the way. With
         ``row``, only that account's (M,) sum, from its slice of a layout
         that lists both orientations of each edge by row; that layout is
         built on the first such call.
@@ -155,7 +167,8 @@ class KnowledgeGraph:
             return b[lo:hi] @ q[cols[lo:hi]]
         out = np.zeros_like(q)
         for s in _slices(len(self.weight), max(COUPLE_EDGES, self.n)):
-            u, v, b = self.u[s].astype(np.intp), self.v[s].astype(np.intp), self.b[s]
+            u, v = self.u[s].astype(np.intp), self.v[s].astype(np.intp)
+            b = self._b_slice(s, u, v)
             for m in range(q.shape[1]):
                 qm = q[:, m]
                 out[:, m] += np.bincount(u, b * qm[v], self.n) + np.bincount(v, b * qm[u], self.n)
@@ -203,14 +216,15 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
     Each sequence writes the sorted pair keys u * V + v of its participants
     into one buffer sized for every pair of every sequence, and the keys are
     counted at once. With ``c``, a pair counts in a sequence only when its
-    active intervals there overlap by more than ``c``.
+    active intervals there overlap by more than ``c``. The returned ``v`` and
+    counts are views of the key buffer and of the runs' first indices.
     """
     if not d.sequences:
         raise ValueError("dataset is empty")
     V = len(d.registry)
     participants = list(_participants(d))
-    keys = np.empty(sum(len(idx) * (len(idx) - 1) // 2 for idx, _, _ in participants),
-                    dtype=np.int64)
+    buf = np.empty(sum(len(idx) * (len(idx) - 1) // 2 for idx, _, _ in participants),
+                   dtype=np.int64)
     n_pairs = 0
     for idx, lo, hi in participants:
         order = np.argsort(idx)
@@ -220,27 +234,31 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
         if c is not None:
             lo, hi = lo[order], hi[order]
             pairs = pairs[np.minimum(hi[iu], hi[iv]) - np.maximum(lo[iu], lo[iv]) > c]
-        keys[n_pairs:n_pairs + len(pairs)] = pairs
+        buf[n_pairs:n_pairs + len(pairs)] = pairs
         n_pairs += len(pairs)
     del participants
-    # np.unique(keys, return_counts=True), in place and with each array
-    # dropped once it is used up, so fewer full-size arrays are alive at once
-    keys = keys[:n_pairs]
+    # np.unique(keys, return_counts=True) in place. Edge k's key sits at
+    # first[k] >= k, so v[k], an int32 written over key k // 2, never lands
+    # on a key still to be read; the buffer then shrinks to v. The count of
+    # each run overwrites its first index, and first ends with n_pairs.
+    keys = buf[:n_pairs]
     keys.sort()
-    starts = np.empty(n_pairs, dtype=bool)
-    starts[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts = np.empty(n_pairs + 1, dtype=bool)
+    starts[:1] = starts[-1:] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
     first = np.flatnonzero(starts)
     del starts
-    u = np.empty(len(first), dtype=np.int32)
-    v = np.empty(len(first), dtype=np.int32)
-    for s in _slices(len(first)):
+    n_edges = len(first) - 1
+    u = np.empty(n_edges, dtype=np.int32)
+    v = buf.view(np.int32)[:n_edges]
+    for s in _slices(n_edges):
         np.divmod(keys[first[s]], V, out=(u[s], v[s]))
-    del keys
-    counts = np.empty(len(first))
-    np.subtract(first[1:], first[:-1], out=counts[:-1])
-    counts[-1:] = n_pairs - first[-1:]
-    return u, v, counts
+    del keys, v
+    buf.resize(-(-n_edges // 2), refcheck=False)  # no view of buf is left
+    counts = first[:-1].view(np.float64)
+    for s in _slices(n_edges):
+        counts[s] = np.diff(first[s.start:s.stop + 1])
+    return u, buf.view(np.int32)[:n_edges], counts
 
 
 def co_occurrence(d: Dataset) -> KnowledgeGraph:
@@ -287,8 +305,9 @@ def _fixed_width(items: list) -> np.ndarray:
     return rows
 
 
-# save_graph assembles about this many bytes of lines at once
-_LINE_BYTES = 2 ** 23
+# save_graph assembles about this many bytes of lines at once; its
+# temporaries, a few times this, stay small beside the edge arrays
+_LINE_BYTES = 2 ** 21
 
 
 def save_graph(g: KnowledgeGraph, path) -> None:

@@ -209,3 +209,39 @@ def test_split_rejects_oversum():
 def test_split_rejects_fractions_that_are_not_three_finite_positive_parts(fractions, message):
     with pytest.raises(ValueError, match=message):
         train_val_test_split(make_dataset(10), fractions, seed=0)
+
+
+def test_event_has_slots_and_no_dict():
+    e = Event("u", 1.0)
+    assert not hasattr(e, "__dict__")
+    with pytest.raises(AttributeError):
+        e.t = 2.0
+
+
+@pytest.mark.parametrize("name, text", [
+    ("d.jsonl", "\n".join([
+        '{"seq_id": "a", "events": [{"account": "u", "t": 1.0}, {"account": "v", "t": 2.0},'
+        ' {"account": "u", "t": 3.0}]}',
+        '{"seq_id": "b", "events": [{"account": "v", "t": 0.5}, {"account": "u", "t": 4.0},'
+        ' {"account": 7, "t": 5.0}, {"account": "7", "t": 6.0}]}',
+    ]) + "\n"),
+    ("d.csv", "seq_id,account,t\na,u,1.0\na,v,2.0\nb,v,0.5\na,u,3.0\nb,u,4.0\nb,7,5.0\nb,7,6.0\n"),
+])
+def test_loaders_share_one_key_object_per_account_and_round_trip(tmp_path, name, text):
+    def key_objects(d):
+        ids = {}
+        for s in d.sequences:
+            for e in s.events:
+                ids.setdefault(e.account, set()).add(id(e.account))
+        return ids
+
+    d = load_dataset(write(tmp_path, name, text))
+    ids = key_objects(d)
+    assert sorted(ids) == ["7", "u", "v"]
+    assert all(len(i) == 1 for i in ids.values())
+    assert all({id(k)} == ids[k] for k in d.registry.keys)
+    out = tmp_path / "copy.jsonl"
+    save_dataset(d, out)
+    d2 = load_dataset(out)
+    assert d2 == d
+    assert all(len(i) == 1 for i in key_objects(d2).values())

@@ -177,23 +177,41 @@ def test_temporal_logic_matches_bruteforce():
     for trial in range(50):
         d = random_dataset(rng)
         c = float(rng.uniform(0, 50))
-        g = filter_temporal_logic(d, c)
-        V = len(d.registry)
-        brute = np.zeros((V, V))
-        for s in d.sequences:
-            first, last = {}, {}
-            for e in s.events:
-                k = d.registry.index(e.account)
-                first.setdefault(k, e.t)
-                last[k] = e.t
-            keys = sorted(first)
-            for a in keys:
-                for b in keys:
-                    if a == b:
-                        continue
-                    if min(last[a], last[b]) - max(first[a], first[b]) > c:
-                        brute[a, b] += 1
-        assert np.array_equal(g.w, brute)
+        assert np.array_equal(filter_temporal_logic(d, c).w, temporal_bruteforce(d, c))
+
+
+def temporal_bruteforce(d, c):
+    """Dense temporal-logic weights by looping over every ordered pair of every sequence."""
+    V = len(d.registry)
+    brute = np.zeros((V, V))
+    for s in d.sequences:
+        first, last = {}, {}
+        for e in s.events:
+            k = d.registry.index(e.account)
+            first.setdefault(k, e.t)
+            last[k] = e.t
+        keys = sorted(first)
+        for a in keys:
+            for b in keys:
+                if a == b:
+                    continue
+                if min(last[a], last[b]) - max(first[a], first[b]) > c:
+                    brute[a, b] += 1
+    return brute
+
+
+def test_pair_counter_matches_the_references_across_many_slices(monkeypatch):
+    # the counter writes each slice's second ends over keys it has read and
+    # each slice's counts over the runs' first indices it has read
+    monkeypatch.setattr(graph_mod, "COUPLE_EDGES", 3)
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        d = random_dataset(rng, n_accounts=30, n_sequences=40)
+        g = co_occurrence(d)
+        assert len(g.weight) > 10 * graph_mod.COUPLE_EDGES
+        assert np.array_equal(g.w, presence_product(d))
+        c = float(rng.uniform(0, 20))
+        assert np.array_equal(filter_temporal_logic(d, c).w, temporal_bruteforce(d, c))
 
 
 def test_temporal_logic_bounded_by_co_occurrence():
@@ -486,15 +504,19 @@ def edge_dominated_dataset(V=3000, n_seqs=60, size=250, seed=20):
     return Dataset.from_sequences(seqs)
 
 
-def test_graph_build_and_one_sweep_peak_at_36_bytes_per_edge():
-    # u and v (int32), weight and b hold 24 bytes per edge once the coupling
-    # is built; the build and the sweep may add no more than half of that
+@pytest.mark.parametrize("power", [None, 3.0])
+def test_graph_build_and_one_sweep_peak_at_26_bytes_per_edge(power):
+    # u and v (int32) and weight hold 16 bytes per edge, and the coupling is
+    # not kept; filter_power's new weights sit beside the raw graph, so the
+    # power path holds 24 bytes per edge, and build and sweep add little more
     d = edge_dominated_dataset()
     E = np.random.default_rng(21).normal(size=(len(d.registry), 4))
     scorer = UnaryScorer(4, 2, hidden=4, seed=0)
     tracemalloc.start()
     try:
         g = co_occurrence(d)
+        if power is not None:
+            g = filter_power(g, power)
         crf = CrfParams(scorer, g)
         mf, sweeps = estep_converge(crf, E, softmax_init(crf, E), max_iter=1)
         peak = tracemalloc.get_traced_memory()[1]
@@ -502,8 +524,40 @@ def test_graph_build_and_one_sweep_peak_at_36_bytes_per_edge():
         tracemalloc.stop()
     assert sweeps == 1 and mf.q.shape == (3000, 2)
     assert 1_500_000 < len(g.weight) < 1_560_000
-    assert peak / len(g.weight) <= 36, peak / len(g.weight)
+    assert peak / len(g.weight) <= 26, peak / len(g.weight)
     assert g.u.dtype == g.v.dtype == np.int32
+
+
+@pytest.mark.parametrize("k", [graph_mod.COUPLE_EDGES - 1, graph_mod.COUPLE_EDGES])
+def test_graph_rejects_a_bad_edge_on_either_side_of_a_slice_seam(k):
+    # validation runs in slices of COUPLE_EDGES edges; edge k is the last of
+    # the first slice or the first of the second
+    iu, iv = np.triu_indices(400, 1)
+    assert len(iu) > graph_mod.COUPLE_EDGES + 1
+    keys = [f"a{i}" for i in range(400)]
+    KnowledgeGraph(keys, iu, iv, np.ones(len(iu)), "none")
+
+    def rejects(u, v, w, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            KnowledgeGraph(keys, u, v, w, "none")
+
+    u, v = iu.copy(), iv.copy()
+    u[k], v[k] = v[k], u[k]
+    rejects(u, v, np.ones(len(u)), "edges must join two accounts u < v")
+    u, v = iu.copy(), iv.copy()
+    v[k] = u[k]
+    rejects(u, v, np.ones(len(u)), "edges must join two accounts u < v")
+    for j in (k - 1, k):  # edges j and j + 1 swapped: only that pair is out of order
+        u, v = iu.copy(), iv.copy()
+        u[[j, j + 1]], v[[j, j + 1]] = u[[j + 1, j]], v[[j + 1, j]]
+        rejects(u, v, np.ones(len(u)), "edges must be sorted row-major and distinct")
+    u, v = iu.copy(), iv.copy()
+    u[k], v[k] = u[k - 1], v[k - 1]
+    rejects(u, v, np.ones(len(u)), "edges must be sorted row-major and distinct")
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        w = np.ones(len(iu))
+        w[k] = bad
+        rejects(iu, iv, w, "weights must be finite and positive")
 
 
 def unsliced(g):

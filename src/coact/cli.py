@@ -3,11 +3,17 @@
 ``detect`` chains every stage (pretraining can be skipped by passing a
 checkpoint) and writes all artifacts plus the fully resolved configuration
 under one run directory, so any run can be reproduced byte-for-byte from
-its persisted config and seed. ``pretrain`` and ``build-graph`` run detect's
-own stages, so with the same flags they write the same ``checkpoint.npz``
-and ``graph.csv`` bytes. ``sweep`` runs detect over a grid of EM loop counts
-and seeds, pretraining once per seed. ``detect`` scores its own ``result.csv``
-with ``score_result``, as ``eval`` does, so both write the same metrics bytes.
+its persisted config and seed. EM's unary scorer fit reads only the
+sequence model, so as soon as the model exists a forked child fits it
+while the parent ingests (with a checkpoint) and builds and writes the
+graph; EM takes the fitted scorer from the child. Without a second usable
+CPU the scorer is fitted in the same process, where the child would have
+joined, and the outputs are the same bytes either way. ``pretrain`` and
+``build-graph`` run detect's own stages, so with the same flags they write
+the same ``checkpoint.npz`` and ``graph.csv`` bytes. ``sweep`` runs detect
+over a grid of EM loop counts and seeds, pretraining once per seed.
+``detect`` scores its own ``result.csv`` with ``score_result``, as ``eval``
+does, so both write the same metrics bytes.
 
 Flag values are checked by their argparse types, and the EM settings of
 every run by ``EmConfig``, before any stage starts: a bad value exits 2 and
@@ -28,6 +34,7 @@ import numpy as np
 from . import em as em_mod
 from . import graph as graph_mod
 from . import metrics as metrics_mod
+from .crf import CrfParams
 from .events import (
     Dataset,
     _csv_field,
@@ -40,7 +47,7 @@ from .events import (
     train_val_test_split,
 )
 from .hawkes import make_planted_scenario
-from .pointprocess import SeqModelConfig, SequenceModel, TrainConfig, train
+from .pointprocess import SeqModelConfig, SequenceModel, TrainConfig, _forked, train
 
 METRIC_NAMES = ["ap", "auc", "max_f1", "f1", "precision", "recall", "macro_f1"]
 
@@ -119,21 +126,22 @@ def _em_config(args) -> em_mod.EmConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _read_label_files(args, d: Dataset) -> tuple:
-    """The ``--revealed`` labels of the accounts in ``d`` and the ``--labels``
-    truth labels (None if not given). Revealed groups EM cannot use, and truth
+def _read_label_files(args, accounts: list) -> tuple:
+    """The ``--revealed`` labels of ``accounts`` and the ``--labels`` truth
+    labels (None if not given). Revealed groups EM cannot use, and truth
     labels that leave no positive or no negative to score, are usage errors."""
     revealed = labels = None
     if args.revealed:
         revealed = _stage("read-revealed", load_labels, args.revealed)
-        revealed = {a: g_ for a, g_ in revealed.items() if a in d.registry}
+        known = set(accounts)
+        revealed = {a: g_ for a, g_ in revealed.items() if a in known}
         try:
             em_mod.check_revealed(list(revealed.values()), args.groups)
         except ValueError as exc:
             raise UsageError(f"--revealed {args.revealed}: {exc}") from exc
     if args.labels:
         labels = _stage("read-labels", load_labels, args.labels)
-        scored = {labels[a] == 1 for a in d.registry.keys
+        scored = {labels[a] == 1 for a in accounts
                   if a in labels and a not in (revealed or {})}
         if scored != {False, True}:
             raise UsageError(f"--labels {args.labels}: need at least one positive (group 1) "
@@ -217,7 +225,16 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 def run_pipeline(args, run_dir: Path) -> dict | None:
-    """detect pipeline; returns the metrics dict when truth labels are given."""
+    """detect pipeline; returns the metrics dict when truth labels are given.
+
+    With ``--checkpoint`` the stages run as load-checkpoint, the label files
+    (checked against the checkpoint's accounts), then ingest and the check
+    that the data has the checkpoint's accounts. Without one they run as
+    ingest, the label files, pretrain and saving the checkpoint. Either way
+    ``em.fit_scorer`` is forked off once the model exists (before ingest, or
+    before saving the checkpoint), build-graph writes ``graph.csv`` beside
+    it, and EM joins it (``em.run_em_from``).
+    """
     em_config = _em_config(args)  # checked before any stage runs
     run_dir.mkdir(parents=True, exist_ok=True)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
@@ -226,22 +243,29 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
         encoding="utf-8",
     )
 
-    d = _stage("ingest", _load_data, args)
-    revealed, labels = _read_label_files(args, d)  # checked before pretraining
-
     if args.checkpoint:
+        d = None
         model = _stage("load-checkpoint", SequenceModel.load, args.checkpoint)
-        if model.accounts != d.registry.keys:
-            raise StageError("stage 'load-checkpoint' failed: checkpoint accounts "
-                             "do not match the dataset registry")
+        revealed, labels = _read_label_files(args, model.accounts)  # checked before the fork
     else:
+        d = _stage("ingest", _load_data, args)
+        revealed, labels = _read_label_files(args, d.registry.keys)  # checked before pretraining
         model = _stage("pretrain", _pretrain, d, args)
-        _stage("pretrain", model.save, run_dir / "checkpoint.npz")
 
-    g = _stage("build-graph", _build_graph, d, args)
-    _stage("build-graph", graph_mod.save_graph, g, run_dir / "graph.csv")
+    # the scorer fit reads only the model: a forked child runs it meanwhile
+    with _forked(em_mod.fit_scorer, model, em_config, revealed) as fitted_scorer:
+        if d is None:
+            d = _stage("ingest", _load_data, args)
+            if model.accounts != d.registry.keys:
+                raise StageError("stage 'load-checkpoint' failed: checkpoint accounts "
+                                 "do not match the dataset registry")
+        else:
+            _stage("pretrain", model.save, run_dir / "checkpoint.npz")
+        g = _stage("build-graph", _build_graph, d, args)
+        _stage("build-graph", graph_mod.save_graph, g, run_dir / "graph.csv")
+        crf = CrfParams(_stage("em", fitted_scorer), g)
 
-    result = _stage("em", em_mod.run_em, d, g, model, em_config, revealed)
+    result = _stage("em", em_mod.run_em_from, d, crf, model, em_config, revealed)
     _stage("write-result", write_result_csv, result, run_dir / "result.csv")
     _stage("write-result", write_q_csv, result, run_dir / "q_matrix.csv")
 
@@ -323,7 +347,7 @@ def cmd_sweep(args) -> int:
     for sub in runs:
         _em_config(sub)  # fail before any pretraining
     d = _load_data(args)
-    _read_label_files(args, d)
+    _read_label_files(args, d.registry.keys)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     for sub in runs:  # pretraining depends on the seed only: one checkpoint per seed

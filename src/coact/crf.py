@@ -66,14 +66,34 @@ class UnaryScorer:
             "W2": Tensor(glorot(rng, hidden, n_groups)),
             "b2": Tensor(np.zeros(n_groups)),
         }
+        self._work = None  # (h, g_a): the (V, hidden) arrays every call reuses
+
+    def __getstate__(self) -> dict:
+        # a pickle carries the four parameter arrays: no gradient, no work array
+        return {"n_groups": self.n_groups,
+                "params": {k: t.data for k, t in self.params.items()}}
+
+    def __setstate__(self, state: dict) -> None:
+        self.n_groups = state["n_groups"]
+        self.params = {k: Tensor(v) for k, v in state["params"].items()}
+        self._work = None
+
+    def _work_arrays(self, V: int) -> tuple:
+        """The reused (V, hidden) arrays of h and g_a, made anew when V changes."""
+        if self._work is None or len(self._work[0]) != V:
+            hidden = len(self.params["b1"].data)
+            self._work = (np.empty((V, hidden)), np.empty((V, hidden)))
+        return self._work
 
     def _forward(self, E: np.ndarray) -> tuple:
         """Hidden layer h and scores theta for embeddings ``E``.
 
-        h = tanh(E @ W1 + b1) is built in one (V, hidden) array, in place.
+        h = tanh(E @ W1 + b1) is built in place in the scorer's own (V, hidden)
+        work array, which the next call overwrites; theta is a new array.
         """
         p = self.params
-        h = E @ p["W1"].data
+        h = self._work_arrays(len(E))[0]
+        np.matmul(E, p["W1"].data, out=h)
         np.add(h, p["b1"].data, out=h)
         np.tanh(h, out=h)
         return h, h @ p["W2"].data + p["b2"].data
@@ -103,8 +123,9 @@ class UnaryScorer:
         g_theta = g_lp + (-g_lp).sum(axis=1, keepdims=True) * np.exp(theta - lse)
         _accumulate(p["b2"], g_theta.sum(axis=0))
         _accumulate(p["W2"], h.T @ g_theta)
-        # (g_theta @ W2.T) * (1 - h * h), with 1 - h * h built over h
-        g_a = g_theta @ p["W2"].data.T
+        # (g_theta @ W2.T) * (1 - h * h), in the second work array, with
+        # 1 - h * h built over h
+        g_a = np.matmul(g_theta, p["W2"].data.T, out=self._work[1])
         np.multiply(h, h, out=h)
         np.subtract(1.0, h, out=h)
         np.multiply(g_a, h, out=g_a)

@@ -36,7 +36,9 @@ __all__ = [
     "DetectionResult",
     "kmeans",
     "initialize",
+    "fit_scorer",
     "run_em",
+    "run_em_from",
     "check_revealed",
     "identify_coordinated_group",
 ]
@@ -216,8 +218,12 @@ def initialize(
     k-means assignment, with L2 weight decay ``fit_weight_decay``, for up to
     SCORER_FIT_EPOCHS full-batch epochs. It stops early once five epochs in a
     row fail to lower the loss by SCORER_FIT_TOL relative: on 100 accounts
-    that is where the loss turns up, not a plateau. With ``graph=None`` the
-    field carries a zero prior graph (unary-only). ``align_rows``/
+    that is where the loss turns up, not a plateau. Every epoch writes the
+    scorer's two (V, hidden) arrays, its hidden layer and that layer's
+    gradient, into the same two work arrays (``UnaryScorer._work_arrays``),
+    so the fit allocates no large temporary: in a freshly forked process
+    each such temporary would cost its page faults anew. With ``graph=None``
+    the field carries a zero prior graph (unary-only). ``align_rows``/
     ``align_groups`` relabel the clusters to agree with revealed accounts
     (semi-supervised runs).
     """
@@ -281,6 +287,36 @@ def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng):
     return start, best
 
 
+def _clamps(accounts, revealed: dict | None, n_groups: int) -> tuple:
+    """Rows in ``accounts`` and groups of the ``revealed`` accounts, checked."""
+    revealed = revealed or {}
+    index = {a: i for i, a in enumerate(accounts)}
+    rows = np.array([index[a] for a in revealed], dtype=np.intp)
+    groups = np.array(list(revealed.values()), dtype=np.intp)
+    if revealed:
+        check_revealed(groups, n_groups)
+    return rows, groups
+
+
+def fit_scorer(pretrained: SequenceModel, cfg: EmConfig,
+               revealed: dict | None = None) -> UnaryScorer:
+    """The unary scorer EM starts from: ``initialize`` with ``cfg``'s
+    settings, its clusters aligned to the ``revealed`` accounts.
+
+    It reads only ``pretrained``'s accounts and embeddings, not the data or
+    the graph, so ``coact detect`` runs it beside ingest and graph build.
+    """
+    rows, groups = _clamps(pretrained.accounts, revealed, cfg.n_groups)
+    return initialize(pretrained, cfg.n_groups, cfg.seed, hidden=cfg.scorer_hidden,
+                      fit_weight_decay=cfg.scorer_weight_decay,
+                      align_rows=rows, align_groups=groups).scorer
+
+
+def _check_registry(d: Dataset, g: KnowledgeGraph, pretrained: SequenceModel) -> None:
+    if g.accounts != d.registry.keys or pretrained.accounts != d.registry.keys:
+        raise ValueError("dataset, graph and model must share the account registry")
+
+
 def run_em(
     d: Dataset,
     g: KnowledgeGraph,
@@ -288,26 +324,29 @@ def run_em(
     cfg: EmConfig,
     revealed: dict | None = None,
 ) -> DetectionResult:
-    """Full detection: initialize, alternate E/M, score the coordinated group.
+    """Full detection: ``fit_scorer``, then ``run_em_from`` on its field.
 
     ``revealed`` maps account keys to group indices; those beliefs are
     clamped one-hot through every E-step, and they pick the coordinated
     group (``identify_coordinated_group``).
     """
-    accounts = d.registry.keys
-    if g.accounts != accounts or pretrained.accounts != accounts:
-        raise ValueError("dataset, graph and model must share the account registry")
+    _check_registry(d, g, pretrained)  # before the scorer fit
+    crf = CrfParams(fit_scorer(pretrained, cfg, revealed), g)
+    return run_em_from(d, crf, pretrained, cfg, revealed)
 
-    revealed = revealed or {}
-    clamp_rows = np.array([d.registry.index(a) for a in revealed], dtype=np.intp)
-    clamp_groups = np.array(list(revealed.values()), dtype=np.intp)
-    if revealed:
-        check_revealed(clamp_groups, cfg.n_groups)
 
+def run_em_from(
+    d: Dataset,
+    crf: CrfParams,
+    pretrained: SequenceModel,
+    cfg: EmConfig,
+    revealed: dict | None = None,
+) -> DetectionResult:
+    """Alternate E/M from the fitted field ``crf``, whose graph is the prior
+    graph of ``d``, and score the coordinated group (see ``run_em``)."""
+    _check_registry(d, crf.graph, pretrained)
+    clamp_rows, clamp_groups = _clamps(pretrained.accounts, revealed, cfg.n_groups)
     model = pretrained.copy()
-    crf = initialize(model, cfg.n_groups, cfg.seed, graph=g, hidden=cfg.scorer_hidden,
-                     fit_weight_decay=cfg.scorer_weight_decay,
-                     align_rows=clamp_rows, align_groups=clamp_groups)
 
     train_ds, val_ds, _ = train_val_test_split(d, cfg.fractions, cfg.seed)
     train_seqs = train_ds.sequences or d.sequences
@@ -344,7 +383,7 @@ def run_em(
     coord = identify_coordinated_group(mf.q, clamp_rows, clamp_groups)
     scores = mf.q[:, coord].copy()
     return DetectionResult(
-        accounts=accounts,
+        accounts=d.registry.keys,
         mean_field=mf,
         scores=scores,
         labels=(scores >= cfg.threshold).astype(np.intp),

@@ -38,14 +38,25 @@ training is bit-identical with or without a helper. There is a helper only
 on Linux, with two or more usable CPUs, and while this process has a single
 OS thread, so nothing forks under a multi-threaded BLAS; otherwise the
 parent runs every position.
+
+``_forked`` is the second kind of fork: one child that runs a single
+function while the parent goes on with other work, and hands back its
+pickled value (``coact detect`` fits the unary scorer this way beside
+ingest and graph build). It forks under the same guard as the helper and
+calls the function in the parent otherwise. When the parent leaves its
+context, whether it read the value or raised, the child is killed if it
+still runs and is reaped; a parent killed outright takes the child with it
+(``PR_SET_PDEATHSIG``). So no child outlives its parent.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import mmap
 import os
 import pickle
+import signal
 import struct
 import sys
 import traceback
@@ -455,12 +466,29 @@ def _write(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
+def _send(fd: int, k: int, obj) -> None:
+    """A result header with ``k``, then ``obj`` pickled, length first."""
+    payload = pickle.dumps(obj)
+    _write(fd, _RESULT.pack(k, 0.0) + _LENGTH.pack(len(payload)) + payload)
+
+
+def _receive(fd: int):
+    """The object that ``_send`` wrote after the header just read."""
+    (n,) = _LENGTH.unpack(_read(fd, _LENGTH.size))
+    return pickle.loads(_read(fd, n))
+
+
 def _report(fd: int, exc: BaseException) -> None:
     """Send ``exc`` and its traceback to the parent as a _FAILED result (if
-    ``exc`` does not pickle, the parent sees the helper exit instead)."""
-    payload = pickle.dumps((exc, traceback.format_exc()))
+    ``exc`` does not pickle, the parent sees the child exit instead)."""
     with suppress(OSError):  # the parent has closed the pipe and is not listening
-        _write(fd, _RESULT.pack(_FAILED, 0.0) + _LENGTH.pack(len(payload)) + payload)
+        _send(fd, _FAILED, (exc, traceback.format_exc()))
+
+
+def _raise_reported(fd: int, where: str):
+    """Raise the exception that ``_report`` sent, with the child's traceback."""
+    exc, trace = _receive(fd)
+    raise exc from RuntimeError(f"in the {where}:\n{trace}")
 
 
 def _views(flat: np.ndarray, shapes) -> list:
@@ -574,9 +602,7 @@ class _Helper:
             raise RuntimeError("the helper process exited without a result")
         k, ll = _RESULT.unpack(head)
         if k == _FAILED:
-            (n,) = _LENGTH.unpack(_read(self._result_r, _LENGTH.size))
-            exc, trace = pickle.loads(_read(self._result_r, n))
-            raise exc from RuntimeError(f"in the helper process:\n{trace}")
+            _raise_reported(self._result_r, "helper process")
         if k != _NO_SLOT:
             for t, inc in self._slots[k]:
                 _accumulate(t, inc)
@@ -607,6 +633,68 @@ def _helper(model: SequenceModel, *item_lists):
     finally:
         model._helper = None
         helper.close()
+
+
+PR_SET_PDEATHSIG = 1  # <sys/prctl.h>
+
+
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel kill this process once ``parent`` exits, however it
+    exits, and exit at once if it already has."""
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    if prctl(PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+@contextmanager
+def _forked(fn, *args):
+    """Run ``fn(*args)`` in a forked child while the context is open, if
+    ``_helper_wanted``; yields a function that returns its value.
+
+    The value comes back pickled through a pipe, and an exception raised in
+    the child is raised again with the child's traceback as its cause.
+    Without a child the yielded function calls ``fn(*args)`` itself. On exit
+    the child is killed, if it is still running, and reaped; if the parent
+    dies before it leaves the context, the kernel kills the child. The child
+    leaves only through ``os._exit``.
+    """
+    if not _helper_wanted():
+        yield lambda: fn(*args)
+        return
+    parent = os.getpid()
+    result_r, result_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the parent's code
+        status = 1
+        try:
+            _die_with_parent(parent)
+            os.close(result_r)
+            _send(result_w, 0, fn(*args))
+            status = 0
+        except BaseException as exc:  # the parent raises it (see result)
+            _report(result_w, exc)
+        finally:
+            os._exit(status)
+    os.close(result_w)
+
+    def result():
+        head = _read(result_r, _RESULT.size)
+        if not head:
+            raise RuntimeError("the forked child exited without a result")
+        if _RESULT.unpack(head)[0] == _FAILED:
+            _raise_reported(result_r, "forked child")
+        return _receive(result_r)
+
+    try:
+        yield result
+    finally:
+        os.close(result_r)
+        os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie until reaped
+        os.waitpid(pid, 0)
 
 
 def fit(params: dict, items, batch_loss, val_fn, *, epochs: int, lr: float,

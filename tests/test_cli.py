@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -299,3 +300,30 @@ def test_detect_and_build_graph_never_form_a_dense_graph(tmp_path, data, monkeyp
     assert (run_dir / "result.csv").exists()
     assert main(["build-graph", data[0], data[1], *flags[:2],
                  "--out", str(tmp_path / "graph.csv")]) == 0
+
+
+@pytest.mark.parametrize("path", ["checkpoint", "pretrain"])
+def test_detect_writes_the_same_bytes_with_and_without_the_scorer_child(
+        tmp_path, data, forks, monkeypatch, path):
+    # with a checkpoint, --groups 3 and --revealed align the clusters in the child
+    argv = [*data, *SMALL, "--seed", "2"]
+    if path == "checkpoint":
+        ckpt = tmp_path / "pretrained.npz"
+        assert main(["pretrain", data[0], data[1], *TRAIN, "--out", str(ckpt)]) == 0
+        revealed = revealed_file(tmp_path, data, {"1": 1, "0": 2})
+        argv += ["--checkpoint", str(ckpt), "--groups", "3", "--revealed", str(revealed)]
+    forks.clear()
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        code, serial = detect(tmp_path, "serial", *argv)
+    assert code == 0
+    assert forks == []
+    code, forked = detect(tmp_path, "forked", *argv)
+    assert code == 0
+    # the scorer child and the M-step's helper, after pretraining's helper
+    assert len(forks) == (2 if path == "checkpoint" else 3)
+    names = ["result.csv", "q_matrix.csv", "graph.csv", "metrics.csv"]
+    if path == "pretrain":
+        names.append("checkpoint.npz")
+    for name in names:
+        assert (forked / name).read_bytes() == (serial / name).read_bytes(), name

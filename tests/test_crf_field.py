@@ -1,9 +1,12 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import tape_reference as ref
+from coact.autodiff import Tensor
 from coact.crf import (
     CrfParams,
     MeanField,
@@ -395,3 +398,55 @@ def test_free_energy_pair_term_equals_the_dense_formula():
             entropy = -np.where(q > 0, q * np.log(q), 0.0).sum()
         want = (q * theta).sum() + 0.5 * (crf.graph.coupling() * (q @ q.T)).sum() + entropy
         assert mean_field_free_energy(mf, crf, E) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+# ---- the scorer's reused work arrays ----
+
+def test_scorer_reusing_its_work_arrays_matches_the_tape_bit_for_bit():
+    # one scorer, called again and again and alternately on two account
+    # counts, against a tape over the same parameters each time; its
+    # parameters move between calls, as in the scorer fit
+    rng = np.random.default_rng(43)
+    d, M = 5, 3
+    Es = [rng.normal(size=(V, d)) for V in (40, 17)]
+    Qs = [rng.dirichlet(np.ones(M), size=len(E)) for E in Es]
+    scorer = UnaryScorer(d, M, hidden=7, seed=2)
+    held, work = [], []
+    for call, i in enumerate([0, 0, 1, 0, 1, 1, 0]):
+        E, Q, scale = Es[i], Qs[i], (-1.0 / 40, 0.7, -1.0)[call % 3]
+        twin = pickle.loads(pickle.dumps(scorer))  # the same parameters, nothing else
+        E_got, E_want = Tensor(E), Tensor(E)
+        for s in (scorer, twin):
+            for t in s.params.values():
+                t.grad = None
+        assert scorer.crossent(E_got, Q, scale) == ref.scorer_crossent(twin, E_want, Q, scale)
+        for k, t in scorer.params.items():
+            assert np.array_equal(t.grad, twin.params[k].grad), k
+        assert np.array_equal(E_got.grad, E_want.grad)
+        assert scorer.crossent(E, Q) == ref.scorer_crossent(twin, E, Q)
+        theta = scorer.scores(E)
+        assert np.array_equal(theta, ref.scorer_forward_t(twin, E).data)
+        held.append((theta, theta.copy()))
+        work.append((i, scorer._work))
+        for t in scorer.params.values():
+            t.data = t.data - 0.1 * t.grad
+    # later calls never write into what an earlier call returned
+    for theta, copy in held:
+        assert np.array_equal(theta, copy)
+    # the work arrays are made anew only when the account count changes
+    for (i, w), (j, w_next) in zip(work, work[1:]):
+        assert (w_next is w) == (i == j)
+
+
+def test_a_pickled_scorer_carries_its_parameters_only():
+    rng = np.random.default_rng(44)
+    E = rng.normal(size=(4000, 8))
+    Q = rng.dirichlet(np.ones(2), size=len(E))
+    scorer = UnaryScorer(8, 2, hidden=64, seed=3)
+    scorer.crossent(E, Q, -1.0 / len(E))
+    blob = pickle.dumps(scorer)
+    assert len(blob) < 8 * 64 * 8 + 10_000  # W1 and a little: no (V, hidden) array
+    back = pickle.loads(blob)
+    assert back._work is None
+    assert all(t.grad is None for t in back.params.values())
+    assert np.array_equal(back.scores(E), scorer.scores(E))

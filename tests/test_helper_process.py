@@ -1,6 +1,6 @@
-"""The helper process that training forks: it never outlives ``fit``, an
-exception on either side reaches the caller, and paths without ``fit``
-never fork."""
+"""The processes that coact forks: training's helper never outlives ``fit``,
+``detect``'s scorer child never outlives ``detect``, an exception on either
+side reaches the caller, and paths without ``fit`` or ``detect`` never fork."""
 
 import os
 import subprocess
@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coact import pointprocess
+from coact import cli, em, pointprocess
 from coact.em import EmConfig, initialize, run_em
 from coact.events import Dataset, Event, EventSequence
 from coact.graph import co_occurrence
@@ -150,3 +150,143 @@ def test_no_helper_on_one_cpu_or_beside_another_thread(monkeypatch):
     finally:
         stop.set()
         thread.join()
+
+
+# ---- detect's scorer child ----
+
+TRAIN = ["--d-embed", "4", "--d-pos", "4", "--d-time", "4", "--mix-components", "2",
+         "--epochs", "2"]
+SMALL = [*TRAIN, "--scorer-hidden", "4", "--em-epochs", "1"]
+
+
+@pytest.fixture(scope="module")
+def synth(tmp_path_factory):
+    """A synthetic dataset, its labels and a checkpoint pretrained on it."""
+    root = tmp_path_factory.mktemp("synth")
+    paths = {k: root / name for k, name in
+             [("data", "data.jsonl"), ("labels", "labels.csv"), ("ckpt", "pretrained.npz")]}
+    assert cli.main(["synth", "--normal", "8", "--coord", "4", "--sequences", "20", "--seed",
+                     "1", "--out", str(paths["data"]), "--labels", str(paths["labels"])]) == 0
+    assert cli.main(["pretrain", "--data", str(paths["data"]), *TRAIN,
+                     "--out", str(paths["ckpt"])]) == 0
+    return paths
+
+
+def detect_argv(synth, tmp_path, *extra, data=None):
+    return ["detect", "--data", str(data or synth["data"]), "--labels", str(synth["labels"]),
+            "--checkpoint", str(synth["ckpt"]), *SMALL, *extra,
+            "--run-dir", str(tmp_path / "run")]
+
+
+@pytest.mark.parametrize("case", ["malformed-data", "other-accounts"])
+def test_no_scorer_child_outlives_a_failed_detect(forks, synth, tmp_path, capsys, case):
+    if case == "malformed-data":
+        data = tmp_path / "bad.jsonl"
+        data.write_text("{not json\n", encoding="utf-8")
+        argv = detect_argv(synth, tmp_path, data=data)
+        message = "error: stage 'ingest' failed:"
+    else:  # one more account in the data than in the checkpoint
+        data = tmp_path / "other.jsonl"
+        assert cli.main(["synth", "--normal", "9", "--coord", "4", "--sequences", "20",
+                         "--seed", "1", "--out", str(data),
+                         "--labels", str(tmp_path / "other.csv")]) == 0
+        argv = detect_argv(synth, tmp_path, data=data)
+        message = ("error: stage 'load-checkpoint' failed: checkpoint accounts "
+                   "do not match the dataset registry")
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_an_exception_in_the_scorer_child_reaches_detect(forks, synth, tmp_path, capsys,
+                                                        monkeypatch):
+    parent, fit = os.getpid(), em.initialize
+
+    def failing_in_the_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise ValueError("failed in the scorer child")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(em, "initialize", failing_in_the_child)
+    argv = detect_argv(synth, tmp_path)
+    assert cli.main(argv) == 1
+    assert "error: stage 'em' failed: failed in the scorer child" in capsys.readouterr().err
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(cli.StageError) as info:
+        cli.run_pipeline(args, tmp_path / "again")
+    assert len(forks) == 2
+    assert_no_child_left()
+    child_exc = info.value.__cause__
+    assert isinstance(child_exc, ValueError)
+    trace = str(child_exc.__cause__)
+    assert trace.startswith("in the forked child:")
+    assert "failing_in_the_child" in trace and "fit_scorer" in trace
+
+
+def test_a_child_still_running_is_killed_when_its_context_exits(forks):
+    start = time.monotonic()
+    with pointprocess._forked(time.sleep, 60.0):
+        pass
+    assert time.monotonic() - start < 30.0
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_child_dies_with_a_parent_that_is_killed_outright():
+    code = ("import os, time\n"
+            "from coact import pointprocess\n"
+            "pointprocess._helper_wanted = lambda: True\n"
+            "fork = os.fork\n"
+            "def fork_and_tell():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, flush=True)\n"
+            "    return pid\n"
+            "os.fork = fork_and_tell\n"
+            "with pointprocess._forked(time.sleep, 60.0):\n"
+            "    time.sleep(60.0)\n")
+    src = str(Path(pointprocess.__file__).resolve().parents[1])
+    parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=src))
+    child = int(parent.stdout.readline())
+    parent.kill()
+    parent.wait(timeout=30)
+    parent.stdout.close()
+
+    def running():  # a zombie has exited; who reaps it is up to the system
+        try:
+            return Path(f"/proc/{child}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 30.0
+    while running():
+        if time.monotonic() > deadline:
+            os.kill(child, 9)
+            pytest.fail("the child outlived its killed parent")
+        time.sleep(0.01)
+
+
+def test_detect_estep_only_from_a_checkpoint_forks_one_child(forks, synth, tmp_path):
+    assert cli.main(detect_argv(synth, tmp_path, "--estep-only")) == 0
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_build_graph_pretrain_and_eval_fork_no_scorer_child(forks, synth, tmp_path,
+                                                            monkeypatch):
+    def refuse(*args):
+        raise AssertionError("forked a scorer child")
+
+    monkeypatch.setattr(cli, "_forked", refuse)
+    data = ["--data", str(synth["data"])]
+    assert cli.main(["pretrain", *data, *TRAIN, "--out", str(tmp_path / "c.npz")]) == 0
+    assert len(forks) == 1  # pretraining's helper
+    monkeypatch.setattr(os, "fork", refuse)
+    assert cli.main(["build-graph", *data, "--out", str(tmp_path / "graph.csv")]) == 0
+    result = tmp_path / "result.csv"
+    result.write_text("account,score,label,group\nu0,0.9,1,1\nu1,0.1,0,0\n", encoding="utf-8")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("account,group\nu0,1\nu1,0\n", encoding="utf-8")
+    assert cli.main(["eval", "--result", str(result), "--labels", str(labels)]) == 0

@@ -3,11 +3,13 @@
 ``detect`` chains every stage (pretraining can be skipped by passing a
 checkpoint) and writes all artifacts plus the fully resolved configuration
 under one run directory, so any run can be reproduced byte-for-byte from
-its persisted config and seed. EM's unary scorer fit reads only the
-sequence model, so as soon as the model exists a forked child fits it
+its persisted config and seed. EM's unary scorer start reads only the
+sequence model, so as soon as the model exists detect clusters the
+embeddings (``em.cluster_labels``, whose k-means runs half its starts in a
+forked child), and then a forked child fits the scorer to the clusters
 while the parent ingests (with a checkpoint) and builds and writes the
 graph; EM takes the fitted scorer from the child. Without a second usable
-CPU the scorer is fitted in the same process, where the child would have
+CPU both run in the same process, the fit where the child would have
 joined, and the outputs are the same bytes either way. ``pretrain`` and
 ``build-graph`` run detect's own stages, so with the same flags they write
 the same ``checkpoint.npz`` and ``graph.csv`` bytes. ``sweep`` runs detect
@@ -92,7 +94,9 @@ def _build_graph(d: Dataset, args) -> graph_mod.KnowledgeGraph:
     if args.filter == "none":
         return graph_mod.co_occurrence(d)
     if args.filter == "power":
-        return graph_mod.filter_power(graph_mod.co_occurrence(d), args.p)
+        # the counts are this graph's own: raising them in place keeps one
+        # weight array alive, not the counts beside their powers
+        return graph_mod.filter_power(graph_mod.co_occurrence(d), args.p, in_place=True)
     if args.filter == "tl":
         return graph_mod.filter_temporal_logic(d, args.c)
     raise UsageError(f"unknown filter {args.filter!r}")
@@ -230,10 +234,12 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
     With ``--checkpoint`` the stages run as load-checkpoint, the label files
     (checked against the checkpoint's accounts), then ingest and the check
     that the data has the checkpoint's accounts. Without one they run as
-    ingest, the label files, pretrain and saving the checkpoint. Either way
-    ``em.fit_scorer`` is forked off once the model exists (before ingest, or
-    before saving the checkpoint), build-graph writes ``graph.csv`` beside
-    it, and EM joins it (``em.run_em_from``).
+    ingest, the label files and pretrain. Either way the model's embeddings
+    are then clustered (``em.cluster_labels``, k-means on two CPUs), and
+    ``em.fit_scorer`` is forked off with the clusters. Beside it the parent
+    ingests (with a checkpoint) or saves the checkpoint (without one), and
+    build-graph writes ``graph.csv``; then EM joins the fit
+    (``em.run_em_from``).
     """
     em_config = _em_config(args)  # checked before any stage runs
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -252,8 +258,10 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
         revealed, labels = _read_label_files(args, d.registry.keys)  # checked before pretraining
         model = _stage("pretrain", _pretrain, d, args)
 
-    # the scorer fit reads only the model: a forked child runs it meanwhile
-    with _forked(em_mod.fit_scorer, model, em_config, revealed) as fitted_scorer:
+    # the scorer start reads only the model: the clusters first, on both
+    # CPUs, then a forked child fits the scorer to them meanwhile
+    groups = _stage("em", em_mod.cluster_labels, model, em_config, revealed)
+    with _forked(em_mod.fit_scorer, model, em_config, groups) as fitted_scorer:
         if d is None:
             d = _stage("ingest", _load_data, args)
             if model.accounts != d.registry.keys:

@@ -1,9 +1,13 @@
 """Variational EM joining the sequence model and the assignment field.
 
 Starting from a pretrained sequence model, the unary scorer is fitted to
-k-means clusters of the account embeddings. Each EM loop then alternates an
-E-step (mean-field fixed-point sweeps, with any revealed accounts clamped to
-one-hot beliefs) and an M-step that ascends
+k-means clusters of the account embeddings, in two steps: the clusters
+(``cluster_labels``), then the fit to them (``fit_scorer``). ``kmeans``
+runs its k-means++ starts in two processes, half in a forked child
+(``pointprocess._forked``) and half in the caller, and the result is
+bit-identical to running them one after another. Each EM loop then
+alternates an E-step (mean-field fixed-point sweeps, with any revealed
+accounts clamped to one-hot beliefs) and an M-step that ascends
 
     sum_S log p(S | E)  +  lambda * sum_u sum_m Q_u(m) log softmax_m(theta_u)
 
@@ -22,6 +26,7 @@ so a single loop is genuinely different from the E-step-only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -29,13 +34,14 @@ from .autodiff import Adam
 from .crf import CrfParams, MeanField, UnaryScorer, estep_converge, softmax_init
 from .events import Dataset, check_fractions, train_val_test_split
 from .graph import KnowledgeGraph
-from .pointprocess import SequenceModel, _check_step_sizes, _helper, fit
+from .pointprocess import SequenceModel, _check_step_sizes, _forked, _helper, fit
 
 __all__ = [
     "EmConfig",
     "DetectionResult",
     "kmeans",
     "initialize",
+    "cluster_labels",
     "fit_scorer",
     "run_em",
     "run_em_from",
@@ -129,20 +135,25 @@ def _lloyd(X, centers, k, max_iter):
     x2 = (X * X).sum(axis=1)[:, None]
     X2 = 2.0 * X  # doubled once, not in every iteration
     for _ in range(max_iter):
-        d2 = (
-            x2
-            - X2 @ centers.T
-            + (centers * centers).sum(axis=1)[None, :]
-        )
+        # x2 - X2 @ centers.T + |centers|^2, the same operations in one array
+        d2 = X2 @ centers.T
+        np.subtract(x2, d2, out=d2)
+        d2 += (centers * centers).sum(axis=1)[None, :]
         new_labels = d2.argmin(axis=1)
         if np.any(np.bincount(new_labels, minlength=k) == 0):
             return None, None, np.inf  # empty cluster: abandon this start
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        centers = np.stack([X[labels == j].mean(axis=0) for j in range(k)])
+        centers = np.stack([np.compress(labels == j, X, axis=0).mean(axis=0)
+                            for j in range(k)])
     inertia = float(((X - centers[labels]) ** 2).sum())
     return labels, centers, inertia
+
+
+def _starts(X, k, seeds) -> list:
+    """``_lloyd``'s (labels, centers, inertia) from each of the center ``seeds``."""
+    return [_lloyd(X, centers, k, KMEANS_MAX_ITER) for centers in seeds]
 
 
 KMEANS_MAX_ITER = 300  # Lloyd iterations per start
@@ -151,20 +162,35 @@ KMEANS_RESTARTS = 10   # extra starts allowed to replace abandoned ones
 
 
 def kmeans(X, k, seed: int):
-    """Best of KMEANS_STARTS Lloyd runs from k-means++ seeds (lowest inertia).
+    """Best of KMEANS_STARTS Lloyd runs from k-means++ seeds (lowest inertia,
+    the earliest start on a tie).
 
     Deterministic given ``seed``. A start that produces an empty cluster is
     abandoned and replaced from the continuing random stream, up to
     KMEANS_RESTARTS extra attempts beyond the planned starts.
+
+    The planned starts' seeds are drawn first, in the order one start after
+    another would draw them (Lloyd's iterations draw nothing). A child forked
+    by ``_forked`` then runs the odd-numbered starts while the caller runs the
+    even-numbered ones, or the caller runs both halves where ``_forked`` does
+    not fork. Replacements run in the caller, their seeds drawn from the same
+    continuing stream. So the result is bit-identical to running the starts
+    one after another in one process.
     """
     X = np.asarray(X, dtype=np.float64)
     if not 1 <= k <= len(X):
         raise ValueError(f"cannot place {k} clusters on {len(X)} points")
     rng = np.random.default_rng(seed)
+    seeds = [_kpp_seeds(X, k, rng) for _ in range(KMEANS_STARTS)]
+    runs = [None] * KMEANS_STARTS
+    with _forked(_starts, X, k, seeds[1::2]) as odd:
+        runs[0::2] = _starts(X, k, seeds[0::2])
+        runs[1::2] = odd()
+    replacements = (_lloyd(X, _kpp_seeds(X, k, rng), k, KMEANS_MAX_ITER)
+                    for _ in range(KMEANS_RESTARTS))
     best = (None, None, np.inf)
     completed = 0
-    for _ in range(KMEANS_STARTS + KMEANS_RESTARTS):
-        labels, centers, inertia = _lloyd(X, _kpp_seeds(X, k, rng), k, KMEANS_MAX_ITER)
+    for labels, centers, inertia in chain(runs, replacements):
         if labels is None:
             continue
         completed += 1
@@ -190,49 +216,47 @@ def _align_to_revealed(labels, n_groups, rows, groups):
     """Permute cluster indices to best agree with revealed group labels.
 
     Cluster numbering out of k-means is arbitrary; when beliefs will be
-    clamped to revealed labels the initialization must not fight them.
+    clamped to revealed labels the initialization must not fight them. The
+    permutation maps cluster c to group perm[c] and maximizes the revealed
+    rows it gets right; of the best, it takes the lexicographically first.
+    It is found by dynamic programming over the sets of groups taken by
+    clusters 0..c-1, in O(2^M M) steps after one count of the (cluster,
+    group) agreements.
     """
-    from itertools import permutations
+    hits = np.zeros((n_groups, n_groups), dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.intp)
+    np.add.at(hits, (labels[rows], np.asarray(groups, dtype=np.intp)), 1)
+    hits = hits.tolist()
+    full = (1 << n_groups) - 1
+    # most[taken]: the most hits clusters c.. can add, c = popcount(taken),
+    # given the groups in ``taken`` are used up by clusters 0..c-1
+    most = [0] * (full + 1)
+    for taken in range(full - 1, -1, -1):
+        c = bin(taken).count("1")
+        most[taken] = max(hits[c][m] + most[taken | 1 << m]
+                          for m in range(n_groups) if not taken >> m & 1)
+    perm, taken = [], 0
+    for c in range(n_groups):  # the smallest group that keeps the best total
+        m = next(m for m in range(n_groups) if not taken >> m & 1
+                 and hits[c][m] + most[taken | 1 << m] == most[taken])
+        perm.append(m)
+        taken |= 1 << m
+    return np.asarray(perm, dtype=np.intp)[labels]
 
-    best_perm, best_hits = None, -1
-    for perm in permutations(range(n_groups)):
-        hits = sum(1 for r, g_ in zip(rows, groups) if perm[labels[r]] == g_)
-        if hits > best_hits:
-            best_perm, best_hits = perm, hits
-    return np.asarray(best_perm, dtype=np.intp)[labels]
 
-
-def initialize(
-    pretrained: SequenceModel,
-    n_groups: int,
-    seed: int,
-    graph: KnowledgeGraph | None = None,
-    hidden: int = 64,
-    fit_weight_decay: float = 1e-3,
-    align_rows=None,
-    align_groups=None,
-) -> CrfParams:
-    """Cluster the embeddings and fit the unary scorer to the clusters.
-
-    The scorer is trained by Adam on the cross-entropy against the one-hot
-    k-means assignment, with L2 weight decay ``fit_weight_decay``, for up to
-    SCORER_FIT_EPOCHS full-batch epochs. It stops early once five epochs in a
-    row fail to lower the loss by SCORER_FIT_TOL relative: on 100 accounts
-    that is where the loss turns up, not a plateau. Every epoch writes the
-    scorer's two (V, hidden) arrays, its hidden layer and that layer's
-    gradient, into the same two work arrays (``UnaryScorer._work_arrays``),
-    so the fit allocates no large temporary: in a freshly forked process
-    each such temporary would cost its page faults anew. With ``graph=None``
-    the field carries a zero prior graph (unary-only). ``align_rows``/
-    ``align_groups`` relabel the clusters to agree with revealed accounts
-    (semi-supervised runs).
-    """
+def _cluster(E, n_groups: int, seed: int, align_rows=None, align_groups=None) -> np.ndarray:
+    """k-means labels of the embeddings ``E``, aligned to revealed accounts."""
     if n_groups < 2:
         raise ValueError("need at least 2 groups")
-    E = pretrained.params["E"].data.copy()
     labels, _ = kmeans(E, n_groups, seed)
     if align_rows is not None and len(align_rows):
         labels = _align_to_revealed(labels, n_groups, align_rows, align_groups)
+    return labels
+
+
+def _fit_unary(E, labels, n_groups: int, seed: int, hidden: int,
+               fit_weight_decay: float) -> UnaryScorer:
+    """A unary scorer fitted to the one-hot ``labels`` of the rows of ``E``."""
     scorer = UnaryScorer(E.shape[1], n_groups, hidden=hidden, seed=seed)
     onehot = np.eye(n_groups)[labels]
     opt = Adam(scorer.params, lr=1e-2, weight_decay=fit_weight_decay)
@@ -249,6 +273,39 @@ def initialize(
         else:
             stale = 0
         last = loss
+    return scorer
+
+
+def initialize(
+    pretrained: SequenceModel,
+    n_groups: int,
+    seed: int,
+    graph: KnowledgeGraph | None = None,
+    hidden: int = 64,
+    fit_weight_decay: float = 1e-3,
+    align_rows=None,
+    align_groups=None,
+) -> CrfParams:
+    """Cluster the embeddings and fit the unary scorer to the clusters.
+
+    The two steps are the ones ``cluster_labels`` and ``fit_scorer`` run:
+    ``kmeans`` (its starts in two processes, bit-identical to one), with
+    ``align_rows``/``align_groups`` relabelling the clusters to agree with
+    revealed accounts (semi-supervised runs), then the scorer fit.
+    The scorer is trained by Adam on the cross-entropy against the one-hot
+    cluster assignment, with L2 weight decay ``fit_weight_decay``, for up to
+    SCORER_FIT_EPOCHS full-batch epochs. It stops early once five epochs in a
+    row fail to lower the loss by SCORER_FIT_TOL relative: on 100 accounts
+    that is where the loss turns up, not a plateau. Every epoch writes the
+    scorer's two (V, hidden) arrays, its hidden layer and that layer's
+    gradient, into the same two work arrays (``UnaryScorer._work_arrays``),
+    so the fit allocates no large temporary: in a freshly forked process
+    each such temporary would cost its page faults anew. With ``graph=None``
+    the field carries a zero prior graph (unary-only).
+    """
+    E = pretrained.params["E"].data.copy()
+    labels = _cluster(E, n_groups, seed, align_rows, align_groups)
+    scorer = _fit_unary(E, labels, n_groups, seed, hidden, fit_weight_decay)
     if graph is None:
         graph = KnowledgeGraph(list(pretrained.accounts), [], [], [], "none")
     return CrfParams(scorer, graph)
@@ -298,18 +355,28 @@ def _clamps(accounts, revealed: dict | None, n_groups: int) -> tuple:
     return rows, groups
 
 
-def fit_scorer(pretrained: SequenceModel, cfg: EmConfig,
-               revealed: dict | None = None) -> UnaryScorer:
-    """The unary scorer EM starts from: ``initialize`` with ``cfg``'s
-    settings, its clusters aligned to the ``revealed`` accounts.
+def cluster_labels(pretrained: SequenceModel, cfg: EmConfig,
+                   revealed: dict | None = None) -> np.ndarray:
+    """The groups EM's unary scorer is fitted to: ``initialize``'s k-means
+    clusters of ``pretrained``'s embeddings with ``cfg``'s settings, aligned
+    to the ``revealed`` accounts.
 
-    It reads only ``pretrained``'s accounts and embeddings, not the data or
-    the graph, so ``coact detect`` runs it beside ingest and graph build.
+    A later initialization that reads the graph would replace only this
+    step. ``kmeans`` runs its starts on two CPUs where it can.
     """
     rows, groups = _clamps(pretrained.accounts, revealed, cfg.n_groups)
-    return initialize(pretrained, cfg.n_groups, cfg.seed, hidden=cfg.scorer_hidden,
-                      fit_weight_decay=cfg.scorer_weight_decay,
-                      align_rows=rows, align_groups=groups).scorer
+    return _cluster(pretrained.params["E"].data, cfg.n_groups, cfg.seed, rows, groups)
+
+
+def fit_scorer(pretrained: SequenceModel, cfg: EmConfig, labels) -> UnaryScorer:
+    """The unary scorer EM starts from: ``initialize``'s fit, with ``cfg``'s
+    settings, to the groups ``labels`` (from ``cluster_labels``).
+
+    It reads only ``pretrained``'s embeddings, not the data or the graph, so
+    ``coact detect`` runs it beside ingest and graph build.
+    """
+    return _fit_unary(pretrained.params["E"].data.copy(), labels, cfg.n_groups, cfg.seed,
+                      cfg.scorer_hidden, cfg.scorer_weight_decay)
 
 
 def _check_registry(d: Dataset, g: KnowledgeGraph, pretrained: SequenceModel) -> None:
@@ -324,14 +391,16 @@ def run_em(
     cfg: EmConfig,
     revealed: dict | None = None,
 ) -> DetectionResult:
-    """Full detection: ``fit_scorer``, then ``run_em_from`` on its field.
+    """Full detection: ``cluster_labels`` and ``fit_scorer``, then
+    ``run_em_from`` on the fitted field.
 
     ``revealed`` maps account keys to group indices; those beliefs are
     clamped one-hot through every E-step, and they pick the coordinated
     group (``identify_coordinated_group``).
     """
     _check_registry(d, g, pretrained)  # before the scorer fit
-    crf = CrfParams(fit_scorer(pretrained, cfg, revealed), g)
+    labels = cluster_labels(pretrained, cfg, revealed)
+    crf = CrfParams(fit_scorer(pretrained, cfg, labels), g)
     return run_em_from(d, crf, pretrained, cfg, revealed)
 
 

@@ -13,16 +13,17 @@ number of accounts. The edge ends are int32 (at most 2**31 - 1 accounts), so
 a graph holds 16 bytes per edge: 4 + 4 for the ends and 8 for the weight.
 The coupling w_uv / sqrt(d_u d_v) is not kept: ``KnowledgeGraph.couple``,
 which applies it in the E-step, computes it slice by slice. The builders
-count the account pairs of each sequence in one preallocated key buffer,
-and that buffer then holds the second edge ends. Every pass over the edges,
-validation included, runs in slices of ``COUPLE_EDGES``, so no full-size
-temporary, and no whole-array intp copy of the int32 ends (numpy makes one
-for each fancy index or ``bincount`` they are given), sits beside the edge
-arrays. The degrees are summed with ``np.add.at`` slice by slice: it adds
-the weights one edge at a time in edge order, as one ``np.bincount`` over all
-edges would, so the bits stay those of the unsliced sum, where adding
-per-slice ``bincount`` totals would not. Dense (V, V) views (``w``,
-``coupling()``) are built on demand for tests and small instances.
+count the account pairs of each sequence in one preallocated key buffer
+(int32 keys while V * V fits in them), and that buffer then holds the
+second edge ends. Every pass over the edges, validation included, runs in
+slices of ``COUPLE_EDGES``, so no full-size temporary, and no whole-array
+intp copy of the int32 ends (numpy makes one for each fancy index or
+``bincount`` they are given), sits beside the edge arrays. The degrees are
+summed with ``np.add.at`` slice by slice: it adds the weights one edge at a
+time in edge order, as one ``np.bincount`` over all edges would, so the bits
+stay those of the unsliced sum, where adding per-slice ``bincount`` totals
+would not. Dense (V, V) views (``w``, ``coupling()``) are built on demand
+for tests and small instances.
 """
 
 from __future__ import annotations
@@ -210,6 +211,9 @@ def _participants(d: Dataset):
                np.fromiter(last.values(), dtype=np.float64))
 
 
+_INT32_KEYS = np.iinfo(np.int32).max  # the largest V * V with int32 pair keys
+
+
 def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
     """Edge arrays (u, v, count): the number of sequences holding both accounts.
 
@@ -223,8 +227,9 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
         raise ValueError("dataset is empty")
     V = len(d.registry)
     participants = list(_participants(d))
+    # a key is below V * V: int32 keys, half the buffer, whenever they fit
     buf = np.empty(sum(len(idx) * (len(idx) - 1) // 2 for idx, _, _ in participants),
-                   dtype=np.int64)
+                   dtype=np.int32 if V * V <= _INT32_KEYS else np.int64)
     n_pairs = 0
     for idx, lo, hi in participants:
         order = np.argsort(idx)
@@ -238,9 +243,10 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
         n_pairs += len(pairs)
     del participants
     # np.unique(keys, return_counts=True) in place. Edge k's key sits at
-    # first[k] >= k, so v[k], an int32 written over key k // 2, never lands
-    # on a key still to be read; the buffer then shrinks to v. The count of
-    # each run overwrites its first index, and first ends with n_pairs.
+    # first[k] >= k, so v[k], an int32 written over key k (int32 keys) or
+    # k // 2 (int64 keys), never lands on a key still to be read; the buffer
+    # then shrinks to v. The count of each run overwrites its first index,
+    # and first ends with n_pairs.
     keys = buf[:n_pairs]
     keys.sort()
     starts = np.empty(n_pairs + 1, dtype=bool)
@@ -254,7 +260,7 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
     for s in _slices(n_edges):
         np.divmod(keys[first[s]], V, out=(u[s], v[s]))
     del keys, v
-    buf.resize(-(-n_edges // 2), refcheck=False)  # no view of buf is left
+    buf.resize(-(-4 * n_edges // buf.itemsize), refcheck=False)  # no view of buf is left
     counts = first[:-1].view(np.float64)
     for s in _slices(n_edges):
         counts[s] = np.diff(first[s.start:s.stop + 1])
@@ -270,13 +276,20 @@ def co_occurrence(d: Dataset) -> KnowledgeGraph:
     return KnowledgeGraph(d.registry.keys, *_pair_counts(d), "none")
 
 
-def filter_power(g: KnowledgeGraph, p: float) -> KnowledgeGraph:
-    """Elementwise p-th power of the raw co-occurrence counts; same edges."""
+def filter_power(g: KnowledgeGraph, p: float, in_place: bool = False) -> KnowledgeGraph:
+    """Elementwise p-th power of the raw co-occurrence counts; same edges.
+
+    ``g`` is left as it is, unless ``in_place``: then its weight array is
+    raised to the power and becomes the new graph's, so ``g`` must not be
+    used again. That is for a caller that holds the only use of a freshly
+    counted ``g``, and saves a second weight array.
+    """
     if p < 1:
         raise ValueError("power exponent must be >= 1")
     if g.filter_tag != "none":
         raise ValueError(f"expected raw co-occurrence weights, got {g.filter_tag!r}")
-    return KnowledgeGraph(g.accounts, g.u, g.v, np.power(g.weight, p), f"power(p={p:g})")
+    weight = np.power(g.weight, p, out=g.weight if in_place else None)
+    return KnowledgeGraph(g.accounts, g.u, g.v, weight, f"power(p={p:g})")
 
 
 def filter_temporal_logic(d: Dataset, c: float) -> KnowledgeGraph:

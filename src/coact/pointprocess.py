@@ -41,8 +41,9 @@ parent runs every position.
 
 ``_forked`` is the second kind of fork: one child that runs a single
 function while the parent goes on with other work, and hands back its
-pickled value (``coact detect`` fits the unary scorer this way beside
-ingest and graph build). It forks under the same guard as the helper and
+pickled value. ``em.kmeans`` runs half its starts this way beside the
+other half, and ``coact detect`` fits the unary scorer this way beside
+ingest and graph build. It forks under the same guard as the helper and
 calls the function in the parent otherwise. When the parent leaves its
 context, whether it read the value or raised, the child is killed if it
 still runs and is reaped; a parent killed outright takes the child with it

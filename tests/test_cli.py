@@ -320,8 +320,9 @@ def test_detect_writes_the_same_bytes_with_and_without_the_scorer_child(
     assert forks == []
     code, forked = detect(tmp_path, "forked", *argv)
     assert code == 0
-    # the scorer child and the M-step's helper, after pretraining's helper
-    assert len(forks) == (2 if path == "checkpoint" else 3)
+    # the k-means child, the scorer child and the M-step's helper, after
+    # pretraining's helper
+    assert len(forks) == (3 if path == "checkpoint" else 4)
     names = ["result.csv", "q_matrix.csv", "graph.csv", "metrics.csv"]
     if path == "pretrain":
         names.append("checkpoint.npz")

@@ -196,6 +196,116 @@ def test_kmeans_is_deterministic_given_the_seed():
     assert np.array_equal(np.unique(labels), [0, 1, 2])
 
 
+def serial_kmeans(X, k, seed):
+    """k-means as one loop: each start's seeds drawn just before its Lloyd run."""
+    rng = np.random.default_rng(seed)
+    best, completed = (None, None, np.inf), 0
+    for _ in range(em.KMEANS_STARTS + em.KMEANS_RESTARTS):
+        labels, centers, inertia = em._lloyd(X, em._kpp_seeds(X, k, rng), k, em.KMEANS_MAX_ITER)
+        if labels is None:
+            continue
+        completed += 1
+        if inertia < best[2]:
+            best = (labels, centers, inertia)
+        if completed >= em.KMEANS_STARTS:
+            break
+    return best[0], best[1]
+
+
+def abandon_some_starts(monkeypatch):
+    """Abandon every start whose first seed center has a positive first
+    coordinate, in the caller and in a child forked after this; returns the
+    seeds of the starts that ran here."""
+    lloyd, seen = em._lloyd, []
+
+    def lloyd_or_abandon(X, centers, k, max_iter):
+        seen.append(centers.copy())
+        if centers[0, 0] > 0:
+            return None, None, np.inf
+        return lloyd(X, centers, k, max_iter)
+
+    monkeypatch.setattr(em, "_lloyd", lloyd_or_abandon)
+    return seen
+
+
+@pytest.mark.parametrize("abandon", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+def test_kmeans_with_a_child_equals_kmeans_on_one_cpu(forks, monkeypatch, k, abandon):
+    rng = np.random.default_rng(40 + k)
+    X = rng.normal(size=(300, 6)) + (rng.random((300, 1)) < 0.3) * 1.5
+    if abandon:
+        seen = abandon_some_starts(monkeypatch)
+    for seed in range(4):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            forks.clear()
+            if abandon:
+                seen.clear()
+            serial = em.kmeans(X, k, seed)
+            assert forks == []
+            if abandon:  # some planned starts were abandoned and replaced
+                assert len(seen) > em.KMEANS_STARTS
+                assert any(c[0, 0] > 0 for c in seen[:em.KMEANS_STARTS])
+        forked = em.kmeans(X, k, seed)
+        assert len(forks) == 1
+        want = serial_kmeans(X, k, seed)
+        for got in (serial, forked):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+def test_kmeans_picks_the_earliest_of_tied_starts(monkeypatch):
+    # on one CPU the caller runs starts 0, 2, ..., 8 as calls 0-4, then
+    # starts 1, 3, ..., 9 as calls 5-9; each run's labels name its call
+    calls = iter(range(100))
+
+    def lloyd(X, centers, k, max_iter):
+        i = next(calls)
+        return np.full(len(X), i), centers, float(i not in (3, 5))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(em, "_lloyd", lloyd)
+    labels, _ = em.kmeans(np.zeros((4, 1)), 1, seed=0)
+    assert labels.tolist() == [5] * 4  # start 1 (call 5), not start 6 (call 3)
+
+
+def brute_force_alignment(labels, n_groups, rows, groups):
+    from itertools import permutations
+
+    best_perm, best_hits = None, -1
+    for perm in permutations(range(n_groups)):
+        hits = sum(1 for r, g_ in zip(rows, groups) if perm[labels[r]] == g_)
+        if hits > best_hits:
+            best_perm, best_hits = perm, hits
+    return np.asarray(best_perm, dtype=np.intp)[labels]
+
+
+@pytest.mark.parametrize("n_groups", [2, 3, 4, 5, 6])
+def test_alignment_takes_the_first_best_permutation(n_groups):
+    rng = np.random.default_rng(n_groups)
+    for trial in range(40):
+        labels = rng.integers(n_groups, size=30)
+        # few revealed rows over few groups: many permutations tie
+        rows = rng.choice(30, size=int(rng.integers(1, 3 * n_groups)), replace=False)
+        groups = rng.integers(int(rng.integers(1, n_groups + 1)), size=len(rows))
+        got = em._align_to_revealed(labels, n_groups, rows, groups)
+        assert np.array_equal(got, brute_force_alignment(labels, n_groups, rows, groups))
+
+
+def test_alignment_of_twelve_groups_takes_under_a_second():
+    import time
+
+    rng = np.random.default_rng(12)
+    labels = rng.integers(12, size=4000)
+    rows = rng.choice(4000, size=120, replace=False)
+    truth = rng.permutation(12)
+    groups = np.where(rng.random(120) < 0.8, truth[labels[rows]], rng.integers(12, size=120))
+    start = time.perf_counter()
+    got = em._align_to_revealed(labels, 12, rows, groups)
+    assert time.perf_counter() - start < 1.0
+    assert np.array_equal(got, truth[labels])
+
+
 @pytest.mark.parametrize("n_accounts,n_groups", [(30, 2), (400, 2), (400, 3)])
 def test_scorer_fit_matches_the_tape_bit_for_bit(monkeypatch, n_accounts, n_groups):
     model = SequenceModel([f"u{i}" for i in range(n_accounts)],
@@ -258,7 +368,7 @@ def test_run_em_with_a_helper_is_bit_identical_to_without(forks, monkeypatch, ba
         want = run_em(d, g, model, cfg)
     assert forks == []
     got = run_em(d, g, model, cfg)
-    assert len(forks) == 2  # one helper per M-step
+    assert len(forks) == 3  # the k-means child, then one helper per M-step
     assert np.array_equal(got.mean_field.q, want.mean_field.q)
     assert np.array_equal(got.scores, want.scores)
     assert got.history == want.history

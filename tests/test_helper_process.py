@@ -1,6 +1,7 @@
 """The processes that coact forks: training's helper never outlives ``fit``,
-``detect``'s scorer child never outlives ``detect``, an exception on either
-side reaches the caller, and paths without ``fit`` or ``detect`` never fork."""
+k-means's child never outlives ``kmeans``, ``detect``'s scorer child never
+outlives ``detect``, an exception on either side reaches the caller, and
+paths without ``fit``, ``kmeans`` or ``detect`` never fork."""
 
 import os
 import subprocess
@@ -52,7 +53,7 @@ def test_no_helper_outlives_training_or_em(forks):
     assert len(forks) == 1
     assert_no_child_left()
     run_em(d, co_occurrence(d), model, EmConfig(n_loops=2, m_step_epochs=2, scorer_hidden=5))
-    assert len(forks) == 3
+    assert len(forks) == 4  # the k-means child and one helper per M-step
     assert_no_child_left()
 
 
@@ -122,10 +123,7 @@ def test_paths_without_fit_never_fork(forks, monkeypatch):
 
     monkeypatch.setattr(os, "fork", refuse)
     d = random_dataset()
-    g = co_occurrence(d)
     model = SequenceModel(d.registry.keys, TINY, seed=0)
-    run_em(d, g, model, EmConfig(estep_only=True, scorer_hidden=5))
-    initialize(model, 2, seed=0, graph=g, hidden=5)
     model.grad_log_likelihood(d.sequences)
     model.log_likelihood(d.sequences[0])
     code = ("import os\n"
@@ -135,6 +133,65 @@ def test_paths_without_fit_never_fork(forks, monkeypatch):
     src = str(Path(pointprocess.__file__).resolve().parents[1])
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_estep_only_em_and_initialize_fork_one_kmeans_child_each(forks):
+    d = random_dataset()
+    g = co_occurrence(d)
+    model = SequenceModel(d.registry.keys, TINY, seed=0)
+    run_em(d, g, model, EmConfig(estep_only=True, scorer_hidden=5))
+    assert len(forks) == 1
+    assert_no_child_left()
+    initialize(model, 2, seed=0, graph=g, hidden=5)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+# ---- k-means's child ----
+
+POINTS = np.random.default_rng(5).normal(size=(60, 3))
+
+
+def test_no_kmeans_child_outlives_kmeans(forks):
+    labels, _ = em.kmeans(POINTS, 3, seed=0)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert np.array_equal(np.unique(labels), [0, 1, 2])
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_an_exception_in_either_kmeans_process_reaches_the_caller(forks, monkeypatch, where,
+                                                                  exc_type):
+    parent, lloyd = os.getpid(), em._lloyd
+
+    def failing(*args):
+        if (os.getpid() != parent) == (where == "child"):
+            raise exc_type(f"failed in the {where}")
+        return lloyd(*args)
+
+    monkeypatch.setattr(em, "_lloyd", failing)
+    with pytest.raises(exc_type, match=f"failed in the {where}") as info:
+        em.kmeans(POINTS, 3, seed=0)
+    assert len(forks) == 1
+    assert_no_child_left()
+    if where == "child":
+        assert "in the forked child" in str(info.value.__cause__)
+
+
+def test_a_kmeans_child_that_dies_is_reported_and_reaped(forks, monkeypatch):
+    parent, lloyd = os.getpid(), em._lloyd
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)  # as if the kernel killed it
+        return lloyd(*args)
+
+    monkeypatch.setattr(em, "_lloyd", dying)
+    with pytest.raises(RuntimeError, match="forked child exited without a result"):
+        em.kmeans(POINTS, 3, seed=0)
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def test_no_helper_on_one_cpu_or_beside_another_thread(monkeypatch):
@@ -195,27 +252,27 @@ def test_no_scorer_child_outlives_a_failed_detect(forks, synth, tmp_path, capsys
                    "do not match the dataset registry")
     assert cli.main(argv) == 1
     assert message in capsys.readouterr().err
-    assert len(forks) == 1
+    assert len(forks) == 2  # the k-means child, then the scorer child
     assert_no_child_left()
 
 
 def test_an_exception_in_the_scorer_child_reaches_detect(forks, synth, tmp_path, capsys,
                                                         monkeypatch):
-    parent, fit = os.getpid(), em.initialize
+    parent, fit = os.getpid(), em._fit_unary
 
     def failing_in_the_child(*args, **kwargs):
         if os.getpid() != parent:
             raise ValueError("failed in the scorer child")
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(em, "initialize", failing_in_the_child)
+    monkeypatch.setattr(em, "_fit_unary", failing_in_the_child)
     argv = detect_argv(synth, tmp_path)
     assert cli.main(argv) == 1
     assert "error: stage 'em' failed: failed in the scorer child" in capsys.readouterr().err
     args = cli.build_parser().parse_args(argv)
     with pytest.raises(cli.StageError) as info:
         cli.run_pipeline(args, tmp_path / "again")
-    assert len(forks) == 2
+    assert len(forks) == 4  # per detect, the k-means child and the scorer child
     assert_no_child_left()
     child_exc = info.value.__cause__
     assert isinstance(child_exc, ValueError)
@@ -268,9 +325,9 @@ def test_a_child_dies_with_a_parent_that_is_killed_outright():
         time.sleep(0.01)
 
 
-def test_detect_estep_only_from_a_checkpoint_forks_one_child(forks, synth, tmp_path):
+def test_detect_estep_only_from_a_checkpoint_forks_two_children(forks, synth, tmp_path):
     assert cli.main(detect_argv(synth, tmp_path, "--estep-only")) == 0
-    assert len(forks) == 1
+    assert len(forks) == 2  # the k-means child, then the scorer child
     assert_no_child_left()
 
 

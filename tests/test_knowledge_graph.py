@@ -214,6 +214,19 @@ def test_pair_counter_matches_the_references_across_many_slices(monkeypatch):
         assert np.array_equal(filter_temporal_logic(d, c).w, temporal_bruteforce(d, c))
 
 
+def test_int32_and_int64_pair_keys_count_the_same_graph(monkeypatch):
+    rng = np.random.default_rng(31)
+    d = random_dataset(rng, n_accounts=30, n_sequences=40)
+    c = float(rng.uniform(0, 20))
+    graphs = [co_occurrence(d), filter_temporal_logic(d, c)]
+    V = len(d.registry)
+    monkeypatch.setattr(graph_mod, "_INT32_KEYS", V * V - 1)  # int64 keys at this V
+    for want, got in zip(graphs, [co_occurrence(d), filter_temporal_logic(d, c)]):
+        for name in ("u", "v", "weight"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.u.dtype == got.v.dtype == np.int32
+
+
 def test_temporal_logic_bounded_by_co_occurrence():
     rng = np.random.default_rng(13)
     d = random_dataset(rng)
@@ -502,6 +515,41 @@ def edge_dominated_dataset(V=3000, n_seqs=60, size=250, seed=20):
         who = rng.choice(V, size, replace=False)
         seqs.append(EventSequence(f"s{i}", [Event(f"u{a}", float(t)) for t, a in enumerate(who)]))
     return Dataset.from_sequences(seqs)
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_counting_in_int32_keys_and_powering_in_place_peak_at_19_bytes_per_edge(in_place):
+    # the key buffer holds 4 bytes per counted pair and ends as the v array;
+    # the power taken in place adds no second weight array
+    d = edge_dominated_dataset()
+    E = np.random.default_rng(21).normal(size=(len(d.registry), 4))
+    scorer = UnaryScorer(4, 2, hidden=4, seed=0)
+    want = filter_power(co_occurrence(d), 3.0).weight if in_place else None
+    tracemalloc.start()
+    try:
+        g = co_occurrence(d)
+        if in_place:
+            g = filter_power(g, 3.0, in_place=True)
+        crf = CrfParams(scorer, g)
+        estep_converge(crf, E, softmax_init(crf, E), max_iter=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(g.weight) <= 19, peak / len(g.weight)
+    if in_place:
+        assert g.filter_tag == "power(p=3)"
+        assert np.array_equal(g.weight.view(np.int64), want.view(np.int64))
+
+
+def test_filter_power_leaves_its_input_alone_unless_in_place():
+    d = edge_dominated_dataset(60, 4, 20, seed=3)
+    raw = co_occurrence(d)
+    counts = raw.weight.copy()
+    powered = filter_power(raw, 2.0)
+    assert np.array_equal(raw.weight, counts) and powered.weight is not raw.weight
+    powered = filter_power(raw, 2.0, in_place=True)
+    assert powered.weight is raw.weight
+    assert np.array_equal(powered.weight, counts ** 2.0)
 
 
 @pytest.mark.parametrize("power", [None, 3.0])

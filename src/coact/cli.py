@@ -435,7 +435,7 @@ def _add_em_opts(p):
     p.add_argument("--estep-tol", type=_number(0.0, above=True), default=1e-6)
     p.add_argument("--estep-iters", type=_int_at_least(1), default=10,
                    help="E-step sweep cap (default: 10)")
-    p.add_argument("--schedule", choices=["jacobi", "gauss_seidel"], default="jacobi")
+    p.add_argument("--schedule", choices=em_mod.ESTEP_SCHEDULES, default="jacobi")
     p.add_argument("--lam", type=_number(0.0, above=True), default=1.0,
                    help="weight of the assignment term vs the likelihood (default: 1)")
     p.add_argument("--threshold", type=_number(0.0, at_most=1.0), default=0.5,

@@ -135,8 +135,8 @@ def _lloyd(X, centers, k, max_iter):
     x2 = (X * X).sum(axis=1)[:, None]
     X2 = 2.0 * X  # doubled once, not in every iteration
     for _ in range(max_iter):
-        # x2 - X2 @ centers.T + |centers|^2, the same operations in one array
-        d2 = X2 @ centers.T
+        # x2 - X2 @ centers.T + |centers|^2 in one array; a contiguous centers.T is faster
+        d2 = X2 @ np.ascontiguousarray(centers.T)
         np.subtract(x2, d2, out=d2)
         d2 += (centers * centers).sum(axis=1)[None, :]
         new_labels = d2.argmin(axis=1)

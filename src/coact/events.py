@@ -125,16 +125,23 @@ class Dataset:
 
 
 def _check_event(account, t, where, keys: dict) -> Event:
-    """The checked Event; ``keys`` maps each account key to the one copy events share."""
+    """The checked Event; ``keys`` maps each account key to the one copy events share.
+
+    The account must be a string or an integer, and the timestamp a number or
+    a string that parses as one; JSON's booleans are neither.
+    """
+    if type(account) is not str:
+        if type(account) is not int:  # bool is a subclass of int, not int itself
+            raise DataError(f"{where}: account {account!r} is not a string or an integer")
+        account = str(account)
     try:
-        t = float(t)
+        t = float(None if type(t) is bool else t)  # float(True) would be 1.0
     except (TypeError, ValueError):
         raise DataError(f"{where}: timestamp {t!r} is not a number")
     if not math.isfinite(t):
         raise DataError(f"{where}: non-finite timestamp {t!r}")
     if t < 0:
         raise DataError(f"{where}: negative timestamp {t!r}")
-    account = str(account)
     return Event(keys.setdefault(account, account), t)
 
 
@@ -150,11 +157,13 @@ def _parse_jsonl(path: Path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})")
-            if "seq_id" not in rec or "events" not in rec:
+            if not isinstance(rec, dict) or "seq_id" not in rec or "events" not in rec:
                 raise DataError(f"{path}:{lineno}: need 'seq_id' and 'events'")
             where = f"{path}:{lineno}"
-            events = [_check_event(e.get("account"), e.get("t"), where, keys)
-                      for e in rec["events"]]
+            events = rec["events"]
+            if not (isinstance(events, list) and all(isinstance(e, dict) for e in events)):
+                raise DataError(f"{where}: 'events' must be a list of objects")
+            events = [_check_event(e.get("account"), e.get("t"), where, keys) for e in events]
             sequences.append(EventSequence(str(rec["seq_id"]), events))
     return sequences
 

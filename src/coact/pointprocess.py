@@ -27,27 +27,26 @@ the config. ``SequenceModel.load`` accepts only config keys that are
 ``SeqModelConfig`` fields: it refuses a checkpoint that stores options
 since folded into constants, and names those keys.
 
-While ``train`` and the EM M-step run ``fit``, one forked helper process
-shares the work (``_helper``). In each minibatch and each validation pass
-the parent runs the sequences at even positions and the helper those at odd
-positions. ``_backward`` hands each gradient increment to a sink: in the
-parent that is ``_accumulate``, in the helper a slot of a shared-memory
-ring. The parent adds the helper's increments for position p - 1 before it
-runs position p, so every gradient is summed in the serial order and
-training is bit-identical with or without a helper. There is a helper only
-on Linux, with two or more usable CPUs, and while this process has a single
-OS thread, so nothing forks under a multi-threaded BLAS; otherwise the
-parent runs every position.
+Every process this package forks is a ``_child``: it runs one function and
+hands back one pickled outcome, the value or the exception with the child's
+traceback. When the parent leaves the child's context, the child is killed
+if it still runs and is reaped; a parent killed outright takes the child
+with it (``PR_SET_PDEATHSIG``). Children fork only on Linux, with two or
+more usable CPUs, and while this process has one OS thread, so nothing
+forks under a multi-threaded BLAS (``_helper_wanted``); otherwise the
+parent does the work itself. ``_forked`` is that guard around ``_child``:
+``em.kmeans`` runs half its starts in it, and ``coact detect`` fits the
+unary scorer in it beside ingest and graph build.
 
-``_forked`` is the second kind of fork: one child that runs a single
-function while the parent goes on with other work, and hands back its
-pickled value. ``em.kmeans`` runs half its starts this way beside the
-other half, and ``coact detect`` fits the unary scorer this way beside
-ingest and graph build. It forks under the same guard as the helper and
-calls the function in the parent otherwise. When the parent leaves its
-context, whether it read the value or raised, the child is killed if it
-still runs and is reaped; a parent killed outright takes the child with it
-(``PR_SET_PDEATHSIG``). So no child outlives its parent.
+While ``train`` and the EM M-step run ``fit``, a helper child (``_helper``)
+serves the parent's tasks until the parent closes its pipes; if the results
+pipe closes early, the parent raises the helper's outcome. In each
+minibatch and each validation pass the parent runs the sequences at even
+positions and the helper those at odd positions. ``_backward`` hands each
+gradient increment to a sink: ``_accumulate`` in the parent, a slot of a
+shared-memory ring in the helper. The parent adds the helper's increments
+for position p - 1 before it runs position p, so every gradient is summed
+in the serial order and training is bit-identical with or without a helper.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ import signal
 import struct
 import sys
 import traceback
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -430,13 +429,10 @@ class SequenceModel:
         return model
 
 
-# ---- the helper process ----
+# ---- forked children ----
 
-RING_SLOTS = 2                  # sequences' increments the helper may send ahead
-_TASK = struct.Struct("<?dq")   # backward pass?, its g, number of sequences
-_RESULT = struct.Struct("<qd")  # ring slot (or _NO_SLOT/_FAILED), log-likelihood
-_LENGTH = struct.Struct("<q")   # bytes of the pickled error after a _FAILED result
-_NO_SLOT, _FAILED = -1, -2
+_LENGTH = struct.Struct("<q")  # bytes of the pickled outcome that follows
+PR_SET_PDEATHSIG = 1           # <sys/prctl.h>
 
 
 def _helper_wanted() -> bool:
@@ -467,29 +463,88 @@ def _write(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _send(fd: int, k: int, obj) -> None:
-    """A result header with ``k``, then ``obj`` pickled, length first."""
-    payload = pickle.dumps(obj)
-    _write(fd, _RESULT.pack(k, 0.0) + _LENGTH.pack(len(payload)) + payload)
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel kill this process once ``parent`` exits, however it
+    exits, and exit at once if it already has."""
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    if prctl(PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != parent:
+        os._exit(1)
 
 
-def _receive(fd: int):
-    """The object that ``_send`` wrote after the header just read."""
-    (n,) = _LENGTH.unpack(_read(fd, _LENGTH.size))
-    return pickle.loads(_read(fd, n))
+@contextmanager
+def _child(where: str, fn, *args):
+    """Run ``fn(*args)`` in a forked child while the context is open; yields
+    the child's pid and ``outcome``, which returns ``fn``'s value, raises its
+    exception with "in the <where>" and the child's traceback as the cause,
+    or raises that the <where> exited without a result.
+
+    The child sends one length-prefixed pickle, ``(True, value)`` or
+    ``(False, (exc, traceback))``, and leaves only through ``os._exit``. On
+    exit the child is killed, if it still runs, and reaped; if the parent
+    dies first, the kernel kills the child.
+    """
+    parent = os.getpid()
+    result_r, result_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the parent's code
+        ok = False
+        try:
+            _die_with_parent(parent)
+            os.close(result_r)
+            try:
+                sent = (True, fn(*args))
+            except BaseException as exc:  # the parent raises it (see outcome)
+                sent = (False, (exc, traceback.format_exc()))
+            payload = pickle.dumps(sent)  # if this fails, the parent sees no result
+            _write(result_w, _LENGTH.pack(len(payload)) + payload)
+            ok = sent[0]
+        finally:
+            os._exit(0 if ok else 1)
+    os.close(result_w)
+
+    def outcome():
+        head = _read(result_r, _LENGTH.size)
+        body = head and _read(result_r, _LENGTH.unpack(head)[0])
+        if not body:
+            raise RuntimeError(f"the {where} exited without a result")
+        ok, value = pickle.loads(body)
+        if not ok:
+            exc, trace = value
+            raise exc from RuntimeError(f"in the {where}:\n{trace}")
+        return value
+
+    try:
+        yield pid, outcome
+    finally:
+        os.close(result_r)
+        os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie until reaped
+        os.waitpid(pid, 0)
 
 
-def _report(fd: int, exc: BaseException) -> None:
-    """Send ``exc`` and its traceback to the parent as a _FAILED result (if
-    ``exc`` does not pickle, the parent sees the child exit instead)."""
-    with suppress(OSError):  # the parent has closed the pipe and is not listening
-        _send(fd, _FAILED, (exc, traceback.format_exc()))
+@contextmanager
+def _forked(fn, *args):
+    """Run ``fn(*args)`` in a ``_child`` while the context is open, if
+    ``_helper_wanted``; yields a function that returns its value.
+
+    Without a child the yielded function calls ``fn(*args)`` itself.
+    """
+    if not _helper_wanted():
+        yield lambda: fn(*args)
+        return
+    with _child("forked child", fn, *args) as (_, outcome):
+        yield outcome
 
 
-def _raise_reported(fd: int, where: str):
-    """Raise the exception that ``_report`` sent, with the child's traceback."""
-    exc, trace = _receive(fd)
-    raise exc from RuntimeError(f"in the {where}:\n{trace}")
+# ---- the helper process ----
+
+RING_SLOTS = 2                  # sequences' increments the helper may send ahead
+_TASK = struct.Struct("<?dq")   # backward pass?, its g, number of sequences
+_RESULT = struct.Struct("<qd")  # ring slot (or _NO_SLOT), log-likelihood
+_NO_SLOT = -1
 
 
 def _views(flat: np.ndarray, shapes) -> list:
@@ -503,7 +558,7 @@ def _views(flat: np.ndarray, shapes) -> list:
 
 
 class _Helper:
-    """A forked process that runs the odd positions of each batch and
+    """A ``_child`` that runs the odd positions of each batch and
     validation pass of ``model`` over the sequences ``items``.
 
     Before the fork, two anonymous shared mappings are made: one holds the
@@ -512,7 +567,8 @@ class _Helper:
     holding one sequence's increments in ``_backward``'s call order. Three
     pipes carry the rest: tasks (indices into ``items``, which the helper
     inherited), results ("slot k ready, log-likelihood x") and "slot free"
-    tokens. The helper exits on EOF of a pipe, and only through ``os._exit``.
+    tokens. The helper returns on EOF of a pipe; when it fails, the parent
+    sees EOF on the results pipe and raises the helper's outcome.
     """
 
     def __init__(self, model: SequenceModel, items: list):
@@ -538,44 +594,40 @@ class _Helper:
         task_r, self._task_w = os.pipe()
         self._result_r, result_w = os.pipe()
         free_r, self._free_w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:  # the helper never returns into the parent's code
-            status = 1
-            try:
-                for fd in (self._task_w, self._result_r, self._free_w):
-                    os.close(fd)
-                self._serve(items, task_r, result_w, free_r)
-                status = 0
-            except BaseException as exc:  # the parent raises it (see receive)
-                _report(result_w, exc)
-            finally:
-                os._exit(status)
+        self._running = ExitStack()
+        self.pid, self._outcome = self._running.enter_context(
+            _child("helper process", self._serve, items, task_r, result_w, free_r))
         for fd in (task_r, result_w, free_r):
             os.close(fd)
 
     def _serve(self, items, task_r, result_w, free_r) -> None:
         """The helper's loop: run each task's sequences in order until EOF."""
+        for fd in (self._task_w, self._result_r, self._free_w):
+            os.close(fd)
         model = self.model
         for k, view in self._params.items():
             model.params[k].data = view
         free, slot = RING_SLOTS, 0
-        while head := _read(task_r, _TASK.size):
-            backward, g, n = _TASK.unpack(head)
-            for i in np.frombuffer(_read(task_r, 8 * n), dtype=np.int64):
-                seq = items[i]
-                mark, time, cache = model._forward(seq)
-                k = _NO_SLOT
-                if backward:
-                    if not free:
-                        tokens = os.read(free_r, RING_SLOTS)
-                        if not tokens:
-                            return
-                        free = len(tokens)
-                    views = iter(self._slots[slot])
-                    model._backward(seq, cache, g,
-                                    add=lambda t, inc: np.copyto(next(views)[1], inc))
-                    k, slot, free = slot, (slot + 1) % RING_SLOTS, free - 1
-                _write(result_w, _RESULT.pack(k, mark + time))
+        try:
+            while head := _read(task_r, _TASK.size):
+                backward, g, n = _TASK.unpack(head)
+                for i in np.frombuffer(_read(task_r, 8 * n), dtype=np.int64):
+                    seq = items[i]
+                    mark, time, cache = model._forward(seq)
+                    k = _NO_SLOT
+                    if backward:
+                        if not free:
+                            tokens = os.read(free_r, RING_SLOTS)
+                            if not tokens:
+                                return
+                            free = len(tokens)
+                        views = iter(self._slots[slot])
+                        model._backward(seq, cache, g,
+                                        add=lambda t, inc: np.copyto(next(views)[1], inc))
+                        k, slot, free = slot, (slot + 1) % RING_SLOTS, free - 1
+                    _write(result_w, _RESULT.pack(k, mark + time))
+        finally:
+            os.close(result_w)  # the parent reads the outcome only after this EOF
 
     def send(self, batch, g: float | None = None) -> bool:
         """Give the helper the odd positions of ``batch``: their backward
@@ -600,10 +652,9 @@ class _Helper:
         increments are first added to the parameters' ``grad``."""
         head = _read(self._result_r, _RESULT.size)
         if not head:
+            self._outcome()  # raises the helper's exception, or that it sent none
             raise RuntimeError("the helper process exited without a result")
         k, ll = _RESULT.unpack(head)
-        if k == _FAILED:
-            _raise_reported(self._result_r, "helper process")
         if k != _NO_SLOT:
             for t, inc in self._slots[k]:
                 _accumulate(t, inc)
@@ -611,12 +662,10 @@ class _Helper:
         return ll
 
     def close(self) -> None:
-        """Close the pipes, which ends the helper, and reap it."""
-        try:
+        """Close the pipes, then kill and reap the helper."""
+        with self._running:
             for fd in (self._task_w, self._free_w, self._result_r):
                 os.close(fd)
-        finally:
-            os.waitpid(self.pid, 0)
 
 
 @contextmanager
@@ -634,68 +683,6 @@ def _helper(model: SequenceModel, *item_lists):
     finally:
         model._helper = None
         helper.close()
-
-
-PR_SET_PDEATHSIG = 1  # <sys/prctl.h>
-
-
-def _die_with_parent(parent: int) -> None:
-    """Have the kernel kill this process once ``parent`` exits, however it
-    exits, and exit at once if it already has."""
-    prctl = ctypes.CDLL(None, use_errno=True).prctl
-    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
-    prctl.restype = ctypes.c_int
-    if prctl(PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
-        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-@contextmanager
-def _forked(fn, *args):
-    """Run ``fn(*args)`` in a forked child while the context is open, if
-    ``_helper_wanted``; yields a function that returns its value.
-
-    The value comes back pickled through a pipe, and an exception raised in
-    the child is raised again with the child's traceback as its cause.
-    Without a child the yielded function calls ``fn(*args)`` itself. On exit
-    the child is killed, if it is still running, and reaped; if the parent
-    dies before it leaves the context, the kernel kills the child. The child
-    leaves only through ``os._exit``.
-    """
-    if not _helper_wanted():
-        yield lambda: fn(*args)
-        return
-    parent = os.getpid()
-    result_r, result_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns into the parent's code
-        status = 1
-        try:
-            _die_with_parent(parent)
-            os.close(result_r)
-            _send(result_w, 0, fn(*args))
-            status = 0
-        except BaseException as exc:  # the parent raises it (see result)
-            _report(result_w, exc)
-        finally:
-            os._exit(status)
-    os.close(result_w)
-
-    def result():
-        head = _read(result_r, _RESULT.size)
-        if not head:
-            raise RuntimeError("the forked child exited without a result")
-        if _RESULT.unpack(head)[0] == _FAILED:
-            _raise_reported(result_r, "forked child")
-        return _receive(result_r)
-
-    try:
-        yield result
-    finally:
-        os.close(result_r)
-        os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie until reaped
-        os.waitpid(pid, 0)
 
 
 def fit(params: dict, items, batch_loss, val_fn, *, epochs: int, lr: float,

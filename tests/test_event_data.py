@@ -70,6 +70,33 @@ def test_parse_error_carries_line_number(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"seq_id": "b", "events": [{"t": 1.0}]}', "account None is not a string or an integer"),
+    ('{"seq_id": "b", "events": [{"account": null, "t": 1.0}]}',
+     "account None is not a string or an integer"),
+    ('{"seq_id": "b", "events": [{"account": true, "t": 1.0}]}',
+     "account True is not a string or an integer"),
+    ('{"seq_id": "b", "events": [{"account": 1.5, "t": 1.0}]}',
+     "account 1.5 is not a string or an integer"),
+    ('{"seq_id": "b", "events": [{"account": ["u"], "t": 1.0}]}',
+     r"account \['u'\] is not a string or an integer"),
+    ('{"seq_id": "b", "events": 5}', "'events' must be a list of objects"),
+    ('{"seq_id": "b", "events": {"account": "u", "t": 1.0}}', "'events' must be a list of objects"),
+    ('{"seq_id": "b", "events": [["u", 1]]}', "'events' must be a list of objects"),
+    ('{"seq_id": "b", "events": [{"account": "u", "t": 1.0}, "u"]}',
+     "'events' must be a list of objects"),
+    ('{"seq_id": "b", "events": [{"account": "u", "t": true}]}', "timestamp True is not a number"),
+    ('{"seq_id": "b", "events": [{"account": "u"}]}', "timestamp None is not a number"),
+    ('[{"seq_id": "b", "events": []}]', "need 'seq_id' and 'events'"),
+    ('5', "need 'seq_id' and 'events'"),
+])
+def test_a_malformed_jsonl_event_names_its_file_and_line(tmp_path, line, message):
+    p = write(tmp_path, "d.jsonl",
+              '{"seq_id": "a", "events": [{"account": 7, "t": 1.0}]}\n' + line + "\n")
+    with pytest.raises(DataError, match=f"d.jsonl:2: {message}"):
+        load_dataset(p)
+
+
 def test_load_csv(tmp_path):
     p = write(tmp_path, "d.csv", "seq_id,account,t\ns1,u,1.0\ns1,v,2.5\ns2,w,0.0\n")
     d = load_dataset(p, format="csv")

@@ -1,7 +1,9 @@
 """The processes that coact forks: training's helper never outlives ``fit``,
 k-means's child never outlives ``kmeans``, ``detect``'s scorer child never
-outlives ``detect``, an exception on either side reaches the caller, and
-paths without ``fit``, ``kmeans`` or ``detect`` never fork."""
+outlives ``detect``, a child still running is killed when its context exits,
+every child dies with a parent killed outright, an exception on either side
+reaches the caller, and paths without ``fit``, ``kmeans`` or ``detect`` never
+fork."""
 
 import os
 import subprocess
@@ -71,9 +73,10 @@ def test_an_exception_in_either_process_reaches_the_caller(forks, monkeypatch, w
 
     def failing(self, seq):
         calls.append(seq)
-        # the parent fails in the first minibatch, the helper on its first sequence
+        # the parent fails in the first minibatch, the helper on its first sequence,
+        # with a message longer than a pipe holds
         if (os.getpid() != parent) if where == "helper" else len(calls) == 10:
-            raise exc_type(f"failed in the {where}")
+            raise exc_type(f"failed in the {where}" + "." * (1 << 17))
         return forward(self, seq)
 
     monkeypatch.setattr(SequenceModel, "_forward", failing)
@@ -100,21 +103,42 @@ def test_a_helper_that_dies_is_reported_and_reaped(forks, monkeypatch):
     assert_no_child_left()
 
 
+def test_a_helper_still_running_is_killed_when_fit_raises(forks, monkeypatch):
+    parent, forward, calls = os.getpid(), SequenceModel._forward, []
+
+    def failing(self, seq):
+        if os.getpid() != parent:
+            time.sleep(60.0)
+        calls.append(seq)
+        if len(calls) == 2:  # the parent's first pass, after the helper's dry run
+            raise ValueError("failed in the parent")
+        return forward(self, seq)
+
+    monkeypatch.setattr(SequenceModel, "_forward", failing)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="failed in the parent"):
+        train(random_dataset(), CFG, TINY)
+    assert time.monotonic() - start < 30.0
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
 def test_a_helper_whose_task_pipe_is_closed_exits():
     d = random_dataset()
     model = SequenceModel(d.registry.keys, TINY, seed=0)
     helper = pointprocess._Helper(model, model.prepare(d.sequences))
     os.close(helper._task_w)
+    helper._task_w = os.open(os.devnull, os.O_WRONLY)  # for close() to close
     deadline = time.monotonic() + 30.0
-    while (status := os.waitpid(helper.pid, os.WNOHANG))[0] == 0:
+    # WNOWAIT leaves the exited helper for close() to reap
+    while (info := os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)) is None:
         if time.monotonic() > deadline:
-            os.kill(helper.pid, 9)
-            os.waitpid(helper.pid, 0)
+            helper.close()
             pytest.fail("the helper did not exit")
         time.sleep(0.01)
-    assert os.waitstatus_to_exitcode(status[1]) == 0
-    os.close(helper._free_w)
-    os.close(helper._result_r)
+    assert (info.si_code, info.si_status) == (os.CLD_EXITED, 0)
+    helper.close()
+    assert_no_child_left()
 
 
 def test_paths_without_fit_never_fork(forks, monkeypatch):
@@ -290,23 +314,53 @@ def test_a_child_still_running_is_killed_when_its_context_exits(forks):
     assert_no_child_left()
 
 
-def test_a_child_dies_with_a_parent_that_is_killed_outright():
-    code = ("import os, time\n"
-            "from coact import pointprocess\n"
-            "pointprocess._helper_wanted = lambda: True\n"
-            "fork = os.fork\n"
-            "def fork_and_tell():\n"
-            "    pid = fork()\n"
-            "    if pid:\n"
-            "        print(pid, flush=True)\n"
-            "    return pid\n"
-            "os.fork = fork_and_tell\n"
-            "with pointprocess._forked(time.sleep, 60.0):\n"
-            "    time.sleep(60.0)\n")
+# the parent's code up to its child's first sleep; the parent writes the
+# child's pid, the child writes "asleep" once it sleeps inside the child's work
+KILLED_PARENT = """\
+import os, time
+from coact import pointprocess
+pointprocess._helper_wanted = lambda: True
+fork = os.fork
+def fork_and_tell():
+    pid = fork()
+    if pid:
+        os.write(1, b"%d\\n" % pid)  # one write each, so the lines do not interleave
+    return pid
+os.fork = fork_and_tell
+def nap():
+    os.write(1, b"asleep\\n")
+    time.sleep(60.0)
+"""
+IN_THE_CHILD = {
+    "_forked": """\
+with pointprocess._forked(nap):
+    time.sleep(60.0)
+""",
+    "_helper": """\
+from coact.events import Dataset, Event, EventSequence
+from coact.pointprocess import SeqModelConfig, SequenceModel, TrainConfig, train
+parent, forward = os.getpid(), SequenceModel._forward
+def sleepy(self, seq):
+    if os.getpid() != parent:
+        nap()
+    return forward(self, seq)
+SequenceModel._forward = sleepy
+seqs = [EventSequence(f"s{i}", [Event("u0", 0.0), Event("u1", 1.0 + i)]) for i in range(4)]
+train(Dataset.from_sequences(seqs), TrainConfig(epochs=1, batch_size=4),
+      SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=2))
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(IN_THE_CHILD))
+def test_a_child_dies_with_a_parent_that_is_killed_outright(kind):
+    code = KILLED_PARENT + IN_THE_CHILD[kind]
     src = str(Path(pointprocess.__file__).resolve().parents[1])
     parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
                               env=dict(os.environ, PYTHONPATH=src))
-    child = int(parent.stdout.readline())
+    lines = {parent.stdout.readline().strip() for _ in range(2)}
+    lines.remove(b"asleep")
+    child = int(lines.pop())
     parent.kill()
     parent.wait(timeout=30)
     parent.stdout.close()

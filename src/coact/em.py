@@ -415,11 +415,8 @@ def run_em_from(
     graph of ``d``, and score the coordinated group (see ``run_em``)."""
     _check_registry(d, crf.graph, pretrained)
     clamp_rows, clamp_groups = _clamps(pretrained.accounts, revealed, cfg.n_groups)
-    model = pretrained.copy()
-
-    train_ds, val_ds, _ = train_val_test_split(d, cfg.fractions, cfg.seed)
-    train_seqs = train_ds.sequences or d.sequences
-    val_seqs = val_ds.sequences or train_seqs
+    # only the M-step changes the model, and only it reads the split
+    model = pretrained if cfg.estep_only else pretrained.copy()
 
     def estep(init_mf, loop):
         """Run one E-step; returns its beliefs and its history record."""
@@ -440,6 +437,9 @@ def run_em_from(
     history = [record]
 
     if not cfg.estep_only:
+        train_ds, val_ds, _ = train_val_test_split(d, cfg.fractions, cfg.seed)
+        train_seqs = train_ds.sequences or d.sequences
+        val_seqs = val_ds.sequences or train_seqs
         rng = np.random.default_rng(cfg.seed + 1)
         train_items, val_items = model.prepare(train_seqs), model.prepare(val_seqs)
         for loop in range(1, cfg.n_loops + 1):

@@ -9,21 +9,26 @@ threshold. The pairwise potential used downstream normalizes each edge by
 
 A graph is stored as a sorted upper-triangle edge list ``(u, v, weight)``,
 so its memory grows with the number of edges, not with the square of the
-number of accounts. The edge ends are int32 (at most 2**31 - 1 accounts), so
-a graph holds 16 bytes per edge: 4 + 4 for the ends and 8 for the weight.
-The coupling w_uv / sqrt(d_u d_v) is not kept: ``KnowledgeGraph.couple``,
-which applies it in the E-step, computes it slice by slice. The builders
-count the account pairs of each sequence in one preallocated key buffer
-(int32 keys while V * V fits in them), and that buffer then holds the
-second edge ends. Every pass over the edges, validation included, runs in
-slices of ``COUPLE_EDGES``, so no full-size temporary, and no whole-array
-intp copy of the int32 ends (numpy makes one for each fancy index or
-``bincount`` they are given), sits beside the edge arrays. The degrees are
-summed with ``np.add.at`` slice by slice: it adds the weights one edge at a
-time in edge order, as one ``np.bincount`` over all edges would, so the bits
-stay those of the unsliced sum, where adding per-slice ``bincount`` totals
-would not. Dense (V, V) views (``w``, ``coupling()``) are built on demand
-for tests and small instances.
+number of accounts. The edge ends are uint16 while the graph has at most
+65 536 accounts and int32 above that (at most 2**31 - 1 accounts), so a
+graph holds 12 bytes per edge up to 65 536 accounts: 2 + 2 for the ends and
+8 for the weight (16 above). The coupling w_uv / sqrt(d_u d_v) is not kept:
+``KnowledgeGraph.couple``, which applies it in the E-step, computes it slice
+by slice. The builders count the account pairs of each sequence in one
+preallocated key buffer (int32 keys while V * V fits in them), and that
+buffer then holds the second edge ends. Counting needs, beside the sorted
+keys, one byte per pair to mark where each run of equal keys ends, and a
+count per edge in the narrowest unsigned type that holds the number of
+sequences; the counts widen to the float64 weights once the key buffer has
+shrunk to the second ends. Every pass over the edges, validation included,
+runs in slices of ``COUPLE_EDGES``, so no full-size temporary, and no
+whole-array intp copy of the narrow ends (numpy makes one for each fancy
+index or ``bincount`` they are given), sits beside the edge arrays. The
+degrees are summed with ``np.add.at`` slice by slice: it adds the weights
+one edge at a time in edge order, as one ``np.bincount`` over all edges
+would, so the bits stay those of the unsliced sum, where adding per-slice
+``bincount`` totals would not. Dense (V, V) views (``w``, ``coupling()``)
+are built on demand for tests and small instances.
 """
 
 from __future__ import annotations
@@ -58,8 +63,13 @@ def _slices(n: int, step: int | None = None):
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
+def _end_type(n: int) -> type:
+    """The edge ends' dtype on n accounts: uint16 while it indexes them all, else int32."""
+    return np.uint16 if n <= 2 ** 16 else np.int32
+
+
 def _ends(x, n: int) -> np.ndarray:
-    """``x`` as int32 account indices, checked against n accounts before narrowing.
+    """``x`` as account indices of ``_end_type(n)``, checked against n before narrowing.
 
     The caller's values must be integers: floats only when integral (an empty
     list is float). A value outside [0, n) raises before the cast could wrap it.
@@ -70,7 +80,7 @@ def _ends(x, n: int) -> np.ndarray:
         raise ValueError("edge ends must be integers")
     if x.size and not (x.min() >= 0 and x.max() < n):
         raise ValueError("edges must join two accounts u < v")
-    return x.astype(np.int32, copy=False)
+    return x.astype(_end_type(n), copy=False)
 
 
 @dataclass
@@ -84,8 +94,8 @@ class KnowledgeGraph:
     """
 
     accounts: list             # account keys; u and v index into them
-    u: np.ndarray              # (E,) int32, first account of each edge
-    v: np.ndarray              # (E,) int32, second account of each edge, u < v
+    u: np.ndarray              # (E,) first account of each edge (see _end_type)
+    v: np.ndarray              # (E,) second account of each edge, u < v, same dtype
     weight: np.ndarray         # (E,) finite, > 0
     filter_tag: str = "none"
 
@@ -220,8 +230,8 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
     Each sequence writes the sorted pair keys u * V + v of its participants
     into one buffer sized for every pair of every sequence, and the keys are
     counted at once. With ``c``, a pair counts in a sequence only when its
-    active intervals there overlap by more than ``c``. The returned ``v`` and
-    counts are views of the key buffer and of the runs' first indices.
+    active intervals there overlap by more than ``c``. The returned ``v`` is
+    a view of the key buffer.
     """
     if not d.sequences:
         raise ValueError("dataset is empty")
@@ -242,29 +252,35 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
         buf[n_pairs:n_pairs + len(pairs)] = pairs
         n_pairs += len(pairs)
     del participants
-    # np.unique(keys, return_counts=True) in place. Edge k's key sits at
-    # first[k] >= k, so v[k], an int32 written over key k (int32 keys) or
-    # k // 2 (int64 keys), never lands on a key still to be read; the buffer
-    # then shrinks to v. The count of each run overwrites its first index,
-    # and first ends with n_pairs.
+    # np.unique(keys, return_counts=True) in place, in slices of the sorted
+    # keys. Edge k's key is read at index >= k, and v[k], narrower than a
+    # key, lands within a key at index <= k, so never on a key still to be
+    # read; the buffer then shrinks to v. Each count is the distance between
+    # the last indices of consecutive runs.
     keys = buf[:n_pairs]
     keys.sort()
-    starts = np.empty(n_pairs + 1, dtype=bool)
-    starts[:1] = starts[-1:] = True
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:-1])
-    first = np.flatnonzero(starts)
-    del starts
-    n_edges = len(first) - 1
-    u = np.empty(n_edges, dtype=np.int32)
-    v = buf.view(np.int32)[:n_edges]
-    for s in _slices(n_edges):
-        np.divmod(keys[first[s]], V, out=(u[s], v[s]))
-    del keys, v
-    buf.resize(-(-4 * n_edges // buf.itemsize), refcheck=False)  # no view of buf is left
-    counts = first[:-1].view(np.float64)
-    for s in _slices(n_edges):
-        counts[s] = np.diff(first[s.start:s.stop + 1])
-    return u, buf.view(np.int32)[:n_edges], counts
+    last = np.empty(n_pairs, dtype=bool)  # where a run of equal keys ends
+    last[-1:] = True
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    n_edges = np.count_nonzero(last)
+    end = _end_type(V)
+    u = np.empty(n_edges, dtype=end)
+    v = buf.view(end)[:n_edges]
+    # a pair counts at most once per sequence
+    counts = np.empty(n_edges, dtype=np.min_scalar_type(len(d.sequences)))
+    k, prev = 0, -1  # edges written so far, and the last index of the latest run
+    for s in _slices(n_pairs):
+        at = np.flatnonzero(last[s])
+        at += s.start
+        if len(at):
+            e = slice(k, k + len(at))
+            u[e], v[e] = np.divmod(keys[at], V)
+            counts[k] = at[0] - prev
+            counts[k + 1:e.stop] = np.diff(at)
+            k, prev = e.stop, at[-1]
+    del keys, v, last
+    buf.resize(-(-u.nbytes // buf.itemsize), refcheck=False)  # no view of buf is left
+    return u, buf.view(end)[:n_edges], counts.astype(np.float64)
 
 
 def co_occurrence(d: Dataset) -> KnowledgeGraph:
@@ -319,8 +335,9 @@ def _fixed_width(items: list) -> np.ndarray:
 
 
 # save_graph assembles about this many bytes of lines at once; its
-# temporaries, a few times this, stay small beside the edge arrays
-_LINE_BYTES = 2 ** 21
+# temporaries, a few times this, stay small beside the edge arrays, and so
+# does what they leave resident on the heap after the call
+_LINE_BYTES = 2 ** 18
 
 
 def save_graph(g: KnowledgeGraph, path) -> None:

@@ -425,7 +425,7 @@ class SequenceModel:
                 raise ValueError(f"checkpoint config keys {unknown} are not SeqModelConfig fields")
             model = cls(meta["accounts"], SeqModelConfig(**meta["config"]), seed=0)
             for k in model.params:
-                model.params[k].data = np.array(archive[k], dtype=np.float64)
+                model.params[k].data = np.asarray(archive[k], dtype=np.float64)
         return model
 
 

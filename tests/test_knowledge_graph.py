@@ -201,8 +201,8 @@ def temporal_bruteforce(d, c):
 
 
 def test_pair_counter_matches_the_references_across_many_slices(monkeypatch):
-    # the counter writes each slice's second ends over keys it has read and
-    # each slice's counts over the runs' first indices it has read
+    # the counter writes each slice's second ends over keys it has read, and
+    # counts runs of equal keys that cross the seams between slices
     monkeypatch.setattr(graph_mod, "COUPLE_EDGES", 3)
     rng = np.random.default_rng(29)
     for _ in range(5):
@@ -224,7 +224,7 @@ def test_int32_and_int64_pair_keys_count_the_same_graph(monkeypatch):
     for want, got in zip(graphs, [co_occurrence(d), filter_temporal_logic(d, c)]):
         for name in ("u", "v", "weight"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.u.dtype == got.v.dtype == np.int32
+        assert got.u.dtype == got.v.dtype == np.uint16  # at most 2**16 accounts
 
 
 def test_temporal_logic_bounded_by_co_occurrence():
@@ -483,18 +483,20 @@ def test_a_20k_account_graph_builds_and_sweeps_in_edge_sized_memory():
     assert peak < 50 * 2 ** 20, peak / 2 ** 20
 
 
-def test_edge_ends_must_be_integers_in_range_before_they_narrow_to_int32():
+def test_edge_ends_must_be_integers_in_range_before_they_narrow():
     keys = ["a", "b", "c"]
     with pytest.raises(ValueError, match="^edge ends must be integers$"):
         KnowledgeGraph(keys, [0.9], [1.7], [1.0], "none")
     with pytest.raises(ValueError, match="^edge ends must be integers$"):
         KnowledgeGraph(keys, [0], [np.nan], [1.0], "none")
-    # 2**32 and 2**32 + 1 would wrap to 0 and 1 in a plain int32 cast
-    for u, v in (([0], [2 ** 32]), ([2 ** 32], [2 ** 32 + 1]), ([0], [float(2 ** 32)])):
+    # 2**32 and 2**32 + 1 would wrap to 0 and 1 in a plain int32 or uint16
+    # cast, and 2**16 + 2 to 2 in a uint16 cast
+    for u, v in (([0], [2 ** 32]), ([2 ** 32], [2 ** 32 + 1]), ([0], [float(2 ** 32)]),
+                 ([0], [2 ** 16 + 2])):
         with pytest.raises(ValueError, match="^edges must join two accounts u < v$"):
             KnowledgeGraph(keys, np.array(u), np.array(v), [1.0], "none")
     g = KnowledgeGraph(keys, np.array([0.0, 1.0]), np.array([2.0, 2.0]), [1.0, 2.0], "none")
-    assert g.u.dtype == g.v.dtype == np.int32
+    assert g.u.dtype == g.v.dtype == np.uint16  # at most 2**16 accounts
     assert g.u.tolist() == [0, 1] and g.v.tolist() == [2, 2]
 
 
@@ -505,6 +507,37 @@ def test_graph_rejects_more_accounts_than_int32_can_index():
 
     with pytest.raises(ValueError, match="at most 2\\*\\*31 - 1 accounts"):
         KnowledgeGraph(TooMany(), [0], [1], [1.0], "none")
+
+
+@pytest.mark.parametrize("V", [2 ** 16, 2 ** 16 + 1])
+def test_edge_ends_are_uint16_up_to_65536_accounts_and_int32_above(V, tmp_path):
+    # blocks of 8 consecutive accounts, registered in order, and a sequence
+    # joining the first account to the last; V * V needs int64 pair keys
+    top = V - 1
+    blocks = [EventSequence(f"b{lo}", [Event(f"u{a}", 0.0) for a in range(lo, min(lo + 8, V))])
+              for lo in range(0, V, 8)]
+    d = Dataset.from_sequences([*blocks, seq("ends", ("u0", 0), (f"u{top}", 1))])
+    assert d.registry.keys[top] == f"u{top}"
+    g = co_occurrence(d)
+    assert g.u.dtype == g.v.dtype == (np.uint16 if V <= 2 ** 16 else np.int32)
+    assert (g.u[7], g.v[7], g.weight[7]) == (0, top, 1.0)  # after 0's block mates 1..7
+    u, v, w = g.u.astype(np.intp), g.v.astype(np.intp), g.weight
+    assert len(w) == 28 * (V // 8) + 1 and (u < v).all()
+    deg = np.bincount(u, w, V) + np.bincount(v, w, V)
+    assert np.array_equal(g.deg, deg) and g.deg[top] == (8 if V % 8 == 0 else 1)
+    q = np.random.default_rng(5).random((V, 2))
+    b = w / np.sqrt(deg[u] * deg[v])
+    want = np.stack([np.bincount(u, b * q[v, m], V) + np.bincount(v, b * q[u, m], V)
+                     for m in range(2)], axis=1)
+    assert np.allclose(g.couple(q), want, rtol=1e-12, atol=0)
+    assert np.allclose(g.couple(q, row=top), want[top], rtol=1e-12, atol=0)
+    save_graph(g, tmp_path / "g.csv")
+    back = load_graph(tmp_path / "g.csv")
+    assert back.u.dtype == g.u.dtype
+    for name in ("u", "v", "weight"):
+        assert np.array_equal(getattr(back, name), getattr(g, name)), name
+    with pytest.raises(ValueError, match="^edges must join two accounts u < v$"):
+        KnowledgeGraph(g.accounts, [0], [V], [1.0], "none")
 
 
 def edge_dominated_dataset(V=3000, n_seqs=60, size=250, seed=20):
@@ -518,7 +551,7 @@ def edge_dominated_dataset(V=3000, n_seqs=60, size=250, seed=20):
 
 
 @pytest.mark.parametrize("in_place", [False, True])
-def test_counting_in_int32_keys_and_powering_in_place_peak_at_19_bytes_per_edge(in_place):
+def test_counting_in_int32_keys_and_powering_in_place_peak_at_16_bytes_per_edge(in_place):
     # the key buffer holds 4 bytes per counted pair and ends as the v array;
     # the power taken in place adds no second weight array
     d = edge_dominated_dataset()
@@ -535,7 +568,7 @@ def test_counting_in_int32_keys_and_powering_in_place_peak_at_19_bytes_per_edge(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / len(g.weight) <= 19, peak / len(g.weight)
+    assert peak / len(g.weight) <= 16, peak / len(g.weight)
     if in_place:
         assert g.filter_tag == "power(p=3)"
         assert np.array_equal(g.weight.view(np.int64), want.view(np.int64))
@@ -552,11 +585,11 @@ def test_filter_power_leaves_its_input_alone_unless_in_place():
     assert np.array_equal(powered.weight, counts ** 2.0)
 
 
-@pytest.mark.parametrize("power", [None, 3.0])
-def test_graph_build_and_one_sweep_peak_at_26_bytes_per_edge(power):
-    # u and v (int32) and weight hold 16 bytes per edge, and the coupling is
+@pytest.mark.parametrize("power, bound", [(None, 16), (3.0, 22)])
+def test_graph_build_and_one_sweep_peak_at_16_bytes_per_edge_or_22_powered(power, bound):
+    # u and v (uint16) and weight hold 12 bytes per edge, and the coupling is
     # not kept; filter_power's new weights sit beside the raw graph, so the
-    # power path holds 24 bytes per edge, and build and sweep add little more
+    # power path holds 20 bytes per edge, and build and sweep add little more
     d = edge_dominated_dataset()
     E = np.random.default_rng(21).normal(size=(len(d.registry), 4))
     scorer = UnaryScorer(4, 2, hidden=4, seed=0)
@@ -572,8 +605,8 @@ def test_graph_build_and_one_sweep_peak_at_26_bytes_per_edge(power):
         tracemalloc.stop()
     assert sweeps == 1 and mf.q.shape == (3000, 2)
     assert 1_500_000 < len(g.weight) < 1_560_000
-    assert peak / len(g.weight) <= 26, peak / len(g.weight)
-    assert g.u.dtype == g.v.dtype == np.int32
+    assert peak / len(g.weight) <= bound, peak / len(g.weight)
+    assert g.u.dtype == g.v.dtype == np.uint16  # at most 2**16 accounts
 
 
 @pytest.mark.parametrize("k", [graph_mod.COUPLE_EDGES - 1, graph_mod.COUPLE_EDGES])

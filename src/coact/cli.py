@@ -87,7 +87,7 @@ def _pretrain(d: Dataset, args) -> SequenceModel:
     )
     model_cfg = SeqModelConfig(d_embed=args.d_embed, d_pos=args.d_pos, d_time=args.d_time,
                                n_mix=args.mix_components)
-    return train(tr if tr.sequences else d, cfg, model_cfg, val=va if va.sequences else None)
+    return train(tr if tr.seq_ids else d, cfg, model_cfg, val=va if va.seq_ids else None)
 
 
 def _build_graph(d: Dataset, args) -> graph_mod.KnowledgeGraph:

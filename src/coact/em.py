@@ -438,10 +438,9 @@ def run_em_from(
 
     if not cfg.estep_only:
         train_ds, val_ds, _ = train_val_test_split(d, cfg.fractions, cfg.seed)
-        train_seqs = train_ds.sequences or d.sequences
-        val_seqs = val_ds.sequences or train_seqs
         rng = np.random.default_rng(cfg.seed + 1)
-        train_items, val_items = model.prepare(train_seqs), model.prepare(val_seqs)
+        train_items = model.prepare(train_ds.sequences or d.sequences)
+        val_items = model.prepare(val_ds.sequences) if val_ds.seq_ids else train_items
         for loop in range(1, cfg.n_loops + 1):
             before, after = _m_step(model, crf, train_items, val_items, mf.q, cfg, rng)
             mf, record = estep(mf, loop)  # estep_converge copies its init

@@ -1,14 +1,17 @@
-"""Marked event sequences: loading, validation, splitting, serialization.
+"""Marked event sequences held as columns: loading, validation, splitting, serialization.
 
-A dataset is a list of event sequences, each an ordered run of
-(account, timestamp) events, together with a registry mapping account keys
-to dense indices 0..V-1. The registry is built canonically: accounts are
-indexed in order of first appearance scanning the time-sorted sequences,
-which keeps indices stable across save/reload of the same data.
+A dataset holds its events in two columns, ``account`` (int32 registry
+indices) and ``t`` (float64 timestamps), with the events of one sequence in
+consecutive rows: sequence i is rows ``offsets[i]:offsets[i + 1]``, so the
+int64 ``offsets`` run from 0 to the number of events, and no sequence is
+empty. Within a sequence the timestamps are non-decreasing. ``seq_ids``
+names the sequences, and ``Dataset.sequences`` gives per-sequence views of
+the columns.
 
-The loaders hand every event of one account the same key string, and an
-``Event`` has slots and no ``__dict__``, so a loaded dataset holds one key
-string per account, not one per event.
+The registry maps account keys to dense indices 0..V-1. It is built
+canonically: accounts are indexed in order of first appearance scanning the
+time-sorted sequences, which keeps indices stable across save/reload of the
+same data.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "Event",
     "EventSequence",
     "AccountRegistry",
     "Dataset",
@@ -41,35 +44,12 @@ class DataError(ValueError):
     """Malformed input file (message carries the offending line)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    account: str
-    t: float
-
-
-@dataclass
-class EventSequence:
-    seq_id: str
-    events: list  # list[Event], timestamps non-decreasing
-
-    def __len__(self):
-        return len(self.events)
-
-
 class AccountRegistry:
-    """Bijection between account keys and dense indices."""
+    """Bijection between distinct account keys and dense indices."""
 
     def __init__(self, keys=()):
-        self._keys: list[str] = []
-        self._index: dict[str, int] = {}
-        for k in keys:
-            self.add(k)
-
-    def add(self, key: str) -> int:
-        if key not in self._index:
-            self._index[key] = len(self._keys)
-            self._keys.append(key)
-        return self._index[key]
+        self._keys: list[str] = list(keys)
+        self._index: dict[str, int] = {k: i for i, k in enumerate(self._keys)}
 
     def index(self, key: str) -> int:
         return self._index[key]
@@ -88,52 +68,92 @@ class AccountRegistry:
         return isinstance(other, AccountRegistry) and self._keys == other._keys
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, slots=True)
+class EventSequence:
+    """One sequence of a dataset: views of its rows of the columns."""
+
+    seq_id: str
+    account: np.ndarray  # registry indices
+    t: np.ndarray        # non-decreasing
+    registry: AccountRegistry
+
+    def __len__(self):
+        return len(self.t)
+
+
+@dataclass(eq=False)
 class Dataset:
-    sequences: list
+    account: np.ndarray  # (n_events,) int32 registry indices
+    t: np.ndarray        # (n_events,) float64
+    offsets: np.ndarray  # (n_sequences + 1,) int64
+    seq_ids: list
     registry: AccountRegistry
     labels: dict | None = None  # account key -> group index
 
     @classmethod
-    def from_sequences(cls, sequences, labels=None) -> "Dataset":
-        """Build with the canonical registry (first appearance in time order)."""
-        seqs = []
-        for s in sequences:
-            ev = sorted(s.events, key=lambda e: e.t)  # stable: ties keep order
-            seqs.append(EventSequence(s.seq_id, ev))
-        registry = AccountRegistry()
-        for s in seqs:
-            for e in s.events:
-                registry.add(e.account)
-        return cls(seqs, registry, labels)
+    def from_columns(cls, seq_ids, seq, account, t, keys, labels=None) -> "Dataset":
+        """The events ``(seq_ids[seq[i]], keys[account[i]], t[i])``, canonically held.
+
+        Each sequence's events are sorted by time (stable: ties keep their
+        order), sequences without events are dropped, and the registry holds
+        the accounts that occur, by first appearance in that order.
+        """
+        seq = np.asarray(seq, dtype=np.intp)
+        t = np.asarray(t, dtype=np.float64)
+        order = np.lexsort((t, seq))
+        account = np.asarray(account, dtype=np.intp)[order]
+        codes = account[np.sort(np.unique(account, return_index=True)[1])]  # by first appearance
+        index = np.empty(len(keys), dtype=np.int32)
+        index[codes] = np.arange(len(codes))
+        lengths = np.bincount(seq, minlength=len(seq_ids))
+        kept = lengths > 0
+        return cls(index[account], t[order], np.concatenate(([0], np.cumsum(lengths[kept]))),
+                   [sid for sid, k in zip(seq_ids, kept.tolist()) if k],
+                   AccountRegistry([keys[c] for c in codes.tolist()]), labels)
+
+    @property
+    def sequences(self) -> list:
+        """A view of each sequence's rows of the columns, made on each access."""
+        bounds = self.offsets.tolist()
+        return [EventSequence(sid, self.account[a:b], self.t[a:b], self.registry)
+                for sid, a, b in zip(self.seq_ids, bounds, bounds[1:])]
+
+    def event_seq(self) -> np.ndarray:
+        """Each event's sequence position."""
+        return np.repeat(np.arange(len(self.seq_ids)), np.diff(self.offsets))
+
+    def take(self, rows) -> "Dataset":
+        """The sequences at positions ``rows``, in that order, sharing the registry."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lo, hi = self.offsets[rows], self.offsets[rows + 1]
+        offsets = np.concatenate(([0], np.cumsum(hi - lo)))
+        at = np.arange(offsets[-1]) + np.repeat(lo - offsets[:-1], hi - lo)
+        return Dataset(self.account[at], self.t[at], offsets,
+                       [self.seq_ids[i] for i in rows.tolist()], self.registry, self.labels)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.registry == other.registry
-            and self.labels == other.labels
-            and len(self.sequences) == len(other.sequences)
-            and all(
-                a.seq_id == b.seq_id and a.events == b.events
-                for a, b in zip(self.sequences, other.sequences)
-            )
-        )
+        return (self.registry == other.registry and self.labels == other.labels
+                and self.seq_ids == other.seq_ids
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("offsets", "account", "t")))
 
     def n_events(self) -> int:
-        return sum(len(s) for s in self.sequences)
+        return int(self.offsets[-1])
 
 
-def _check_event(account, t, where, keys: dict) -> Event:
-    """The checked Event; ``keys`` maps each account key to the one copy events share.
+def _key(value, what: str, where: str) -> str:
+    """An account key or a sequence id, which must be a string or an integer."""
+    if type(value) is str:
+        return value
+    if type(value) is int:  # bool is a subclass of int, not int itself
+        return str(value)
+    raise DataError(f"{where}: {what} {value!r} is not a string or an integer")
 
-    The account must be a string or an integer, and the timestamp a number or
-    a string that parses as one; JSON's booleans are neither.
-    """
-    if type(account) is not str:
-        if type(account) is not int:  # bool is a subclass of int, not int itself
-            raise DataError(f"{where}: account {account!r} is not a string or an integer")
-        account = str(account)
+
+def _time(t, where: str) -> float:
+    """A timestamp: a number, or a string that parses as one; JSON's booleans are neither."""
     try:
         t = float(None if type(t) is bool else t)  # float(True) would be 1.0
     except (TypeError, ValueError):
@@ -142,12 +162,14 @@ def _check_event(account, t, where, keys: dict) -> Event:
         raise DataError(f"{where}: non-finite timestamp {t!r}")
     if t < 0:
         raise DataError(f"{where}: negative timestamp {t!r}")
-    return Event(keys.setdefault(account, account), t)
+    return t
 
 
-def _parse_jsonl(path: Path):
-    sequences = []
-    keys: dict[str, str] = {}
+def _parse_jsonl(path: Path) -> tuple:
+    """``Dataset.from_columns`` arguments: one sequence per line."""
+    # typed arrays, so parsing holds no Python number per event
+    seq_ids, seq, account, t = [], array("q"), array("q"), array("d")
+    keys: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -160,37 +182,38 @@ def _parse_jsonl(path: Path):
             if not isinstance(rec, dict) or "seq_id" not in rec or "events" not in rec:
                 raise DataError(f"{path}:{lineno}: need 'seq_id' and 'events'")
             where = f"{path}:{lineno}"
+            seq_ids.append(_key(rec["seq_id"], "seq_id", where))
             events = rec["events"]
             if not (isinstance(events, list) and all(isinstance(e, dict) for e in events)):
                 raise DataError(f"{where}: 'events' must be a list of objects")
-            events = [_check_event(e.get("account"), e.get("t"), where, keys) for e in events]
-            sequences.append(EventSequence(str(rec["seq_id"]), events))
-    return sequences
+            for e in events:
+                key = _key(e.get("account"), "account", where)
+                account.append(keys.setdefault(key, len(keys)))
+                t.append(_time(e.get("t"), where))
+            seq.extend([len(seq_ids) - 1] * len(events))
+    return seq_ids, seq, account, t, list(keys)
 
 
-def _parse_csv(path: Path):
-    by_id: dict[str, list] = {}
-    order: list[str] = []
-    keys: dict[str, str] = {}
+def _parse_csv(path: Path) -> tuple:
+    """``Dataset.from_columns`` arguments: rows of one seq_id form a sequence."""
+    seq, account, t = array("q"), array("q"), array("d")
+    seq_ids: dict[str, int] = {}
+    keys: dict[str, int] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None:
-            return []
-        if [h.strip() for h in header] != ["seq_id", "account", "t"]:
+        if header is not None and [h.strip() for h in header] != ["seq_id", "account", "t"]:
             raise DataError(f"{path}:1: expected header 'seq_id,account,t'")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            seq_id, account, t = row
-            ev = _check_event(account, t, f"{path}:{lineno}", keys)
-            if seq_id not in by_id:
-                by_id[seq_id] = []
-                order.append(seq_id)
-            by_id[seq_id].append(ev)
-    return [EventSequence(sid, by_id[sid]) for sid in order]
+            seq_id, key, stamp = row
+            t.append(_time(stamp, f"{path}:{lineno}"))
+            account.append(keys.setdefault(key, len(keys)))
+            seq.append(seq_ids.setdefault(seq_id, len(seq_ids)))
+    return list(seq_ids), seq, account, t, list(keys)
 
 
 def load_dataset(path, format=None, min_account_count: int = 0) -> Dataset:
@@ -204,36 +227,25 @@ def load_dataset(path, format=None, min_account_count: int = 0) -> Dataset:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format not in ("jsonl", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    sequences = _parse_jsonl(path) if format == "jsonl" else _parse_csv(path)
-    sequences = [s for s in sequences if len(s.events) > 0]
-    if not sequences:
+    d = Dataset.from_columns(*(_parse_jsonl(path) if format == "jsonl" else _parse_csv(path)))
+    if not d.seq_ids:
         raise DataError(f"{path}: no event sequences found")
     if min_account_count and min_account_count > 1:
-        counts: dict[str, int] = {}
-        for s in sequences:
-            for e in s.events:
-                counts[e.account] = counts.get(e.account, 0) + 1
-        kept = {a for a, c in counts.items() if c >= min_account_count}
-        pruned = []
-        for s in sequences:
-            ev = [e for e in s.events if e.account in kept]
-            if ev:
-                pruned.append(EventSequence(s.seq_id, ev))
-        if not pruned:
+        rows = (np.bincount(d.account) >= min_account_count)[d.account]
+        d = Dataset.from_columns(d.seq_ids, d.event_seq()[rows], d.account[rows], d.t[rows],
+                                 d.registry.keys)
+        if not d.seq_ids:
             raise DataError(f"{path}: min_account_count={min_account_count} removed everything")
-        sequences = pruned
-    return Dataset.from_sequences(sequences)
+    return d
 
 
 def save_dataset(d: Dataset, path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    keys = d.registry.keys
+    with Path(path).open("w", encoding="utf-8") as fh:
         for s in d.sequences:
-            rec = {
-                "seq_id": s.seq_id,
-                "events": [{"account": e.account, "t": e.t} for e in s.events],
-            }
-            fh.write(json.dumps(rec) + "\n")
+            events = [{"account": keys[a], "t": t}
+                      for a, t in zip(s.account.tolist(), s.t.tolist())]
+            fh.write(json.dumps({"seq_id": s.seq_id, "events": events}) + "\n")
 
 
 def load_labels(path) -> dict:
@@ -283,18 +295,17 @@ def split_long_sequences(d: Dataset, max_len: int) -> Dataset:
     """Chop sequences into contiguous chunks of at most ``max_len`` events.
 
     Chunk ids get a ``#k`` suffix; concatenating a sequence's chunks in order
-    reproduces the original event order.
+    reproduces the original event order. The columns are shared, not copied.
     """
     if max_len < 2:
         raise ValueError("max_len must be >= 2")
-    out = []
-    for s in d.sequences:
-        if len(s.events) <= max_len:
-            out.append(s)
-            continue
-        for k, lo in enumerate(range(0, len(s.events), max_len)):
-            out.append(EventSequence(f"{s.seq_id}#{k}", s.events[lo:lo + max_len]))
-    return Dataset(out, d.registry, d.labels)
+    chunks = -(-np.diff(d.offsets) // max_len)
+    first = np.cumsum(chunks) - chunks  # each sequence's first chunk
+    k = np.arange(chunks.sum()) - np.repeat(first, chunks)  # chunk within its sequence
+    offsets = np.append(np.repeat(d.offsets[:-1], chunks) + k * max_len, d.offsets[-1])
+    seq_ids = [f"{sid}#{j}" if n > 1 else sid
+               for sid, n in zip(d.seq_ids, chunks.tolist()) for j in range(n)]
+    return Dataset(d.account, d.t, offsets, seq_ids, d.registry, d.labels)
 
 
 def check_fractions(fractions) -> tuple:
@@ -318,7 +329,7 @@ def train_val_test_split(d: Dataset, fractions, seed: int):
     """Deterministic sequence-level partition; splits share the registry."""
     f_tr, f_va, f_te = check_fractions(fractions)
     total = f_tr + f_va + f_te
-    n = len(d.sequences)
+    n = len(d.seq_ids)
     order = np.random.default_rng(seed).permutation(n)
     n_tr = int(np.floor(f_tr * n + 1e-9))
     n_va = int(np.floor(f_va * n + 1e-9))
@@ -326,12 +337,5 @@ def train_val_test_split(d: Dataset, fractions, seed: int):
         n_te = n - n_tr - n_va  # rounding remainder goes to test
     else:
         n_te = int(np.floor(f_te * n + 1e-9))
-    parts = (
-        order[:n_tr],
-        order[n_tr:n_tr + n_va],
-        order[n_tr + n_va:n_tr + n_va + n_te],
-    )
-    return tuple(
-        Dataset([d.sequences[i] for i in sorted(idx)], d.registry, d.labels)
-        for idx in parts
-    )
+    bounds = (0, n_tr, n_tr + n_va, n_tr + n_va + n_te)
+    return tuple(d.take(np.sort(order[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))

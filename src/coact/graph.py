@@ -202,23 +202,17 @@ class KnowledgeGraph:
         return self._dense(self.b)
 
 
-def _participants(d: Dataset):
-    """Per sequence: (account indices, first event times, last event times).
-
-    Each participant appears once, in order of first appearance; its first
-    and last event times in the sequence bound its active interval there.
-    """
-    for s in d.sequences:
-        first: dict[int, float] = {}
-        last: dict[int, float] = {}
-        for e in s.events:
-            i = d.registry.index(e.account)
-            if i not in first:
-                first[i] = e.t
-            last[i] = e.t
-        yield (np.fromiter(first.keys(), dtype=np.intp),
-               np.fromiter(first.values(), dtype=np.float64),
-               np.fromiter(last.values(), dtype=np.float64))
+def _participants(d: Dataset) -> tuple:
+    """Each account's run of events in each sequence, sorted by sequence, then
+    account: (sequence positions, accounts, first and last event times, which
+    bound the account's active interval there)."""
+    seq = d.event_seq()
+    # one stable sort by (sequence, account): a run keeps its time order
+    order = np.argsort(seq * len(d.registry) + d.account, kind="stable")
+    seq, account = seq[order], d.account[order]
+    first = np.flatnonzero(np.diff(seq, prepend=-1) | np.diff(account, prepend=-1))
+    last = np.append(first[1:], len(order)) - 1
+    return seq[first], account[first].astype(np.intp), d.t[order[first]], d.t[order[last]]
 
 
 _INT32_KEYS = np.iinfo(np.int32).max  # the largest V * V with int32 pair keys
@@ -233,25 +227,23 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
     active intervals there overlap by more than ``c``. The returned ``v`` is
     a view of the key buffer.
     """
-    if not d.sequences:
+    if not d.seq_ids:
         raise ValueError("dataset is empty")
     V = len(d.registry)
-    participants = list(_participants(d))
+    seq, idx, lo, hi = _participants(d)
+    n = np.bincount(seq, minlength=len(d.seq_ids))  # participants per sequence
     # a key is below V * V: int32 keys, half the buffer, whenever they fit
-    buf = np.empty(sum(len(idx) * (len(idx) - 1) // 2 for idx, _, _ in participants),
+    buf = np.empty(int((n * (n - 1) // 2).sum()),
                    dtype=np.int32 if V * V <= _INT32_KEYS else np.int64)
-    n_pairs = 0
-    for idx, lo, hi in participants:
-        order = np.argsort(idx)
-        idx = idx[order]
-        iu, iv = np.triu_indices(len(idx), 1)
+    n_pairs, ends = 0, np.cumsum(n).tolist()
+    for a, b in zip([0, *ends], ends):  # each sequence's participants
+        iu, iv = (i + a for i in np.triu_indices(b - a, 1))
         pairs = idx[iu] * V + idx[iv]
         if c is not None:
-            lo, hi = lo[order], hi[order]
             pairs = pairs[np.minimum(hi[iu], hi[iv]) - np.maximum(lo[iu], lo[iv]) > c]
         buf[n_pairs:n_pairs + len(pairs)] = pairs
         n_pairs += len(pairs)
-    del participants
+    del seq, idx, lo, hi
     # np.unique(keys, return_counts=True) in place, in slices of the sorted
     # keys. Edge k's key is read at index >= k, and v[k], narrower than a
     # key, lands within a key at index <= k, so never on a key still to be
@@ -267,7 +259,7 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
     u = np.empty(n_edges, dtype=end)
     v = buf.view(end)[:n_edges]
     # a pair counts at most once per sequence
-    counts = np.empty(n_edges, dtype=np.min_scalar_type(len(d.sequences)))
+    counts = np.empty(n_edges, dtype=np.min_scalar_type(len(d.seq_ids)))
     k, prev = 0, -1  # edges written so far, and the last index of the latest run
     for s in _slices(n_pairs):
         at = np.flatnonzero(last[s])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import Dataset, Event, EventSequence
+from .events import Dataset
 
 __all__ = ["HawkesParams", "Participation", "simulate", "make_planted_scenario"]
 
@@ -118,12 +118,12 @@ def _draw_gates(params: HawkesParams, rng):
     return active, starts, starts + width
 
 
-def _simulate_one(params: HawkesParams, rng) -> list:
-    """One thinning run; returns [(account index, time)] sorted by time."""
+def _simulate_one(params: HawkesParams, rng) -> tuple:
+    """One thinning run; returns its account indices and its increasing times."""
     V = params.n_accounts
     active, w_lo, w_hi = _draw_gates(params, rng)
     mu, alpha, beta, T = params.mu, params.alpha, params.beta, params.horizon
-    events = []
+    marks, times = [], []
     t = 0.0
     excite = np.zeros(V)  # sum of alpha[v, u] exp(-beta (t - t_i)) at current t
     while True:
@@ -139,9 +139,10 @@ def _simulate_one(params: HawkesParams, rng) -> list:
         total = float(rates.sum())
         if total > 0 and rng.uniform() * bound <= total:
             u = int(rng.choice(V, p=rates / total))
-            events.append((u, t))
+            marks.append(u)
+            times.append(t)
             excite = excite + alpha[:, u]
-    return events
+    return marks, times
 
 
 def simulate(params: HawkesParams, n_sequences: int, seed: int) -> Dataset:
@@ -154,20 +155,14 @@ def simulate(params: HawkesParams, n_sequences: int, seed: int) -> Dataset:
     rho = params.spectral_radius()
     if rho >= 1.0:
         raise ValueError(f"non-stationary parameters: spectral radius {rho:.3f} >= 1")
-    streams = np.random.SeedSequence(seed).spawn(n_sequences)
-    sequences = []
-    for i in range(n_sequences):
-        rng = np.random.default_rng(streams[i])
-        ev = _simulate_one(params, rng)
-        if not ev:
-            continue
-        sequences.append(
-            EventSequence(
-                f"synth-{i:05d}",
-                [Event(params.accounts[u], t) for u, t in ev],
-            )
-        )
-    return Dataset.from_sequences(sequences, labels=dict(params.planted_labels or {}))
+    seq, account, t = [], [], []
+    for i, stream in enumerate(np.random.SeedSequence(seed).spawn(n_sequences)):
+        marks, times = _simulate_one(params, np.random.default_rng(stream))
+        seq += [i] * len(marks)
+        account += marks
+        t += times
+    return Dataset.from_columns([f"synth-{i:05d}" for i in range(n_sequences)], seq, account, t,
+                                params.accounts, labels=dict(params.planted_labels or {}))
 
 
 def make_planted_scenario(

@@ -180,6 +180,7 @@ class SequenceModel:
         self._index = {a: i for i, a in enumerate(self.accounts)}
         self.history = []  # per-epoch training records, filled by train()
         self._helper = None  # the _Helper sharing this model's passes, if any
+        self._registry = None  # the latest registry prepared, and its _registry_index
 
     # ---- bookkeeping ----
 
@@ -197,33 +198,39 @@ class SequenceModel:
         for t in self.params.values():
             t.grad = None
 
-    def prepare(self, sequences) -> list:
-        """The per-sequence constants of the likelihood, one ``_Prepared`` each.
+    def _registry_index(self, registry) -> np.ndarray:
+        """This model's index of each of ``registry``'s accounts, -1 where it has
+        none; kept for the latest registry, which a fit or a scoring loop shares."""
+        if self._registry is not registry:
+            self._registry = registry
+            self._registry_idx = np.array([self._index.get(k, -1) for k in registry.keys], np.intp)
+        return self._registry_idx
 
-        They depend only on the data and the config, so a caller that scores
-        the same sequences many times prepares them once.
+    def prepare(self, sequences) -> list:
+        """The per-sequence constants of the likelihood, one ``_Prepared`` for
+        each view from ``Dataset.sequences``.
+
+        A view's account indices go through its registry to this model's; an
+        account the model lacks raises ``KeyError`` naming it and the sequence.
+        The constants depend only on the data and the config, so a caller that
+        scores the same sequences many times prepares them once.
         """
         sequences = list(sequences)
-        if any(len(s.events) < 1 for s in sequences):
+        if any(len(s) < 1 for s in sequences):
             raise ValueError("sequence must contain at least one event")
-        n = max((len(s.events) for s in sequences), default=0)
+        n = max((len(s) for s in sequences), default=0)
         # one table at the longest length: every shorter one is its top-left corner
         pe = positional_encoding(n, self.config.d_pos)
         mask = np.triu(np.full((n, n), NEG_INF), k=1)
         out = []
         for s in sequences:
-            try:
-                idx = np.array([self._index[e.account] for e in s.events], dtype=np.intp)
-            except KeyError as exc:
-                raise KeyError(f"unknown account {exc.args[0]!r} in sequence {s.seq_id!r}")
-            diffs = np.diff(np.array([e.t for e in s.events], dtype=np.float64))
+            idx = self._registry_index(s.registry)[s.account]
+            if idx.min() < 0:
+                key = s.registry.keys[s.account[np.argmax(idx < 0)]]
+                raise KeyError(f"unknown account {key!r} in sequence {s.seq_id!r}")
+            feat_gaps = np.diff(s.t, prepend=s.t[0])  # first event has gap 0 by definition
+            log_tau = np.log(np.maximum(np.concatenate(([FIRST_GAP], feat_gaps[1:])), MIN_GAP))
             L = len(idx)
-            feat_gaps = np.zeros(L)
-            feat_gaps[1:] = diffs  # first event has gap 0 by definition
-            gaps = np.empty(L)
-            gaps[0] = FIRST_GAP
-            gaps[1:] = diffs
-            log_tau = np.log(np.maximum(gaps, MIN_GAP))
             out.append(_Prepared(idx, feat_gaps[:, None], log_tau[:, None],
                                  float(log_tau.sum()), pe[:L], mask[:L, :L]))
         return out
@@ -361,6 +368,7 @@ class SequenceModel:
     # ---- likelihoods and gradients ----
 
     def log_likelihood(self, s: EventSequence) -> float:
+        """Log-likelihood of one view from ``Dataset.sequences``."""
         return self.log_likelihoods(self.prepare([s]))[0]
 
     def log_likelihoods(self, items) -> list:
@@ -759,7 +767,7 @@ def train(
     Deterministic given ``cfg.seed``.
     """
     cfg = cfg or TrainConfig()
-    if not d.sequences:
+    if not d.seq_ids:
         raise ValueError("training dataset is empty")
     model = SequenceModel(d.registry.keys, model_config, seed=cfg.seed)
     train_items = model.prepare(d.sequences)

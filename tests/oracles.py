@@ -103,18 +103,19 @@ def check_prop1_bound(crf: CrfParams, E: np.ndarray) -> tuple:
 # ---- the Hawkes process ----
 
 def intensity(params: HawkesParams, v, t: float, history) -> float:
-    """Conditional intensity of account key ``v`` at time ``t`` given past events.
+    """Conditional intensity of account key ``v`` at time ``t`` given past
+    events, (account key, time) pairs.
 
     lambda_v(t) = mu_v + sum over history of alpha[v, u] * exp(-beta (t - t_i)).
     """
     index = {a: i for i, a in enumerate(params.accounts)}
     vi = index[v]
     acc = params.mu[vi]
-    for e in history:
-        if e.t >= t:
+    for account, t_i in history:
+        if t_i >= t:
             raise ValueError("history events must precede the query time")
-        ui = index[e.account]
-        acc += params.alpha[vi, ui] * np.exp(-params.beta * (t - e.t))
+        ui = index[account]
+        acc += params.alpha[vi, ui] * np.exp(-params.beta * (t - t_i))
     return float(acc)
 
 

@@ -60,8 +60,9 @@ def mixture_t(model, C):
 def ll_terms_t(model, s):
     """(mark, time) log-likelihood tensors for one sequence."""
     index = {a: i for i, a in enumerate(model.accounts)}
-    idx = np.array([index[e.account] for e in s.events], dtype=np.intp)
-    t = np.array([e.t for e in s.events], dtype=np.float64)
+    keys = s.registry.keys
+    idx = np.array([index[keys[a]] for a in s.account], dtype=np.intp)
+    t = np.array(s.t, dtype=np.float64)
     C = encode_t(model, featurize_t(model, idx, t))
     L = len(idx)
 

@@ -184,14 +184,14 @@ def test_model_gradients_and_scorer_fit_do_not_depend_on_constants(monkeypatch):
     # The model's gradients and the scorer fit of em.initialize run on their
     # tape forms, which the library's adjoints match bit for bit
     from coact.em import initialize
-    from coact.events import Dataset, Event, EventSequence
+    from records import dataset
     from coact.pointprocess import SeqModelConfig, SequenceModel
 
     rng = np.random.default_rng(6)
-    seqs = [EventSequence(f"s{i}", [Event(f"u{int(rng.integers(8))}", float(t))
-                                    for t in np.sort(rng.uniform(0, 20, 6))])
+    seqs = [(f"s{i}", [(f"u{int(rng.integers(8))}", float(t))
+                       for t in np.sort(rng.uniform(0, 20, 6))])
             for i in range(5)]
-    d = Dataset.from_sequences(seqs)
+    d = dataset(seqs)
     cfg = SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=2)
     monkeypatch.setattr(UnaryScorer, "crossent", ref.scorer_crossent)
 

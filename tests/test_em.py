@@ -6,11 +6,11 @@ import pytest
 import tape_reference as ref
 from dense import dense_graph
 from oracles import check_prop1_bound
+from records import dataset
 from coact import em
 from coact.autodiff import Tensor
 from coact.crf import CrfParams, UnaryScorer
 from coact.em import EmConfig, initialize, run_em
-from coact.events import Dataset, Event, EventSequence
 from coact.graph import co_occurrence
 from coact.pointprocess import SeqModelConfig, SequenceModel
 
@@ -23,10 +23,10 @@ def random_dataset(rng, n_accounts=8, n_sequences=12):
     seqs = []
     for i in range(n_sequences):
         t = np.sort(rng.uniform(0, 20, int(rng.integers(2, 9))))
-        seqs.append(EventSequence(f"s{i}", [
-            Event(accounts[int(rng.integers(n_accounts))], float(x)) for x in t
+        seqs.append((f"s{i}", [
+            (accounts[int(rng.integers(n_accounts))], float(x)) for x in t
         ]))
-    return Dataset.from_sequences(seqs)
+    return dataset(seqs)
 
 
 def test_run_em_history_reports_estep_convergence():

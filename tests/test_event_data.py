@@ -1,11 +1,11 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from coact.events import (
     DataError,
-    Dataset,
-    Event,
-    EventSequence,
     load_dataset,
     load_labels,
     save_dataset,
@@ -13,6 +13,8 @@ from coact.events import (
     split_long_sequences,
     train_val_test_split,
 )
+from coact.graph import _participants
+from records import dataset, events
 
 
 def write(tmp_path, name, text):
@@ -27,14 +29,14 @@ def test_load_jsonl_basic(tmp_path):
     d = load_dataset(p)
     assert len(d.sequences) == 1
     assert len(d.registry) == 2
-    assert [e.account for e in d.sequences[0].events] == ["u", "v"]
+    assert [a for a, _ in events(d.sequences[0])] == ["u", "v"]
 
 
 def test_load_sorts_events(tmp_path):
     p = write(tmp_path, "d.jsonl",
               '{"seq_id": "a", "events": [{"account": "v", "t": 2.0}, {"account": "u", "t": 1.0}]}\n')
     d = load_dataset(p)
-    assert [e.t for e in d.sequences[0].events] == [1.0, 2.0]
+    assert [t for _, t in events(d.sequences[0])] == [1.0, 2.0]
 
 
 def test_negative_timestamp_rejected(tmp_path):
@@ -87,6 +89,10 @@ def test_parse_error_carries_line_number(tmp_path):
      "'events' must be a list of objects"),
     ('{"seq_id": "b", "events": [{"account": "u", "t": true}]}', "timestamp True is not a number"),
     ('{"seq_id": "b", "events": [{"account": "u"}]}', "timestamp None is not a number"),
+    ('{"seq_id": null, "events": []}', "seq_id None is not a string or an integer"),
+    ('{"seq_id": [1], "events": []}', r"seq_id \[1\] is not a string or an integer"),
+    ('{"seq_id": true, "events": []}', "seq_id True is not a string or an integer"),
+    ('{"seq_id": 1.5, "events": []}', "seq_id 1.5 is not a string or an integer"),
     ('[{"seq_id": "b", "events": []}]', "need 'seq_id' and 'events'"),
     ('5', "need 'seq_id' and 'events'"),
 ])
@@ -102,7 +108,7 @@ def test_load_csv(tmp_path):
     d = load_dataset(p, format="csv")
     assert len(d.sequences) == 2
     assert d.sequences[0].seq_id == "s1"
-    assert d.sequences[1].events[0].t == 0.0
+    assert d.sequences[1].t[0] == 0.0
 
 
 def test_csv_header_required(tmp_path):
@@ -126,7 +132,7 @@ def test_duplicate_events_retained(tmp_path):
     p = write(tmp_path, "d.jsonl",
               '{"seq_id": "a", "events": [{"account": "u", "t": 1.0}, {"account": "u", "t": 1.0}]}\n')
     d = load_dataset(p)
-    assert len(d.sequences[0].events) == 2
+    assert len(d.sequences[0]) == 2
 
 
 def test_round_trip(tmp_path):
@@ -153,29 +159,28 @@ def test_labels_round_trip(tmp_path):
 
 
 def test_split_long_chunks():
-    events = [Event("u", float(i)) for i in range(300)]
-    d = Dataset.from_sequences([EventSequence("s", events)])
+    d = dataset([("s", [("u", float(i)) for i in range(300)])])
     out = split_long_sequences(d, 128)
     assert [len(s) for s in out.sequences] == [128, 128, 44]
-    merged = [e for s in out.sequences for e in s.events]
-    assert merged == d.sequences[0].events
+    merged = [e for s in out.sequences for e in events(s)]
+    assert merged == events(d.sequences[0])
 
 
 def test_split_long_noop_below_limit():
-    d = Dataset.from_sequences([EventSequence("s", [Event("u", float(i)) for i in range(5)])])
+    d = dataset([("s", [("u", float(i)) for i in range(5)])])
     out = split_long_sequences(d, 128)
     assert out.sequences[0].seq_id == "s"
     assert len(out.sequences) == 1
 
 
 def test_split_long_remainder():
-    d = Dataset.from_sequences([EventSequence("s", [Event("u", float(i)) for i in range(10)])])
+    d = dataset([("s", [("u", float(i)) for i in range(10)])])
     out = split_long_sequences(d, 3)
     assert [len(s) for s in out.sequences] == [3, 3, 3, 1]
 
 
 def test_split_long_requires_min_two():
-    d = Dataset.from_sequences([EventSequence("s", [Event("u", 0.0)])])
+    d = dataset([("s", [("u", 0.0)])])
     with pytest.raises(ValueError):
         split_long_sequences(d, 1)
 
@@ -185,24 +190,22 @@ def test_split_preserves_counts():
     seqs = []
     for i in range(20):
         n = int(rng.integers(1, 40))
-        ev = [Event(f"u{int(rng.integers(5))}", float(t)) for t in np.sort(rng.uniform(0, 10, n))]
-        seqs.append(EventSequence(f"s{i}", ev))
-    d = Dataset.from_sequences(seqs)
+        ev = [(f"u{int(rng.integers(5))}", float(t)) for t in np.sort(rng.uniform(0, 10, n))]
+        seqs.append((f"s{i}", ev))
+    d = dataset(seqs)
     out = split_long_sequences(d, 7)
     assert out.n_events() == d.n_events()
     def account_counts(ds):
         counts = {}
         for s in ds.sequences:
-            for e in s.events:
-                counts[e.account] = counts.get(e.account, 0) + 1
+            for account, _ in events(s):
+                counts[account] = counts.get(account, 0) + 1
         return counts
     assert account_counts(out) == account_counts(d)
 
 
 def make_dataset(n):
-    return Dataset.from_sequences(
-        [EventSequence(f"s{i}", [Event("u", float(i))]) for i in range(n)]
-    )
+    return dataset([(f"s{i}", [("u", float(i))]) for i in range(n)])
 
 
 def test_split_sizes():
@@ -238,13 +241,6 @@ def test_split_rejects_fractions_that_are_not_three_finite_positive_parts(fracti
         train_val_test_split(make_dataset(10), fractions, seed=0)
 
 
-def test_event_has_slots_and_no_dict():
-    e = Event("u", 1.0)
-    assert not hasattr(e, "__dict__")
-    with pytest.raises(AttributeError):
-        e.t = 2.0
-
-
 @pytest.mark.parametrize("name, text", [
     ("d.jsonl", "\n".join([
         '{"seq_id": "a", "events": [{"account": "u", "t": 1.0}, {"account": "v", "t": 2.0},'
@@ -254,21 +250,159 @@ def test_event_has_slots_and_no_dict():
     ]) + "\n"),
     ("d.csv", "seq_id,account,t\na,u,1.0\na,v,2.0\nb,v,0.5\na,u,3.0\nb,u,4.0\nb,7,5.0\nb,7,6.0\n"),
 ])
-def test_loaders_share_one_key_object_per_account_and_round_trip(tmp_path, name, text):
-    def key_objects(d):
-        ids = {}
-        for s in d.sequences:
-            for e in s.events:
-                ids.setdefault(e.account, set()).add(id(e.account))
-        return ids
-
+def test_loaders_round_trip(tmp_path, name, text):
     d = load_dataset(write(tmp_path, name, text))
-    ids = key_objects(d)
-    assert sorted(ids) == ["7", "u", "v"]
-    assert all(len(i) == 1 for i in ids.values())
-    assert all({id(k)} == ids[k] for k in d.registry.keys)
+    assert sorted(d.registry.keys) == ["7", "u", "v"]
     out = tmp_path / "copy.jsonl"
     save_dataset(d, out)
-    d2 = load_dataset(out)
-    assert d2 == d
-    assert all(len(i) == 1 for i in key_objects(d2).values())
+    assert load_dataset(out) == d
+
+
+# ---- the column layout, against per-event references ----
+
+def write_jsonl(path, records):
+    with path.open("w", encoding="utf-8") as fh:
+        for seq_id, evs in records:
+            fh.write(json.dumps({"seq_id": seq_id,
+                                 "events": [{"account": a, "t": t} for a, t in evs]}) + "\n")
+    return path
+
+
+def random_records(rng, n_sequences=30, n_accounts=12):
+    """(seq_id, [(account, t), ...]) records with repeated accounts, tied and
+    unsorted times, and some empty sequences."""
+    return [(f"s{i}", [(f"u{int(rng.integers(n_accounts))}", float(rng.integers(10)))
+                       for _ in range(int(rng.integers(0, 25)))])
+            for i in range(n_sequences)]
+
+
+def canonical(records):
+    """The loaders, event by event: each sequence's events stably sorted by
+    time, empty sequences dropped, and the accounts by first appearance."""
+    seqs = [(seq_id, sorted(evs, key=lambda e: e[1])) for seq_id, evs in records if evs]
+    return seqs, list(dict.fromkeys(a for _, evs in seqs for a, _ in evs))
+
+
+def as_records(d):
+    return [(s.seq_id, events(s)) for s in d.sequences]
+
+
+def test_loaded_columns_have_fixed_dtypes_and_offsets_from_zero_to_n_events(tmp_path):
+    d = load_dataset(write_jsonl(tmp_path / "d.jsonl", random_records(np.random.default_rng(0))))
+    assert (d.account.dtype, d.t.dtype, d.offsets.dtype) == (np.int32, np.float64, np.int64)
+    assert d.offsets[0] == 0 and d.offsets[-1] == d.n_events() == len(d.account) == len(d.t)
+    assert np.all(np.diff(d.offsets) > 0) and len(d.offsets) == len(d.seq_ids) + 1
+    assert d.account.min() == 0 and d.account.max() == len(d.registry) - 1
+
+
+def test_loaders_match_a_per_event_reference(tmp_path):
+    rng = np.random.default_rng(1)
+    for k in range(10):
+        records = random_records(rng)
+        d = load_dataset(write_jsonl(tmp_path / f"d{k}.jsonl", records))
+        assert (as_records(d), d.registry.keys) == canonical(records)
+        # the same rows in CSV, the sequences interleaved at random
+        pending = [[(seq_id, a, t) for a, t in evs] for seq_id, evs in records if evs]
+        rows = []
+        while pending:
+            rows.append(pending[int(rng.integers(len(pending)))].pop(0))
+            pending = [p for p in pending if p]
+        first = list(dict.fromkeys(seq_id for seq_id, _, _ in rows))
+        p = write(tmp_path, f"d{k}.csv", "seq_id,account,t\n"
+                  + "".join(f"{seq_id},{a},{t!r}\n" for seq_id, a, t in rows))
+        by_id, got = dict(records), load_dataset(p)
+        assert (as_records(got), got.registry.keys) == canonical([(i, by_id[i]) for i in first])
+
+
+def test_a_csv_that_interleaves_sequences_loads_equal_to_the_same_jsonl(tmp_path):
+    jsonl = write(tmp_path, "d.jsonl", "\n".join([
+        '{"seq_id": "a", "events": [{"account": "u", "t": 1.0}, {"account": "v", "t": 2.0},'
+        ' {"account": "u", "t": 3.0}]}',
+        '{"seq_id": "b", "events": [{"account": "v", "t": 0.5}, {"account": "u", "t": 4.0},'
+        ' {"account": 7, "t": 5.0}]}',
+    ]) + "\n")
+    csv = write(tmp_path, "d.csv", "seq_id,account,t\na,u,1.0\nb,v,0.5\na,v,2.0\nb,u,4.0\n"
+                                   "a,u,3.0\nb,7,5.0\n")
+    assert load_dataset(csv) == load_dataset(jsonl)
+
+
+def test_a_jsonl_seq_id_on_two_lines_stays_two_sequences(tmp_path):
+    d = load_dataset(write_jsonl(tmp_path / "d.jsonl", [("a", [("u", 2.0)]), ("a", [("v", 1.0)])]))
+    assert d.seq_ids == ["a", "a"]
+    assert as_records(d) == [("a", [("u", 2.0)]), ("a", [("v", 1.0)])]
+
+
+def test_min_account_count_matches_a_per_event_reference(tmp_path):
+    rng = np.random.default_rng(2)
+    for k in range(10):
+        records = random_records(rng, n_accounts=20)
+        m = int(rng.integers(2, 12))
+        counts = {}
+        for _, evs in records:
+            for a, _ in evs:
+                counts[a] = counts.get(a, 0) + 1
+        kept = [(seq_id, [e for e in evs if counts[e[0]] >= m]) for seq_id, evs in records]
+        d = load_dataset(write_jsonl(tmp_path / f"d{k}.jsonl", records), min_account_count=m)
+        assert (as_records(d), d.registry.keys) == canonical(kept)
+
+
+def test_split_long_sequences_matches_a_per_event_reference():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        d = dataset(random_records(rng))
+        max_len = int(rng.integers(2, 9))
+        want = []
+        for seq_id, evs in as_records(d):
+            chunks = [evs[lo:lo + max_len] for lo in range(0, len(evs), max_len)]
+            want += [(seq_id if len(chunks) == 1 else f"{seq_id}#{k}", c)
+                     for k, c in enumerate(chunks)]
+        out = split_long_sequences(d, max_len)
+        assert as_records(out) == want and out.registry == d.registry
+
+
+def test_train_val_test_split_matches_a_per_event_reference():
+    rng = np.random.default_rng(4)
+    for seed in range(10):
+        d = dataset(random_records(rng))
+        records = as_records(d)
+        parts = train_val_test_split(d, (0.5, 0.3, 0.2), seed)
+        n = len(records)
+        order = np.random.default_rng(seed).permutation(n)
+        n_tr, n_va = int(np.floor(0.5 * n + 1e-9)), int(np.floor(0.3 * n + 1e-9))
+        bounds = [0, n_tr, n_tr + n_va, n]  # the rounding remainder goes to test
+        for part, lo, hi in zip(parts, bounds, bounds[1:]):
+            assert as_records(part) == [records[i] for i in sorted(order[lo:hi])]
+            assert part.registry is d.registry
+
+
+def test_participants_match_a_per_event_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        d = dataset(random_records(rng))
+        want = []
+        for i, s in enumerate(d.sequences):
+            first, last = {}, {}
+            for a, t in zip(s.account.tolist(), s.t.tolist()):
+                first.setdefault(a, t)
+                last[a] = t
+            want += sorted((i, a, first[a], last[a]) for a in first)
+        assert list(zip(*(x.tolist() for x in _participants(d)))) == want
+
+
+def test_a_loaded_dataset_holds_under_32_bytes_per_event(tmp_path):
+    rng = np.random.default_rng(6)
+    p = tmp_path / "big.jsonl"
+    with p.open("w", encoding="utf-8") as fh:
+        for i in range(800):
+            accounts = rng.integers(4000, size=125).tolist()
+            times = np.sort(rng.uniform(0, 1e5, 125)).tolist()
+            fh.write(json.dumps({"seq_id": f"s{i:04d}", "events": [
+                {"account": f"acct{a:05d}", "t": t} for a, t in zip(accounts, times)]}) + "\n")
+    tracemalloc.start()
+    try:
+        d = load_dataset(p)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert d.n_events() == 100_000
+    assert held / d.n_events() < 32, held / d.n_events()

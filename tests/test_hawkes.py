@@ -3,6 +3,7 @@ from scipy import integrate, stats
 
 from coact.hawkes import HawkesParams, make_planted_scenario, simulate
 from oracles import intensity
+from records import events
 
 
 def small_params():
@@ -30,10 +31,10 @@ def test_time_rescaled_gaps_are_unit_exponential():
     # account's compensator between its own events is Exp(1) distributed
     p = small_params()
     (s,) = simulate(p, n_sequences=1, seed=7).sequences
-    events = s.events
-    times = np.array([e.t for e in events])
-    marks = np.array([p.accounts.index(e.account) for e in events])
-    assert 200 <= len(events) <= 600
+    history = events(s)
+    times = s.t
+    marks = np.array([p.accounts.index(a) for a, _ in history])
+    assert 200 <= len(history) <= 600
 
     gaps, intervals = [], []
     for v in range(p.n_accounts):
@@ -45,7 +46,7 @@ def test_time_rescaled_gaps_are_unit_exponential():
     for v, lo, hi in intervals[::60]:
         inside = list(times[(times > lo) & (times < hi)])
         numeric, _ = integrate.quad(
-            lambda x: intensity(p, p.accounts[v], x, [e for e in events if e.t < x]),
+            lambda x: intensity(p, p.accounts[v], x, [e for e in history if e[1] < x]),
             lo, hi, points=inside or None, limit=200)
         assert abs(numeric - compensator(p, times, marks, v, lo, hi)) < 1e-8
 

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from records import dataset
 
 from coact import cli, em, pointprocess
 from coact.em import EmConfig, initialize, run_em
-from coact.events import Dataset, Event, EventSequence
 from coact.graph import co_occurrence
 from coact.pointprocess import (
     SeqModelConfig,
@@ -38,10 +38,10 @@ def random_dataset(seed=0, n_accounts=6, n_sequences=11):
     seqs = []
     for i in range(n_sequences):
         t = np.sort(rng.uniform(0, 20, int(rng.integers(2, 9))))
-        seqs.append(EventSequence(f"s{i}", [
-            Event(accounts[int(rng.integers(n_accounts))], float(x)) for x in t
+        seqs.append((f"s{i}", [
+            (accounts[int(rng.integers(n_accounts))], float(x)) for x in t
         ]))
-    return Dataset.from_sequences(seqs)
+    return dataset(seqs)
 
 
 def assert_no_child_left():
@@ -337,7 +337,7 @@ with pointprocess._forked(nap):
     time.sleep(60.0)
 """,
     "_helper": """\
-from coact.events import Dataset, Event, EventSequence
+from coact.events import Dataset
 from coact.pointprocess import SeqModelConfig, SequenceModel, TrainConfig, train
 parent, forward = os.getpid(), SequenceModel._forward
 def sleepy(self, seq):
@@ -345,8 +345,9 @@ def sleepy(self, seq):
         nap()
     return forward(self, seq)
 SequenceModel._forward = sleepy
-seqs = [EventSequence(f"s{i}", [Event("u0", 0.0), Event("u1", 1.0 + i)]) for i in range(4)]
-train(Dataset.from_sequences(seqs), TrainConfig(epochs=1, batch_size=4),
+d = Dataset.from_columns([f"s{i}" for i in range(4)], [i for i in range(4) for _ in "ab"],
+                         [0, 1] * 4, [t for i in range(4) for t in (0.0, 1.0 + i)], ["u0", "u1"])
+train(d, TrainConfig(epochs=1, batch_size=4),
       SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=2))
 """,
 }

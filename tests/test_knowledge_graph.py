@@ -8,7 +8,6 @@ from dense import dense_graph
 
 from coact import graph as graph_mod
 from coact.crf import CrfParams, UnaryScorer, estep_converge, softmax_init
-from coact.events import Dataset, Event, EventSequence
 from coact.graph import (
     KnowledgeGraph,
     co_occurrence,
@@ -17,10 +16,11 @@ from coact.graph import (
     save_graph,
 )
 from oracles import load_graph, potential
+from records import dataset, events
 
 
 def seq(sid, *pairs):
-    return EventSequence(sid, [Event(a, float(t)) for a, t in pairs])
+    return (sid, [(a, float(t)) for a, t in pairs])
 
 
 def random_dataset(rng, n_accounts=8, n_sequences=12):
@@ -29,15 +29,15 @@ def random_dataset(rng, n_accounts=8, n_sequences=12):
     for i in range(n_sequences):
         n = int(rng.integers(1, 10))
         ev = [
-            Event(accounts[int(rng.integers(n_accounts))], float(t))
+            (accounts[int(rng.integers(n_accounts))], float(t))
             for t in np.sort(rng.uniform(0, 100, n))
         ]
-        seqs.append(EventSequence(f"s{i}", ev))
-    return Dataset.from_sequences(seqs)
+        seqs.append((f"s{i}", ev))
+    return dataset(seqs)
 
 
 def test_co_occurrence_example():
-    d = Dataset.from_sequences([
+    d = dataset([
         seq("s1", ("A", 0), ("B", 1), ("A", 2)),
         seq("s2", ("B", 0), ("C", 1)),
     ])
@@ -49,7 +49,7 @@ def test_co_occurrence_example():
 
 
 def test_co_occurrence_disjoint_zero():
-    d = Dataset.from_sequences([seq("s1", ("A", 0)), seq("s2", ("B", 0))])
+    d = dataset([seq("s1", ("A", 0)), seq("s2", ("B", 0))])
     g = co_occurrence(d)
     assert np.all(g.w == 0)
 
@@ -61,7 +61,7 @@ def test_co_occurrence_matches_bruteforce():
         g = co_occurrence(d)
         brute = np.zeros_like(g.w)
         for s in d.sequences:
-            present = {d.registry.index(e.account) for e in s.events}
+            present = set(s.account.tolist())
             for i in present:
                 for j in present:
                     if i != j:
@@ -74,8 +74,8 @@ def presence_product(d):
     """Z.T @ Z of the (sequences, accounts) 0/1 presence matrix, zero diagonal."""
     Z = np.zeros((len(d.sequences), len(d.registry)))
     for i, s in enumerate(d.sequences):
-        for e in s.events:
-            Z[i, d.registry.index(e.account)] = 1.0
+        for a in s.account:
+            Z[i, a] = 1.0
     w = Z.T @ Z
     np.fill_diagonal(w, 0.0)
     return w
@@ -91,13 +91,13 @@ def test_co_occurrence_equals_presence_matrix_product():
             # five sequences holds a single account, often several times
             pool = rng.choice(n_accounts, size=1 if i % 5 == 0 else int(rng.integers(1, 6)))
             who = pool[rng.integers(len(pool), size=int(rng.integers(1, 12)))]
-            seqs.append(EventSequence(f"s{i}", [Event(f"u{a}", float(t)) for a, t in
+            seqs.append((f"s{i}", [(f"u{a}", float(t)) for a, t in
                                                 zip(who, np.sort(rng.uniform(0, 50, len(who))))]))
-        d = Dataset.from_sequences(seqs)
+        d = dataset(seqs)
         assert np.array_equal(co_occurrence(d).w, presence_product(d))
 
 def test_filter_power_example():
-    d = Dataset.from_sequences([seq(f"s{k}", ("A", 0), ("B", 1)) for k in range(2)])
+    d = dataset([seq(f"s{k}", ("A", 0), ("B", 1)) for k in range(2)])
     g = filter_power(co_occurrence(d), 3.0)
     i = d.registry.index
     assert g.w[i("A"), i("B")] == 8.0
@@ -120,7 +120,7 @@ def test_filter_power_matches_elementwise():
 
 
 def test_filter_power_rejects_small_exponent():
-    d = Dataset.from_sequences([seq("s", ("A", 0), ("B", 1))])
+    d = dataset([seq("s", ("A", 0), ("B", 1))])
     with pytest.raises(ValueError):
         filter_power(co_occurrence(d), 0.5)
 
@@ -138,7 +138,7 @@ def test_filter_power_preserves_order():
 
 def test_temporal_logic_worked_example():
     # u active [0, 50000], v active [10000, 60000]: overlap 40000 <= 43200
-    d = Dataset.from_sequences([
+    d = dataset([
         seq("s", ("u", 0), ("u", 50_000), ("v", 10_000), ("v", 60_000)),
     ])
     g = filter_temporal_logic(d, 43_200.0)
@@ -149,7 +149,7 @@ def test_temporal_logic_worked_example():
 
 
 def test_temporal_logic_full_overlap_counted():
-    d = Dataset.from_sequences([
+    d = dataset([
         seq("s", ("u", 0), ("v", 0), ("u", 100_000), ("v", 100_000)),
     ])
     g = filter_temporal_logic(d, 43_200.0)
@@ -158,7 +158,7 @@ def test_temporal_logic_full_overlap_counted():
 
 
 def test_temporal_logic_point_interval_never_counts():
-    d = Dataset.from_sequences([
+    d = dataset([
         seq("s", ("u", 5), ("v", 0), ("v", 100_000)),
     ])
     g = filter_temporal_logic(d, 1e-9)
@@ -167,7 +167,7 @@ def test_temporal_logic_point_interval_never_counts():
 
 
 def test_temporal_logic_rejects_negative_threshold():
-    d = Dataset.from_sequences([seq("s", ("u", 0))])
+    d = dataset([seq("s", ("u", 0))])
     with pytest.raises(ValueError):
         filter_temporal_logic(d, -1.0)
 
@@ -186,10 +186,10 @@ def temporal_bruteforce(d, c):
     brute = np.zeros((V, V))
     for s in d.sequences:
         first, last = {}, {}
-        for e in s.events:
-            k = d.registry.index(e.account)
-            first.setdefault(k, e.t)
-            last[k] = e.t
+        for account, t in events(s):
+            k = d.registry.index(account)
+            first.setdefault(k, t)
+            last[k] = t
         keys = sorted(first)
         for a in keys:
             for b in keys:
@@ -464,9 +464,9 @@ def test_a_20k_account_graph_builds_and_sweeps_in_edge_sized_memory():
     V, n_seqs = 20_000, 2_000
     rng = np.random.default_rng(19)
     who = np.concatenate([rng.permutation(V), rng.integers(V, size=4 * n_seqs)])
-    seqs = [EventSequence(f"s{i}", [Event(f"u{a}", float(t)) for t, a in enumerate(part)])
+    seqs = [(f"s{i}", [(f"u{a}", float(t)) for t, a in enumerate(part)])
             for i, part in enumerate(np.array_split(who, n_seqs))]
-    d = Dataset.from_sequences(seqs)
+    d = dataset(seqs)
     assert len(d.registry) == V
     E = rng.normal(size=(V, 4))
     scorer = UnaryScorer(4, 2, hidden=4, seed=0)
@@ -514,9 +514,9 @@ def test_edge_ends_are_uint16_up_to_65536_accounts_and_int32_above(V, tmp_path):
     # blocks of 8 consecutive accounts, registered in order, and a sequence
     # joining the first account to the last; V * V needs int64 pair keys
     top = V - 1
-    blocks = [EventSequence(f"b{lo}", [Event(f"u{a}", 0.0) for a in range(lo, min(lo + 8, V))])
+    blocks = [(f"b{lo}", [(f"u{a}", 0.0) for a in range(lo, min(lo + 8, V))])
               for lo in range(0, V, 8)]
-    d = Dataset.from_sequences([*blocks, seq("ends", ("u0", 0), (f"u{top}", 1))])
+    d = dataset([*blocks, seq("ends", ("u0", 0), (f"u{top}", 1))])
     assert d.registry.keys[top] == f"u{top}"
     g = co_occurrence(d)
     assert g.u.dtype == g.v.dtype == (np.uint16 if V <= 2 ** 16 else np.int32)
@@ -543,11 +543,11 @@ def test_edge_ends_are_uint16_up_to_65536_accounts_and_int32_above(V, tmp_path):
 def edge_dominated_dataset(V=3000, n_seqs=60, size=250, seed=20):
     """n_seqs sequences of ``size`` distinct accounts, and one single-event sequence per account."""
     rng = np.random.default_rng(seed)
-    seqs = [EventSequence(f"a{a}", [Event(f"u{a}", 0.0)]) for a in range(V)]
+    seqs = [(f"a{a}", [(f"u{a}", 0.0)]) for a in range(V)]
     for i in range(n_seqs):
         who = rng.choice(V, size, replace=False)
-        seqs.append(EventSequence(f"s{i}", [Event(f"u{a}", float(t)) for t, a in enumerate(who)]))
-    return Dataset.from_sequences(seqs)
+        seqs.append((f"s{i}", [(f"u{a}", float(t)) for t, a in enumerate(who)]))
+    return dataset(seqs)
 
 
 @pytest.mark.parametrize("in_place", [False, True])

@@ -19,11 +19,11 @@ import inspect
 from pathlib import Path
 
 import pytest
+from records import dataset
 
 from coact import cli
 from coact.autodiff import Adam
 from coact.em import EmConfig, run_em
-from coact.events import Dataset, Event, EventSequence
 from coact.graph import co_occurrence
 from coact.pointprocess import SeqModelConfig, SequenceModel
 
@@ -146,8 +146,8 @@ def test_object_attributes_cover_what_the_scripts_read():
 
 @pytest.fixture(scope="module")
 def objects():
-    events = [Event(a, float(t)) for t, a in enumerate("abcab")]
-    d = Dataset.from_sequences([EventSequence("s", events)], labels={"a": 1, "b": 0, "c": 0})
+    events = [(a, float(t)) for t, a in enumerate("abcab")]
+    d = dataset([("s", events)], labels={"a": 1, "b": 0, "c": 0})
     model = SequenceModel(d.registry.keys, SeqModelConfig(d_embed=2, d_pos=0, d_time=0, n_mix=1))
     g = co_occurrence(d)
     return {"d": d, "d.registry": d.registry, "model": model, "t": model.params["E"],

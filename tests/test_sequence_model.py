@@ -16,8 +16,9 @@ from oracles import (
     time_density,
     time_mixture,
 )
+from records import dataset, events
+
 from coact.autodiff import Tensor
-from coact.events import Dataset, Event, EventSequence
 from coact.pointprocess import (
     SeqModelConfig,
     SequenceModel,
@@ -32,7 +33,7 @@ TINY = SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=2,
 
 
 def seq(*pairs, sid="s"):
-    return EventSequence(sid, [Event(a, float(t)) for a, t in pairs])
+    return dataset([(sid, [(a, float(t)) for a, t in pairs])]).sequences[0]
 
 
 def toy_model(n_accounts=4, config=TINY, seed=0):
@@ -45,10 +46,10 @@ def random_dataset(rng, n_accounts=6, n_sequences=10, max_len=9):
     for i in range(n_sequences):
         n = int(rng.integers(2, max_len))
         t = np.sort(rng.uniform(0, 20, n))
-        seqs.append(EventSequence(f"s{i}", [
-            Event(accounts[int(rng.integers(n_accounts))], float(x)) for x in t
+        seqs.append((f"s{i}", [
+            (accounts[int(rng.integers(n_accounts))], float(x)) for x in t
         ]))
-    return Dataset.from_sequences(seqs)
+    return dataset(seqs)
 
 
 # ---- featurize ----
@@ -75,8 +76,11 @@ def test_equal_spacing_gives_equal_rows():
 
 def test_unknown_account_rejected():
     m = toy_model()
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown account 'stranger' in sequence 's'"):
         featurize(m, seq(("stranger", 0.0)))
+    d = dataset([("a", [("u0", 0.0)]), ("b", [("u1", 0.0), ("x", 1.0), ("y", 2.0)])])
+    with pytest.raises(KeyError, match="unknown account 'x' in sequence 'b'"):
+        m.prepare(d.sequences)
 
 
 def test_positional_encoding_shape_and_range():
@@ -249,10 +253,10 @@ def awkward_dataset(rng, n_accounts, n_sequences, max_len=40):
         if n > 2 and i % 3 == 0:
             t[2] = t[1]
         pool = rng.choice(n_accounts, size=max(1, n // 3))
-        seqs.append(EventSequence(f"s{i}", [
-            Event(accounts[int(pool[rng.integers(len(pool))])], float(x)) for x in t
+        seqs.append((f"s{i}", [
+            (accounts[int(pool[rng.integers(len(pool))])], float(x)) for x in t
         ]))
-    return Dataset.from_sequences(seqs)
+    return dataset(seqs)
 
 
 @pytest.mark.parametrize("trial", range(12))
@@ -295,8 +299,8 @@ def test_numpy_surface_matches_the_tape():
     d = awkward_dataset(rng, 6, 6)
     m = SequenceModel(d.registry.keys, TINY, seed=3)
     for s in d.sequences:
-        idx = np.array([d.registry.index(e.account) for e in s.events])
-        X_t = ref.featurize_t(m, idx, np.array([e.t for e in s.events]))
+        idx = np.array([d.registry.index(a) for a, _ in events(s)])
+        X_t = ref.featurize_t(m, idx, np.array([t for _, t in events(s)]))
         C_t = ref.encode_t(m, X_t)
         assert np.array_equal(featurize(m, s), X_t.data)
         assert np.array_equal(encode(m, X_t.data), C_t.data)
@@ -401,8 +405,9 @@ def test_fit_rejects_non_finite_or_out_of_range_step_sizes(lr, weight_decay):
 def test_training_beats_untrained_on_heldout():
     rng = np.random.default_rng(6)
     d = random_dataset(rng, n_accounts=5, n_sequences=24)
-    held = Dataset(d.sequences[-4:], d.registry)
-    fit_on = Dataset(d.sequences[:-4], d.registry)
+    n = len(d.seq_ids)
+    held = d.take(range(n - 4, n))
+    fit_on = d.take(range(n - 4))
     cfg = TrainConfig(epochs=15, batch_size=32, patience=15, seed=0)
     trained = train(fit_on, cfg, TINY)
     untrained = SequenceModel(d.registry.keys, TINY, seed=0)
@@ -428,8 +433,8 @@ def test_training_with_a_helper_is_bit_identical_to_without(forks, monkeypatch, 
     # 11 training sequences: batches of 1, of 3 (the last of 2), of 4 (the
     # last of 3) and one batch of 11
     d = random_dataset(np.random.default_rng(12), n_accounts=5, n_sequences=16)
-    fit_on = Dataset(d.sequences[:11], d.registry)
-    val = Dataset(d.sequences[11:], d.registry) if with_val else None
+    fit_on = d.take(range(11))
+    val = d.take(range(11, len(d.seq_ids))) if with_val else None
     cfg = TrainConfig(epochs=3, batch_size=batch_size, patience=3, seed=5)
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -494,4 +499,4 @@ def test_checkpoint_with_another_value_of_a_folded_key_is_rejected(tmp_path, key
 
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
-        train(Dataset([], None), TrainConfig(), TINY)
+        train(dataset([]), TrainConfig(), TINY)

@@ -97,9 +97,7 @@ def _build_graph(d: Dataset, args) -> graph_mod.KnowledgeGraph:
         # the counts are this graph's own: raising them in place keeps one
         # weight array alive, not the counts beside their powers
         return graph_mod.filter_power(graph_mod.co_occurrence(d), args.p, in_place=True)
-    if args.filter == "tl":
-        return graph_mod.filter_temporal_logic(d, args.c)
-    raise UsageError(f"unknown filter {args.filter!r}")
+    return graph_mod.filter_temporal_logic(d, args.c)  # "tl"
 
 
 def _em_config(args) -> em_mod.EmConfig:
@@ -358,9 +356,10 @@ def cmd_sweep(args) -> int:
     _read_label_files(args, d.registry.keys)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    for sub in runs:  # pretraining depends on the seed only: one checkpoint per seed
-        if not Path(sub.checkpoint).exists():
-            _pretrain(d, sub).save(sub.checkpoint)
+    # pretraining depends on the seed only: one checkpoint per seed, made anew
+    # by every sweep, since the data or the flags may differ from an earlier one
+    for sub in runs[:len(args.seeds)]:  # the first loops value's run of each seed
+        _pretrain(d, sub).save(sub.checkpoint)
 
     per_run = []
     for sub in runs:
@@ -618,9 +617,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -313,8 +313,8 @@ def initialize(
 
 # ---- EM driver ----
 
-def _val_objective(model, scorer, val_items, Q, lam) -> float:
-    ll = sum(model.log_likelihoods(val_items))
+def _val_objective(model, scorer, val_items, Q, lam, helper) -> float:
+    ll = sum(model.passes(val_items, helper=helper))
     return ll + lam * scorer.crossent(model.params["E"].data, Q)
 
 
@@ -328,16 +328,16 @@ def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng):
     for k, t in crf.scorer.params.items():
         params[f"unary_{k}"] = t
 
-    def batch_loss(batch):
-        nll = model.backward_nll(batch)
-        # spread the account-level term across the epoch's batches
-        ce_weight = cfg.lambda_balance * len(batch) / len(train_items)
-        return nll + crf.scorer.crossent(model.params["E"], Q, -ce_weight)
+    with _helper(model, train_items, val_items) as helper:
+        def batch_loss(batch):
+            nll = -sum(model.passes(batch, -1.0, helper))
+            # spread the account-level term across the epoch's batches
+            ce_weight = cfg.lambda_balance * len(batch) / len(train_items)
+            return nll + crf.scorer.crossent(model.params["E"], Q, -ce_weight)
 
-    with _helper(model, train_items, val_items):
         start, best, _ = fit(
             params, train_items, batch_loss,
-            lambda: _val_objective(model, crf.scorer, val_items, Q, cfg.lambda_balance),
+            lambda: _val_objective(model, crf.scorer, val_items, Q, cfg.lambda_balance, helper),
             epochs=cfg.m_step_epochs, lr=cfg.m_step_lr, weight_decay=cfg.weight_decay,
             batch_size=cfg.batch_size, patience=cfg.patience, rng=rng,
         )

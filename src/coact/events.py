@@ -268,6 +268,8 @@ def load_labels(path) -> dict:
                 raise DataError(f"{path}:{lineno}: group {row[1]!r} is not an integer")
             if g < 0:
                 raise DataError(f"{path}:{lineno}: negative group index")
+            if row[0] in labels:
+                raise DataError(f"{path}:{lineno}: account {row[0]!r} is labelled twice")
             labels[row[0]] = g
     return labels
 

@@ -154,12 +154,9 @@ class KnowledgeGraph:
     @cached_property
     def _rows(self) -> tuple:
         """Both orientations of every edge grouped by row: (row starts, columns, couplings)."""
-        counts = np.zeros(self.n, dtype=np.intp)
-        for s in _slices(len(self.weight)):
-            np.add.at(counts, self.u[s], 1)
-            np.add.at(counts, self.v[s], 1)
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        order = np.argsort(np.concatenate([self.u, self.v]), kind="stable")
+        ends = np.concatenate([self.u, self.v])
+        starts = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=self.n))])
+        order = np.argsort(ends, kind="stable")
         b = self.b
         return starts, np.concatenate([self.v, self.u])[order], np.concatenate([b, b])[order]
 

@@ -12,14 +12,15 @@ whose density includes the 1/tau change-of-variables factor, so it
 integrates to one over tau > 0.
 
 Training needs each sequence's log-likelihood and its gradient, over and
-over. ``SequenceModel`` computes them with one hand-written numpy forward
-(``_forward``) and its adjoint (``_backward``), with no autodiff tape. Each
-step of the adjoint is the same numpy expression that the matching op of a
-reverse-mode tape would run, and the terms of every gradient are summed in
-the order the tape would sum them. So the values and gradients are
-bit-identical to backpropagating the model written as a tape; that tape
-lives only in the tests, as their oracle (``tests/tape.py`` is the engine,
-``tests/tape_reference.py`` the model written on it).
+over. ``SequenceModel.passes`` is the one loop that computes them, with one
+hand-written numpy forward (``_forward``) and its adjoint (``_backward``),
+with no autodiff tape. Each step of the adjoint is the same numpy expression
+that the matching op of a reverse-mode tape would run, and the terms of
+every gradient are summed in the order the tape would sum them. So the
+values and gradients are bit-identical to backpropagating the model written
+as a tape; that tape lives only in the tests, as their oracle
+(``tests/tape.py`` is the engine, ``tests/tape_reference.py`` the model
+written on it).
 The per-sequence constants (account indices, gaps, position encodings and
 the causal mask) come from ``SequenceModel.prepare``, once per fit.
 A checkpoint (``SequenceModel.save``) holds the parameters, the accounts and
@@ -38,15 +39,17 @@ parent does the work itself. ``_forked`` is that guard around ``_child``:
 ``em.kmeans`` runs half its starts in it, and ``coact detect`` fits the
 unary scorer in it beside ingest and graph build.
 
-While ``train`` and the EM M-step run ``fit``, a helper child (``_helper``)
-serves the parent's tasks until the parent closes its pipes; if the results
-pipe closes early, the parent raises the helper's outcome. In each
-minibatch and each validation pass the parent runs the sequences at even
-positions and the helper those at odd positions. ``_backward`` hands each
-gradient increment to a sink: ``_accumulate`` in the parent, a slot of a
-shared-memory ring in the helper. The parent adds the helper's increments
-for position p - 1 before it runs position p, so every gradient is summed
-in the serial order and training is bit-identical with or without a helper.
+``train`` and the EM M-step each open a helper child (``_helper``) around
+``fit`` and hand it to every ``passes`` call they make; the model holds no
+process state. The helper serves the parent's tasks until the parent closes
+its pipes; if the results pipe closes early, the parent raises the helper's
+outcome. In each minibatch and each validation pass the parent runs the
+sequences at even positions and the helper those at odd positions.
+``_backward`` hands each gradient increment to a sink: ``_accumulate`` in
+the parent, a slot of a shared-memory ring in the helper. The parent adds
+the helper's increments for position p - 1 before it runs position p, so
+every gradient is summed in the serial order and training is bit-identical
+with or without a helper.
 """
 
 from __future__ import annotations
@@ -179,7 +182,6 @@ class SequenceModel:
         self.params = {k: Tensor(v) for k, v in p.items()}
         self._index = {a: i for i, a in enumerate(self.accounts)}
         self.history = []  # per-epoch training records, filled by train()
-        self._helper = None  # the _Helper sharing this model's passes, if any
         self._registry = None  # the latest registry prepared, and its _registry_index
 
     # ---- bookkeeping ----
@@ -369,16 +371,12 @@ class SequenceModel:
 
     def log_likelihood(self, s: EventSequence) -> float:
         """Log-likelihood of one view from ``Dataset.sequences``."""
-        return self.log_likelihoods(self.prepare([s]))[0]
-
-    def log_likelihoods(self, items) -> list:
-        """Log-likelihood of each sequence in ``items``, from ``prepare``."""
-        return self._passes(items)
+        return self.passes(self.prepare([s]))[0]
 
     def grad_log_likelihood(self, batch) -> dict:
         """Exact gradients of the summed log-likelihood over ``batch``."""
         self.zero_grad()
-        self.backward_nll(self.prepare(batch), scale=-1.0)
+        self.passes(self.prepare(batch), 1.0)
         grads = {
             k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
             for k, t in self.params.items()
@@ -386,25 +384,19 @@ class SequenceModel:
         self.zero_grad()
         return grads
 
-    def backward_nll(self, batch, scale: float = 1.0) -> float:
-        """Add the gradient of ``scale`` times each sequence's negative
-        log-likelihood to the parameters' ``grad``; returns the summed NLL.
-        ``batch`` holds sequences from ``prepare``."""
-        nll = 0.0
-        for ll in self._passes(batch, -scale):
-            nll -= ll
-        return nll
+    def passes(self, items, g: float | None = None, helper: _Helper | None = None) -> list:
+        """Each sequence's log-likelihood, for sequences from ``prepare``; with
+        ``g``, also add the gradient of ``g`` times it to the parameters' ``grad``.
 
-    def _passes(self, items, g: float | None = None) -> list:
-        """Each sequence's log-likelihood; with ``g``, also add the gradient of
-        ``g`` times it to the parameters' ``grad``. With a helper, the odd
-        positions run there, and position p runs only after the helper's p - 1
-        has been added, so the additions keep the serial order."""
-        helper = self._helper
-        shared = helper is not None and helper.send(items, g)
+        With a ``helper`` from ``_helper``, the odd positions run there, and
+        position p runs only after the helper's p - 1 has been added, so the
+        additions keep the serial order.
+        """
+        if helper is not None:
+            helper.send(items, g)
         out = []
         for pos, seq in enumerate(items):
-            if shared and pos % 2:
+            if helper is not None and pos % 2:
                 out.append(helper.receive())
             else:
                 mark, time, cache = self._forward(seq)
@@ -567,7 +559,8 @@ def _views(flat: np.ndarray, shapes) -> list:
 
 class _Helper:
     """A ``_child`` that runs the odd positions of each batch and
-    validation pass of ``model`` over the sequences ``items``.
+    validation pass of ``model`` over the sequences ``items``, for the
+    ``SequenceModel.passes`` calls it is handed to.
 
     Before the fork, two anonymous shared mappings are made: one holds the
     parameters, which the parent copies in before each pass and the helper
@@ -637,23 +630,19 @@ class _Helper:
         finally:
             os.close(result_w)  # the parent reads the outcome only after this EOF
 
-    def send(self, batch, g: float | None = None) -> bool:
+    def send(self, batch, g: float | None = None) -> None:
         """Give the helper the odd positions of ``batch``: their backward
         passes with ``g``, or with ``g=None`` their log-likelihoods only.
 
-        Returns False, and sends nothing, if the helper does not know one of
-        those sequences.
+        Every one of them must be a sequence the helper was forked with; any
+        other raises ``KeyError``, before anything is sent.
         """
-        try:
-            idx = np.array([self._index[id(seq)] for seq in batch[1::2]], dtype=np.int64)
-        except KeyError:
-            return False
+        idx = np.array([self._index[id(seq)] for seq in batch[1::2]], dtype=np.int64)
         for k, view in self._params.items():
             view[...] = self.model.params[k].data
         if len(idx):
             head = _TASK.pack(g is not None, 0.0 if g is None else g, len(idx))
             _write(self._task_w, head + idx.tobytes())
-        return True
 
     def receive(self) -> float:
         """The next sequence's log-likelihood; after a backward pass its
@@ -678,18 +667,17 @@ class _Helper:
 
 @contextmanager
 def _helper(model: SequenceModel, *item_lists):
-    """Share ``model``'s passes over the sequences of ``item_lists`` with
-    one helper process while the context is open, if ``_helper_wanted``."""
+    """Yield a ``_Helper`` for ``model``'s passes over the sequences of
+    ``item_lists``, closed when the context exits; yield None unless
+    ``_helper_wanted``. The caller hands it to ``SequenceModel.passes``."""
     items = [seq for seqs in item_lists for seq in seqs]
     if not (items and _helper_wanted()):
-        yield
+        yield None
         return
     helper = _Helper(model, items)
-    model._helper = helper
     try:
-        yield
+        yield helper
     finally:
-        model._helper = None
         helper.close()
 
 
@@ -777,11 +765,11 @@ def train(
     logs = np.concatenate([seq.log_tau[:, 0] for seq in train_items])
     model.params["mix_bmu"].data += logs.mean()
     model.params["mix_bs"].data += np.log(max(logs.std(), 1e-3))
-    with _helper(model, train_items, val_items):
+    with _helper(model, train_items, val_items) as helper:
         _, _, model.history = fit(
             model.params, train_items,
-            lambda batch: model.backward_nll(batch, 1.0 / len(batch)),
-            lambda: float(np.mean(model.log_likelihoods(val_items))),
+            lambda batch: -sum(model.passes(batch, -1.0 / len(batch), helper)),
+            lambda: float(np.mean(model.passes(val_items, helper=helper))),
             epochs=cfg.epochs, lr=cfg.lr, weight_decay=cfg.weight_decay,
             batch_size=cfg.batch_size, patience=cfg.patience,
             rng=np.random.default_rng(cfg.seed + 1),

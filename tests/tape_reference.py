@@ -82,7 +82,9 @@ def ll_terms_t(model, s):
 
 
 def backward_nll(model, batch, scale=1.0):
-    """The tape's ``SequenceModel.backward_nll``: one tape per sequence."""
+    """The tape's ``-sum(SequenceModel.passes(batch, -scale))``: adds the gradient
+    of ``scale`` times the summed NLL to ``grad`` and returns that NLL, one
+    tape per sequence."""
     nll = 0.0
     for s in batch:
         mark, time = ll_terms_t(model, s)

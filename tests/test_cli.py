@@ -160,7 +160,7 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def test_sweep_summarizes_its_runs_and_reuses_its_checkpoints(tmp_path, data):
+def test_sweep_summarizes_its_runs_and_pretrains_the_same_checkpoints_again(tmp_path, data):
     out = tmp_path / "sweep"
     argv = ["sweep", *data, *SMALL, "--loops-grid", "1,2", "--seeds", "0,1", "--out", str(out)]
     assert main(argv) == 0
@@ -178,6 +178,15 @@ def test_sweep_summarizes_its_runs_and_reuses_its_checkpoints(tmp_path, data):
     assert sorted(checkpoints) == ["checkpoint-seed0.npz", "checkpoint-seed1.npz"]
     assert main(argv) == 0
     assert {p.name: p.read_bytes() for p in out.glob("checkpoint-seed*.npz")} == checkpoints
+
+
+def test_a_second_sweep_pretrains_with_its_own_flags(tmp_path, data):
+    out = tmp_path / "sweep"
+    argv = ["sweep", *data, *SMALL, "--loops-grid", "1", "--seeds", "0", "--out", str(out)]
+    assert main(argv) == 0
+    assert main([*argv, "--d-embed", "8"]) == 0
+    with np.load(out / "checkpoint-seed0.npz") as checkpoint:
+        assert checkpoint["E"].shape == (12, 8)
 
 
 def test_pretrain_and_build_graph_write_the_bytes_detect_writes(tmp_path, data):

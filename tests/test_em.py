@@ -108,19 +108,19 @@ def test_m_step_gradient_matches_finite_differences(monkeypatch):
     handed = {}
 
     def capture(params, items, batch_loss, val_fn, **kwargs):
-        handed.update(params=params, batch_loss=batch_loss)
+        for t in params.values():
+            t.grad = None
+        batch_loss(seqs)  # one batch spanning the epoch: loss = -objective
+        handed.update(params=params)
         return 0.0, 0.0, []
 
     monkeypatch.setattr(em, "fit", capture)
     em._m_step(model, crf, seqs, seqs, Q, em_cfg, np.random.default_rng(0))
     params = handed["params"]
     assert {f"unary_{k}" for k in crf.scorer.params} <= set(params)
-    for t in params.values():
-        t.grad = None
-    handed["batch_loss"](seqs)  # one batch spanning the epoch: loss = -objective
 
     def objective():
-        return em._val_objective(model, crf.scorer, seqs, Q, em_cfg.lambda_balance)
+        return em._val_objective(model, crf.scorer, seqs, Q, em_cfg.lambda_balance, None)
 
     h = 1e-4
     coord_rng = np.random.default_rng(0)

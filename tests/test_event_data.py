@@ -158,6 +158,13 @@ def test_labels_round_trip(tmp_path):
     assert load_labels(p) == labels
 
 
+def test_labels_refuse_an_account_labelled_twice(tmp_path):
+    p = tmp_path / "labels.csv"
+    p.write_text("account,group\na,1\nb,0\na,0\n", encoding="utf-8")
+    with pytest.raises(DataError, match="labels.csv:4: account 'a' is labelled twice"):
+        load_labels(p)
+
+
 def test_split_long_chunks():
     d = dataset([("s", [("u", float(i)) for i in range(300)])])
     out = split_long_sequences(d, 128)

@@ -123,6 +123,16 @@ def test_a_helper_still_running_is_killed_when_fit_raises(forks, monkeypatch):
     assert_no_child_left()
 
 
+def test_a_helper_handed_a_sequence_it_was_not_forked_with_raises(forks):
+    d = random_dataset()
+    model = SequenceModel(d.registry.keys, TINY, seed=0)
+    items = model.prepare(d.sequences)
+    with pytest.raises(KeyError), pointprocess._helper(model, items[:4]) as helper:
+        model.passes(items, helper=helper)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
 def test_a_helper_whose_task_pipe_is_closed_exits():
     d = random_dataset()
     model = SequenceModel(d.registry.keys, TINY, seed=0)

@@ -3,13 +3,12 @@
 ``detect`` chains every stage (pretraining can be skipped by passing a
 checkpoint) and writes all artifacts plus the fully resolved configuration
 under one run directory, so any run can be reproduced byte-for-byte from
-its persisted config and seed. EM's unary scorer start reads only the
-sequence model, so as soon as the model exists detect clusters the
-embeddings (``em.cluster_labels``, whose k-means runs half its starts in a
-forked child), and then a forked child fits the scorer to the clusters
+its persisted config and seed. EM's start reads only the sequence model,
+so as soon as the model exists detect forks one child that clusters the
+embeddings and fits the unary scorer to the clusters (``em.fit_scorer``),
 while the parent ingests (with a checkpoint) and builds and writes the
 graph; EM takes the fitted scorer from the child. Without a second usable
-CPU both run in the same process, the fit where the child would have
+CPU the parent runs ``em.fit_scorer`` itself where the child would have
 joined, and the outputs are the same bytes either way. ``pretrain`` and
 ``build-graph`` run detect's own stages, so with the same flags they write
 the same ``checkpoint.npz`` and ``graph.csv`` bytes. ``sweep`` runs detect
@@ -130,8 +129,11 @@ def _em_config(args) -> em_mod.EmConfig:
 
 def _read_label_files(args, accounts: list) -> tuple:
     """The ``--revealed`` labels of ``accounts`` and the ``--labels`` truth
-    labels (None if not given). Revealed groups EM cannot use, and truth
-    labels that leave no positive or no negative to score, are usage errors."""
+    labels (None if not given). More ``--groups`` than ``accounts``, revealed
+    groups EM cannot use, and truth labels that leave no positive or no
+    negative to score, are usage errors."""
+    if args.groups > len(accounts):
+        raise UsageError(f"--groups {args.groups} is more than the {len(accounts)} accounts")
     revealed = labels = None
     if args.revealed:
         revealed = _stage("read-revealed", load_labels, args.revealed)
@@ -232,12 +234,11 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
     With ``--checkpoint`` the stages run as load-checkpoint, the label files
     (checked against the checkpoint's accounts), then ingest and the check
     that the data has the checkpoint's accounts. Without one they run as
-    ingest, the label files and pretrain. Either way the model's embeddings
-    are then clustered (``em.cluster_labels``, k-means on two CPUs), and
-    ``em.fit_scorer`` is forked off with the clusters. Beside it the parent
-    ingests (with a checkpoint) or saves the checkpoint (without one), and
-    build-graph writes ``graph.csv``; then EM joins the fit
-    (``em.run_em_from``).
+    ingest, the label files and pretrain. Either way ``em.fit_scorer``,
+    which clusters the model's embeddings and fits the scorer to them, is
+    then forked off. Beside it the parent ingests (with a checkpoint) or
+    saves the checkpoint (without one), and build-graph writes
+    ``graph.csv``; then EM joins the fit (``em.run_em_from``).
     """
     em_config = _em_config(args)  # checked before any stage runs
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -256,10 +257,9 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
         revealed, labels = _read_label_files(args, d.registry.keys)  # checked before pretraining
         model = _stage("pretrain", _pretrain, d, args)
 
-    # the scorer start reads only the model: the clusters first, on both
-    # CPUs, then a forked child fits the scorer to them meanwhile
-    groups = _stage("em", em_mod.cluster_labels, model, em_config, revealed)
-    with _forked(em_mod.fit_scorer, model, em_config, groups) as fitted_scorer:
+    # EM's start reads only the model: a forked child clusters the
+    # embeddings and fits the scorer to them meanwhile
+    with _forked(em_mod.fit_scorer, model, em_config, revealed) as fitted_scorer:
         if d is None:
             d = _stage("ingest", _load_data, args)
             if model.accounts != d.registry.keys:

@@ -1,13 +1,12 @@
 """Variational EM joining the sequence model and the assignment field.
 
-Starting from a pretrained sequence model, the unary scorer is fitted to
-k-means clusters of the account embeddings, in two steps: the clusters
-(``cluster_labels``), then the fit to them (``fit_scorer``). ``kmeans``
-runs its k-means++ starts in two processes, half in a forked child
-(``pointprocess._forked``) and half in the caller, and the result is
-bit-identical to running them one after another. Each EM loop then
-alternates an E-step (mean-field fixed-point sweeps, with any revealed
-accounts clamped to one-hot beliefs) and an M-step that ascends
+Starting from a pretrained sequence model, ``fit_scorer`` clusters the
+account embeddings (``kmeans``, its k-means++ starts one after another),
+aligns the clusters to any revealed accounts and fits the unary scorer to
+them. It reads only the model, so ``coact detect`` runs it in one forked
+child beside ingest and graph build. Each EM loop then alternates an
+E-step (mean-field fixed-point sweeps, with any revealed accounts clamped
+to one-hot beliefs) and an M-step that ascends
 
     sum_S log p(S | E)  +  lambda * sum_u sum_m Q_u(m) log softmax_m(theta_u)
 
@@ -26,7 +25,6 @@ so a single loop is genuinely different from the E-step-only
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -34,14 +32,13 @@ from .autodiff import Adam
 from .crf import CrfParams, MeanField, UnaryScorer, estep_converge, softmax_init
 from .events import Dataset, check_fractions, train_val_test_split
 from .graph import KnowledgeGraph
-from .pointprocess import SequenceModel, _check_step_sizes, _forked, _helper, fit
+from .pointprocess import SequenceModel, _check_step_sizes, _helper, fit
 
 __all__ = [
     "EmConfig",
     "DetectionResult",
     "kmeans",
     "initialize",
-    "cluster_labels",
     "fit_scorer",
     "run_em",
     "run_em_from",
@@ -151,11 +148,6 @@ def _lloyd(X, centers, k, max_iter):
     return labels, centers, inertia
 
 
-def _starts(X, k, seeds) -> list:
-    """``_lloyd``'s (labels, centers, inertia) from each of the center ``seeds``."""
-    return [_lloyd(X, centers, k, KMEANS_MAX_ITER) for centers in seeds]
-
-
 KMEANS_MAX_ITER = 300  # Lloyd iterations per start
 KMEANS_STARTS = 10     # completed starts, the lowest inertia wins
 KMEANS_RESTARTS = 10   # extra starts allowed to replace abandoned ones
@@ -165,32 +157,20 @@ def kmeans(X, k, seed: int):
     """Best of KMEANS_STARTS Lloyd runs from k-means++ seeds (lowest inertia,
     the earliest start on a tie).
 
-    Deterministic given ``seed``. A start that produces an empty cluster is
-    abandoned and replaced from the continuing random stream, up to
+    Deterministic given ``seed``: the starts run one after another, each
+    drawing its seeds from one random stream (Lloyd's iterations draw
+    nothing). A start that produces an empty cluster is abandoned and
+    replaced by the next start from the continuing stream, up to
     KMEANS_RESTARTS extra attempts beyond the planned starts.
-
-    The planned starts' seeds are drawn first, in the order one start after
-    another would draw them (Lloyd's iterations draw nothing). A child forked
-    by ``_forked`` then runs the odd-numbered starts while the caller runs the
-    even-numbered ones, or the caller runs both halves where ``_forked`` does
-    not fork. Replacements run in the caller, their seeds drawn from the same
-    continuing stream. So the result is bit-identical to running the starts
-    one after another in one process.
     """
     X = np.asarray(X, dtype=np.float64)
     if not 1 <= k <= len(X):
         raise ValueError(f"cannot place {k} clusters on {len(X)} points")
     rng = np.random.default_rng(seed)
-    seeds = [_kpp_seeds(X, k, rng) for _ in range(KMEANS_STARTS)]
-    runs = [None] * KMEANS_STARTS
-    with _forked(_starts, X, k, seeds[1::2]) as odd:
-        runs[0::2] = _starts(X, k, seeds[0::2])
-        runs[1::2] = odd()
-    replacements = (_lloyd(X, _kpp_seeds(X, k, rng), k, KMEANS_MAX_ITER)
-                    for _ in range(KMEANS_RESTARTS))
     best = (None, None, np.inf)
     completed = 0
-    for labels, centers, inertia in chain(runs, replacements):
+    for _ in range(KMEANS_STARTS + KMEANS_RESTARTS):
+        labels, centers, inertia = _lloyd(X, _kpp_seeds(X, k, rng), k, KMEANS_MAX_ITER)
         if labels is None:
             continue
         completed += 1
@@ -244,16 +224,6 @@ def _align_to_revealed(labels, n_groups, rows, groups):
     return np.asarray(perm, dtype=np.intp)[labels]
 
 
-def _cluster(E, n_groups: int, seed: int, align_rows=None, align_groups=None) -> np.ndarray:
-    """k-means labels of the embeddings ``E``, aligned to revealed accounts."""
-    if n_groups < 2:
-        raise ValueError("need at least 2 groups")
-    labels, _ = kmeans(E, n_groups, seed)
-    if align_rows is not None and len(align_rows):
-        labels = _align_to_revealed(labels, n_groups, align_rows, align_groups)
-    return labels
-
-
 def _fit_unary(E, labels, n_groups: int, seed: int, hidden: int,
                fit_weight_decay: float) -> UnaryScorer:
     """A unary scorer fitted to the one-hot ``labels`` of the rows of ``E``."""
@@ -288,10 +258,9 @@ def initialize(
 ) -> CrfParams:
     """Cluster the embeddings and fit the unary scorer to the clusters.
 
-    The two steps are the ones ``cluster_labels`` and ``fit_scorer`` run:
-    ``kmeans`` (its starts in two processes, bit-identical to one), with
-    ``align_rows``/``align_groups`` relabelling the clusters to agree with
-    revealed accounts (semi-supervised runs), then the scorer fit.
+    ``kmeans`` clusters the embeddings, with ``align_rows``/``align_groups``
+    relabelling the clusters to agree with revealed accounts (semi-supervised
+    runs); ``fit_scorer`` runs this with EM's settings.
     The scorer is trained by Adam on the cross-entropy against the one-hot
     cluster assignment, with L2 weight decay ``fit_weight_decay``, for up to
     SCORER_FIT_EPOCHS full-batch epochs. It stops early once five epochs in a
@@ -303,8 +272,12 @@ def initialize(
     each such temporary would cost its page faults anew. With ``graph=None``
     the field carries a zero prior graph (unary-only).
     """
+    if n_groups < 2:
+        raise ValueError("need at least 2 groups")
     E = pretrained.params["E"].data.copy()
-    labels = _cluster(E, n_groups, seed, align_rows, align_groups)
+    labels, _ = kmeans(E, n_groups, seed)
+    if align_rows is not None and len(align_rows):
+        labels = _align_to_revealed(labels, n_groups, align_rows, align_groups)
     scorer = _fit_unary(E, labels, n_groups, seed, hidden, fit_weight_decay)
     if graph is None:
         graph = KnowledgeGraph(list(pretrained.accounts), [], [], [], "none")
@@ -355,28 +328,18 @@ def _clamps(accounts, revealed: dict | None, n_groups: int) -> tuple:
     return rows, groups
 
 
-def cluster_labels(pretrained: SequenceModel, cfg: EmConfig,
-                   revealed: dict | None = None) -> np.ndarray:
-    """The groups EM's unary scorer is fitted to: ``initialize``'s k-means
-    clusters of ``pretrained``'s embeddings with ``cfg``'s settings, aligned
-    to the ``revealed`` accounts.
-
-    A later initialization that reads the graph would replace only this
-    step. ``kmeans`` runs its starts on two CPUs where it can.
-    """
-    rows, groups = _clamps(pretrained.accounts, revealed, cfg.n_groups)
-    return _cluster(pretrained.params["E"].data, cfg.n_groups, cfg.seed, rows, groups)
-
-
-def fit_scorer(pretrained: SequenceModel, cfg: EmConfig, labels) -> UnaryScorer:
-    """The unary scorer EM starts from: ``initialize``'s fit, with ``cfg``'s
-    settings, to the groups ``labels`` (from ``cluster_labels``).
+def fit_scorer(pretrained: SequenceModel, cfg: EmConfig,
+               revealed: dict | None = None) -> UnaryScorer:
+    """The unary scorer EM starts from: ``initialize``'s, with ``cfg``'s
+    settings and its clusters aligned to the ``revealed`` accounts.
 
     It reads only ``pretrained``'s embeddings, not the data or the graph, so
-    ``coact detect`` runs it beside ingest and graph build.
+    ``coact detect`` runs it in a forked child beside ingest and graph build.
     """
-    return _fit_unary(pretrained.params["E"].data.copy(), labels, cfg.n_groups, cfg.seed,
-                      cfg.scorer_hidden, cfg.scorer_weight_decay)
+    rows, groups = _clamps(pretrained.accounts, revealed, cfg.n_groups)
+    return initialize(pretrained, cfg.n_groups, cfg.seed, hidden=cfg.scorer_hidden,
+                      fit_weight_decay=cfg.scorer_weight_decay,
+                      align_rows=rows, align_groups=groups).scorer
 
 
 def _check_registry(d: Dataset, g: KnowledgeGraph, pretrained: SequenceModel) -> None:
@@ -391,16 +354,15 @@ def run_em(
     cfg: EmConfig,
     revealed: dict | None = None,
 ) -> DetectionResult:
-    """Full detection: ``cluster_labels`` and ``fit_scorer``, then
-    ``run_em_from`` on the fitted field.
+    """Full detection: ``fit_scorer``, then ``run_em_from`` on the fitted
+    field.
 
     ``revealed`` maps account keys to group indices; those beliefs are
     clamped one-hot through every E-step, and they pick the coordinated
     group (``identify_coordinated_group``).
     """
     _check_registry(d, g, pretrained)  # before the scorer fit
-    labels = cluster_labels(pretrained, cfg, revealed)
-    crf = CrfParams(fit_scorer(pretrained, cfg, labels), g)
+    crf = CrfParams(fit_scorer(pretrained, cfg, revealed), g)
     return run_em_from(d, crf, pretrained, cfg, revealed)
 
 

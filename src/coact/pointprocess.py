@@ -26,7 +26,9 @@ the causal mask) come from ``SequenceModel.prepare``, once per fit.
 A checkpoint (``SequenceModel.save``) holds the parameters, the accounts and
 the config. ``SequenceModel.load`` accepts only config keys that are
 ``SeqModelConfig`` fields: it refuses a checkpoint that stores options
-since folded into constants, and names those keys.
+since folded into constants, and names those keys. It also refuses, by
+name, a missing array or one whose shape disagrees with the stored
+accounts and config.
 
 Every process this package forks is a ``_child``: it runs one function and
 hands back one pickled outcome, the value or the exception with the child's
@@ -36,8 +38,8 @@ with it (``PR_SET_PDEATHSIG``). Children fork only on Linux, with two or
 more usable CPUs, and while this process has one OS thread, so nothing
 forks under a multi-threaded BLAS (``_helper_wanted``); otherwise the
 parent does the work itself. ``_forked`` is that guard around ``_child``:
-``em.kmeans`` runs half its starts in it, and ``coact detect`` fits the
-unary scorer in it beside ingest and graph build.
+``coact detect`` runs EM's start in it (``em.fit_scorer``: k-means and the
+unary scorer fit) beside ingest and graph build.
 
 ``train`` and the EM M-step each open a helper child (``_helper``) around
 ``fit`` and hand it to every ``passes`` call they make; the model holds no
@@ -424,8 +426,14 @@ class SequenceModel:
             if unknown:
                 raise ValueError(f"checkpoint config keys {unknown} are not SeqModelConfig fields")
             model = cls(meta["accounts"], SeqModelConfig(**meta["config"]), seed=0)
-            for k in model.params:
-                model.params[k].data = np.asarray(archive[k], dtype=np.float64)
+            for k, t in model.params.items():
+                if k not in archive:
+                    raise ValueError(f"checkpoint has no array {k!r}")
+                data = np.asarray(archive[k], dtype=np.float64)
+                if data.shape != t.data.shape:
+                    raise ValueError(f"checkpoint array {k!r} has shape {data.shape}, but its "
+                                     f"accounts and config give {t.data.shape}")
+                t.data = data
         return model
 
 
@@ -635,8 +643,11 @@ class _Helper:
         passes with ``g``, or with ``g=None`` their log-likelihoods only.
 
         Every one of them must be a sequence the helper was forked with; any
-        other raises ``KeyError``, before anything is sent.
+        other raises ``KeyError``, and a closed helper ``ValueError``, before
+        anything is sent.
         """
+        if self._task_w is None:
+            raise ValueError("the helper process is closed")
         idx = np.array([self._index[id(seq)] for seq in batch[1::2]], dtype=np.int64)
         for k, view in self._params.items():
             view[...] = self.model.params[k].data
@@ -659,9 +670,12 @@ class _Helper:
         return ll
 
     def close(self) -> None:
-        """Close the pipes, then kill and reap the helper."""
+        """Close the pipes, then kill and reap the helper. The helper keeps
+        no fd number, which a file opened later could take."""
         with self._running:
-            for fd in (self._task_w, self._free_w, self._result_r):
+            fds = (self._task_w, self._free_w, self._result_r)
+            self._task_w = self._free_w = self._result_r = None
+            for fd in fds:
                 os.close(fd)
 
 

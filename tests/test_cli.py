@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coact import cli
 from coact.cli import main
 from coact.graph import KnowledgeGraph
 
@@ -255,6 +256,28 @@ def test_bad_revealed_labels_fail_before_pretraining(tmp_path, data, capsys, gro
     assert not (run_dir / "graph.csv").exists()
 
 
+@pytest.mark.parametrize("path", ["checkpoint", "pretrain"])
+def test_more_groups_than_accounts_fail_before_pretraining(tmp_path, data, capsys, monkeypatch,
+                                                           path):
+    revealed = revealed_file(tmp_path, data, {"1": 1, "0": 0})
+    argv = [*data, *SMALL, "--groups", "20", "--revealed", str(revealed)]
+    if path == "checkpoint":
+        ckpt = tmp_path / "pretrained.npz"
+        assert main(["pretrain", data[0], data[1], *TRAIN, "--out", str(ckpt)]) == 0
+        argv += ["--checkpoint", str(ckpt)]
+
+    def refuse(*args):
+        raise AssertionError("pretrained or forked")
+
+    monkeypatch.setattr(cli, "_pretrain", refuse)
+    monkeypatch.setattr(cli, "_forked", refuse)
+    code, run_dir = detect(tmp_path, "run", *argv)
+    assert code == 2
+    assert "--groups 20 is more than the 12 accounts" in capsys.readouterr().err
+    assert not (run_dir / "checkpoint.npz").exists()
+    assert not (run_dir / "graph.csv").exists()
+
+
 @pytest.mark.parametrize("groups,code", [(None, 1), ({"0": 1, "1": 1}, 2), ({"0": 0}, 2),
                                          ({}, 2)],
                          ids=["unreadable", "no-negative", "no-positive", "none-scored"])
@@ -329,9 +352,8 @@ def test_detect_writes_the_same_bytes_with_and_without_the_scorer_child(
     assert forks == []
     code, forked = detect(tmp_path, "forked", *argv)
     assert code == 0
-    # the k-means child, the scorer child and the M-step's helper, after
-    # pretraining's helper
-    assert len(forks) == (3 if path == "checkpoint" else 4)
+    # the child for EM's start and the M-step's helper, after pretraining's helper
+    assert len(forks) == (2 if path == "checkpoint" else 3)
     names = ["result.csv", "q_matrix.csv", "graph.csv", "metrics.csv"]
     if path == "pretrain":
         names.append("checkpoint.npz")

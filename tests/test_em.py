@@ -212,61 +212,52 @@ def serial_kmeans(X, k, seed):
     return best[0], best[1]
 
 
-def abandon_some_starts(monkeypatch):
-    """Abandon every start whose first seed center has a positive first
-    coordinate, in the caller and in a child forked after this; returns the
-    seeds of the starts that ran here."""
+@pytest.mark.parametrize("abandon", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+def test_kmeans_runs_its_starts_in_order_in_one_process(forks, monkeypatch, k, abandon):
+    rng = np.random.default_rng(40 + k)
+    X = rng.normal(size=(300, 6)) + (rng.random((300, 1)) < 0.3) * 1.5
     lloyd, seen = em._lloyd, []
 
     def lloyd_or_abandon(X, centers, k, max_iter):
+        # abandon every start whose first seed center has a positive first coordinate
         seen.append(centers.copy())
-        if centers[0, 0] > 0:
+        if abandon and centers[0, 0] > 0:
             return None, None, np.inf
         return lloyd(X, centers, k, max_iter)
 
     monkeypatch.setattr(em, "_lloyd", lloyd_or_abandon)
-    return seen
-
-
-@pytest.mark.parametrize("abandon", [False, True])
-@pytest.mark.parametrize("k", [2, 3])
-def test_kmeans_with_a_child_equals_kmeans_on_one_cpu(forks, monkeypatch, k, abandon):
-    rng = np.random.default_rng(40 + k)
-    X = rng.normal(size=(300, 6)) + (rng.random((300, 1)) < 0.3) * 1.5
-    if abandon:
-        seen = abandon_some_starts(monkeypatch)
     for seed in range(4):
-        with monkeypatch.context() as m:
-            m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            forks.clear()
-            if abandon:
-                seen.clear()
-            serial = em.kmeans(X, k, seed)
-            assert forks == []
-            if abandon:  # some planned starts were abandoned and replaced
-                assert len(seen) > em.KMEANS_STARTS
-                assert any(c[0, 0] > 0 for c in seen[:em.KMEANS_STARTS])
-        forked = em.kmeans(X, k, seed)
-        assert len(forks) == 1
+        seen.clear()
+        got = em.kmeans(X, k, seed)
+        assert forks == []  # even where a child could be forked
+        # each start's seeds come next from one continuing stream
+        stream = np.random.default_rng(seed)
+        for centers in seen:
+            assert np.array_equal(centers, em._kpp_seeds(X, k, stream))
+        if abandon:  # some planned starts were abandoned and replaced
+            assert len(seen) > em.KMEANS_STARTS
+            assert any(c[0, 0] > 0 for c in seen[:em.KMEANS_STARTS])
+        else:
+            assert len(seen) == em.KMEANS_STARTS
         want = serial_kmeans(X, k, seed)
-        for got in (serial, forked):
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 def test_kmeans_picks_the_earliest_of_tied_starts(monkeypatch):
-    # on one CPU the caller runs starts 0, 2, ..., 8 as calls 0-4, then
-    # starts 1, 3, ..., 9 as calls 5-9; each run's labels name its call
+    # the starts run in order, so each run's labels name its start; starts 3
+    # and 5 tie at the lowest inertia
     calls = iter(range(100))
 
     def lloyd(X, centers, k, max_iter):
         i = next(calls)
         return np.full(len(X), i), centers, float(i not in (3, 5))
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(em, "_lloyd", lloyd)
     labels, _ = em.kmeans(np.zeros((4, 1)), 1, seed=0)
-    assert labels.tolist() == [5] * 4  # start 1 (call 5), not start 6 (call 3)
+    assert labels.tolist() == [3] * 4
+    assert next(calls) == em.KMEANS_STARTS  # no start ran after the planned ones
 
 
 def brute_force_alignment(labels, n_groups, rows, groups):
@@ -368,7 +359,7 @@ def test_run_em_with_a_helper_is_bit_identical_to_without(forks, monkeypatch, ba
         want = run_em(d, g, model, cfg)
     assert forks == []
     got = run_em(d, g, model, cfg)
-    assert len(forks) == 3  # the k-means child, then one helper per M-step
+    assert len(forks) == 2  # one helper per M-step
     assert np.array_equal(got.mean_field.q, want.mean_field.q)
     assert np.array_equal(got.scores, want.scores)
     assert got.history == want.history

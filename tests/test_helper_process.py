@@ -1,9 +1,8 @@
 """The processes that coact forks: training's helper never outlives ``fit``,
-k-means's child never outlives ``kmeans``, ``detect``'s scorer child never
+a closed helper writes nothing, ``detect``'s child for EM's start never
 outlives ``detect``, a child still running is killed when its context exits,
 every child dies with a parent killed outright, an exception on either side
-reaches the caller, and paths without ``fit``, ``kmeans`` or ``detect`` never
-fork."""
+reaches the caller, and paths without ``fit`` or ``detect`` never fork."""
 
 import os
 import subprocess
@@ -55,7 +54,7 @@ def test_no_helper_outlives_training_or_em(forks):
     assert len(forks) == 1
     assert_no_child_left()
     run_em(d, co_occurrence(d), model, EmConfig(n_loops=2, m_step_epochs=2, scorer_hidden=5))
-    assert len(forks) == 4  # the k-means child and one helper per M-step
+    assert len(forks) == 3  # one helper per M-step
     assert_no_child_left()
 
 
@@ -169,63 +168,32 @@ def test_paths_without_fit_never_fork(forks, monkeypatch):
                    env=dict(os.environ, PYTHONPATH=src))
 
 
-def test_estep_only_em_and_initialize_fork_one_kmeans_child_each(forks):
+def test_a_closed_helper_raises_and_writes_into_no_file_opened_after_it(forks, tmp_path):
+    d = random_dataset()
+    model = SequenceModel(d.registry.keys, TINY, seed=0)
+    items = model.prepare(d.sequences)
+    with pointprocess._helper(model, items) as helper:
+        pass
+    assert_no_child_left()
+    # the lowest free fd numbers, the helper's pipes among them
+    files = [open(tmp_path / f"f{i}", "wb") for i in range(6)]
+    try:
+        with pytest.raises(ValueError, match="closed"):
+            model.passes(items, None, helper)
+    finally:
+        for fh in files:
+            fh.close()
+    assert [(tmp_path / f"f{i}").stat().st_size for i in range(6)] == [0] * 6
+
+
+def test_estep_only_em_and_initialize_fork_nothing(forks):
     d = random_dataset()
     g = co_occurrence(d)
     model = SequenceModel(d.registry.keys, TINY, seed=0)
     run_em(d, g, model, EmConfig(estep_only=True, scorer_hidden=5))
-    assert len(forks) == 1
-    assert_no_child_left()
     initialize(model, 2, seed=0, graph=g, hidden=5)
-    assert len(forks) == 2
-    assert_no_child_left()
-
-
-# ---- k-means's child ----
-
-POINTS = np.random.default_rng(5).normal(size=(60, 3))
-
-
-def test_no_kmeans_child_outlives_kmeans(forks):
-    labels, _ = em.kmeans(POINTS, 3, seed=0)
-    assert len(forks) == 1
-    assert_no_child_left()
-    assert np.array_equal(np.unique(labels), [0, 1, 2])
-
-
-@pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
-@pytest.mark.parametrize("where", ["parent", "child"])
-def test_an_exception_in_either_kmeans_process_reaches_the_caller(forks, monkeypatch, where,
-                                                                  exc_type):
-    parent, lloyd = os.getpid(), em._lloyd
-
-    def failing(*args):
-        if (os.getpid() != parent) == (where == "child"):
-            raise exc_type(f"failed in the {where}")
-        return lloyd(*args)
-
-    monkeypatch.setattr(em, "_lloyd", failing)
-    with pytest.raises(exc_type, match=f"failed in the {where}") as info:
-        em.kmeans(POINTS, 3, seed=0)
-    assert len(forks) == 1
-    assert_no_child_left()
-    if where == "child":
-        assert "in the forked child" in str(info.value.__cause__)
-
-
-def test_a_kmeans_child_that_dies_is_reported_and_reaped(forks, monkeypatch):
-    parent, lloyd = os.getpid(), em._lloyd
-
-    def dying(*args):
-        if os.getpid() != parent:
-            os._exit(3)  # as if the kernel killed it
-        return lloyd(*args)
-
-    monkeypatch.setattr(em, "_lloyd", dying)
-    with pytest.raises(RuntimeError, match="forked child exited without a result"):
-        em.kmeans(POINTS, 3, seed=0)
-    assert len(forks) == 1
-    assert_no_child_left()
+    em.kmeans(np.random.default_rng(5).normal(size=(60, 3)), 3, seed=0)
+    assert forks == []
 
 
 def test_no_helper_on_one_cpu_or_beside_another_thread(monkeypatch):
@@ -243,7 +211,7 @@ def test_no_helper_on_one_cpu_or_beside_another_thread(monkeypatch):
         thread.join()
 
 
-# ---- detect's scorer child ----
+# ---- detect's child for EM's start ----
 
 TRAIN = ["--d-embed", "4", "--d-pos", "4", "--d-time", "4", "--mix-components", "2",
          "--epochs", "2"]
@@ -286,7 +254,7 @@ def test_no_scorer_child_outlives_a_failed_detect(forks, synth, tmp_path, capsys
                    "do not match the dataset registry")
     assert cli.main(argv) == 1
     assert message in capsys.readouterr().err
-    assert len(forks) == 2  # the k-means child, then the scorer child
+    assert len(forks) == 1  # the child for EM's start
     assert_no_child_left()
 
 
@@ -306,13 +274,33 @@ def test_an_exception_in_the_scorer_child_reaches_detect(forks, synth, tmp_path,
     args = cli.build_parser().parse_args(argv)
     with pytest.raises(cli.StageError) as info:
         cli.run_pipeline(args, tmp_path / "again")
-    assert len(forks) == 4  # per detect, the k-means child and the scorer child
+    assert len(forks) == 2  # one child per detect
     assert_no_child_left()
     child_exc = info.value.__cause__
     assert isinstance(child_exc, ValueError)
     trace = str(child_exc.__cause__)
     assert trace.startswith("in the forked child:")
     assert "failing_in_the_child" in trace and "fit_scorer" in trace
+
+
+def test_an_exception_in_kmeans_in_the_start_child_reaches_detect(forks, synth, tmp_path,
+                                                                 monkeypatch):
+    parent, lloyd = os.getpid(), em._lloyd
+
+    def failing_in_the_child(*args):
+        if os.getpid() != parent:
+            raise ValueError("k-means failed in the child")
+        return lloyd(*args)
+
+    monkeypatch.setattr(em, "_lloyd", failing_in_the_child)
+    args = cli.build_parser().parse_args(detect_argv(synth, tmp_path))
+    with pytest.raises(cli.StageError, match="stage 'em' failed: k-means failed") as info:
+        cli.run_pipeline(args, tmp_path / "run")
+    assert len(forks) == 1
+    assert_no_child_left()
+    trace = str(info.value.__cause__.__cause__)
+    assert trace.startswith("in the forked child:")
+    assert "failing_in_the_child" in trace and "kmeans" in trace and "fit_scorer" in trace
 
 
 def test_a_child_still_running_is_killed_when_its_context_exits(forks):
@@ -390,9 +378,9 @@ def test_a_child_dies_with_a_parent_that_is_killed_outright(kind):
         time.sleep(0.01)
 
 
-def test_detect_estep_only_from_a_checkpoint_forks_two_children(forks, synth, tmp_path):
+def test_detect_estep_only_from_a_checkpoint_forks_one_child(forks, synth, tmp_path):
     assert cli.main(detect_argv(synth, tmp_path, "--estep-only")) == 0
-    assert len(forks) == 2  # the k-means child, then the scorer child
+    assert len(forks) == 1  # the child for EM's start
     assert_no_child_left()
 
 

@@ -497,6 +497,24 @@ def test_checkpoint_with_another_value_of_a_folded_key_is_rejected(tmp_path, key
         SequenceModel.load(path)
 
 
+@pytest.mark.parametrize("key,shape", [("E", (3, 4)), ("mark_b2", (3,)), ("W_q", (12, 13)),
+                                       ("time_freq", None)])
+def test_checkpoint_arrays_that_disagree_with_its_accounts_or_config_are_refused(
+        tmp_path, key, shape):
+    # accounts [u0, u1] with one array reshaped, or without it (shape None)
+    m = toy_model(n_accounts=2)
+    arrays = {k: t.data for k, t in m.params.items()}
+    if shape is None:
+        del arrays[key]
+    else:
+        arrays[key] = np.zeros(shape)
+    meta = json.dumps({"version": 1, "accounts": m.accounts, "config": asdict(m.config)})
+    path = tmp_path / "bad.npz"
+    np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
+    with pytest.raises(ValueError, match=repr(key)):
+        SequenceModel.load(path)
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
         train(dataset([]), TrainConfig(), TINY)

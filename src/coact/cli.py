@@ -478,16 +478,26 @@ def _int_at_least(low: int, or_zero: bool = False):
 
 
 def _int_list(low: int):
-    """An argparse type: a comma-separated, non-empty list of integers >= ``low``."""
+    """An argparse type: a comma-separated, non-empty list of distinct integers >= ``low``."""
     item = _int_at_least(low)
 
     def parse(text: str) -> list:
-        items = [x for x in text.split(",") if x.strip()]
+        items = [item(x) for x in text.split(",") if x.strip()]
         if not items:
             raise argparse.ArgumentTypeError(f"expected a list of integers >= {low}, "
                                              f"got {text!r}")
-        return [item(x) for x in items]
+        if len(set(items)) < len(items):
+            raise argparse.ArgumentTypeError(f"expected distinct values, got {text!r}")
+        return items
     return parse
+
+
+def _dataset_out(text: str) -> str:
+    """An argparse type: a path for ``save_dataset``'s JSON lines, which
+    ``load_dataset`` would read back as CSV from a .csv name."""
+    if Path(text).suffix.lower() == ".csv":
+        raise argparse.ArgumentTypeError(f"datasets are written as JSON lines, got {text!r}")
+    return text
 
 
 def _fractions(text: str):
@@ -513,14 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--sequences", type=_int_at_least(1), default=150)
     p.add_argument("--horizon", type=_number(0.0, above=True), default=259200.0)
-    p.add_argument("--out", default="synth.jsonl")
+    p.add_argument("--out", type=_dataset_out, default="synth.jsonl")
     p.add_argument("--labels", default="synth_labels.csv")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="validate and normalize a dataset file")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["jsonl", "csv"], default=None)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_dataset_out, required=True)
     p.add_argument("--min-account-count", type=_int_at_least(0), default=0)
     p.add_argument("--max-len", type=_int_at_least(2, or_zero=True), default=0,
                    help="split sequences longer than this, 0 = do not split (default: 0)")

@@ -19,7 +19,8 @@ against Q is a valid lower bound up to constants (the tests check the
 inequality by enumeration on small instances). A final E-step after the
 last M-step produces the beliefs that the detection scores are read from,
 so a single loop is genuinely different from the E-step-only
-(post-processing) mode.
+(post-processing) mode. The coordinated group is group 1 when accounts are
+revealed, since their clamps keep that label, and else the smaller of two.
 """
 
 from __future__ import annotations
@@ -291,29 +292,29 @@ def _val_objective(model, scorer, val_items, Q, lam, helper) -> float:
     return ll + lam * scorer.crossent(model.params["E"].data, Q)
 
 
-def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng):
+def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng, helper):
     """Ascend the surrogate objective; early stop on the validation version.
 
-    ``train_items`` and ``val_items`` are sequences from ``model.prepare``.
-    Returns the validation objective before and after (at the best epoch).
+    ``train_items`` and ``val_items`` come from ``model.prepare``, and ``helper``
+    is ``run_em_from``'s one ``_helper`` over them (or None). Returns the
+    validation objective before and after (at the best epoch).
     """
     params = dict(model.params)
     for k, t in crf.scorer.params.items():
         params[f"unary_{k}"] = t
 
-    with _helper(model, train_items, val_items) as helper:
-        def batch_loss(batch):
-            nll = -sum(model.passes(batch, -1.0, helper))
-            # spread the account-level term across the epoch's batches
-            ce_weight = cfg.lambda_balance * len(batch) / len(train_items)
-            return nll + crf.scorer.crossent(model.params["E"], Q, -ce_weight)
+    def batch_loss(batch):
+        nll = -sum(model.passes(batch, -1.0, helper))
+        # spread the account-level term across the epoch's batches
+        ce_weight = cfg.lambda_balance * len(batch) / len(train_items)
+        return nll + crf.scorer.crossent(model.params["E"], Q, -ce_weight)
 
-        start, best, _ = fit(
-            params, train_items, batch_loss,
-            lambda: _val_objective(model, crf.scorer, val_items, Q, cfg.lambda_balance, helper),
-            epochs=cfg.m_step_epochs, lr=cfg.m_step_lr, weight_decay=cfg.weight_decay,
-            batch_size=cfg.batch_size, patience=cfg.patience, rng=rng,
-        )
+    start, best, _ = fit(
+        params, train_items, batch_loss,
+        lambda: _val_objective(model, crf.scorer, val_items, Q, cfg.lambda_balance, helper),
+        epochs=cfg.m_step_epochs, lr=cfg.m_step_lr, weight_decay=cfg.weight_decay,
+        batch_size=cfg.batch_size, patience=cfg.patience, rng=rng,
+    )
     return start, best
 
 
@@ -358,8 +359,8 @@ def run_em(
     field.
 
     ``revealed`` maps account keys to group indices; those beliefs are
-    clamped one-hot through every E-step, and they pick the coordinated
-    group (``identify_coordinated_group``).
+    clamped one-hot through every E-step, and group 1 is then the
+    coordinated group (without them, ``identify_coordinated_group``).
     """
     _check_registry(d, g, pretrained)  # before the scorer fit
     crf = CrfParams(fit_scorer(pretrained, cfg, revealed), g)
@@ -403,14 +404,17 @@ def run_em_from(
         rng = np.random.default_rng(cfg.seed + 1)
         train_items = model.prepare(train_ds.sequences or d.sequences)
         val_items = model.prepare(val_ds.sequences) if val_ds.seq_ids else train_items
-        for loop in range(1, cfg.n_loops + 1):
-            before, after = _m_step(model, crf, train_items, val_items, mf.q, cfg, rng)
-            mf, record = estep(mf, loop)  # estep_converge copies its init
-            record["val_objective_before"] = before
-            record["val_objective_after"] = after
-            history.append(record)
+        # one helper for every loop: it waits while the E-steps run here
+        with _helper(model, train_items, val_items) as helper:
+            for loop in range(1, cfg.n_loops + 1):
+                before, after = _m_step(model, crf, train_items, val_items, mf.q, cfg, rng, helper)
+                mf, record = estep(mf, loop)  # estep_converge copies its init
+                record["val_objective_before"] = before
+                record["val_objective_after"] = after
+                history.append(record)
 
-    coord = identify_coordinated_group(mf.q, clamp_rows, clamp_groups)
+    # revealed accounts stay clamped one-hot, so their label 1 is the coordinated group
+    coord = 1 if len(clamp_rows) else identify_coordinated_group(mf.q)
     scores = mf.q[:, coord].copy()
     return DetectionResult(
         accounts=d.registry.keys,
@@ -429,8 +433,7 @@ def check_revealed(groups, n_groups: int) -> None:
     """Raise ``ValueError`` unless the revealed accounts' ``groups`` can be used.
 
     Every group must be one of the ``n_groups``, and at least one account
-    must be in group 1, the coordinated group that
-    ``identify_coordinated_group`` looks for.
+    must be in group 1, the coordinated group of a run with revealed accounts.
     """
     groups = {int(g) for g in groups}
     out = sorted(g for g in groups if not 0 <= g < n_groups)
@@ -440,28 +443,13 @@ def check_revealed(groups, n_groups: int) -> None:
         raise ValueError("no revealed account is in the coordinated group 1")
 
 
-def identify_coordinated_group(q: np.ndarray, revealed_rows=None, revealed_groups=None) -> int:
-    """Map a group index to the coordinated class.
-
-    With revealed accounts, this is the group most often assigned to the
-    revealed accounts of group 1. Without them (two groups only), it is the
-    group with the smaller expected mass. Exact ties raise.
-    """
+def identify_coordinated_group(q: np.ndarray) -> int:
+    """Of exactly two groups, the one with the smaller expected mass: the
+    coordinated group of a run without revealed accounts. Exact ties raise."""
     q = np.asarray(q, dtype=np.float64)
-    if revealed_rows is None or len(revealed_rows) == 0:
-        if q.shape[1] != 2:
-            raise ValueError("without revealed accounts the groups must be exactly 2")
-        masses = q.sum(axis=0)
-        if masses[0] == masses[1]:
-            raise ValueError("group masses tie exactly; pick the group explicitly")
-        return int(masses.argmin())
-    rows = np.asarray(revealed_rows, dtype=np.intp)
-    groups = np.asarray(revealed_groups, dtype=np.intp)
-    coord_rows = rows[groups == 1]
-    if len(coord_rows) == 0:
-        raise ValueError("no revealed coordinated accounts")
-    votes = np.bincount(q[coord_rows].argmax(axis=1), minlength=q.shape[1])
-    winners = np.nonzero(votes == votes.max())[0]
-    if len(winners) > 1:
-        raise ValueError("revealed accounts split evenly; pick the group explicitly")
-    return int(winners[0])
+    if q.shape[1] != 2:
+        raise ValueError("without revealed accounts the groups must be exactly 2")
+    masses = q.sum(axis=0)
+    if masses[0] == masses[1]:
+        raise ValueError("group masses tie exactly; pick the group explicitly")
+    return int(masses.argmin())

@@ -41,8 +41,9 @@ parent does the work itself. ``_forked`` is that guard around ``_child``:
 ``coact detect`` runs EM's start in it (``em.fit_scorer``: k-means and the
 unary scorer fit) beside ingest and graph build.
 
-``train`` and the EM M-step each open a helper child (``_helper``) around
-``fit`` and hand it to every ``passes`` call they make; the model holds no
+``train`` and ``em.run_em_from`` each open one helper child (``_helper``),
+``train`` around its ``fit`` and ``run_em_from`` around all its M-step
+loops, and hand it to every ``passes`` call they make; the model holds no
 process state. The helper serves the parent's tasks until the parent closes
 its pipes; if the results pipe closes early, the parent raises the helper's
 outcome. In each minibatch and each validation pass the parent runs the
@@ -139,7 +140,7 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
 
 class _Prepared(NamedTuple):
     """One sequence's constants of the likelihood (``SequenceModel.prepare``)."""
-    idx: np.ndarray          # account row of each event
+    idx: np.ndarray          # account row of each event: the view's account column
     feat_gaps: np.ndarray    # (L, 1) gap to the previous event, 0 for the first
     log_tau: np.ndarray      # (L, 1) log of the decoder's gap
     log_tau_sum: float
@@ -182,9 +183,7 @@ class SequenceModel:
             "time_phase": np.zeros(cfg.d_time),
         }
         self.params = {k: Tensor(v) for k, v in p.items()}
-        self._index = {a: i for i, a in enumerate(self.accounts)}
         self.history = []  # per-epoch training records, filled by train()
-        self._registry = None  # the latest registry prepared, and its _registry_index
 
     # ---- bookkeeping ----
 
@@ -202,40 +201,33 @@ class SequenceModel:
         for t in self.params.values():
             t.grad = None
 
-    def _registry_index(self, registry) -> np.ndarray:
-        """This model's index of each of ``registry``'s accounts, -1 where it has
-        none; kept for the latest registry, which a fit or a scoring loop shares."""
-        if self._registry is not registry:
-            self._registry = registry
-            self._registry_idx = np.array([self._index.get(k, -1) for k in registry.keys], np.intp)
-        return self._registry_idx
-
     def prepare(self, sequences) -> list:
         """The per-sequence constants of the likelihood, one ``_Prepared`` for
         each view from ``Dataset.sequences``.
 
-        A view's account indices go through its registry to this model's; an
-        account the model lacks raises ``KeyError`` naming it and the sequence.
-        The constants depend only on the data and the config, so a caller that
-        scores the same sequences many times prepares them once.
+        A view's account column is its rows of this model, so a sequence whose
+        registry's keys are not the model's ``accounts`` raises ``ValueError``
+        (checked once per distinct registry). The constants depend only on the
+        data and the config, so a caller that scores the same sequences many
+        times prepares them once.
         """
         sequences = list(sequences)
         if any(len(s) < 1 for s in sequences):
             raise ValueError("sequence must contain at least one event")
+        for s in {id(s.registry): s for s in sequences}.values():
+            if s.registry.keys != self.accounts:
+                raise ValueError(f"sequence {s.seq_id!r} is over another account registry "
+                                 "than the model's accounts")
         n = max((len(s) for s in sequences), default=0)
         # one table at the longest length: every shorter one is its top-left corner
         pe = positional_encoding(n, self.config.d_pos)
         mask = np.triu(np.full((n, n), NEG_INF), k=1)
         out = []
         for s in sequences:
-            idx = self._registry_index(s.registry)[s.account]
-            if idx.min() < 0:
-                key = s.registry.keys[s.account[np.argmax(idx < 0)]]
-                raise KeyError(f"unknown account {key!r} in sequence {s.seq_id!r}")
             feat_gaps = np.diff(s.t, prepend=s.t[0])  # first event has gap 0 by definition
             log_tau = np.log(np.maximum(np.concatenate(([FIRST_GAP], feat_gaps[1:])), MIN_GAP))
-            L = len(idx)
-            out.append(_Prepared(idx, feat_gaps[:, None], log_tau[:, None],
+            L = len(s)
+            out.append(_Prepared(s.account, feat_gaps[:, None], log_tau[:, None],
                                  float(log_tau.sum()), pe[:L], mask[:L, :L]))
         return out
 
@@ -414,7 +406,8 @@ class SequenceModel:
         meta = json.dumps(
             {"version": 1, "accounts": self.accounts, "config": asdict(self.config)}
         )
-        np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
+        with open(path, "wb") as fh:  # given a path, np.savez would append ".npz"
+            np.savez(fh, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays)
 
     @classmethod
     def load(cls, path) -> "SequenceModel":

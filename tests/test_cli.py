@@ -149,6 +149,26 @@ def test_bad_sweep_config_fails_before_pretraining(tmp_path, data):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("repeated", [["--loops-grid", "1,2,1"], ["--seeds", "0,0"]])
+def test_sweep_refuses_a_repeated_grid_value(tmp_path, data, capsys, repeated):
+    out = tmp_path / "sweep"
+    assert exit_code(["sweep", *data, *SMALL, *repeated, "--out", str(out)]) == 2
+    assert "expected distinct values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest"])
+def test_a_csv_dataset_out_is_refused_before_anything_is_read(tmp_path, capsys, command):
+    # JSON lines under a .csv name would be read back as CSV; the input does
+    # not exist, so only a check made before reading gives exit 2
+    out, labels = tmp_path / "norm.CSV", tmp_path / "labels.csv"
+    argv = (["synth", "--labels", str(labels)] if command == "synth"
+            else ["ingest", "--input", str(tmp_path / "missing.jsonl")])
+    assert exit_code([*argv, "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_pretrain_seed_writes_nothing(tmp_path, data):
     out = tmp_path / "checkpoint.npz"
     assert exit_code(["pretrain", data[0], data[1], *TRAIN, "--seed", "-1",
@@ -199,6 +219,17 @@ def test_pretrain_and_build_graph_write_the_bytes_detect_writes(tmp_path, data):
     assert main(["build-graph", data[0], data[1], *graph_flags, "--out", str(graph)]) == 0
     assert ckpt.read_bytes() == (run_dir / "checkpoint.npz").read_bytes()
     assert graph.read_bytes() == (run_dir / "graph.csv").read_bytes()
+
+
+def test_a_checkpoint_saved_without_the_npz_suffix_is_where_pretrain_says(
+        tmp_path, data, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["pretrain", data[0], data[1], *TRAIN, "--out", str(ckpt)]) == 0
+    assert capsys.readouterr().out.endswith(f"-> {ckpt}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    code, run_dir = detect(tmp_path, "run", *data, *SMALL, "--checkpoint", str(ckpt))
+    assert code == 0
+    assert (run_dir / "result.csv").exists()
 
 
 def test_more_than_two_groups_run_with_revealed_accounts(tmp_path, data):

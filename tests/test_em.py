@@ -115,7 +115,7 @@ def test_m_step_gradient_matches_finite_differences(monkeypatch):
         return 0.0, 0.0, []
 
     monkeypatch.setattr(em, "fit", capture)
-    em._m_step(model, crf, seqs, seqs, Q, em_cfg, np.random.default_rng(0))
+    em._m_step(model, crf, seqs, seqs, Q, em_cfg, np.random.default_rng(0), None)
     params = handed["params"]
     assert {f"unary_{k}" for k in crf.scorer.params} <= set(params)
 
@@ -353,13 +353,13 @@ def test_run_em_with_a_helper_is_bit_identical_to_without(forks, monkeypatch, ba
     d = random_dataset(np.random.default_rng(14), n_sequences=20)
     g = co_occurrence(d)
     model = SequenceModel(d.registry.keys, TINY, seed=6)
-    cfg = EmConfig(n_loops=2, m_step_epochs=3, batch_size=batch_size, scorer_hidden=5)
+    cfg = EmConfig(n_loops=3, m_step_epochs=3, batch_size=batch_size, scorer_hidden=5)
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0})
         want = run_em(d, g, model, cfg)
     assert forks == []
     got = run_em(d, g, model, cfg)
-    assert len(forks) == 2  # one helper per M-step
+    assert len(forks) == 1  # one helper serves every M-step
     assert np.array_equal(got.mean_field.q, want.mean_field.q)
     assert np.array_equal(got.scores, want.scores)
     assert got.history == want.history
@@ -368,14 +368,17 @@ def test_run_em_with_a_helper_is_bit_identical_to_without(forks, monkeypatch, ba
 def test_identify_coordinated_group_raises_on_exact_ties():
     with pytest.raises(ValueError, match="tie"):
         em.identify_coordinated_group(np.array([[0.9, 0.1], [0.1, 0.9]]))
-    q = np.array([[0.8, 0.2], [0.3, 0.7], [0.6, 0.4]])
-    with pytest.raises(ValueError, match="split evenly"):
-        em.identify_coordinated_group(q, revealed_rows=[0, 1, 2], revealed_groups=[1, 1, 0])
 
 
-def test_identify_coordinated_group_picks_the_revealed_majority_of_three_groups():
-    q = np.array([[0.1, 0.2, 0.7], [0.5, 0.1, 0.4], [0.2, 0.2, 0.6], [0.1, 0.8, 0.1]])
-    # accounts 0-2 are revealed coordinated: two vote group 2, one group 0;
-    # account 3 is revealed normal and does not vote
-    assert em.identify_coordinated_group(q, revealed_rows=[0, 1, 2, 3],
-                                         revealed_groups=[1, 1, 1, 0]) == 2
+@pytest.mark.parametrize("n_groups", [2, 3])
+def test_run_em_with_revealed_accounts_scores_group_1(n_groups):
+    d = random_dataset(np.random.default_rng(9))
+    keys = d.registry.keys
+    model = SequenceModel(keys, TINY, seed=2)
+    revealed = {keys[0]: 1, keys[1]: 1, keys[2]: 0}
+    result = run_em(d, co_occurrence(d), model,
+                    EmConfig(n_groups=n_groups, m_step_epochs=2, scorer_hidden=5), revealed)
+    q = result.mean_field.q
+    assert result.coordinated_group == 1
+    assert np.array_equal(result.scores, q[:, 1])
+    assert np.array_equal(q[:3], np.eye(n_groups)[[1, 1, 0]])  # the clamps hold their labels

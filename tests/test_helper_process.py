@@ -54,7 +54,7 @@ def test_no_helper_outlives_training_or_em(forks):
     assert len(forks) == 1
     assert_no_child_left()
     run_em(d, co_occurrence(d), model, EmConfig(n_loops=2, m_step_epochs=2, scorer_hidden=5))
-    assert len(forks) == 3  # one helper per M-step
+    assert len(forks) == 2  # one helper for both M-steps
     assert_no_child_left()
 
 

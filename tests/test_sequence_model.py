@@ -19,6 +19,7 @@ from oracles import (
 from records import dataset, events
 
 from coact.autodiff import Tensor
+from coact.events import AccountRegistry, EventSequence
 from coact.pointprocess import (
     SeqModelConfig,
     SequenceModel,
@@ -32,12 +33,17 @@ TINY = SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=2,
                       time_scale_min=0.1, time_scale_max=100.0)
 
 
-def seq(*pairs, sid="s"):
-    return dataset([(sid, [(a, float(t)) for a, t in pairs])]).sequences[0]
-
-
 def toy_model(n_accounts=4, config=TINY, seed=0):
     return SequenceModel([f"u{i}" for i in range(n_accounts)], config, seed=seed)
+
+
+TOY = AccountRegistry(toy_model().accounts)  # the default toy model's registry
+
+
+def seq(*pairs, sid="s"):
+    """A sequence view over ``TOY``, so its account column is the toy model's rows."""
+    account = np.array([TOY.index(a) for a, _ in pairs], dtype=np.int32)
+    return EventSequence(sid, account, np.array([float(t) for _, t in pairs]), TOY)
 
 
 def random_dataset(rng, n_accounts=6, n_sequences=10, max_len=9):
@@ -74,13 +80,25 @@ def test_equal_spacing_gives_equal_rows():
     np.testing.assert_array_equal(X1[1], X2[1])
 
 
-def test_unknown_account_rejected():
+def test_a_sequence_over_another_registry_is_refused(monkeypatch):
     m = toy_model()
-    with pytest.raises(KeyError, match="unknown account 'stranger' in sequence 's'"):
-        featurize(m, seq(("stranger", 0.0)))
-    d = dataset([("a", [("u0", 0.0)]), ("b", [("u1", 0.0), ("x", 1.0), ("y", 2.0)])])
-    with pytest.raises(KeyError, match="unknown account 'x' in sequence 'b'"):
-        m.prepare(d.sequences)
+    # the model's accounts in another order, fewer of them, and one it lacks
+    for events_b in ([("u1", 0.0), ("u0", 1.0), ("u2", 2.0), ("u3", 3.0)],
+                     [("u0", 0.0), ("u1", 1.0)],
+                     [("u0", 0.0), ("u1", 1.0), ("u2", 2.0), ("x", 3.0)]):
+        d = dataset([("b", events_b)])
+        with pytest.raises(ValueError, match="sequence 'b' is over another account registry"):
+            m.prepare([seq(("u0", 0.0)), *d.sequences])
+    # another registry object with the model's keys in its order is the same rows;
+    # each distinct registry of a call is read once
+    d = dataset([("a", [("u0", 0.0), ("u1", 1.0)]), ("b", [("u2", 0.0), ("u3", 1.0)])])
+    reads = []
+    keys = AccountRegistry.keys
+    monkeypatch.setattr(AccountRegistry, "keys",
+                        property(lambda r: reads.append(r) or keys.fget(r)))
+    items = m.prepare([*d.sequences, seq(("u3", 0.0)), *d.sequences])
+    assert len(reads) == 2 and {id(r) for r in reads} == {id(d.registry), id(TOY)}
+    assert [item.idx.tolist() for item in items] == [[0, 1], [2, 3], [3], [0, 1], [2, 3]]
 
 
 def test_positional_encoding_shape_and_range():

@@ -93,9 +93,7 @@ def _build_graph(d: Dataset, args) -> graph_mod.KnowledgeGraph:
     if args.filter == "none":
         return graph_mod.co_occurrence(d)
     if args.filter == "power":
-        # the counts are this graph's own: raising them in place keeps one
-        # weight array alive, not the counts beside their powers
-        return graph_mod.filter_power(graph_mod.co_occurrence(d), args.p, in_place=True)
+        return graph_mod.filter_power(graph_mod.co_occurrence(d), args.p)
     return graph_mod.filter_temporal_logic(d, args.c)  # "tl"
 
 
@@ -310,7 +308,7 @@ def cmd_build_graph(args) -> int:
     d = _load_data(args)
     g = _build_graph(d, args)
     graph_mod.save_graph(g, args.out)
-    print(f"wrote graph [{g.filter_tag}] with {g.n} accounts, {len(g.weight)} edges "
+    print(f"wrote graph [{g.filter_tag}] with {g.n} accounts, {len(g.u)} edges "
           f"-> {args.out}")
     return 0
 
@@ -492,12 +490,19 @@ def _int_list(low: int):
     return parse
 
 
-def _dataset_out(text: str) -> str:
-    """An argparse type: a path for ``save_dataset``'s JSON lines, which
-    ``load_dataset`` would read back as CSV from a .csv name."""
-    if Path(text).suffix.lower() == ".csv":
-        raise argparse.ArgumentTypeError(f"datasets are written as JSON lines, got {text!r}")
-    return text
+def _out_without(suffix: str, why: str):
+    """An argparse type: an output path whose suffix is not ``suffix``, for ``why``."""
+    def parse(text: str) -> str:
+        if Path(text).suffix.lower() == suffix:
+            raise argparse.ArgumentTypeError(f"{why}, got {text!r}")
+        return text
+    return parse
+
+
+# load_dataset would read save_dataset's JSON lines back as CSV from a .csv name,
+# and score_result writes its table beside the metrics CSV under a .txt name
+_dataset_out = _out_without(".csv", "datasets are written as JSON lines")
+_metrics_out = _out_without(".txt", "the metrics table is written beside the CSV as .txt")
 
 
 def _fractions(text: str):
@@ -568,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", default=None,
                    help="labels CSV of accounts to exclude (e.g. revealed)")
     p.add_argument("--threshold", type=_number(0.0, at_most=1.0), default=0.5)
-    p.add_argument("--out", default=None, help="metrics CSV path")
+    p.add_argument("--out", type=_metrics_out, default=None,
+                   help="metrics CSV path; the table goes beside it as .txt")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid of detect runs with mean/std aggregation")

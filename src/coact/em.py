@@ -281,7 +281,7 @@ def initialize(
         labels = _align_to_revealed(labels, n_groups, align_rows, align_groups)
     scorer = _fit_unary(E, labels, n_groups, seed, hidden, fit_weight_decay)
     if graph is None:
-        graph = KnowledgeGraph(list(pretrained.accounts), [], [], [], "none")
+        graph = KnowledgeGraph(list(pretrained.accounts), [], [], [], [], "none")
     return CrfParams(scorer, graph)
 
 

@@ -7,28 +7,31 @@ and a temporal-overlap rule that only counts a sequence when the accounts'
 threshold. The pairwise potential used downstream normalizes each edge by
 1/sqrt(d_u d_v), which is where low-value edges get suppressed.
 
-A graph is stored as a sorted upper-triangle edge list ``(u, v, weight)``,
+A graph is stored as a sorted upper-triangle edge list ``(u, v, level)``
+and a small float64 table ``values``: edge k's weight is ``values[level[k]]``,
 so its memory grows with the number of edges, not with the square of the
 number of accounts. The edge ends are uint16 while the graph has at most
-65 536 accounts and int32 above that (at most 2**31 - 1 accounts), so a
-graph holds 12 bytes per edge up to 65 536 accounts: 2 + 2 for the ends and
-8 for the weight (16 above). The coupling w_uv / sqrt(d_u d_v) is not kept:
+65 536 accounts and int32 above that (at most 2**31 - 1 accounts), and a
+level is the narrowest unsigned type that indexes the table. Every weight
+the builders make is a count of sequences, raw or raised to a power, so
+their table holds one weight per count up to the largest, and a graph holds
+6 bytes per edge up to 65 536 accounts and 65 536 sequences (5 while no pair
+shares more than 256 sequences); the power filter powers only the table. The coupling w_uv / sqrt(d_u d_v) is not kept:
 ``KnowledgeGraph.couple``, which applies it in the E-step, computes it slice
 by slice. The builders count the account pairs of each sequence in one
 preallocated key buffer (int32 keys while V * V fits in them), and that
 buffer then holds the second edge ends. Counting needs, beside the sorted
-keys, one byte per pair to mark where each run of equal keys ends, and a
-count per edge in the narrowest unsigned type that holds the number of
-sequences; the counts widen to the float64 weights once the key buffer has
-shrunk to the second ends. Every pass over the edges, validation included,
-runs in slices of ``COUPLE_EDGES``, so no full-size temporary, and no
-whole-array intp copy of the narrow ends (numpy makes one for each fancy
-index or ``bincount`` they are given), sits beside the edge arrays. The
-degrees are summed with ``np.add.at`` slice by slice: it adds the weights
-one edge at a time in edge order, as one ``np.bincount`` over all edges
-would, so the bits stay those of the unsliced sum, where adding per-slice
-``bincount`` totals would not. Dense (V, V) views (``w``, ``coupling()``)
-are built on demand for tests and small instances.
+keys, only the first end and the level of each edge (its count less one):
+where each run of equal keys ends is found slice by slice. Every pass over the edges, validation
+included, runs in slices of ``COUPLE_EDGES`` and gathers its weights from
+the table, so no full-size temporary, and no whole-array intp copy of the
+narrow ends or levels (numpy makes one for each fancy index or ``bincount``
+they are given), sits beside the edge arrays. The degrees are summed with
+``np.add.at`` slice by slice: it adds the weights one edge at a time in edge
+order, as one ``np.bincount`` over all edges would, so the bits stay those
+of the unsliced sum, where adding per-slice ``bincount`` totals would not.
+Dense (V, V) views (``w``, ``coupling()``) are built on demand for tests and
+small instances.
 """
 
 from __future__ import annotations
@@ -68,68 +71,87 @@ def _end_type(n: int) -> type:
     return np.uint16 if n <= 2 ** 16 else np.int32
 
 
-def _ends(x, n: int) -> np.ndarray:
-    """``x`` as account indices of ``_end_type(n)``, checked against n before narrowing.
+def _level_type(n: int) -> np.dtype:
+    """The levels' dtype for a table of n weights: the narrowest unsigned type indexing it."""
+    return np.min_scalar_type(max(n - 1, 0))
 
-    The caller's values must be integers: floats only when integral (an empty
-    list is float). A value outside [0, n) raises before the cast could wrap it.
+
+def _indices(x, n: int, dtype_of, name: str, out_of_range: str) -> np.ndarray:
+    """``x`` as indices into n items, of ``dtype_of(n)``, checked against n before narrowing.
+
+    The caller's values must be integers, else "``name`` must be integers":
+    floats only when integral (an empty list is float). A value outside
+    [0, n) raises ``out_of_range`` before the cast could wrap it.
     """
     x = np.asarray(x)
     if not (np.issubdtype(x.dtype, np.integer)
             or (np.issubdtype(x.dtype, np.floating) and (x == np.floor(x)).all())):
-        raise ValueError("edge ends must be integers")
+        raise ValueError(f"{name} must be integers")
     if x.size and not (x.min() >= 0 and x.max() < n):
-        raise ValueError("edges must join two accounts u < v")
-    return x.astype(_end_type(n), copy=False)
+        raise ValueError(out_of_range)
+    return x.astype(dtype_of(n), copy=False)
 
 
 @dataclass
 class KnowledgeGraph:
     """Account keys and a sorted upper-triangle edge list, validated on creation.
 
-    Edge k joins accounts ``u[k] < v[k]`` with weight ``weight[k]``. The
-    edges are sorted row-major (by u, then by v) and distinct, and every
-    weight is finite and positive; a pair without an edge has weight 0. So
+    Edge k joins accounts ``u[k] < v[k]`` with weight ``values[level[k]]``.
+    The edges are sorted row-major (by u, then by v) and distinct, and every
+    value is finite and positive; a pair without an edge has weight 0. So
     the weights are those of a symmetric (V, V) matrix with a zero diagonal.
+    An edge takes 6 bytes up to 65 536 accounts and 65 536 values.
     """
 
     accounts: list             # account keys; u and v index into them
     u: np.ndarray              # (E,) first account of each edge (see _end_type)
     v: np.ndarray              # (E,) second account of each edge, u < v, same dtype
-    weight: np.ndarray         # (E,) finite, > 0
+    level: np.ndarray          # (E,) each edge's index into values (see _level_type)
+    values: np.ndarray         # the weights, each finite and > 0
     filter_tag: str = "none"
 
     def __post_init__(self):
         n = self.n
         if n > np.iinfo(np.int32).max:
             raise ValueError("a graph holds at most 2**31 - 1 accounts")
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        shapes = {np.shape(self.u), np.shape(self.v), self.weight.shape}
-        if len(shapes) != 1 or self.weight.ndim != 1:
-            raise ValueError("u, v and weight must be vectors of one length")
-        self.u, self.v = _ends(self.u, n), _ends(self.v, n)
-        for s in _slices(len(self.weight)):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 1:
+            raise ValueError("values must be a vector")
+        if not ((self.values > 0) & (self.values < np.inf)).all():
+            raise ValueError("weights must be finite and positive")
+        if len({np.shape(self.u), np.shape(self.v), np.shape(self.level)}) != 1 \
+                or np.ndim(self.level) != 1:
+            raise ValueError("u, v and level must be vectors of one length")
+        ends = _end_type, "edge ends", "edges must join two accounts u < v"
+        self.u, self.v = _indices(self.u, n, *ends), _indices(self.v, n, *ends)
+        self.level = _indices(self.level, len(self.values), _level_type, "levels",
+                              "levels must index the values")
+        for s in _slices(len(self.u)):
             # each slice's order check starts at the last edge of the one before
             p = slice(max(s.start - 1, 0), s.stop)
-            u, v, w, pu, pv = self.u[s], self.v[s], self.weight[s], self.u[p], self.v[p]
+            u, v, pu, pv = self.u[s], self.v[s], self.u[p], self.v[p]
             if not (u < v).all():
                 raise ValueError("edges must join two accounts u < v")
             if not ((pu[1:] > pu[:-1]) | ((pu[1:] == pu[:-1]) & (pv[1:] > pv[:-1]))).all():
                 raise ValueError("edges must be sorted row-major and distinct")
-            if not ((w > 0) & (w < np.inf)).all():
-                raise ValueError("weights must be finite and positive")
 
     @property
     def n(self) -> int:
         return len(self.accounts)
 
+    @property
+    def weight(self) -> np.ndarray:
+        """(E,) edge weights, built on each access: for tests and small instances."""
+        return self.values[self.level]
+
     @cached_property
     def deg(self) -> np.ndarray:
         """(V,) weighted degree of each account: its sum over u plus its sum over v."""
         du, dv = np.zeros(self.n), np.zeros(self.n)
-        for s in _slices(len(self.weight)):
-            np.add.at(du, self.u[s], self.weight[s])
-            np.add.at(dv, self.v[s], self.weight[s])
+        for s in _slices(len(self.u)):
+            w = self.values.take(self.level[s])
+            np.add.at(du, self.u[s], w)
+            np.add.at(dv, self.v[s], w)
         return du + dv
 
     def _b_slice(self, s: slice, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -137,7 +159,7 @@ class KnowledgeGraph:
         d = self.deg[u]
         np.multiply(d, self.deg[v], out=d)
         np.sqrt(d, out=d)
-        return np.divide(self.weight[s], d, out=d)
+        return np.divide(self.values.take(self.level[s]), d, out=d)
 
     @property
     def b(self) -> np.ndarray:
@@ -146,8 +168,8 @@ class KnowledgeGraph:
         The graph does not keep it; ``couple`` computes the same values slice
         by slice with the same expression.
         """
-        out = np.empty_like(self.weight)
-        for s in _slices(len(self.weight)):
+        out = np.empty(len(self.u))
+        for s in _slices(len(self.u)):
             out[s] = self._b_slice(s, self.u[s], self.v[s])
         return out
 
@@ -174,7 +196,7 @@ class KnowledgeGraph:
             lo, hi = starts[row], starts[row + 1]
             return b[lo:hi] @ q[cols[lo:hi]]
         out = np.zeros_like(q)
-        for s in _slices(len(self.weight), max(COUPLE_EDGES, self.n)):
+        for s in _slices(len(self.u), max(COUPLE_EDGES, self.n)):
             u, v = self.u[s].astype(np.intp), self.v[s].astype(np.intp)
             b = self._b_slice(s, u, v)
             for m in range(q.shape[1]):
@@ -184,7 +206,7 @@ class KnowledgeGraph:
 
     def _dense(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros((self.n, self.n))
-        for s in _slices(len(self.weight)):
+        for s in _slices(len(self.u)):
             out[self.u[s], self.v[s]] = values[s]
             out[self.v[s], self.u[s]] = values[s]
         return out
@@ -216,7 +238,8 @@ _INT32_KEYS = np.iinfo(np.int32).max  # the largest V * V with int32 pair keys
 
 
 def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
-    """Edge arrays (u, v, count): the number of sequences holding both accounts.
+    """Edge arrays (u, v, level) and the table ``values`` of the counts 1 to
+    the largest: edge k's accounts are both in ``values[level[k]]`` sequences.
 
     Each sequence writes the sorted pair keys u * V + v of its participants
     into one buffer sized for every pair of every sequence, and the keys are
@@ -242,34 +265,40 @@ def _pair_counts(d: Dataset, c: float | None = None) -> tuple:
         n_pairs += len(pairs)
     del seq, idx, lo, hi
     # np.unique(keys, return_counts=True) in place, in slices of the sorted
-    # keys. Edge k's key is read at index >= k, and v[k], narrower than a
-    # key, lands within a key at index <= k, so never on a key still to be
-    # read; the buffer then shrinks to v. Each count is the distance between
-    # the last indices of consecutive runs.
+    # keys: a slice finds where its runs end from its keys and the next one,
+    # once to count the edges and again to write them. Edge k's key is read
+    # at index >= k, and v[k], narrower than a key, lands within a key at
+    # index <= k, so never on a key still to be read; the buffer then
+    # shrinks to v. Each count is the distance between the last indices of
+    # consecutive runs, and a level is that less one.
     keys = buf[:n_pairs]
     keys.sort()
-    last = np.empty(n_pairs, dtype=bool)  # where a run of equal keys ends
-    last[-1:] = True
-    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-    n_edges = np.count_nonzero(last)
+
+    def run_ends(s: slice) -> np.ndarray:
+        """The indices in ``s`` where a run of equal keys ends."""
+        at = np.flatnonzero(np.diff(keys[s.start:s.stop + 1]))
+        if s.stop == n_pairs:  # the last key ends the last run
+            at = np.append(at, s.stop - 1 - s.start)
+        at += s.start
+        return at
+
+    n_edges = sum(len(run_ends(s)) for s in _slices(n_pairs))
     end = _end_type(V)
     u = np.empty(n_edges, dtype=end)
     v = buf.view(end)[:n_edges]
     # a pair counts at most once per sequence
-    counts = np.empty(n_edges, dtype=np.min_scalar_type(len(d.seq_ids)))
+    level = np.empty(n_edges, dtype=_level_type(len(d.seq_ids)))
     k, prev = 0, -1  # edges written so far, and the last index of the latest run
     for s in _slices(n_pairs):
-        at = np.flatnonzero(last[s])
-        at += s.start
+        at = run_ends(s)
         if len(at):
             e = slice(k, k + len(at))
             u[e], v[e] = np.divmod(keys[at], V)
-            counts[k] = at[0] - prev
-            counts[k + 1:e.stop] = np.diff(at)
+            level[e] = np.diff(at, prepend=prev) - 1
             k, prev = e.stop, at[-1]
-    del keys, v, last
+    del keys, v
     buf.resize(-(-u.nbytes // buf.itemsize), refcheck=False)  # no view of buf is left
-    return u, buf.view(end)[:n_edges], counts.astype(np.float64)
+    return u, buf.view(end)[:n_edges], level, np.arange(1.0, int(level.max(initial=0)) + 2)
 
 
 def co_occurrence(d: Dataset) -> KnowledgeGraph:
@@ -281,20 +310,18 @@ def co_occurrence(d: Dataset) -> KnowledgeGraph:
     return KnowledgeGraph(d.registry.keys, *_pair_counts(d), "none")
 
 
-def filter_power(g: KnowledgeGraph, p: float, in_place: bool = False) -> KnowledgeGraph:
+def filter_power(g: KnowledgeGraph, p: float) -> KnowledgeGraph:
     """Elementwise p-th power of the raw co-occurrence counts; same edges.
 
-    ``g`` is left as it is, unless ``in_place``: then its weight array is
-    raised to the power and becomes the new graph's, so ``g`` must not be
-    used again. That is for a caller that holds the only use of a freshly
-    counted ``g``, and saves a second weight array.
+    The new graph shares ``g``'s edge and level arrays and powers only its
+    table of values, so ``g`` is left as it is and no per-edge array is made.
     """
     if p < 1:
         raise ValueError("power exponent must be >= 1")
     if g.filter_tag != "none":
         raise ValueError(f"expected raw co-occurrence weights, got {g.filter_tag!r}")
-    weight = np.power(g.weight, p, out=g.weight if in_place else None)
-    return KnowledgeGraph(g.accounts, g.u, g.v, weight, f"power(p={p:g})")
+    return KnowledgeGraph(g.accounts, g.u, g.v, g.level, np.power(g.values, p),
+                          f"power(p={p:g})")
 
 
 def filter_temporal_logic(d: Dataset, c: float) -> KnowledgeGraph:
@@ -334,19 +361,17 @@ def save_graph(g: KnowledgeGraph, path) -> None:
 
     Keys are quoted CSV-style where they need it (``csv.reader`` reads them
     back) and weights are written with ``repr``. Each line is assembled from
-    two per-account byte rows ``key,`` and one per-distinct-weight byte row
-    holding the weight and the newline.
+    two per-account byte rows ``key,`` and the byte row of its level, which
+    holds the weight and the newline.
     """
     keys = _fixed_width([f"{_csv_field(a)},".encode("utf-8") for a in g.accounts])
-    # a float's repr and its newline take at most 25 bytes
-    step = max(1, _LINE_BYTES // (2 * keys.shape[1] + 25))
+    weights = _fixed_width([f"{x!r}\n".encode("ascii") for x in g.values.tolist()])
+    step = max(1, _LINE_BYTES // (2 * keys.shape[1] + weights.shape[1]))
     with Path(path).open("wb") as fh:
         fh.write(f"# filter_tag={g.filter_tag} accounts={json.dumps(g.accounts)}\n"
                  .encode("utf-8"))
         fh.write(b"u,v,weight\n")
-        for lo in range(0, len(g.weight), step):
-            e = slice(lo, lo + step)
-            values, which = np.unique(g.weight[e], return_inverse=True)
-            weights = _fixed_width([f"{x!r}\n".encode("ascii") for x in values.tolist()])
-            lines = np.concatenate([keys[g.u[e]], keys[g.v[e]], weights[which]], axis=1).ravel()
+        for e in _slices(len(g.u), step):
+            lines = np.concatenate([keys[g.u[e]], keys[g.v[e]], weights[g.level[e]]],
+                                   axis=1).ravel()
             fh.write(lines[lines != _PAD].tobytes())

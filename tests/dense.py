@@ -1,8 +1,15 @@
-"""Test helper: a KnowledgeGraph from a dense weight matrix."""
+"""Test helpers: a KnowledgeGraph from explicit float edge weights or a dense weight matrix."""
 
 import numpy as np
 
 from coact.graph import KnowledgeGraph
+
+
+def weighted_graph(accounts, u, v, w, filter_tag="none") -> KnowledgeGraph:
+    """The graph with edges ``(u, v)`` of weights ``w``: its table holds the distinct weights."""
+    values, level = np.unique(np.asarray(w, dtype=np.float64), return_inverse=True)
+    level = level.reshape(np.shape(w))
+    return KnowledgeGraph(list(accounts), u, v, level, values, filter_tag)
 
 
 def dense_graph(accounts, w, filter_tag="none") -> KnowledgeGraph:
@@ -11,4 +18,4 @@ def dense_graph(accounts, w, filter_tag="none") -> KnowledgeGraph:
     if not np.array_equal(w, w.T) or np.diag(w).any():
         raise ValueError("dense weights must be symmetric with a zero diagonal")
     u, v = np.nonzero(np.triu(w, 1))
-    return KnowledgeGraph(list(accounts), u, v, w[u, v], filter_tag)
+    return weighted_graph(accounts, u, v, w[u, v], filter_tag)

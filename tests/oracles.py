@@ -25,6 +25,7 @@ from coact.events import EventSequence
 from coact.graph import KnowledgeGraph
 from coact.hawkes import HawkesParams
 from coact.pointprocess import NEG_INF, SequenceModel
+from dense import weighted_graph
 
 ENUMERATION_LIMIT = 10 ** 6
 
@@ -155,7 +156,7 @@ def load_graph(path) -> KnowledgeGraph:
     _, first = np.unique((u * len(accounts) + v)[::-1], return_index=True)
     last = len(u) - 1 - first
     last = last[weights[last] != 0]
-    return KnowledgeGraph(accounts, u[last], v[last], weights[last], tag)
+    return weighted_graph(accounts, u[last], v[last], weights[last], tag)
 
 
 # ---- the sequence model's intermediates ----

@@ -169,6 +169,18 @@ def test_a_csv_dataset_out_is_refused_before_anything_is_read(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_eval_out_with_a_txt_suffix_is_refused_before_anything_is_read(tmp_path, capsys,
+                                                                          data):
+    # the metrics table is written beside the CSV under a .txt name, so it
+    # would overwrite a .txt CSV; the result does not exist, so only a check
+    # made before reading gives exit 2
+    out = tmp_path / "m.TXT"
+    assert exit_code(["eval", "--result", str(tmp_path / "missing.csv"), "--labels", data[3],
+                      "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_pretrain_seed_writes_nothing(tmp_path, data):
     out = tmp_path / "checkpoint.npz"
     assert exit_code(["pretrain", data[0], data[1], *TRAIN, "--seed", "-1",
@@ -353,11 +365,16 @@ def test_eval_reproduces_the_metrics_that_detect_wrote(tmp_path, data):
 
 @pytest.mark.parametrize("flags", [["--filter", "power"],
                                    ["--filter", "tl", "--schedule", "gauss_seidel"]])
-def test_detect_and_build_graph_never_form_a_dense_graph(tmp_path, data, monkeypatch, flags):
+def test_detect_and_build_graph_never_form_a_dense_graph_or_the_edge_weights(
+        tmp_path, data, monkeypatch, flags):
     def dense(self):
         raise AssertionError("a dense V x V graph array was formed")
+
+    def weights(self):
+        raise AssertionError("an (E,) weight array was formed")
     monkeypatch.setattr(KnowledgeGraph, "w", property(dense))
     monkeypatch.setattr(KnowledgeGraph, "coupling", dense)
+    monkeypatch.setattr(KnowledgeGraph, "weight", property(weights))
     code, run_dir = detect(tmp_path, "run", *data, *SMALL, *flags)
     assert code == 0
     assert (run_dir / "result.csv").exists()

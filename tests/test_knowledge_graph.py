@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense import dense_graph
+from dense import dense_graph, weighted_graph
 
 from coact import graph as graph_mod
 from coact.crf import CrfParams, UnaryScorer, estep_converge, softmax_init
@@ -306,9 +306,10 @@ def whole_matrix_save_graph(g, path):
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(f"# filter_tag={g.filter_tag} accounts={json.dumps(g.accounts)}\n")
         fh.write("u,v,weight\n")
-        rows, cols = np.nonzero(np.triu(g.w, k=1))
+        w = g.w
+        rows, cols = np.nonzero(np.triu(w, k=1))
         for u, v in zip(rows, cols):
-            fh.write(f"{g.accounts[u]},{g.accounts[v]},{float(g.w[u, v])!r}\n")
+            fh.write(f"{g.accounts[u]},{g.accounts[v]},{float(w[u, v])!r}\n")
 
 
 def sparse_graph(rng, n, density, n_isolated=0):
@@ -373,27 +374,27 @@ def test_graph_validation_checks_every_edge():
     n = 1500
     keys = [f"u{i}" for i in range(n)]
     u, v, w = edges(n, np.random.default_rng(15))
-    KnowledgeGraph(keys, u, v, w, "none")
+    weighted_graph(keys, u, v, w)
     for k in (0, len(u) // 2, len(u) - 1):  # first, middle and last edge
         for value in (0.0, -1.0, np.nan, np.inf):
             bad = w.copy()
             bad[k] = value
             with pytest.raises(ValueError, match="^weights must be finite and positive$"):
-                KnowledgeGraph(keys, u, v, bad, "none")
+                weighted_graph(keys, u, v, bad)
         for vk in (u[k], u[k] - 1, n):  # on the diagonal, below it, past the last account
             bad = v.copy()
             bad[k] = vk
             with pytest.raises(ValueError):
-                KnowledgeGraph(keys, u, bad, w, "none")
+                weighted_graph(keys, u, bad, w)
 
 
 def test_graph_validation_verdicts():
     keys = ["a", "b", "c", "d"]
-    KnowledgeGraph(keys, [0, 0, 2], [1, 3, 3], [1.0, 2.0, 3.0], "none")
-    KnowledgeGraph(keys, [], [], [], "none")
+    weighted_graph(keys, [0, 0, 2], [1, 3, 3], [1.0, 2.0, 3.0])
+    weighted_graph(keys, [], [], [])
     cases = [  # (u, v, weight, message)
-        ([0, 0], [1], [1.0], "^u, v and weight must be vectors of one length$"),
-        ([[0]], [[1]], [[1.0]], "^u, v and weight must be vectors of one length$"),
+        ([0, 0], [1], [1.0], "^u, v and level must be vectors of one length$"),
+        ([[0]], [[1]], [[1.0]], "^u, v and level must be vectors of one length$"),
         ([1], [1], [1.0], "^edges must join two accounts u < v$"),
         ([2], [1], [1.0], "^edges must join two accounts u < v$"),
         ([-1], [1], [1.0], "^edges must join two accounts u < v$"),
@@ -409,7 +410,7 @@ def test_graph_validation_verdicts():
     ]
     for u, v, w, message in cases:
         with pytest.raises(ValueError, match=message):
-            KnowledgeGraph(keys, u, v, w, "none")
+            weighted_graph(keys, u, v, w)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.5, 3.0])
@@ -419,16 +420,38 @@ def test_filter_power_equals_the_whole_matrix_power(p):
         g = sparse_graph(rng, n, density)
         g.filter_tag = "none"
         powered = filter_power(g, p)
-        assert powered.u is g.u and powered.v is g.v  # the edges are shared
+        assert powered.u is g.u and powered.v is g.v and powered.level is g.level
         got = powered.w
         want = g.w ** p
         assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
 
 
+def test_graph_validates_its_table_and_levels_not_each_weight():
+    keys = ["a", "b", "c"]
+    g = KnowledgeGraph(keys, [0, 1], [1, 2], [1, 1], [2.0, 3.0, 5.0], "none")
+    assert g.level.dtype == np.uint8 and g.weight.tolist() == [3.0, 3.0]
+    # levels narrow to the table: uint8 up to 256 values, uint16 above
+    for n_values, dtype in ((256, np.uint8), (257, np.uint16)):
+        g = KnowledgeGraph(keys, [0], [1], np.array([n_values - 1]), np.arange(1.0, n_values + 1))
+        assert g.level.dtype == dtype and g.weight.tolist() == [n_values]
+    cases = [  # (level, values, message)
+        ([0, 2], [2.0, 3.0], "^levels must index the values$"),
+        ([0, -1], [2.0, 3.0], "^levels must index the values$"),
+        ([0, 0.5], [2.0, 3.0], "^levels must be integers$"),
+        ([[0, 0]], [2.0], "^u, v and level must be vectors of one length$"),
+        ([0, 0], [[2.0]], "^values must be a vector$"),
+        ([0, 0], [2.0, np.nan], "^weights must be finite and positive$"),  # unused, still refused
+        ([0, 0], [2.0, 0.0], "^weights must be finite and positive$"),
+    ]
+    for level, values, message in cases:
+        with pytest.raises(ValueError, match=message):
+            KnowledgeGraph(keys, [0, 1], [1, 2], level, values, "none")
+
+
 def test_graph_validation_rejects_asymmetry():
     # an edge listed in both orientations, with two weights, is asymmetric
     with pytest.raises(ValueError):
-        KnowledgeGraph(["a", "b"], [0, 1], [1, 0], [1.0, 2.0], "none")
+        weighted_graph(["a", "b"], [0, 1], [1, 0], [1.0, 2.0])
     with pytest.raises(ValueError):
         dense_graph(["a", "b"], np.array([[0.0, 1.0], [2.0, 0.0]]))
 
@@ -486,16 +509,16 @@ def test_a_20k_account_graph_builds_and_sweeps_in_edge_sized_memory():
 def test_edge_ends_must_be_integers_in_range_before_they_narrow():
     keys = ["a", "b", "c"]
     with pytest.raises(ValueError, match="^edge ends must be integers$"):
-        KnowledgeGraph(keys, [0.9], [1.7], [1.0], "none")
+        weighted_graph(keys, [0.9], [1.7], [1.0])
     with pytest.raises(ValueError, match="^edge ends must be integers$"):
-        KnowledgeGraph(keys, [0], [np.nan], [1.0], "none")
+        weighted_graph(keys, [0], [np.nan], [1.0])
     # 2**32 and 2**32 + 1 would wrap to 0 and 1 in a plain int32 or uint16
     # cast, and 2**16 + 2 to 2 in a uint16 cast
     for u, v in (([0], [2 ** 32]), ([2 ** 32], [2 ** 32 + 1]), ([0], [float(2 ** 32)]),
                  ([0], [2 ** 16 + 2])):
         with pytest.raises(ValueError, match="^edges must join two accounts u < v$"):
-            KnowledgeGraph(keys, np.array(u), np.array(v), [1.0], "none")
-    g = KnowledgeGraph(keys, np.array([0.0, 1.0]), np.array([2.0, 2.0]), [1.0, 2.0], "none")
+            weighted_graph(keys, np.array(u), np.array(v), [1.0])
+    g = weighted_graph(keys, np.array([0.0, 1.0]), np.array([2.0, 2.0]), [1.0, 2.0])
     assert g.u.dtype == g.v.dtype == np.uint16  # at most 2**16 accounts
     assert g.u.tolist() == [0, 1] and g.v.tolist() == [2, 2]
 
@@ -506,7 +529,7 @@ def test_graph_rejects_more_accounts_than_int32_can_index():
             return 2 ** 31
 
     with pytest.raises(ValueError, match="at most 2\\*\\*31 - 1 accounts"):
-        KnowledgeGraph(TooMany(), [0], [1], [1.0], "none")
+        KnowledgeGraph(TooMany(), [0], [1], [0], [1.0], "none")
 
 
 @pytest.mark.parametrize("V", [2 ** 16, 2 ** 16 + 1])
@@ -537,7 +560,7 @@ def test_edge_ends_are_uint16_up_to_65536_accounts_and_int32_above(V, tmp_path):
     for name in ("u", "v", "weight"):
         assert np.array_equal(getattr(back, name), getattr(g, name)), name
     with pytest.raises(ValueError, match="^edges must join two accounts u < v$"):
-        KnowledgeGraph(g.accounts, [0], [V], [1.0], "none")
+        KnowledgeGraph(g.accounts, [0], [V], [0], [1.0], "none")
 
 
 def edge_dominated_dataset(V=3000, n_seqs=60, size=250, seed=20):
@@ -550,46 +573,13 @@ def edge_dominated_dataset(V=3000, n_seqs=60, size=250, seed=20):
     return dataset(seqs)
 
 
-@pytest.mark.parametrize("in_place", [False, True])
-def test_counting_in_int32_keys_and_powering_in_place_peak_at_16_bytes_per_edge(in_place):
-    # the key buffer holds 4 bytes per counted pair and ends as the v array;
-    # the power taken in place adds no second weight array
-    d = edge_dominated_dataset()
-    E = np.random.default_rng(21).normal(size=(len(d.registry), 4))
-    scorer = UnaryScorer(4, 2, hidden=4, seed=0)
-    want = filter_power(co_occurrence(d), 3.0).weight if in_place else None
-    tracemalloc.start()
-    try:
-        g = co_occurrence(d)
-        if in_place:
-            g = filter_power(g, 3.0, in_place=True)
-        crf = CrfParams(scorer, g)
-        estep_converge(crf, E, softmax_init(crf, E), max_iter=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / len(g.weight) <= 16, peak / len(g.weight)
-    if in_place:
-        assert g.filter_tag == "power(p=3)"
-        assert np.array_equal(g.weight.view(np.int64), want.view(np.int64))
-
-
-def test_filter_power_leaves_its_input_alone_unless_in_place():
-    d = edge_dominated_dataset(60, 4, 20, seed=3)
-    raw = co_occurrence(d)
-    counts = raw.weight.copy()
-    powered = filter_power(raw, 2.0)
-    assert np.array_equal(raw.weight, counts) and powered.weight is not raw.weight
-    powered = filter_power(raw, 2.0, in_place=True)
-    assert powered.weight is raw.weight
-    assert np.array_equal(powered.weight, counts ** 2.0)
-
-
-@pytest.mark.parametrize("power, bound", [(None, 16), (3.0, 22)])
-def test_graph_build_and_one_sweep_peak_at_16_bytes_per_edge_or_22_powered(power, bound):
-    # u and v (uint16) and weight hold 12 bytes per edge, and the coupling is
-    # not kept; filter_power's new weights sit beside the raw graph, so the
-    # power path holds 20 bytes per edge, and build and sweep add little more
+@pytest.mark.parametrize("power", [None, 3.0])
+def test_graph_build_and_one_sweep_peak_at_11_bytes_per_edge(power, tmp_path):
+    # counting peaks with the int32 key buffer, 4 bytes per counted pair,
+    # which ends as the v array, beside u and the uint16 levels; u, v and the
+    # levels, narrowed to uint8, then hold 5 bytes per edge and powering adds
+    # none. The coupling is not kept: the sweep and save_graph add only their
+    # slices' temporaries, about 3 MB, where one (E,) float64 would take 12 MB
     d = edge_dominated_dataset()
     E = np.random.default_rng(21).normal(size=(len(d.registry), 4))
     scorer = UnaryScorer(4, 2, hidden=4, seed=0)
@@ -598,15 +588,32 @@ def test_graph_build_and_one_sweep_peak_at_16_bytes_per_edge_or_22_powered(power
         g = co_occurrence(d)
         if power is not None:
             g = filter_power(g, power)
+        built, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         crf = CrfParams(scorer, g)
         mf, sweeps = estep_converge(crf, E, softmax_init(crf, E), max_iter=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        save_graph(g, tmp_path / "graph.csv")
+        after = tracemalloc.get_traced_memory()[1] - built
     finally:
         tracemalloc.stop()
     assert sweeps == 1 and mf.q.shape == (3000, 2)
-    assert 1_500_000 < len(g.weight) < 1_560_000
-    assert peak / len(g.weight) <= bound, peak / len(g.weight)
+    assert 1_500_000 < len(g.u) < 1_560_000
+    assert peak / len(g.u) <= 11, peak / len(g.u)
+    assert after < 4 * 2 ** 20, after / 2 ** 20
     assert g.u.dtype == g.v.dtype == np.uint16  # at most 2**16 accounts
+    assert g.level.dtype == np.uint8  # no pair shares more than 256 sequences
+
+
+def test_filter_power_shares_the_edges_and_levels_and_powers_a_new_table():
+    d = edge_dominated_dataset(60, 4, 20, seed=3)
+    raw = co_occurrence(d)
+    counts = np.arange(1.0, raw.weight.max() + 1)  # the table of every count to the largest
+    assert np.array_equal(raw.values, counts) and raw.level.dtype == np.uint8
+    powered = filter_power(raw, 2.0)
+    assert powered.u is raw.u and powered.v is raw.v and powered.level is raw.level
+    assert powered.values is not raw.values and np.array_equal(raw.values, counts)
+    assert np.array_equal(powered.values, counts ** 2.0)
+    assert np.array_equal(powered.weight, raw.weight ** 2.0)
 
 
 @pytest.mark.parametrize("k", [graph_mod.COUPLE_EDGES - 1, graph_mod.COUPLE_EDGES])
@@ -616,29 +623,29 @@ def test_graph_rejects_a_bad_edge_on_either_side_of_a_slice_seam(k):
     iu, iv = np.triu_indices(400, 1)
     assert len(iu) > graph_mod.COUPLE_EDGES + 1
     keys = [f"a{i}" for i in range(400)]
-    KnowledgeGraph(keys, iu, iv, np.ones(len(iu)), "none")
+    ones = np.zeros(len(iu), dtype=np.uint8)  # every edge at level 0, of weight 1
+    KnowledgeGraph(keys, iu, iv, ones, [1.0], "none")
 
-    def rejects(u, v, w, message):
+    def rejects(u, v, level, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            KnowledgeGraph(keys, u, v, w, "none")
+            KnowledgeGraph(keys, u, v, level, [1.0], "none")
 
     u, v = iu.copy(), iv.copy()
     u[k], v[k] = v[k], u[k]
-    rejects(u, v, np.ones(len(u)), "edges must join two accounts u < v")
+    rejects(u, v, ones, "edges must join two accounts u < v")
     u, v = iu.copy(), iv.copy()
     v[k] = u[k]
-    rejects(u, v, np.ones(len(u)), "edges must join two accounts u < v")
+    rejects(u, v, ones, "edges must join two accounts u < v")
     for j in (k - 1, k):  # edges j and j + 1 swapped: only that pair is out of order
         u, v = iu.copy(), iv.copy()
         u[[j, j + 1]], v[[j, j + 1]] = u[[j + 1, j]], v[[j + 1, j]]
-        rejects(u, v, np.ones(len(u)), "edges must be sorted row-major and distinct")
+        rejects(u, v, ones, "edges must be sorted row-major and distinct")
     u, v = iu.copy(), iv.copy()
     u[k], v[k] = u[k - 1], v[k - 1]
-    rejects(u, v, np.ones(len(u)), "edges must be sorted row-major and distinct")
-    for bad in (np.nan, np.inf, 0.0, -1.0):
-        w = np.ones(len(iu))
-        w[k] = bad
-        rejects(iu, iv, w, "weights must be finite and positive")
+    rejects(u, v, ones, "edges must be sorted row-major and distinct")
+    level = ones.copy()
+    level[k] = 1  # past the one-value table
+    rejects(iu, iv, level, "levels must index the values")
 
 
 def unsliced(g):
@@ -690,3 +697,40 @@ def test_sliced_graph_sums_equal_the_unsliced_formulas_on_non_integer_weights(
         assert np.array_equal(g.couple(q), couple(q))
         for r in (0, 1, g.n // 2, g.n - 1):
             assert np.array_equal(g.couple(q, r), couple_row(q, r))
+
+
+def interval_dataset(V=600, n_seqs=40, size=60, seed=23):
+    """n_seqs sequences of ``size`` distinct accounts, each posting twice at uniform times."""
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for i in range(n_seqs):
+        who = np.repeat(rng.choice(V, size, replace=False), 2)
+        t = rng.uniform(0, 100, len(who))
+        order = np.argsort(t)
+        seqs.append((f"s{i}", [(f"u{a}", float(x)) for a, x in zip(who[order], t[order])]))
+    return dataset(seqs)
+
+
+@pytest.mark.parametrize("build", [co_occurrence, lambda d: filter_temporal_logic(d, 20.0),
+                                   lambda d: filter_power(co_occurrence(d), 2.5)],
+                         ids=["raw", "tl", "power"])
+def test_levels_give_the_sums_and_bytes_of_the_same_explicit_weights(build, tmp_path, monkeypatch):
+    # a built graph and the same edges given as explicit float weights add
+    # the same float addends in the same order, and write the same lines
+    monkeypatch.setattr(graph_mod, "COUPLE_EDGES", 457)  # fewer than the 600 accounts
+    monkeypatch.setattr(graph_mod, "_LINE_BYTES", 2 ** 12)
+    g = build(interval_dataset())
+    explicit = weighted_graph(g.accounts, g.u, g.v, g.weight, g.filter_tag)
+    assert len(g.u) > 10 * max(graph_mod.COUPLE_EDGES, g.n) and len(g.values) > 2
+    deg, b, couple, couple_row = unsliced(explicit)
+    q = np.random.default_rng(24).dirichlet(np.ones(3), g.n)
+    for h in (g, explicit):
+        assert np.array_equal(h.deg, deg) and np.array_equal(h.b, b)
+        assert np.array_equal(h.couple(q), couple(q))
+        for r in (0, 1, g.n // 2, g.n - 1):
+            assert np.array_equal(h.couple(q, r), couple_row(q, r))
+    save_graph(g, tmp_path / "levels.csv")
+    save_graph(explicit, tmp_path / "explicit.csv")
+    whole_matrix_save_graph(g, tmp_path / "whole.csv")
+    want = (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "levels.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes() == want

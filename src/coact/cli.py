@@ -1,4 +1,4 @@
-"""Command-line pipeline: synth, ingest, build-graph, pretrain, detect, eval, sweep.
+"""Command-line pipeline: synth, ingest, build-graph, pretrain, detect, eval.
 
 ``detect`` chains every stage (pretraining can be skipped by passing a
 checkpoint) and writes all artifacts plus the fully resolved configuration
@@ -11,14 +11,15 @@ graph; EM takes the fitted scorer from the child. Without a second usable
 CPU the parent runs ``em.fit_scorer`` itself where the child would have
 joined, and the outputs are the same bytes either way. ``pretrain`` and
 ``build-graph`` run detect's own stages, so with the same flags they write
-the same ``checkpoint.npz`` and ``graph.csv`` bytes. ``sweep`` runs detect
-over a grid of EM loop counts and seeds, pretraining once per seed.
-``detect`` scores its own ``result.csv`` with ``score_result``, as ``eval``
-does, so both write the same metrics bytes.
+the same ``checkpoint.npz`` and ``graph.csv`` bytes. ``detect`` scores its
+own ``result.csv`` with ``score_result``, as ``eval`` does, so both write the
+same metrics bytes; a grid over EM loops and seeds is a shell loop over
+``detect`` and ``eval``.
 
-Flag values are checked by their argparse types, and the EM settings of
-every run by ``EmConfig``, before any stage starts: a bad value exits 2 and
-writes nothing.
+Flag values are checked by their argparse types and the EM settings by
+``EmConfig`` before any stage starts, and the label files as soon as the
+accounts are known, before the run directory is touched: a bad value exits 2
+and writes nothing. ``eval`` checks its truth labels as ``detect`` does.
 """
 
 from __future__ import annotations
@@ -143,12 +144,18 @@ def _read_label_files(args, accounts: list) -> tuple:
             raise UsageError(f"--revealed {args.revealed}: {exc}") from exc
     if args.labels:
         labels = _stage("read-labels", load_labels, args.labels)
-        scored = {labels[a] == 1 for a in accounts
-                  if a in labels and a not in (revealed or {})}
-        if scored != {False, True}:
-            raise UsageError(f"--labels {args.labels}: need at least one positive (group 1) "
-                             "and one negative among the scored accounts")
+        _check_truth(labels, accounts, revealed or {}, args.labels)
     return revealed, labels
+
+
+def _check_truth(labels: dict, accounts, exclude, path) -> None:
+    """A usage error unless the truth ``labels`` read from ``path`` leave a
+    positive (group 1) and a negative among the ``accounts`` not in
+    ``exclude``, the accounts ``evaluate_scores`` scores."""
+    scored = {labels[a] == 1 for a in accounts if a in labels and a not in exclude}
+    if scored != {False, True}:
+        raise UsageError(f"--labels {path}: need at least one positive (group 1) "
+                         "and one negative among the scored accounts")
 
 
 def write_result_csv(result: em_mod.DetectionResult, path) -> None:
@@ -162,12 +169,9 @@ def write_result_csv(result: em_mod.DetectionResult, path) -> None:
 
 
 def read_result_csv(path):
-    rows = []
     with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append((rec["account"], float(rec["score"]), int(rec["label"])))
-    return rows
+        return [(rec["account"], float(rec["score"]), int(rec["label"]))
+                for rec in csv.DictReader(fh)]
 
 
 def write_q_csv(result: em_mod.DetectionResult, path) -> None:
@@ -186,14 +190,9 @@ def evaluate_scores(rows, labels: dict, exclude=(), threshold: float = 0.5) -> d
     dropped; truth group 1 is the positive (coordinated) class.
     """
     exclude = set(exclude)
-    scores, truth = [], []
-    for account, score, _ in rows:
-        if account in exclude or account not in labels:
-            continue
-        scores.append(score)
-        truth.append(1 if labels[account] == 1 else 0)
-    scores = np.asarray(scores)
-    truth = np.asarray(truth)
+    kept = [(a, score) for a, score, _ in rows if a in labels and a not in exclude]
+    scores = np.array([score for _, score in kept])
+    truth = np.array([1 if labels[a] == 1 else 0 for a, _ in kept])
     out = {
         "ap": metrics_mod.average_precision(scores, truth),
         "auc": metrics_mod.roc_auc(scores, truth),
@@ -203,10 +202,11 @@ def evaluate_scores(rows, labels: dict, exclude=(), threshold: float = 0.5) -> d
     return {k: out[k] for k in METRIC_NAMES}
 
 
-def score_result(result_csv, labels: dict, exclude, threshold: float, out_csv) -> dict:
-    """Score a ``result.csv`` against truth ``labels`` (``evaluate_scores``)
-    and write the metrics to ``out_csv`` and, as a table, beside it as .txt."""
-    metrics = evaluate_scores(read_result_csv(result_csv), labels, exclude, threshold)
+def score_result(rows, labels: dict, exclude, threshold: float, out_csv) -> dict:
+    """Score the ``read_result_csv`` rows of a ``result.csv`` against truth
+    ``labels`` (``evaluate_scores``) and write the metrics to ``out_csv`` and,
+    as a table, beside it as .txt."""
+    metrics = evaluate_scores(rows, labels, exclude, threshold)
     out_csv = Path(out_csv)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     with out_csv.open("w", encoding="utf-8", newline="") as fh:
@@ -232,27 +232,24 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
     With ``--checkpoint`` the stages run as load-checkpoint, the label files
     (checked against the checkpoint's accounts), then ingest and the check
     that the data has the checkpoint's accounts. Without one they run as
-    ingest, the label files and pretrain. Either way ``em.fit_scorer``,
+    ingest, the label files and pretrain. The run directory and its
+    ``config.json`` are written only once the label files pass, so a refused
+    run leaves an earlier one there as it was. Either way ``em.fit_scorer``,
     which clusters the model's embeddings and fits the scorer to them, is
     then forked off. Beside it the parent ingests (with a checkpoint) or
     saves the checkpoint (without one), and build-graph writes
     ``graph.csv``; then EM joins the fit (``em.run_em_from``).
     """
     em_config = _em_config(args)  # checked before any stage runs
-    run_dir.mkdir(parents=True, exist_ok=True)
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    (run_dir / "config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
-
     if args.checkpoint:
         d = None
         model = _stage("load-checkpoint", SequenceModel.load, args.checkpoint)
         revealed, labels = _read_label_files(args, model.accounts)  # checked before the fork
+        _write_config(args, run_dir)
     else:
         d = _stage("ingest", _load_data, args)
         revealed, labels = _read_label_files(args, d.registry.keys)  # checked before pretraining
+        _write_config(args, run_dir)
         model = _stage("pretrain", _pretrain, d, args)
 
     # EM's start reads only the model: a forked child clusters the
@@ -275,8 +272,19 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
 
     if labels is None:
         return None
-    return _stage("eval", score_result, run_dir / "result.csv", labels, revealed or (),
-                  args.threshold, run_dir / "metrics.csv")
+    rows = _stage("eval", read_result_csv, run_dir / "result.csv")
+    return _stage("eval", score_result, rows, labels, revealed or (), args.threshold,
+                  run_dir / "metrics.csv")
+
+
+def _write_config(args, run_dir: Path) -> None:
+    """Make ``run_dir`` and write the fully resolved flags to its ``config.json``."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    (run_dir / "config.json").write_text(
+        json.dumps(config, indent=2, sort_keys=True, default=str) + "\n",
+        encoding="utf-8",
+    )
 
 
 # ---- subcommands ----
@@ -335,48 +343,11 @@ def cmd_detect(args) -> int:
 def cmd_eval(args) -> int:
     labels = load_labels(args.labels)
     exclude = load_labels(args.exclude) if args.exclude else ()
+    rows = read_result_csv(args.result)
+    _check_truth(labels, [account for account, _, _ in rows], exclude, args.labels)
     out_csv = Path(args.out) if args.out else Path(args.result).with_name("metrics.csv")
-    score_result(args.result, labels, exclude, args.threshold, out_csv)
+    score_result(rows, labels, exclude, args.threshold, out_csv)
     print(out_csv.with_suffix(".txt").read_text(), end="")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    if not args.labels:
-        raise UsageError("sweep needs --labels to aggregate metrics")
-    out_dir = Path(args.out)
-    runs = [argparse.Namespace(**{**vars(args), "loops": loops, "seed": seed,
-                                  "checkpoint": str(out_dir / f"checkpoint-seed{seed}.npz")})
-            for loops in args.loops_grid for seed in args.seeds]
-    for sub in runs:
-        _em_config(sub)  # fail before any pretraining
-    d = _load_data(args)
-    _read_label_files(args, d.registry.keys)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    # pretraining depends on the seed only: one checkpoint per seed, made anew
-    # by every sweep, since the data or the flags may differ from an earlier one
-    for sub in runs[:len(args.seeds)]:  # the first loops value's run of each seed
-        _pretrain(d, sub).save(sub.checkpoint)
-
-    per_run = []
-    for sub in runs:
-        metrics = run_pipeline(sub, out_dir / f"loops{sub.loops}-seed{sub.seed}")
-        per_run.append((sub.loops, sub.seed, metrics))
-
-    with (out_dir / "summary.csv").open("w", encoding="utf-8", newline="") as fh:
-        head = ["loops", "n_runs"]
-        for name in METRIC_NAMES:
-            head += [f"{name}_mean", f"{name}_std"]
-        fh.write(",".join(head) + "\n")
-        for loops in args.loops_grid:
-            values = [m for lp, _, m in per_run if lp == loops]
-            row = [str(loops), str(len(values))]
-            for name in METRIC_NAMES:
-                xs = np.array([m[name] for m in values])
-                row += [_fmt(xs.mean()), _fmt(xs.std())]
-            fh.write(",".join(row) + "\n")
-    print(f"wrote {len(per_run)} runs -> {out_dir / 'summary.csv'}")
     return 0
 
 
@@ -422,8 +393,7 @@ def _add_graph_opts(p):
 
 def _add_em_opts(p):
     p.add_argument("--groups", type=int, default=2, help="group count M (default: 2)")
-    p.add_argument("--loops", type=int, default=1,
-                   help="EM loops; sweep --loops-grid compares values (default: 1)")
+    p.add_argument("--loops", type=int, default=1, help="EM loops (default: 1)")
     p.add_argument("--estep-only", action="store_true",
                    help="single E-step as post-processing, no M-step")
     p.add_argument("--em-epochs", type=_int_at_least(1), default=50,
@@ -472,21 +442,6 @@ def _int_at_least(low: int, or_zero: bool = False):
         if x is None or not (x >= low or (or_zero and x == 0)):
             raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
         return x
-    return parse
-
-
-def _int_list(low: int):
-    """An argparse type: a comma-separated, non-empty list of distinct integers >= ``low``."""
-    item = _int_at_least(low)
-
-    def parse(text: str) -> list:
-        items = [item(x) for x in text.split(",") if x.strip()]
-        if not items:
-            raise argparse.ArgumentTypeError(f"expected a list of integers >= {low}, "
-                                             f"got {text!r}")
-        if len(set(items)) < len(items):
-            raise argparse.ArgumentTypeError(f"expected distinct values, got {text!r}")
-        return items
     return parse
 
 
@@ -576,16 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=_metrics_out, default=None,
                    help="metrics CSV path; the table goes beside it as .txt")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="grid of detect runs with mean/std aggregation")
-    _add_data_opts(p)
-    _add_train_opts(p)
-    _add_graph_opts(p)
-    _add_em_opts(p)
-    p.add_argument("--loops-grid", type=_int_list(1), default="1,2,3")
-    p.add_argument("--seeds", type=_int_list(0), default="0,1,2,3,4")
-    p.add_argument("--out", required=True, help="sweep output directory")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -17,10 +17,15 @@ field is bounded by the best pairwise score (a constant here) plus the
 factorized unary partition, so the cross-entropy of the unary softmax
 against Q is a valid lower bound up to constants (the tests check the
 inequality by enumeration on small instances). A final E-step after the
-last M-step produces the beliefs that the detection scores are read from,
-so a single loop is genuinely different from the E-step-only
-(post-processing) mode. The coordinated group is group 1 when accounts are
-revealed, since their clamps keep that label, and else the smaller of two.
+last M-step produces the beliefs that the detection scores are read from.
+A single loop differs from the E-step-only (post-processing) mode only if
+its M-step beats its start on the validation objective: when no epoch does
+(the history's ``val_objective_after`` equals ``val_objective_before``),
+``fit`` restores the start parameters, the final E-step continues the first
+one from its beliefs, and the scores are the E-step-only ones to within
+``estep_tol`` once the first E-step has converged. The coordinated group is
+group 1 when accounts are revealed, since their clamps keep that label, and
+else the smaller of two.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ ESTEP_SCHEDULES = ("jacobi", "gauss_seidel")
 @dataclass
 class EmConfig:
     n_groups: int = 2
-    n_loops: int = 1            # `coact sweep --loops-grid` reports each value
+    n_loops: int = 1
     estep_only: bool = False    # single E-step as pure post-processing
     m_step_epochs: int = 50
     m_step_lr: float = 1e-3

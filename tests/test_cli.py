@@ -1,9 +1,7 @@
-import csv
 import json
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from coact import cli
@@ -141,22 +139,6 @@ def test_bad_eval_threshold_is_a_usage_error(tmp_path, data, bad):
                       *bad]) == 2
 
 
-def test_bad_sweep_config_fails_before_pretraining(tmp_path, data):
-    out = tmp_path / "sweep"
-    for bad in (["--groups", "3"], ["--loops-grid", "1,0"], ["--loops-grid", "x"],
-                ["--loops-grid", ","], ["--seeds=-1"], ["--seeds", "0,y"]):
-        assert exit_code(["sweep", *data, *SMALL, *bad, "--out", str(out)]) == 2
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("repeated", [["--loops-grid", "1,2,1"], ["--seeds", "0,0"]])
-def test_sweep_refuses_a_repeated_grid_value(tmp_path, data, capsys, repeated):
-    out = tmp_path / "sweep"
-    assert exit_code(["sweep", *data, *SMALL, *repeated, "--out", str(out)]) == 2
-    assert "expected distinct values" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", ["synth", "ingest"])
 def test_a_csv_dataset_out_is_refused_before_anything_is_read(tmp_path, capsys, command):
     # JSON lines under a .csv name would be read back as CSV; the input does
@@ -186,40 +168,6 @@ def test_bad_pretrain_seed_writes_nothing(tmp_path, data):
     assert exit_code(["pretrain", data[0], data[1], *TRAIN, "--seed", "-1",
                       "--out", str(out)]) == 2
     assert not out.exists()
-
-
-def read_csv(path):
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def test_sweep_summarizes_its_runs_and_pretrains_the_same_checkpoints_again(tmp_path, data):
-    out = tmp_path / "sweep"
-    argv = ["sweep", *data, *SMALL, "--loops-grid", "1,2", "--seeds", "0,1", "--out", str(out)]
-    assert main(argv) == 0
-    summary = read_csv(out / "summary.csv")
-    assert [(row["loops"], row["n_runs"]) for row in summary] == [("1", "2"), ("2", "2")]
-    for row in summary:
-        runs = [{m["metric"]: float(m["value"])
-                 for m in read_csv(out / f"loops{row['loops']}-seed{seed}" / "metrics.csv")}
-                for seed in (0, 1)]
-        for name in runs[0]:
-            xs = np.array([r[name] for r in runs])
-            assert float(row[f"{name}_mean"]) == xs.mean(), name
-            assert float(row[f"{name}_std"]) == xs.std(), name
-    checkpoints = {p.name: p.read_bytes() for p in out.glob("checkpoint-seed*.npz")}
-    assert sorted(checkpoints) == ["checkpoint-seed0.npz", "checkpoint-seed1.npz"]
-    assert main(argv) == 0
-    assert {p.name: p.read_bytes() for p in out.glob("checkpoint-seed*.npz")} == checkpoints
-
-
-def test_a_second_sweep_pretrains_with_its_own_flags(tmp_path, data):
-    out = tmp_path / "sweep"
-    argv = ["sweep", *data, *SMALL, "--loops-grid", "1", "--seeds", "0", "--out", str(out)]
-    assert main(argv) == 0
-    assert main([*argv, "--d-embed", "8"]) == 0
-    with np.load(out / "checkpoint-seed0.npz") as checkpoint:
-        assert checkpoint["E"].shape == (12, 8)
 
 
 def test_pretrain_and_build_graph_write_the_bytes_detect_writes(tmp_path, data):
@@ -295,8 +243,7 @@ def test_bad_revealed_labels_fail_before_pretraining(tmp_path, data, capsys, gro
     code, run_dir = detect(tmp_path, "run", *data, *SMALL, "--revealed", str(revealed))
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not (run_dir / "checkpoint.npz").exists()
-    assert not (run_dir / "graph.csv").exists()
+    assert not run_dir.exists()  # so no config.json, checkpoint.npz or graph.csv
 
 
 @pytest.mark.parametrize("path", ["checkpoint", "pretrain"])
@@ -317,8 +264,7 @@ def test_more_groups_than_accounts_fail_before_pretraining(tmp_path, data, capsy
     code, run_dir = detect(tmp_path, "run", *argv)
     assert code == 2
     assert "--groups 20 is more than the 12 accounts" in capsys.readouterr().err
-    assert not (run_dir / "checkpoint.npz").exists()
-    assert not (run_dir / "graph.csv").exists()
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("groups,code", [(None, 1), ({"0": 1, "1": 1}, 2), ({"0": 0}, 2),
@@ -326,8 +272,8 @@ def test_more_groups_than_accounts_fail_before_pretraining(tmp_path, data, capsy
                          ids=["unreadable", "no-negative", "no-positive", "none-scored"])
 def test_bad_truth_labels_fail_before_pretraining(tmp_path, data, capsys, groups, code):
     """A truth labels file that cannot be read (None), or that has no positive
-    or no negative among the dataset's accounts, stops detect and sweep
-    before any stage; ``groups`` maps truth groups to the group written."""
+    or no negative among the dataset's accounts, stops detect before it writes
+    anything; ``groups`` maps truth groups to the group written."""
     labels = tmp_path / "truth.csv"
     if groups is not None:
         rows = [r.split(",") for r in Path(data[3]).read_text(encoding="utf-8").splitlines()[1:]]
@@ -337,12 +283,50 @@ def test_bad_truth_labels_fail_before_pretraining(tmp_path, data, capsys, groups
     got, run_dir = detect(tmp_path, "run", *argv)
     assert got == code
     assert str(labels) in capsys.readouterr().err
-    assert not (run_dir / "checkpoint.npz").exists()
-    assert not (run_dir / "graph.csv").exists()
-    out = tmp_path / "sweep"
-    assert exit_code(["sweep", *argv, "--loops-grid", "1", "--seeds", "0",
-                      "--out", str(out)]) == code
-    assert not out.exists()
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("groups,exclude", [({"0": 1, "1": 1}, ()), ({"0": 0}, ()),
+                                            ({"0": 0, "1": 1}, ("1",))],
+                         ids=["no-negative", "no-positive", "all-positives-excluded"])
+def test_eval_refuses_truth_labels_as_detect_does(tmp_path, data, capsys, groups, exclude):
+    """Truth labels with no positive or no negative among the scored accounts
+    are a usage error of eval that names the file, as they are of detect;
+    ``groups`` maps truth groups to the group written, and ``exclude`` names
+    the truth groups whose accounts are excluded."""
+    rows = [r.split(",") for r in Path(data[3]).read_text(encoding="utf-8").splitlines()[1:]]
+    result, labels = tmp_path / "result.csv", tmp_path / "truth.csv"
+    result.write_text("account,score,label,group\n" + "".join(f"{a},0.5,1,1\n" for a, _ in rows),
+                      encoding="utf-8")
+    labels.write_text("account,group\n" + "".join(f"{a},{groups[g]}\n" for a, g in rows
+                                                   if g in groups), encoding="utf-8")
+    argv = ["eval", "--result", str(result), "--labels", str(labels)]
+    if exclude:
+        excluded = tmp_path / "excluded.csv"
+        excluded.write_text("account,group\n" + "".join(f"{a},{g}\n" for a, g in rows
+                                                         if g in exclude), encoding="utf-8")
+        argv += ["--exclude", str(excluded)]
+    assert exit_code(argv) == 2
+    assert f"--labels {labels}: need at least one positive" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("path", ["checkpoint", "pretrain"])
+def test_a_refused_detect_leaves_the_run_it_names_as_it_was(tmp_path, data, path):
+    # --groups above the account count, and revealed accounts with none in
+    # group 1, are refused once the accounts are known: into an earlier run's
+    # directory, or into a new one
+    code, earlier = detect(tmp_path, "earlier", *data, *SMALL)
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+    argv = [*data, "--checkpoint", str(earlier / "checkpoint.npz")] if path == "checkpoint" else data
+    for groups, flags in (({"1": 1, "0": 0}, ["--groups", "20"]), ({"0": 0}, [])):
+        revealed = revealed_file(tmp_path, data, groups)
+        for name in ("earlier", "new"):
+            code, _ = detect(tmp_path, name, *argv, *flags, "--revealed", str(revealed))
+            assert code == 2
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
+    assert not (tmp_path / "new").exists()
 
 
 def test_valid_revealed_labels_still_run(tmp_path, data):
@@ -385,13 +369,15 @@ def test_detect_and_build_graph_never_form_a_dense_graph_or_the_edge_weights(
 @pytest.mark.parametrize("path", ["checkpoint", "pretrain"])
 def test_detect_writes_the_same_bytes_with_and_without_the_scorer_child(
         tmp_path, data, forks, monkeypatch, path):
-    # with a checkpoint, --groups 3 and --revealed align the clusters in the child
+    # with a checkpoint, --groups 3 and --revealed align the clusters in the
+    # child, and two EM loops share one M-step helper
     argv = [*data, *SMALL, "--seed", "2"]
     if path == "checkpoint":
         ckpt = tmp_path / "pretrained.npz"
         assert main(["pretrain", data[0], data[1], *TRAIN, "--out", str(ckpt)]) == 0
         revealed = revealed_file(tmp_path, data, {"1": 1, "0": 2})
-        argv += ["--checkpoint", str(ckpt), "--groups", "3", "--revealed", str(revealed)]
+        argv += ["--checkpoint", str(ckpt), "--groups", "3", "--revealed", str(revealed),
+                 "--loops", "2"]
     forks.clear()
     with monkeypatch.context() as m:
         m.setattr(os, "sched_getaffinity", lambda pid: {0})

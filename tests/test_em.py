@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,24 @@ def test_run_em_history_reports_estep_convergence():
             assert h["estep_converged"] is converged
             assert h["estep_converged"] == (h["estep_residual"] < cfg.estep_tol)
             assert h["estep_iterations"] <= max_iter
+
+
+# lr 1e-300 leaves every parameter as it was; at lr 0.1 the M-step of seed 2
+# finds no better epoch than its start, and that of seed 1 does
+@pytest.mark.parametrize("lr,seed,kept", [(1e-300, 0, True), (1e-300, 5, True),
+                                          (0.1, 2, True), (0.1, 1, False)])
+def test_one_loop_gives_the_estep_only_scores_when_its_m_step_keeps_its_start(lr, seed, kept):
+    d = random_dataset(np.random.default_rng(seed))
+    g = co_occurrence(d)
+    model = SequenceModel(d.registry.keys, TINY, seed=seed)
+    cfg = EmConfig(m_step_epochs=2, m_step_lr=lr, estep_tol=1e-10, estep_max_iter=200,
+                   scorer_hidden=5)
+    estep_only = run_em(d, g, model, replace(cfg, estep_only=True))
+    assert estep_only.history[0]["estep_converged"]
+    got = run_em(d, g, model, cfg)
+    loop = got.history[1]
+    assert (loop["val_objective_after"] == loop["val_objective_before"]) == kept
+    assert (np.max(np.abs(got.scores - estep_only.scores)) <= cfg.estep_tol) == kept
 
 
 @pytest.mark.parametrize("bad", [{"estep_max_iter": 0}, {"batch_size": 0},

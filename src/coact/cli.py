@@ -3,13 +3,14 @@
 ``detect`` chains every stage (pretraining can be skipped by passing a
 checkpoint) and writes all artifacts plus the fully resolved configuration
 under one run directory, so any run can be reproduced byte-for-byte from
-its persisted config and seed. EM's start reads only the sequence model,
-so as soon as the model exists detect forks one child that clusters the
-embeddings and fits the unary scorer to the clusters (``em.fit_scorer``),
-while the parent ingests (with a checkpoint) and builds and writes the
-graph; EM takes the fitted scorer from the child. Without a second usable
-CPU the parent runs ``em.fit_scorer`` itself where the child would have
-joined, and the outputs are the same bytes either way. ``pretrain`` and
+its persisted config and seed. EM's start reads only the sequence model
+and the prior graph, so once the graph is built detect forks one child that
+splits the graph's accounts by its regularised spectrum and fits the unary
+scorer to the split (``em.fit_scorer``), while the parent writes the
+checkpoint (when it pretrained) and the graph; EM takes the fitted scorer
+from the child. Without a second usable CPU the parent runs
+``em.fit_scorer`` itself where the child would have joined, and the outputs
+are the same bytes either way. ``pretrain`` and
 ``build-graph`` run detect's own stages, so with the same flags they write
 the same ``checkpoint.npz`` and ``graph.csv`` bytes. ``detect`` scores its
 own ``result.csv`` with ``score_result``, as ``eval`` does, so both write the
@@ -230,39 +231,37 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
     """detect pipeline; returns the metrics dict when truth labels are given.
 
     With ``--checkpoint`` the stages run as load-checkpoint, the label files
-    (checked against the checkpoint's accounts), then ingest and the check
-    that the data has the checkpoint's accounts. Without one they run as
-    ingest, the label files and pretrain. The run directory and its
-    ``config.json`` are written only once the label files pass, so a refused
-    run leaves an earlier one there as it was. Either way ``em.fit_scorer``,
-    which clusters the model's embeddings and fits the scorer to them, is
-    then forked off. Beside it the parent ingests (with a checkpoint) or
-    saves the checkpoint (without one), and build-graph writes
+    (checked against the checkpoint's accounts), ingest and the check that
+    the data has the checkpoint's accounts. Without one they run as ingest,
+    the label files and pretrain. The run directory and its ``config.json``
+    are written only once the label files and the checkpoint's accounts
+    pass, so a refused run leaves an earlier one there as it was. Then
+    build-graph builds the prior graph, and ``em.fit_scorer``, which splits
+    the graph's accounts and fits the scorer to the split, is forked off.
+    Beside it the parent saves the checkpoint (without one) and writes
     ``graph.csv``; then EM joins the fit (``em.run_em_from``).
     """
     em_config = _em_config(args)  # checked before any stage runs
     if args.checkpoint:
-        d = None
         model = _stage("load-checkpoint", SequenceModel.load, args.checkpoint)
-        revealed, labels = _read_label_files(args, model.accounts)  # checked before the fork
+        revealed, labels = _read_label_files(args, model.accounts)  # checked before ingest
+        d = _stage("ingest", _load_data, args)
+        if model.accounts != d.registry.keys:
+            raise StageError("stage 'load-checkpoint' failed: checkpoint accounts "
+                             "do not match the dataset registry")
         _write_config(args, run_dir)
     else:
         d = _stage("ingest", _load_data, args)
         revealed, labels = _read_label_files(args, d.registry.keys)  # checked before pretraining
         _write_config(args, run_dir)
         model = _stage("pretrain", _pretrain, d, args)
+    g = _stage("build-graph", _build_graph, d, args)
 
-    # EM's start reads only the model: a forked child clusters the
-    # embeddings and fits the scorer to them meanwhile
-    with _forked(em_mod.fit_scorer, model, em_config, revealed) as fitted_scorer:
-        if d is None:
-            d = _stage("ingest", _load_data, args)
-            if model.accounts != d.registry.keys:
-                raise StageError("stage 'load-checkpoint' failed: checkpoint accounts "
-                                 "do not match the dataset registry")
-        else:
+    # EM's start reads only the model and the graph: a forked child splits
+    # the graph and fits the scorer meanwhile
+    with _forked(em_mod.fit_scorer, model, g, em_config, revealed) as fitted_scorer:
+        if not args.checkpoint:
             _stage("pretrain", model.save, run_dir / "checkpoint.npz")
-        g = _stage("build-graph", _build_graph, d, args)
         _stage("build-graph", graph_mod.save_graph, g, run_dir / "graph.csv")
         crf = CrfParams(_stage("em", fitted_scorer), g)
 

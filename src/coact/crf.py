@@ -66,7 +66,7 @@ class UnaryScorer:
             "W2": Tensor(glorot(rng, hidden, n_groups)),
             "b2": Tensor(np.zeros(n_groups)),
         }
-        self._work = None  # (h, g_a): the (V, hidden) arrays every call reuses
+        self._work = None  # (h, g_a): (rows, hidden) arrays whose leading rows every call reuses
 
     def __getstate__(self) -> dict:
         # a pickle carries the four parameter arrays: no gradient, no work array
@@ -79,11 +79,12 @@ class UnaryScorer:
         self._work = None
 
     def _work_arrays(self, V: int) -> tuple:
-        """The reused (V, hidden) arrays of h and g_a, made anew when V changes."""
-        if self._work is None or len(self._work[0]) != V:
+        """(V, hidden) arrays for h and g_a: the leading rows of the reused
+        pair, which is made anew only when V exceeds its rows."""
+        if self._work is None or len(self._work[0]) < V:
             hidden = len(self.params["b1"].data)
             self._work = (np.empty((V, hidden)), np.empty((V, hidden)))
-        return self._work
+        return self._work[0][:V], self._work[1][:V]
 
     def _forward(self, E: np.ndarray) -> tuple:
         """Hidden layer h and scores theta for embeddings ``E``.
@@ -125,7 +126,7 @@ class UnaryScorer:
         _accumulate(p["W2"], h.T @ g_theta)
         # (g_theta @ W2.T) * (1 - h * h), in the second work array, with
         # 1 - h * h built over h
-        g_a = np.matmul(g_theta, p["W2"].data.T, out=self._work[1])
+        g_a = np.matmul(g_theta, p["W2"].data.T, out=self._work_arrays(len(E))[1])
         np.multiply(h, h, out=h)
         np.subtract(1.0, h, out=h)
         np.multiply(g_a, h, out=g_a)

@@ -1,12 +1,15 @@
 """Variational EM joining the sequence model and the assignment field.
 
-Starting from a pretrained sequence model, ``fit_scorer`` clusters the
-account embeddings (``kmeans``, its k-means++ starts one after another),
-aligns the clusters to any revealed accounts and fits the unary scorer to
-them. It reads only the model, so ``coact detect`` runs it in one forked
-child beside ingest and graph build. Each EM loop then alternates an
-E-step (mean-field fixed-point sweeps, with any revealed accounts clamped
-to one-hot beliefs) and an M-step that ascends
+EM starts from the prior graph. ``fit_scorer`` splits the accounts by the
+leading eigenvectors of the graph's regularised coupling
+(``graph.regularized_spectrum``): the exact 2-means of the first one for two
+groups, ``kmeans`` of the first M - 1 for more. It aligns the groups to any
+revealed accounts and fits the unary scorer to them, stopping on a held-out
+fifth of the accounts. Without a graph, or on one without edges, ``kmeans``
+of the account embeddings takes the spectral split's place. ``coact detect``
+runs this start in one forked child once the graph is built. Each EM loop
+then alternates an E-step (mean-field fixed-point sweeps, with any revealed
+accounts clamped to one-hot beliefs) and an M-step that ascends
 
     sum_S log p(S | E)  +  lambda * sum_u sum_m Q_u(m) log softmax_m(theta_u)
 
@@ -37,7 +40,7 @@ import numpy as np
 from .autodiff import Adam
 from .crf import CrfParams, MeanField, UnaryScorer, estep_converge, softmax_init
 from .events import Dataset, check_fractions, train_val_test_split
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, regularized_spectrum
 from .pointprocess import SequenceModel, _check_step_sizes, _helper, fit
 
 __all__ = [
@@ -192,16 +195,52 @@ def kmeans(X, k, seed: int):
 
 # ---- initialization ----
 
-# the scorer fit stops after five epochs in a row that each fail to lower the
-# loss by SCORER_FIT_TOL relative (rises count), or after SCORER_FIT_EPOCHS
+def _two_means(x) -> np.ndarray:
+    """The exact 2-means of the values ``x``: label 1 above the cut, 0 below.
+
+    The clusters of a 1-D 2-means are the values below and above some cut,
+    so one sort and one prefix sum score every cut between distinct values
+    by its between-cluster sum of squares, n S_k^2 / (k (n - k)) with S_k
+    the sum of the k smallest centred values. The best cut wins; cuts whose
+    score is within rounding (1e-10 relative) of the best tie, and the one
+    with the fewest values below wins those.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    k = np.arange(1, n)
+    between = n * np.cumsum(xs - xs.mean())[:-1] ** 2 / (k * (n - k))
+    between[xs[1:] == xs[:-1]] = -np.inf  # equal values stay together
+    cut = int(np.flatnonzero(between >= between.max() * (1 - 1e-10))[0]) + 1
+    labels = np.empty(n, dtype=np.intp)
+    labels[order] = np.arange(n) >= cut
+    return labels
+
+
+def _start_labels(E, n_groups: int, seed: int, graph: KnowledgeGraph | None) -> np.ndarray:
+    """EM's start groups: the regularised spectral split of ``graph`` (see the
+    module docstring), or ``kmeans`` of the embeddings ``E`` without edges."""
+    if graph is None or not len(graph.u):
+        return kmeans(E, n_groups, seed)[0]
+    _, vectors, _ = regularized_spectrum(graph, n_groups - 1)
+    if n_groups == 2:
+        return _two_means(vectors[:, 0])
+    return kmeans(vectors, n_groups, seed)[0]
+
+
+# the scorer fit holds out a seeded 1/SCORER_HOLDOUT of the accounts (at least
+# one) and keeps the epoch of the lowest held-out cross-entropy; it stops
+# SCORER_FIT_PATIENCE epochs after that one, or after SCORER_FIT_EPOCHS
 SCORER_FIT_EPOCHS = 300
-SCORER_FIT_TOL = 1e-7
+SCORER_FIT_PATIENCE = 10
+SCORER_HOLDOUT = 5
 
 
 def _align_to_revealed(labels, n_groups, rows, groups):
     """Permute cluster indices to best agree with revealed group labels.
 
-    Cluster numbering out of k-means is arbitrary; when beliefs will be
+    Cluster numbering out of the start split is arbitrary; when beliefs will be
     clamped to revealed labels the initialization must not fight them. The
     permutation maps cluster c to group perm[c] and maximizes the revealed
     rows it gets right; of the best, it takes the lexicographically first.
@@ -232,23 +271,34 @@ def _align_to_revealed(labels, n_groups, rows, groups):
 
 def _fit_unary(E, labels, n_groups: int, seed: int, hidden: int,
                fit_weight_decay: float) -> UnaryScorer:
-    """A unary scorer fitted to the one-hot ``labels`` of the rows of ``E``."""
+    """A unary scorer fitted to the one-hot ``labels`` of the rows of ``E``.
+
+    A seeded fifth of the rows, at least one, is held out. Adam fits the
+    scorer to the other rows, full batch, and after each epoch scores the
+    held-out rows; the scorer keeps the weights of the epoch with the lowest
+    held-out cross-entropy.
+    """
     scorer = UnaryScorer(E.shape[1], n_groups, hidden=hidden, seed=seed)
     onehot = np.eye(n_groups)[labels]
+    held = np.zeros(len(E), dtype=bool)
+    n_held = max(1, len(E) // SCORER_HOLDOUT)
+    held[np.random.default_rng(seed).permutation(len(E))[:n_held]] = True
+    E_fit, fit_targets, E_held, held_targets = E[~held], onehot[~held], E[held], onehot[held]
     opt = Adam(scorer.params, lr=1e-2, weight_decay=fit_weight_decay)
-    last = np.inf
-    stale = 0
-    for _ in range(SCORER_FIT_EPOCHS):
+    best, best_epoch, kept = np.inf, 0, None
+    for epoch in range(1, SCORER_FIT_EPOCHS + 1):
         opt.zero_grad()
-        loss = scorer.crossent(E, onehot, -1.0 / len(E))
+        scorer.crossent(E_fit, fit_targets, -1.0 / len(E_fit))
         opt.step()
-        if last - loss < SCORER_FIT_TOL * (1.0 + abs(loss)):
-            stale += 1
-            if stale >= 5:
-                break
-        else:
-            stale = 0
-        last = loss
+        # the held-out rows are fewer, so they reuse the scorer's work arrays
+        loss = -scorer.crossent(E_held, held_targets)
+        if loss < best:
+            best, best_epoch = loss, epoch
+            kept = {k: t.data.copy() for k, t in scorer.params.items()}
+        elif epoch - best_epoch >= SCORER_FIT_PATIENCE:
+            break
+    for k, t in kept.items():
+        scorer.params[k].data = t
     return scorer
 
 
@@ -262,26 +312,27 @@ def initialize(
     align_rows=None,
     align_groups=None,
 ) -> CrfParams:
-    """Cluster the embeddings and fit the unary scorer to the clusters.
+    """Split the accounts into ``n_groups`` and fit the unary scorer to them.
 
-    ``kmeans`` clusters the embeddings, with ``align_rows``/``align_groups``
-    relabelling the clusters to agree with revealed accounts (semi-supervised
-    runs); ``fit_scorer`` runs this with EM's settings.
-    The scorer is trained by Adam on the cross-entropy against the one-hot
-    cluster assignment, with L2 weight decay ``fit_weight_decay``, for up to
-    SCORER_FIT_EPOCHS full-batch epochs. It stops early once five epochs in a
-    row fail to lower the loss by SCORER_FIT_TOL relative: on 100 accounts
-    that is where the loss turns up, not a plateau. Every epoch writes the
-    scorer's two (V, hidden) arrays, its hidden layer and that layer's
-    gradient, into the same two work arrays (``UnaryScorer._work_arrays``),
-    so the fit allocates no large temporary: in a freshly forked process
-    each such temporary would cost its page faults anew. With ``graph=None``
-    the field carries a zero prior graph (unary-only).
+    The groups are the regularised spectral split of ``graph``, or ``kmeans``
+    of the embeddings when ``graph`` is None or has no edges
+    (``_start_labels``); ``align_rows``/``align_groups`` relabel them to
+    agree with revealed accounts (semi-supervised runs). ``fit_scorer`` runs
+    this with EM's settings. The scorer is trained by Adam on the
+    cross-entropy against the one-hot groups, with L2 weight decay
+    ``fit_weight_decay``, for up to SCORER_FIT_EPOCHS full-batch epochs, and
+    keeps the epoch with the lowest cross-entropy on a held-out fifth of the
+    accounts (``_fit_unary``). Every epoch writes the scorer's two (rows,
+    hidden) arrays, its hidden layer and that layer's gradient, into the same
+    two work arrays (``UnaryScorer._work_arrays``), so the fit allocates no
+    large temporary: in a freshly forked process each such temporary would
+    cost its page faults anew. With ``graph=None`` the field carries a zero
+    prior graph (unary-only).
     """
     if n_groups < 2:
         raise ValueError("need at least 2 groups")
     E = pretrained.params["E"].data.copy()
-    labels, _ = kmeans(E, n_groups, seed)
+    labels = _start_labels(E, n_groups, seed, graph)
     if align_rows is not None and len(align_rows):
         labels = _align_to_revealed(labels, n_groups, align_rows, align_groups)
     scorer = _fit_unary(E, labels, n_groups, seed, hidden, fit_weight_decay)
@@ -334,17 +385,17 @@ def _clamps(accounts, revealed: dict | None, n_groups: int) -> tuple:
     return rows, groups
 
 
-def fit_scorer(pretrained: SequenceModel, cfg: EmConfig,
+def fit_scorer(pretrained: SequenceModel, graph: KnowledgeGraph, cfg: EmConfig,
                revealed: dict | None = None) -> UnaryScorer:
-    """The unary scorer EM starts from: ``initialize``'s, with ``cfg``'s
-    settings and its clusters aligned to the ``revealed`` accounts.
+    """The unary scorer EM starts from: ``initialize``'s on ``graph``, with
+    ``cfg``'s settings and its groups aligned to the ``revealed`` accounts.
 
-    It reads only ``pretrained``'s embeddings, not the data or the graph, so
-    ``coact detect`` runs it in a forked child beside ingest and graph build.
+    It reads only ``pretrained``'s embeddings and the graph, not the data, so
+    ``coact detect`` runs it in a forked child beside writing the graph.
     """
     rows, groups = _clamps(pretrained.accounts, revealed, cfg.n_groups)
-    return initialize(pretrained, cfg.n_groups, cfg.seed, hidden=cfg.scorer_hidden,
-                      fit_weight_decay=cfg.scorer_weight_decay,
+    return initialize(pretrained, cfg.n_groups, cfg.seed, graph=graph,
+                      hidden=cfg.scorer_hidden, fit_weight_decay=cfg.scorer_weight_decay,
                       align_rows=rows, align_groups=groups).scorer
 
 
@@ -368,7 +419,7 @@ def run_em(
     coordinated group (without them, ``identify_coordinated_group``).
     """
     _check_registry(d, g, pretrained)  # before the scorer fit
-    crf = CrfParams(fit_scorer(pretrained, cfg, revealed), g)
+    crf = CrfParams(fit_scorer(pretrained, g, cfg, revealed), g)
     return run_em_from(d, crf, pretrained, cfg, revealed)
 
 

@@ -158,6 +158,8 @@ def _time(t, where: str) -> float:
         t = float(None if type(t) is bool else t)  # float(True) would be 1.0
     except (TypeError, ValueError):
         raise DataError(f"{where}: timestamp {t!r} is not a number")
+    except OverflowError:  # a JSON integer beyond the largest float
+        raise DataError(f"{where}: timestamp {t!r} is too large")
     if not math.isfinite(t):
         raise DataError(f"{where}: non-finite timestamp {t!r}")
     if t < 0:

@@ -18,8 +18,9 @@ their table holds one weight per count up to the largest, and a graph holds
 6 bytes per edge up to 65 536 accounts and 65 536 sequences (5 while no pair
 shares more than 256 sequences); the power filter powers only the table. The coupling w_uv / sqrt(d_u d_v) is not kept:
 ``KnowledgeGraph.couple``, which applies it in the E-step, computes it slice
-by slice. The builders count the account pairs of each sequence in one
-preallocated key buffer (int32 keys while V * V fits in them), and that
+by slice, and ``regularized_spectrum``, EM's start, runs the same loop with
+regularised degrees. The builders count the account pairs of each sequence
+in one preallocated key buffer (int32 keys while V * V fits in them), and that
 buffer then holds the second edge ends. Counting needs, beside the sorted
 keys, only the first end and the level of each edge (its count less one):
 where each run of equal keys ends is found slice by slice. Every pass over the edges, validation
@@ -50,6 +51,7 @@ __all__ = [
     "co_occurrence",
     "filter_power",
     "filter_temporal_logic",
+    "regularized_spectrum",
     "save_graph",
 ]
 
@@ -154,10 +156,11 @@ class KnowledgeGraph:
             np.add.at(dv, self.v[s], w)
         return du + dv
 
-    def _b_slice(self, s: slice, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """w_uv / sqrt(d_u d_v) for the edges in slice ``s``, whose ends are ``u`` and ``v``."""
-        d = self.deg[u]
-        np.multiply(d, self.deg[v], out=d)
+    def _b_slice(self, s: slice, u: np.ndarray, v: np.ndarray,
+                 deg: np.ndarray) -> np.ndarray:
+        """w_uv / sqrt(deg_u deg_v) for the edges in slice ``s``, whose ends are ``u`` and ``v``."""
+        d = deg[u]
+        np.multiply(d, deg[v], out=d)
         np.sqrt(d, out=d)
         return np.divide(self.values.take(self.level[s]), d, out=d)
 
@@ -170,7 +173,7 @@ class KnowledgeGraph:
         """
         out = np.empty(len(self.u))
         for s in _slices(len(self.u)):
-            out[s] = self._b_slice(s, self.u[s], self.v[s])
+            out[s] = self._b_slice(s, self.u[s], self.v[s], self.deg)
         return out
 
     @cached_property
@@ -195,10 +198,15 @@ class KnowledgeGraph:
             starts, cols, b = self._rows
             lo, hi = starts[row], starts[row + 1]
             return b[lo:hi] @ q[cols[lo:hi]]
+        return self._couple(q, self.deg)
+
+    def _couple(self, q: np.ndarray, deg: np.ndarray) -> np.ndarray:
+        """sum_v w_uv / sqrt(deg_u deg_v) q_v for every account u: ``couple``
+        with the degrees ``deg``, which ``regularized_spectrum`` also uses."""
         out = np.zeros_like(q)
         for s in _slices(len(self.u), max(COUPLE_EDGES, self.n)):
             u, v = self.u[s].astype(np.intp), self.v[s].astype(np.intp)
-            b = self._b_slice(s, u, v)
+            b = self._b_slice(s, u, v, deg)
             for m in range(q.shape[1]):
                 qm = q[:, m]
                 out[:, m] += np.bincount(u, b * qm[v], self.n) + np.bincount(v, b * qm[u], self.n)
@@ -219,6 +227,79 @@ class KnowledgeGraph:
     def coupling(self) -> np.ndarray:
         """Dense (V, V) coupling B, built on each call: for tests and small instances."""
         return self._dense(self.b)
+
+
+# regularized_spectrum stops once every wanted Ritz pair has |B x - theta x|
+# below SPECTRAL_TOL (x a unit vector, and B's norm is at most 1), or after
+# SPECTRAL_MAX_ITER products with B
+SPECTRAL_TOL = 1e-6
+SPECTRAL_MAX_ITER = 200
+
+
+def _orthonormal(X: np.ndarray, *against: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the span of ``X``'s columns with the spans of
+    the orthonormal blocks ``against`` projected out (twice, for rounding);
+    directions that projection all but removes are dropped."""
+    for _ in range(2):
+        for A in against:
+            X = X - A @ (A.T @ X)
+    U, sv, _ = np.linalg.svd(X, full_matrices=False)
+    return U[:, sv > sv[:1] * 1e-8]
+
+
+def regularized_spectrum(g: KnowledgeGraph, k: int) -> tuple:
+    """The k largest eigenvalues after the top one of the graph's regularised
+    coupling B_tau, their unit eigenvectors, and the products with B_tau used.
+
+    B_tau = D_tau^{-1/2} (W + (tau/V)(11^T - I)) D_tau^{-1/2}, where tau is the
+    mean weighted degree and d_tau = d + tau (V - 1)/V: every pair of accounts
+    gains the weight tau/V (Qin & Rohe, "Regularized Spectral Clustering under
+    the Degree-Corrected Stochastic Blockmodel", NIPS 2013). Its top
+    eigenvector is sqrt(d_tau), of eigenvalue 1, and is projected out. The
+    product runs over the edge list (``KnowledgeGraph._couple`` with d_tau),
+    and the tau term is applied as (tau/V)(1(1^T Y) - Y) to Y = D_tau^{-1/2} X,
+    so no (V, V) array is made.
+
+    The iteration is a block Rayleigh-Ritz method on min(k + 2, V - 1)
+    columns from a fixed random start: each step adds the residuals of the k
+    wanted columns to the block, takes B_tau's Ritz pairs on that span, and
+    keeps the largest; the other columns only guard the wanted ones, so each
+    step multiplies at most k columns by B_tau. It ascends the Rayleigh
+    quotients, so it finds the largest eigenvalues even where a negative one
+    has a larger modulus, as power iteration would not. Returns (values (k,),
+    vectors (V, k), products), where ``products`` counts the blocks
+    multiplied by B_tau.
+    """
+    V = g.n
+    if not 1 <= k <= V - 1:
+        raise ValueError(f"a graph of {V} accounts has no {k} eigenvectors after its top one")
+    tau = g.deg.sum() / V
+    d_tau = g.deg + tau * (V - 1) / V
+    scale = 1.0 / np.sqrt(d_tau)[:, None]
+    top = np.sqrt(d_tau)[:, None] / np.sqrt(d_tau.sum())
+
+    def product(X):
+        Y = X * scale
+        return g._couple(X, d_tau) + (tau / V) * scale * (Y.sum(axis=0) - Y)
+
+    p = min(k + 2, V - 1)
+    # a fixed start: the eigenvectors are a function of the graph alone
+    basis = _orthonormal(np.random.default_rng(0).standard_normal((V, p)), top)
+    image, products = product(basis), 1
+    while True:
+        H = basis.T @ image
+        theta, C = np.linalg.eigh((H + H.T) / 2)
+        theta, C = theta[::-1][:p], C[:, ::-1][:, :p]
+        X, AX = basis @ C, image @ C
+        R = AX - X * theta
+        if np.linalg.norm(R[:, :k], axis=0).max() < SPECTRAL_TOL or products == SPECTRAL_MAX_ITER:
+            break
+        W = _orthonormal(R[:, :k], top, X)
+        if not W.shape[1]:
+            break
+        basis, image = np.hstack([X, W]), np.hstack([AX, product(W)])
+        products += 1
+    return theta[:k], X[:, :k], products
 
 
 def _participants(d: Dataset) -> tuple:

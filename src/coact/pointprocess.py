@@ -38,8 +38,9 @@ with it (``PR_SET_PDEATHSIG``). Children fork only on Linux, with two or
 more usable CPUs, and while this process has one OS thread, so nothing
 forks under a multi-threaded BLAS (``_helper_wanted``); otherwise the
 parent does the work itself. ``_forked`` is that guard around ``_child``:
-``coact detect`` runs EM's start in it (``em.fit_scorer``: k-means and the
-unary scorer fit) beside ingest and graph build.
+``coact detect`` runs EM's start in it (``em.fit_scorer``: the spectral
+split of the prior graph and the unary scorer fit) beside writing the
+checkpoint and the graph.
 
 ``train`` and ``em.run_em_from`` each open one helper child (``_helper``),
 ``train`` around its ``fit`` and ``run_em_from`` around all its M-step

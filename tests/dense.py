@@ -19,3 +19,14 @@ def dense_graph(accounts, w, filter_tag="none") -> KnowledgeGraph:
         raise ValueError("dense weights must be symmetric with a zero diagonal")
     u, v = np.nonzero(np.triu(w, 1))
     return weighted_graph(accounts, u, v, w[u, v], filter_tag)
+
+
+def regularized_coupling(g: KnowledgeGraph) -> np.ndarray:
+    """Dense (V, V) B_tau of ``graph.regularized_spectrum``: the weights plus
+    tau/V on every pair, tau the mean weighted degree, normalised by the
+    regularised degrees on both sides."""
+    V = g.n
+    w = g.w
+    w_tau = w + w.sum() / V / V * (1.0 - np.eye(V))
+    d_tau = w_tau.sum(axis=1)
+    return w_tau / np.sqrt(np.outer(d_tau, d_tau))

@@ -329,6 +329,23 @@ def test_a_refused_detect_leaves_the_run_it_names_as_it_was(tmp_path, data, path
     assert not (tmp_path / "new").exists()
 
 
+def test_a_checkpoint_for_other_data_leaves_the_run_it_names_as_it_was(tmp_path, data, capsys):
+    # the checkpoint's accounts are checked against the data before the run
+    # directory and its config.json are written
+    code, earlier = detect(tmp_path, "earlier", *data, *SMALL)
+    assert code == 0
+    other, other_labels = tmp_path / "other.jsonl", tmp_path / "other.csv"
+    assert main(["synth", "--normal", "9", "--coord", "4", "--sequences", "20", "--seed", "1",
+                 "--out", str(other), "--labels", str(other_labels)]) == 0
+    ckpt = tmp_path / "other.npz"
+    assert main(["pretrain", "--data", str(other), *TRAIN, "--out", str(ckpt)]) == 0
+    before = {p.name: p.read_bytes() for p in earlier.iterdir()}
+    code, _ = detect(tmp_path, "earlier", *data, *SMALL, "--checkpoint", str(ckpt))
+    assert code == 1
+    assert "checkpoint accounts do not match the dataset registry" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in earlier.iterdir()} == before
+
+
 def test_valid_revealed_labels_still_run(tmp_path, data):
     revealed = revealed_file(tmp_path, data, {"1": 1, "0": 0})
     code, run_dir = detect(tmp_path, "run", *data, *SMALL, "--revealed", str(revealed))
@@ -369,7 +386,7 @@ def test_detect_and_build_graph_never_form_a_dense_graph_or_the_edge_weights(
 @pytest.mark.parametrize("path", ["checkpoint", "pretrain"])
 def test_detect_writes_the_same_bytes_with_and_without_the_scorer_child(
         tmp_path, data, forks, monkeypatch, path):
-    # with a checkpoint, --groups 3 and --revealed align the clusters in the
+    # with a checkpoint, --groups 3 and --revealed round and align the split in the
     # child, and two EM loops share one M-step helper
     argv = [*data, *SMALL, "--seed", "2"]
     if path == "checkpoint":

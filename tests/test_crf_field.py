@@ -412,7 +412,7 @@ def test_scorer_reusing_its_work_arrays_matches_the_tape_bit_for_bit():
     Qs = [rng.dirichlet(np.ones(M), size=len(E)) for E in Es]
     scorer = UnaryScorer(d, M, hidden=7, seed=2)
     held, work = [], []
-    for call, i in enumerate([0, 0, 1, 0, 1, 1, 0]):
+    for call, i in enumerate([1, 1, 0, 1, 0, 0, 1]):
         E, Q, scale = Es[i], Qs[i], (-1.0 / 40, 0.7, -1.0)[call % 3]
         twin = pickle.loads(pickle.dumps(scorer))  # the same parameters, nothing else
         E_got, E_want = Tensor(E), Tensor(E)
@@ -433,9 +433,11 @@ def test_scorer_reusing_its_work_arrays_matches_the_tape_bit_for_bit():
     # later calls never write into what an earlier call returned
     for theta, copy in held:
         assert np.array_equal(theta, copy)
-    # the work arrays are made anew only when the account count changes
+    # the work arrays are made anew only when the account count exceeds their
+    # rows: once, when 40 accounts follow 17
     for (i, w), (j, w_next) in zip(work, work[1:]):
-        assert (w_next is w) == (i == j)
+        assert (w_next is w) == (len(Es[j]) <= len(w[0]))
+    assert len({id(w) for _, w in work}) == 2
 
 
 def test_a_pickled_scorer_carries_its_parameters_only():

@@ -59,6 +59,15 @@ def test_non_finite_timestamp_rejected(tmp_path, json_t, csv_t):
         load_dataset(p)
 
 
+def test_an_integer_timestamp_too_large_for_a_float_names_its_file_and_line(tmp_path):
+    big = "1" * 401
+    p = write(tmp_path, "d.jsonl",
+              '{"seq_id": "a", "events": [{"account": "u", "t": 1}]}\n'
+              f'{{"seq_id": "b", "events": [{{"account": "u", "t": {big}}}]}}\n')
+    with pytest.raises(DataError, match=f"d.jsonl:2: timestamp {big} is too large"):
+        load_dataset(p)
+
+
 def test_empty_file_rejected(tmp_path):
     p = write(tmp_path, "d.jsonl", "")
     with pytest.raises(DataError):

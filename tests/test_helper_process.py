@@ -237,14 +237,15 @@ def detect_argv(synth, tmp_path, *extra, data=None):
             "--run-dir", str(tmp_path / "run")]
 
 
-@pytest.mark.parametrize("case", ["malformed-data", "other-accounts"])
+@pytest.mark.parametrize("case", ["malformed-data", "other-accounts", "graph-csv-a-directory"])
 def test_no_scorer_child_outlives_a_failed_detect(forks, synth, tmp_path, capsys, case):
+    argv = detect_argv(synth, tmp_path)
     if case == "malformed-data":
         data = tmp_path / "bad.jsonl"
         data.write_text("{not json\n", encoding="utf-8")
         argv = detect_argv(synth, tmp_path, data=data)
         message = "error: stage 'ingest' failed:"
-    else:  # one more account in the data than in the checkpoint
+    elif case == "other-accounts":  # one more account in the data than in the checkpoint
         data = tmp_path / "other.jsonl"
         assert cli.main(["synth", "--normal", "9", "--coord", "4", "--sequences", "20",
                          "--seed", "1", "--out", str(data),
@@ -252,9 +253,14 @@ def test_no_scorer_child_outlives_a_failed_detect(forks, synth, tmp_path, capsys
         argv = detect_argv(synth, tmp_path, data=data)
         message = ("error: stage 'load-checkpoint' failed: checkpoint accounts "
                    "do not match the dataset registry")
+    else:  # save_graph fails beside the child
+        (tmp_path / "run" / "graph.csv").mkdir(parents=True)
+        message = "error: stage 'build-graph' failed:"
     assert cli.main(argv) == 1
     assert message in capsys.readouterr().err
-    assert len(forks) == 1  # the child for EM's start
+    # the data is read and checked before the graph is built, and the child
+    # for EM's start is forked only then
+    assert len(forks) == (case == "graph-csv-a-directory")
     assert_no_child_left()
 
 
@@ -283,24 +289,24 @@ def test_an_exception_in_the_scorer_child_reaches_detect(forks, synth, tmp_path,
     assert "failing_in_the_child" in trace and "fit_scorer" in trace
 
 
-def test_an_exception_in_kmeans_in_the_start_child_reaches_detect(forks, synth, tmp_path,
-                                                                 monkeypatch):
-    parent, lloyd = os.getpid(), em._lloyd
+def test_an_exception_in_the_eigensolver_in_the_start_child_reaches_detect(forks, synth,
+                                                                           tmp_path, monkeypatch):
+    parent, solve = os.getpid(), em.regularized_spectrum
 
     def failing_in_the_child(*args):
         if os.getpid() != parent:
-            raise ValueError("k-means failed in the child")
-        return lloyd(*args)
+            raise ValueError("the eigensolver failed in the child")
+        return solve(*args)
 
-    monkeypatch.setattr(em, "_lloyd", failing_in_the_child)
+    monkeypatch.setattr(em, "regularized_spectrum", failing_in_the_child)
     args = cli.build_parser().parse_args(detect_argv(synth, tmp_path))
-    with pytest.raises(cli.StageError, match="stage 'em' failed: k-means failed") as info:
+    with pytest.raises(cli.StageError, match="stage 'em' failed: the eigensolver failed") as info:
         cli.run_pipeline(args, tmp_path / "run")
     assert len(forks) == 1
     assert_no_child_left()
     trace = str(info.value.__cause__.__cause__)
     assert trace.startswith("in the forked child:")
-    assert "failing_in_the_child" in trace and "kmeans" in trace and "fit_scorer" in trace
+    assert "failing_in_the_child" in trace and "_start_labels" in trace and "fit_scorer" in trace
 
 
 def test_a_child_still_running_is_killed_when_its_context_exits(forks):

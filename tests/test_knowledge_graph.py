@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense import dense_graph, weighted_graph
+from dense import dense_graph, regularized_coupling, weighted_graph
 
 from coact import graph as graph_mod
 from coact.crf import CrfParams, UnaryScorer, estep_converge, softmax_init
@@ -13,6 +13,7 @@ from coact.graph import (
     co_occurrence,
     filter_power,
     filter_temporal_logic,
+    regularized_spectrum,
     save_graph,
 )
 from oracles import load_graph, potential
@@ -287,6 +288,46 @@ def test_coupling_spectral_norm_at_most_one():
         B = dense_graph([f"u{i}" for i in range(n)], w + w.T).coupling()
         np.testing.assert_array_equal(B, B.T)
         assert np.linalg.norm(B, 2) <= 1.0 + 1e-12
+
+
+def two_block_weights(rng, n, bipartite):
+    """Random symmetric weights on n accounts in two blocks of n // 2: dense
+    within blocks, or, with ``bipartite``, dense across them."""
+    block = np.arange(n) < n // 2
+    same = block[:, None] == block[None, :]
+    dense = same != bipartite
+    w = rng.exponential(1.0, (n, n)) * np.where(dense, 1.0, rng.random((n, n)) < 0.1)
+    w = np.triu(w, 1)
+    return w + w.T
+
+
+@pytest.mark.parametrize("bipartite", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_regularized_spectrum_matches_a_dense_eigh(bipartite, k):
+    rng = np.random.default_rng(10 * k + bipartite)
+    for n in (3 + k, 10, 31):
+        g = dense_graph([f"u{i}" for i in range(n)], two_block_weights(rng, n, bipartite))
+        lam, vec = np.linalg.eigh(regularized_coupling(g))
+        lam, vec = lam[::-1], vec[:, ::-1]
+        assert lam[0] == pytest.approx(1.0, abs=1e-12)
+        if bipartite and n > 10:
+            # power iteration would find the negative eigenvalue first
+            assert -lam[-1] > lam[1]
+        values, vectors, products = regularized_spectrum(g, k)
+        assert 1 <= products <= graph_mod.SPECTRAL_MAX_ITER
+        np.testing.assert_allclose(values, lam[1:k + 1], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), rtol=0, atol=1e-12)
+        for j in range(k):  # eigenvectors up to sign, where their eigenvalue is simple
+            if min(abs(lam[j + 1] - lam[j]), abs(lam[j + 1] - lam[j + 2])) > 1e-3:
+                assert abs(vectors[:, j] @ vec[:, j + 1]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_regularized_spectrum_needs_k_below_the_account_count():
+    g = dense_graph(["a", "b", "c"], np.ones((3, 3)) - np.eye(3))
+    assert regularized_spectrum(g, 2)[1].shape == (3, 2)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="no .* eigenvectors"):
+            regularized_spectrum(g, k)
 
 
 def test_graph_save_load_round_trip(tmp_path):

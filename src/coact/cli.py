@@ -3,19 +3,15 @@
 ``detect`` chains every stage (pretraining can be skipped by passing a
 checkpoint) and writes all artifacts plus the fully resolved configuration
 under one run directory, so any run can be reproduced byte-for-byte from
-its persisted config and seed. EM's start reads only the sequence model
-and the prior graph, so once the graph is built detect forks one child that
-splits the graph's accounts by its regularised spectrum and fits the unary
-scorer to the split (``em.fit_scorer``), while the parent writes the
-checkpoint (when it pretrained) and the graph; EM takes the fitted scorer
-from the child. Without a second usable CPU the parent runs
-``em.fit_scorer`` itself where the child would have joined, and the outputs
-are the same bytes either way. ``pretrain`` and
-``build-graph`` run detect's own stages, so with the same flags they write
-the same ``checkpoint.npz`` and ``graph.csv`` bytes. ``detect`` scores its
-own ``result.csv`` with ``score_result``, as ``eval`` does, so both write the
-same metrics bytes; a grid over EM loops and seeds is a shell loop over
-``detect`` and ``eval``.
+its persisted config and seed. Once the graph is built, detect forks one
+child that writes the checkpoint (when it pretrained) and the graph, while
+the parent runs EM (``em.run_em``). Without a second usable CPU the parent
+writes them itself where the child would have joined, and the outputs are
+the same bytes either way. ``pretrain`` and ``build-graph`` run detect's own
+stages, so with the same flags they write the same ``checkpoint.npz`` and
+``graph.csv`` bytes. ``detect`` scores its own ``result.csv`` with
+``score_result``, as ``eval`` does, so both write the same metrics bytes; a
+grid over EM loops and seeds is a shell loop over ``detect`` and ``eval``.
 
 Flag values are checked by their argparse types and the EM settings by
 ``EmConfig`` before any stage starts, and the label files as soon as the
@@ -37,7 +33,6 @@ import numpy as np
 from . import em as em_mod
 from . import graph as graph_mod
 from . import metrics as metrics_mod
-from .crf import CrfParams
 from .events import (
     Dataset,
     _csv_field,
@@ -236,10 +231,11 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
     the label files and pretrain. The run directory and its ``config.json``
     are written only once the label files and the checkpoint's accounts
     pass, so a refused run leaves an earlier one there as it was. Then
-    build-graph builds the prior graph, and ``em.fit_scorer``, which splits
-    the graph's accounts and fits the scorer to the split, is forked off.
-    Beside it the parent saves the checkpoint (without one) and writes
-    ``graph.csv``; then EM joins the fit (``em.run_em_from``).
+    build-graph builds the prior graph, and ``_save_model_and_graph`` is
+    forked off to save the checkpoint (without one) and write ``graph.csv``,
+    while EM runs (``em.run_em``). The parent joins it once EM ends, even if
+    EM failed, and a failure to write those files is raised first, as when
+    they were written before EM; ``result.csv`` is written after the join.
     """
     em_config = _em_config(args)  # checked before any stage runs
     if args.checkpoint:
@@ -257,15 +253,11 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
         model = _stage("pretrain", _pretrain, d, args)
     g = _stage("build-graph", _build_graph, d, args)
 
-    # EM's start reads only the model and the graph: a forked child splits
-    # the graph and fits the scorer meanwhile
-    with _forked(em_mod.fit_scorer, model, g, em_config, revealed) as fitted_scorer:
-        if not args.checkpoint:
-            _stage("pretrain", model.save, run_dir / "checkpoint.npz")
-        _stage("build-graph", graph_mod.save_graph, g, run_dir / "graph.csv")
-        crf = CrfParams(_stage("em", fitted_scorer), g)
-
-    result = _stage("em", em_mod.run_em_from, d, crf, model, em_config, revealed)
+    with _forked(_save_model_and_graph, model, g, run_dir, not args.checkpoint) as saved:
+        try:
+            result = _stage("em", em_mod.run_em, d, g, model, em_config, revealed)
+        finally:  # a failed EM leaves the checkpoint and the graph whole
+            saved()
     _stage("write-result", write_result_csv, result, run_dir / "result.csv")
     _stage("write-result", write_q_csv, result, run_dir / "q_matrix.csv")
 
@@ -274,6 +266,15 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
     rows = _stage("eval", read_result_csv, run_dir / "result.csv")
     return _stage("eval", score_result, rows, labels, revealed or (), args.threshold,
                   run_dir / "metrics.csv")
+
+
+def _save_model_and_graph(model: SequenceModel, g, run_dir: Path, pretrained: bool) -> None:
+    """Save ``model`` to ``run_dir``'s ``checkpoint.npz`` if detect
+    ``pretrained`` it, then write ``g`` to its ``graph.csv``; a failure is
+    named by the stage that made the file."""
+    if pretrained:
+        _stage("pretrain", model.save, run_dir / "checkpoint.npz")
+    _stage("build-graph", graph_mod.save_graph, g, run_dir / "graph.csv")
 
 
 def _write_config(args, run_dir: Path) -> None:

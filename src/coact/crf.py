@@ -66,37 +66,11 @@ class UnaryScorer:
             "W2": Tensor(glorot(rng, hidden, n_groups)),
             "b2": Tensor(np.zeros(n_groups)),
         }
-        self._work = None  # (h, g_a): (rows, hidden) arrays whose leading rows every call reuses
-
-    def __getstate__(self) -> dict:
-        # a pickle carries the four parameter arrays: no gradient, no work array
-        return {"n_groups": self.n_groups,
-                "params": {k: t.data for k, t in self.params.items()}}
-
-    def __setstate__(self, state: dict) -> None:
-        self.n_groups = state["n_groups"]
-        self.params = {k: Tensor(v) for k, v in state["params"].items()}
-        self._work = None
-
-    def _work_arrays(self, V: int) -> tuple:
-        """(V, hidden) arrays for h and g_a: the leading rows of the reused
-        pair, which is made anew only when V exceeds its rows."""
-        if self._work is None or len(self._work[0]) < V:
-            hidden = len(self.params["b1"].data)
-            self._work = (np.empty((V, hidden)), np.empty((V, hidden)))
-        return self._work[0][:V], self._work[1][:V]
 
     def _forward(self, E: np.ndarray) -> tuple:
-        """Hidden layer h and scores theta for embeddings ``E``.
-
-        h = tanh(E @ W1 + b1) is built in place in the scorer's own (V, hidden)
-        work array, which the next call overwrites; theta is a new array.
-        """
+        """Hidden layer h = tanh(E @ W1 + b1) and scores theta for embeddings ``E``."""
         p = self.params
-        h = self._work_arrays(len(E))[0]
-        np.matmul(E, p["W1"].data, out=h)
-        np.add(h, p["b1"].data, out=h)
-        np.tanh(h, out=h)
+        h = np.tanh(E @ p["W1"].data + p["b1"].data)
         return h, h @ p["W2"].data + p["b2"].data
 
     def scores(self, E: np.ndarray) -> np.ndarray:
@@ -124,12 +98,7 @@ class UnaryScorer:
         g_theta = g_lp + (-g_lp).sum(axis=1, keepdims=True) * np.exp(theta - lse)
         _accumulate(p["b2"], g_theta.sum(axis=0))
         _accumulate(p["W2"], h.T @ g_theta)
-        # (g_theta @ W2.T) * (1 - h * h), in the second work array, with
-        # 1 - h * h built over h
-        g_a = np.matmul(g_theta, p["W2"].data.T, out=self._work_arrays(len(E))[1])
-        np.multiply(h, h, out=h)
-        np.subtract(1.0, h, out=h)
-        np.multiply(g_a, h, out=g_a)
+        g_a = (g_theta @ p["W2"].data.T) * (1 - h * h)
         _accumulate(p["b1"], g_a.sum(axis=0))
         if E_param is not None:
             _accumulate(E_param, g_a @ p["W1"].data.T)

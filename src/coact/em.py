@@ -1,15 +1,15 @@
 """Variational EM joining the sequence model and the assignment field.
 
-EM starts from the prior graph. ``fit_scorer`` splits the accounts by the
+EM starts from the prior graph. ``initialize`` splits the accounts by the
 leading eigenvectors of the graph's regularised coupling
 (``graph.regularized_spectrum``): the exact 2-means of the first one for two
-groups, ``kmeans`` of the first M - 1 for more. It aligns the groups to any
-revealed accounts and fits the unary scorer to them, stopping on a held-out
-fifth of the accounts. Without a graph, or on one without edges, ``kmeans``
-of the account embeddings takes the spectral split's place. ``coact detect``
-runs this start in one forked child once the graph is built. Each EM loop
-then alternates an E-step (mean-field fixed-point sweeps, with any revealed
-accounts clamped to one-hot beliefs) and an M-step that ascends
+groups, ``kmeans`` of the first M - 1 for more. ``run_em`` has it align the
+groups to any revealed accounts, and it fits the unary scorer to them,
+stopping on a held-out fifth of the accounts. Without a graph, or on one
+without edges, ``kmeans`` of the account embeddings takes the spectral
+split's place. Each EM loop then alternates an E-step (mean-field
+fixed-point sweeps, with any revealed accounts clamped to one-hot beliefs)
+and an M-step that ascends
 
     sum_S log p(S | E)  +  lambda * sum_u sum_m Q_u(m) log softmax_m(theta_u)
 
@@ -48,9 +48,7 @@ __all__ = [
     "DetectionResult",
     "kmeans",
     "initialize",
-    "fit_scorer",
     "run_em",
-    "run_em_from",
     "check_revealed",
     "identify_coordinated_group",
 ]
@@ -290,7 +288,6 @@ def _fit_unary(E, labels, n_groups: int, seed: int, hidden: int,
         opt.zero_grad()
         scorer.crossent(E_fit, fit_targets, -1.0 / len(E_fit))
         opt.step()
-        # the held-out rows are fewer, so they reuse the scorer's work arrays
         loss = -scorer.crossent(E_held, held_targets)
         if loss < best:
             best, best_epoch = loss, epoch
@@ -317,16 +314,12 @@ def initialize(
     The groups are the regularised spectral split of ``graph``, or ``kmeans``
     of the embeddings when ``graph`` is None or has no edges
     (``_start_labels``); ``align_rows``/``align_groups`` relabel them to
-    agree with revealed accounts (semi-supervised runs). ``fit_scorer`` runs
+    agree with revealed accounts (semi-supervised runs). ``run_em`` runs
     this with EM's settings. The scorer is trained by Adam on the
     cross-entropy against the one-hot groups, with L2 weight decay
     ``fit_weight_decay``, for up to SCORER_FIT_EPOCHS full-batch epochs, and
     keeps the epoch with the lowest cross-entropy on a held-out fifth of the
-    accounts (``_fit_unary``). Every epoch writes the scorer's two (rows,
-    hidden) arrays, its hidden layer and that layer's gradient, into the same
-    two work arrays (``UnaryScorer._work_arrays``), so the fit allocates no
-    large temporary: in a freshly forked process each such temporary would
-    cost its page faults anew. With ``graph=None`` the field carries a zero
+    accounts (``_fit_unary``). With ``graph=None`` the field carries a zero
     prior graph (unary-only).
     """
     if n_groups < 2:
@@ -352,7 +345,7 @@ def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng, helper):
     """Ascend the surrogate objective; early stop on the validation version.
 
     ``train_items`` and ``val_items`` come from ``model.prepare``, and ``helper``
-    is ``run_em_from``'s one ``_helper`` over them (or None). Returns the
+    is ``run_em``'s one ``_helper`` over them (or None). Returns the
     validation objective before and after (at the best epoch).
     """
     params = dict(model.params)
@@ -378,25 +371,14 @@ def _clamps(accounts, revealed: dict | None, n_groups: int) -> tuple:
     """Rows in ``accounts`` and groups of the ``revealed`` accounts, checked."""
     revealed = revealed or {}
     index = {a: i for i, a in enumerate(accounts)}
+    unknown = [a for a in revealed if a not in index]
+    if unknown:
+        raise ValueError(f"revealed accounts {unknown} are not among the model's accounts")
     rows = np.array([index[a] for a in revealed], dtype=np.intp)
     groups = np.array(list(revealed.values()), dtype=np.intp)
     if revealed:
         check_revealed(groups, n_groups)
     return rows, groups
-
-
-def fit_scorer(pretrained: SequenceModel, graph: KnowledgeGraph, cfg: EmConfig,
-               revealed: dict | None = None) -> UnaryScorer:
-    """The unary scorer EM starts from: ``initialize``'s on ``graph``, with
-    ``cfg``'s settings and its groups aligned to the ``revealed`` accounts.
-
-    It reads only ``pretrained``'s embeddings and the graph, not the data, so
-    ``coact detect`` runs it in a forked child beside writing the graph.
-    """
-    rows, groups = _clamps(pretrained.accounts, revealed, cfg.n_groups)
-    return initialize(pretrained, cfg.n_groups, cfg.seed, graph=graph,
-                      hidden=cfg.scorer_hidden, fit_weight_decay=cfg.scorer_weight_decay,
-                      align_rows=rows, align_groups=groups).scorer
 
 
 def _check_registry(d: Dataset, g: KnowledgeGraph, pretrained: SequenceModel) -> None:
@@ -411,29 +393,19 @@ def run_em(
     cfg: EmConfig,
     revealed: dict | None = None,
 ) -> DetectionResult:
-    """Full detection: ``fit_scorer``, then ``run_em_from`` on the fitted
-    field.
+    """Full detection: ``initialize`` on the prior graph ``g`` with ``cfg``'s
+    settings, then alternate E/M and score the coordinated group.
 
-    ``revealed`` maps account keys to group indices; those beliefs are
-    clamped one-hot through every E-step, and group 1 is then the
-    coordinated group (without them, ``identify_coordinated_group``).
+    ``revealed`` maps account keys to group indices; the start groups are
+    aligned to them, those beliefs are clamped one-hot through every E-step,
+    and group 1 is then the coordinated group (without them,
+    ``identify_coordinated_group``).
     """
-    _check_registry(d, g, pretrained)  # before the scorer fit
-    crf = CrfParams(fit_scorer(pretrained, g, cfg, revealed), g)
-    return run_em_from(d, crf, pretrained, cfg, revealed)
-
-
-def run_em_from(
-    d: Dataset,
-    crf: CrfParams,
-    pretrained: SequenceModel,
-    cfg: EmConfig,
-    revealed: dict | None = None,
-) -> DetectionResult:
-    """Alternate E/M from the fitted field ``crf``, whose graph is the prior
-    graph of ``d``, and score the coordinated group (see ``run_em``)."""
-    _check_registry(d, crf.graph, pretrained)
+    _check_registry(d, g, pretrained)
     clamp_rows, clamp_groups = _clamps(pretrained.accounts, revealed, cfg.n_groups)
+    crf = initialize(pretrained, cfg.n_groups, cfg.seed, graph=g, hidden=cfg.scorer_hidden,
+                     fit_weight_decay=cfg.scorer_weight_decay,
+                     align_rows=clamp_rows, align_groups=clamp_groups)
     # only the M-step changes the model, and only it reads the split
     model = pretrained if cfg.estep_only else pretrained.copy()
 

@@ -38,12 +38,11 @@ with it (``PR_SET_PDEATHSIG``). Children fork only on Linux, with two or
 more usable CPUs, and while this process has one OS thread, so nothing
 forks under a multi-threaded BLAS (``_helper_wanted``); otherwise the
 parent does the work itself. ``_forked`` is that guard around ``_child``:
-``coact detect`` runs EM's start in it (``em.fit_scorer``: the spectral
-split of the prior graph and the unary scorer fit) beside writing the
-checkpoint and the graph.
+``coact detect`` writes the checkpoint and the graph in it while the parent
+runs EM.
 
-``train`` and ``em.run_em_from`` each open one helper child (``_helper``),
-``train`` around its ``fit`` and ``run_em_from`` around all its M-step
+``train`` and ``em.run_em`` each open one helper child (``_helper``),
+``train`` around its ``fit`` and ``run_em`` around all its M-step
 loops, and hand it to every ``passes`` call they make; the model holds no
 process state. The helper serves the parent's tasks until the parent closes
 its pipes; if the results pipe closes early, the parent raises the helper's

@@ -326,7 +326,7 @@ def test_the_scorer_fit_keeps_the_epoch_of_the_lowest_held_out_cross_entropy(mon
     def recorded(scorer, E_, targets, scale=None):
         value = crossent(scorer, E_, targets, scale)
         if scale is None:  # the held-out evaluation after each epoch
-            held_out.append((-value, len(E_), scorer._work,
+            held_out.append((-value, len(E_),
                              {k: t.data.copy() for k, t in scorer.params.items()}))
         return value
 
@@ -336,10 +336,9 @@ def test_the_scorer_fit_keeps_the_epoch_of_the_lowest_held_out_cross_entropy(mon
     best = int(np.argmin(losses))
     assert best < len(losses) - 1 and len(losses) < em.SCORER_FIT_EPOCHS  # the stop fired
     assert len(losses) == best + 1 + em.SCORER_FIT_PATIENCE
-    assert {rows for _, rows, _, _ in held_out} == {60 // em.SCORER_HOLDOUT}
-    assert len({id(work) for _, _, work, _ in held_out}) == 1  # no work array made anew
+    assert {rows for _, rows, _ in held_out} == {60 // em.SCORER_HOLDOUT}
     for k, t in scorer.params.items():
-        assert np.array_equal(t.data, held_out[best][3][k]), k
+        assert np.array_equal(t.data, held_out[best][2][k]), k
 
 
 @pytest.mark.parametrize("edges", [None, "no edges", "edges"])
@@ -495,3 +494,11 @@ def test_run_em_with_revealed_accounts_scores_group_1(n_groups):
     assert result.coordinated_group == 1
     assert np.array_equal(result.scores, q[:, 1])
     assert np.array_equal(q[:3], np.eye(n_groups)[[1, 1, 0]])  # the clamps hold their labels
+
+
+def test_run_em_names_revealed_accounts_the_model_lacks():
+    d = random_dataset(np.random.default_rng(9))
+    keys = d.registry.keys
+    model = SequenceModel(keys, TINY, seed=2)
+    with pytest.raises(ValueError, match=r"revealed accounts \['zz'\] are not among"):
+        run_em(d, co_occurrence(d), model, EmConfig(scorer_hidden=5), {"zz": 1, keys[0]: 0})

@@ -1,6 +1,6 @@
 """The processes that coact forks: training's helper never outlives ``fit``,
-a closed helper writes nothing, ``detect``'s child for EM's start never
-outlives ``detect``, a child still running is killed when its context exits,
+a closed helper writes nothing, ``detect``'s writer child never outlives
+``detect``, a child still running is killed when its context exits,
 every child dies with a parent killed outright, an exception on either side
 reaches the caller, and paths without ``fit`` or ``detect`` never fork."""
 
@@ -16,6 +16,7 @@ import pytest
 from records import dataset
 
 from coact import cli, em, pointprocess
+from coact import graph as graph_mod
 from coact.em import EmConfig, initialize, run_em
 from coact.graph import co_occurrence
 from coact.pointprocess import (
@@ -211,7 +212,7 @@ def test_no_helper_on_one_cpu_or_beside_another_thread(monkeypatch):
         thread.join()
 
 
-# ---- detect's child for EM's start ----
+# ---- detect's writer child ----
 
 TRAIN = ["--d-embed", "4", "--d-pos", "4", "--d-time", "4", "--mix-components", "2",
          "--epochs", "2"]
@@ -237,8 +238,10 @@ def detect_argv(synth, tmp_path, *extra, data=None):
             "--run-dir", str(tmp_path / "run")]
 
 
-@pytest.mark.parametrize("case", ["malformed-data", "other-accounts", "graph-csv-a-directory"])
-def test_no_scorer_child_outlives_a_failed_detect(forks, synth, tmp_path, capsys, case):
+@pytest.mark.parametrize("case", ["malformed-data", "other-accounts", "graph-csv-a-directory",
+                                  "em-fails"])
+def test_no_writer_child_outlives_a_failed_detect(forks, synth, tmp_path, capsys, monkeypatch,
+                                                  case):
     argv = detect_argv(synth, tmp_path)
     if case == "malformed-data":
         data = tmp_path / "bad.jsonl"
@@ -253,60 +256,91 @@ def test_no_scorer_child_outlives_a_failed_detect(forks, synth, tmp_path, capsys
         argv = detect_argv(synth, tmp_path, data=data)
         message = ("error: stage 'load-checkpoint' failed: checkpoint accounts "
                    "do not match the dataset registry")
-    else:  # save_graph fails beside the child
+    elif case == "graph-csv-a-directory":  # save_graph fails in the child
         (tmp_path / "run" / "graph.csv").mkdir(parents=True)
         message = "error: stage 'build-graph' failed:"
+    else:  # EM fails while the child still writes the graph
+        parent, save = os.getpid(), graph_mod.save_graph
+
+        def slow_in_the_child(*args):
+            if os.getpid() != parent:
+                time.sleep(0.5)
+            return save(*args)
+
+        def failing(*args, **kwargs):
+            raise ValueError("failed in EM")
+
+        monkeypatch.setattr(graph_mod, "save_graph", slow_in_the_child)
+        monkeypatch.setattr(em, "initialize", failing)
+        message = "error: stage 'em' failed: failed in EM"
     assert cli.main(argv) == 1
     assert message in capsys.readouterr().err
-    # the data is read and checked before the graph is built, and the child
-    # for EM's start is forked only then
-    assert len(forks) == (case == "graph-csv-a-directory")
+    # the data is read and checked before the graph is built, and the writer
+    # child is forked only then; EM's M-step forks its helper beside it
+    assert len(forks) == {"graph-csv-a-directory": 2, "em-fails": 1}.get(case, 0)
     assert_no_child_left()
+    if case == "em-fails":  # the parent waited for the whole graph
+        assert cli.main(["build-graph", "--data", str(synth["data"]),
+                         "--out", str(tmp_path / "graph.csv")]) == 0
+        assert ((tmp_path / "run" / "graph.csv").read_bytes()
+                == (tmp_path / "graph.csv").read_bytes())
 
 
-def test_an_exception_in_the_scorer_child_reaches_detect(forks, synth, tmp_path, capsys,
-                                                        monkeypatch):
-    parent, fit = os.getpid(), em._fit_unary
-
-    def failing_in_the_child(*args, **kwargs):
-        if os.getpid() != parent:
-            raise ValueError("failed in the scorer child")
-        return fit(*args, **kwargs)
-
-    monkeypatch.setattr(em, "_fit_unary", failing_in_the_child)
-    argv = detect_argv(synth, tmp_path)
-    assert cli.main(argv) == 1
-    assert "error: stage 'em' failed: failed in the scorer child" in capsys.readouterr().err
-    args = cli.build_parser().parse_args(argv)
-    with pytest.raises(cli.StageError) as info:
-        cli.run_pipeline(args, tmp_path / "again")
-    assert len(forks) == 2  # one child per detect
-    assert_no_child_left()
-    child_exc = info.value.__cause__
-    assert isinstance(child_exc, ValueError)
-    trace = str(child_exc.__cause__)
-    assert trace.startswith("in the forked child:")
-    assert "failing_in_the_child" in trace and "fit_scorer" in trace
-
-
-def test_an_exception_in_the_eigensolver_in_the_start_child_reaches_detect(forks, synth,
-                                                                           tmp_path, monkeypatch):
-    parent, solve = os.getpid(), em.regularized_spectrum
+@pytest.mark.parametrize("stage", ["build-graph", "pretrain"])
+def test_an_exception_in_the_writer_child_reaches_detect(forks, synth, tmp_path, capsys,
+                                                         monkeypatch, stage):
+    """``save_graph``, or the checkpoint's save when detect pretrains, fails in
+    the child; detect names the stage and the cause carries the child's
+    traceback."""
+    parent = os.getpid()
+    owner, name = {"build-graph": (graph_mod, "save_graph"),
+                   "pretrain": (SequenceModel, "save")}[stage]
+    write = getattr(owner, name)
 
     def failing_in_the_child(*args):
         if os.getpid() != parent:
-            raise ValueError("the eigensolver failed in the child")
+            raise ValueError("failed in the writer child")
+        return write(*args)
+
+    monkeypatch.setattr(owner, name, failing_in_the_child)
+    argv = detect_argv(synth, tmp_path)
+    if stage == "pretrain":
+        at = argv.index("--checkpoint")
+        del argv[at:at + 2]
+    assert cli.main(argv) == 1
+    assert (f"error: stage '{stage}' failed: failed in the writer child"
+            in capsys.readouterr().err)
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(cli.StageError, match=f"stage '{stage}' failed") as info:
+        cli.run_pipeline(args, tmp_path / "again")
+    # per detect: the writer and the M-step's helper, after pretraining's helper
+    assert len(forks) == 2 * (2 if stage == "build-graph" else 3)
+    assert_no_child_left()
+    trace = str(info.value.__cause__)
+    assert trace.startswith("in the forked child:")
+    assert "failing_in_the_child" in trace and "_save_model_and_graph" in trace
+
+
+def test_detect_runs_em_here_and_writes_the_graph_in_its_child(forks, synth, tmp_path,
+                                                               monkeypatch):
+    parent, solve, save = os.getpid(), em.regularized_spectrum, graph_mod.save_graph
+    solved_in = []
+
+    def solving(*args):
+        solved_in.append(os.getpid())
         return solve(*args)
 
-    monkeypatch.setattr(em, "regularized_spectrum", failing_in_the_child)
-    args = cli.build_parser().parse_args(detect_argv(synth, tmp_path))
-    with pytest.raises(cli.StageError, match="stage 'em' failed: the eigensolver failed") as info:
-        cli.run_pipeline(args, tmp_path / "run")
+    def saving(g, path):
+        (tmp_path / "saved-in").write_text(str(os.getpid()), encoding="utf-8")
+        return save(g, path)
+
+    monkeypatch.setattr(em, "regularized_spectrum", solving)
+    monkeypatch.setattr(graph_mod, "save_graph", saving)
+    assert cli.main(detect_argv(synth, tmp_path, "--estep-only")) == 0
+    assert solved_in == [parent]
+    assert int((tmp_path / "saved-in").read_text(encoding="utf-8")) not in (parent, 0)
     assert len(forks) == 1
     assert_no_child_left()
-    trace = str(info.value.__cause__.__cause__)
-    assert trace.startswith("in the forked child:")
-    assert "failing_in_the_child" in trace and "_start_labels" in trace and "fit_scorer" in trace
 
 
 def test_a_child_still_running_is_killed_when_its_context_exits(forks):
@@ -386,14 +420,14 @@ def test_a_child_dies_with_a_parent_that_is_killed_outright(kind):
 
 def test_detect_estep_only_from_a_checkpoint_forks_one_child(forks, synth, tmp_path):
     assert cli.main(detect_argv(synth, tmp_path, "--estep-only")) == 0
-    assert len(forks) == 1  # the child for EM's start
+    assert len(forks) == 1  # the writer child
     assert_no_child_left()
 
 
-def test_build_graph_pretrain_and_eval_fork_no_scorer_child(forks, synth, tmp_path,
+def test_build_graph_pretrain_and_eval_fork_no_writer_child(forks, synth, tmp_path,
                                                             monkeypatch):
     def refuse(*args):
-        raise AssertionError("forked a scorer child")
+        raise AssertionError("forked a writer child")
 
     monkeypatch.setattr(cli, "_forked", refuse)
     data = ["--data", str(synth["data"])]

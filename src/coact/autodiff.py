@@ -16,10 +16,10 @@ each have a hand-written numpy forward and adjoint that add into
 numpy expression that a reverse-mode tape of the same model would run, in
 the tape's order, so the gradients are bit-identical to backpropagating it.
 That tape lives only in the tests, as the oracle the adjoints must match.
-Everything is float64, with one BLAS thread per process and an ordered
-reduction across processes, which keeps results bit-reproducible: when
-``pointprocess`` trains with a helper process, the parent adds the helper's
-gradient increments in the serial order.
+Everything is float64, with one BLAS thread per process and one fixed
+summation order, which keeps results bit-reproducible: ``pointprocess``
+adds each batch's tail as one summed gradient, whether a helper process or
+the parent computed it.
 """
 
 from __future__ import annotations

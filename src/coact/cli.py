@@ -12,6 +12,8 @@ stages, so with the same flags they write the same ``checkpoint.npz`` and
 ``graph.csv`` bytes. ``detect`` scores its own ``result.csv`` with
 ``score_result``, as ``eval`` does, so both write the same metrics bytes; a
 grid over EM loops and seeds is a shell loop over ``detect`` and ``eval``.
+``detect`` warns on standard error of each E-step that stopped at
+``--estep-iters`` sweeps with its residual not below ``--estep-tol``.
 
 Flag values are checked by their argparse types and the EM settings by
 ``EmConfig`` before any stage starts, and the label files as soon as the
@@ -222,8 +224,9 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(f"stage '{name}' failed: {exc}") from exc
 
 
-def run_pipeline(args, run_dir: Path) -> dict | None:
-    """detect pipeline; returns the metrics dict when truth labels are given.
+def run_pipeline(args, run_dir: Path) -> tuple:
+    """detect pipeline; returns EM's ``DetectionResult`` and the metrics
+    dict, which is None without truth labels.
 
     With ``--checkpoint`` the stages run as load-checkpoint, the label files
     (checked against the checkpoint's accounts), ingest and the check that
@@ -262,10 +265,10 @@ def run_pipeline(args, run_dir: Path) -> dict | None:
     _stage("write-result", write_q_csv, result, run_dir / "q_matrix.csv")
 
     if labels is None:
-        return None
+        return result, None
     rows = _stage("eval", read_result_csv, run_dir / "result.csv")
-    return _stage("eval", score_result, rows, labels, revealed or (), args.threshold,
-                  run_dir / "metrics.csv")
+    return result, _stage("eval", score_result, rows, labels, revealed or (), args.threshold,
+                          run_dir / "metrics.csv")
 
 
 def _save_model_and_graph(model: SequenceModel, g, run_dir: Path, pretrained: bool) -> None:
@@ -333,7 +336,12 @@ def cmd_detect(args) -> int:
     run_dir = Path(args.run_dir) if args.run_dir else (
         Path("runs") / f"{time.strftime('%Y%m%d-%H%M%S')}-{args.tag}"
     )
-    metrics = run_pipeline(args, run_dir)
+    result, metrics = run_pipeline(args, run_dir)
+    for record in result.history:
+        if not record["estep_converged"]:
+            print(f"warning: the E-step of EM loop {record['loop']} did not converge: "
+                  f"residual {record['estep_residual']:.3g} after {record['estep_iterations']} "
+                  f"sweep(s), --estep-tol {args.estep_tol:g}", file=sys.stderr)
     print(f"run artifacts -> {run_dir}")
     if metrics is not None:
         print((run_dir / "metrics.txt").read_text(), end="")

@@ -46,13 +46,10 @@ runs EM.
 loops, and hand it to every ``passes`` call they make; the model holds no
 process state. The helper serves the parent's tasks until the parent closes
 its pipes; if the results pipe closes early, the parent raises the helper's
-outcome. In each minibatch and each validation pass the parent runs the
-sequences at even positions and the helper those at odd positions.
-``_backward`` hands each gradient increment to a sink: ``_accumulate`` in
-the parent, a slot of a shared-memory ring in the helper. The parent adds
-the helper's increments for position p - 1 before it runs position p, so
-every gradient is summed in the serial order and training is bit-identical
-with or without a helper.
+outcome. ``passes`` cuts each minibatch and validation pass at ``_cut``:
+the parent runs the head, and the helper sums the tail's gradient from zero
+for the parent to add last. Without a helper the parent sums the tail the
+same way, so training is bit-identical with or without one.
 """
 
 from __future__ import annotations
@@ -146,6 +143,15 @@ class _Prepared(NamedTuple):
     log_tau_sum: float
     pe: np.ndarray           # (L, d_pos) position encoding
     mask: np.ndarray         # (L, L) causal attention mask
+
+
+def _cut(items) -> int:
+    """The first sequence at which the running event count of ``items``
+    reaches half, kept within 1..n - 1; n, no tail, for fewer than two."""
+    if len(items) < 2:
+        return len(items)
+    counts = np.cumsum([len(seq.idx) for seq in items])
+    return int(np.clip(np.searchsorted(counts, counts[-1] / 2), 1, len(items) - 1))
 
 
 class SequenceModel:
@@ -285,9 +291,9 @@ class SequenceModel:
         cache = (angles, C, enc, h, hW, log_probs, log_w, inv_s, dev, z, comp, lse)
         return float(mark), float(time), cache
 
-    def _backward(self, seq: _Prepared, cache: tuple, g: float, add=_accumulate) -> None:
+    def _backward(self, seq: _Prepared, cache: tuple, g: float) -> None:
         """Add the gradient of ``g`` times the sequence's log-likelihood to
-        the parameters' ``grad``: each increment goes to ``add(tensor, array)``.
+        the parameters' ``grad``.
 
         Every step computes the same numpy expression as the adjoint of the
         matching autodiff op and sums the terms of one gradient in the same
@@ -314,25 +320,25 @@ class SequenceModel:
         g_lp = np.zeros_like(log_probs)
         g_lp[np.arange(L), seq.idx] = g
         g_logits = g_lp + (-g_lp).sum(axis=1, keepdims=True) * np.exp(log_probs)
-        add(p["mark_b2"], g_logits.sum(axis=0))
+        _accumulate(p["mark_b2"], g_logits.sum(axis=0))
         g_hW = g_logits @ p["E"].data
-        add(p["E"], (hW.T @ g_logits).T)
+        _accumulate(p["E"], (hW.T @ g_logits).T)
         g_h = g_hW @ p["mark_W2"].data.T
-        add(p["mark_W2"], h.T @ g_hW)
+        _accumulate(p["mark_W2"], h.T @ g_hW)
         g_h = g_h * (1.0 - h * h)
-        add(p["mark_b1"], g_h.sum(axis=0))
-        add(p["mark_W1"], C.T @ g_h)
+        _accumulate(p["mark_b1"], g_h.sum(axis=0))
+        _accumulate(p["mark_W1"], C.T @ g_h)
 
         g_C = g_h @ p["mark_W1"].data.T
         for name, g_head in (("w", g_w), ("mu", g_mu), ("s", g_log_s)):
-            add(p[f"mix_b{name}"], g_head.sum(axis=0))
-            add(p[f"mix_W{name}"], C.T @ g_head)
+            _accumulate(p[f"mix_b{name}"], g_head.sum(axis=0))
+            _accumulate(p[f"mix_W{name}"], C.T @ g_head)
             g_C += g_head @ p[f"mix_W{name}"].data.T
 
         # encoder
         g_C = g_C * (1.0 - C * C)
-        add(p["F_b"], g_C.sum(axis=0))
-        add(p["F_W"], AV.T @ g_C)
+        _accumulate(p["F_b"], g_C.sum(axis=0))
+        _accumulate(p["F_W"], AV.T @ g_C)
         g_AV = g_C @ p["F_W"].data.T
         g_attn = g_AV @ v.T
         g_v = attn.T @ g_AV
@@ -342,12 +348,12 @@ class SequenceModel:
         g_q = g_S @ k
         g_k = (q.T @ g_S).T
         g_shifted = g_q @ p["W_q"].data.T
-        add(p["W_q"], shifted.T @ g_q)
+        _accumulate(p["W_q"], shifted.T @ g_q)
         g_shifted += g_k @ p["W_k"].data.T
-        add(p["W_k"], shifted.T @ g_k)
+        _accumulate(p["W_k"], shifted.T @ g_k)
         g_shifted += g_v @ p["W_v"].data.T
-        add(p["W_v"], shifted.T @ g_v)
-        add(p["start_token"], g_shifted[0:1])
+        _accumulate(p["W_v"], shifted.T @ g_v)
+        _accumulate(p["start_token"], g_shifted[0:1])
 
         # features: row i of the shifted input is event i - 1; the last event
         # is no input, so its row of the gradient is zero
@@ -356,10 +362,10 @@ class SequenceModel:
         g_X[:L - 1] += g_shifted[1:]
         g_E = np.zeros_like(p["E"].data)
         np.add.at(g_E, seq.idx, g_X[:, :d_embed])  # repeated accounts add up in order
-        add(p["E"], g_E)
+        _accumulate(p["E"], g_E)
         g_angles = -g_X[:, d_embed + d_pos:] * np.sin(angles)
-        add(p["time_phase"], g_angles.sum(axis=0))
-        add(p["time_freq"], (g_angles * seq.feat_gaps).sum(axis=0))
+        _accumulate(p["time_phase"], g_angles.sum(axis=0))
+        _accumulate(p["time_freq"], (g_angles * seq.feat_gaps).sum(axis=0))
 
     # ---- likelihoods and gradients ----
 
@@ -382,21 +388,38 @@ class SequenceModel:
         """Each sequence's log-likelihood, for sequences from ``prepare``; with
         ``g``, also add the gradient of ``g`` times it to the parameters' ``grad``.
 
-        With a ``helper`` from ``_helper``, the odd positions run there, and
-        position p runs only after the helper's p - 1 has been added, so the
-        additions keep the serial order.
+        The sequences before ``_cut(items)``, the head, add their gradients
+        in order; the rest, the tail, are summed from zero and added last.
+        With a ``helper`` from ``_helper`` the tail runs there while the head
+        runs here.
         """
-        if helper is not None:
-            helper.send(items, g)
+        cut = _cut(items)
+        head, tail = items[:cut], items[cut:]
+        if helper is None or not tail:
+            return self._run(head, g) + self._apart(tail, g)
+        helper.send(tail, g)
+        return self._run(head, g) + helper.receive(len(tail), g is not None)
+
+    def _run(self, items, g: float | None) -> list:
+        """``passes`` in order, each gradient added straight into ``grad``."""
         out = []
-        for pos, seq in enumerate(items):
-            if helper is not None and pos % 2:
-                out.append(helper.receive())
-            else:
-                mark, time, cache = self._forward(seq)
-                if g is not None:
-                    self._backward(seq, cache, g)
-                out.append(mark + time)
+        for seq in items:
+            mark, time, cache = self._forward(seq)
+            if g is not None:
+                self._backward(seq, cache, g)
+            out.append(mark + time)
+        return out
+
+    def _apart(self, items, g: float | None) -> list:
+        """``_run`` with the gradient summed from zero, then added to ``grad``
+        with one ``_accumulate`` per parameter, as a helper's tail is."""
+        held = [t.grad for t in self.params.values()]
+        self.zero_grad()
+        out = self._run(items, g)
+        for t, grad in zip(self.params.values(), held):
+            t.grad, part = grad, t.grad
+            if part is not None:
+                _accumulate(t, part)
         return out
 
     # ---- persistence ----
@@ -542,132 +565,98 @@ def _forked(fn, *args):
 
 # ---- the helper process ----
 
-RING_SLOTS = 2                  # sequences' increments the helper may send ahead
-_TASK = struct.Struct("<?dq")   # backward pass?, its g, number of sequences
-_RESULT = struct.Struct("<qd")  # ring slot (or _NO_SLOT), log-likelihood
-_NO_SLOT = -1
+_TASK = struct.Struct("<?dq")  # backward pass?, its g, number of sequences
 
 
-def _views(flat: np.ndarray, shapes) -> list:
-    """Views of ``flat`` with the given ``shapes``, back to back."""
-    out, off = [], 0
-    for shape in shapes:
-        n = int(np.prod(shape))
-        out.append(flat[off:off + n].reshape(shape))
-        off += n
-    return out
+def _shared(params: dict) -> dict:
+    """A view per tensor of ``params``, of its shape, into one new anonymous
+    shared mapping, which a child forked later shares."""
+    sizes = [t.data.size for t in params.values()]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return {k: part.reshape(t.data.shape) for (k, t), part in zip(params.items(), parts)}
 
 
 class _Helper:
-    """A ``_child`` that runs the odd positions of each batch and
-    validation pass of ``model`` over the sequences ``items``, for the
-    ``SequenceModel.passes`` calls it is handed to.
+    """A ``_child`` that runs the tail of each batch and validation pass of
+    ``model`` over the sequences ``items``, for the ``SequenceModel.passes``
+    calls it is handed to.
 
-    Before the fork, two anonymous shared mappings are made: one holds the
-    parameters, which the parent copies in before each pass and the helper
-    reads through views, and one is a ring of ``RING_SLOTS`` slots, each
-    holding one sequence's increments in ``_backward``'s call order. Three
-    pipes carry the rest: tasks (indices into ``items``, which the helper
-    inherited), results ("slot k ready, log-likelihood x") and "slot free"
-    tokens. The helper returns on EOF of a pipe; when it fails, the parent
-    sees EOF on the results pipe and raises the helper's outcome.
+    Before the fork, two anonymous shared mappings are made with the
+    parameters' layout: the parent copies the parameters into one before each
+    task, and the helper writes the tail's gradient into the other. Per
+    ``passes`` call one pipe carries one task (g and indices into ``items``,
+    which the helper inherited) and another one result (the tail's
+    log-likelihoods). The helper returns on EOF of the task pipe; when it
+    fails, the parent sees EOF on the results pipe and raises its outcome.
     """
 
     def __init__(self, model: SequenceModel, items: list):
         self.model = model
         self._index = {id(seq): i for i, seq in enumerate(items)}
-        names = list(model.params)
-        param_buf = mmap.mmap(-1, 8 * sum(model.params[k].data.size for k in names))
-        self._params = dict(zip(names, _views(np.frombuffer(param_buf, dtype=np.float64),
-                                              [model.params[k].data.shape for k in names])))
-        # a slot's layout: the tensor and shape of each increment, in the
-        # order of _backward's calls, recorded once by a dry run
-        layout = []
-        seq = min(items, key=lambda s: len(s.idx))
-        with np.errstate(all="ignore"):  # its values are discarded
-            model._backward(seq, model._forward(seq)[2], 0.0,
-                            add=lambda t, inc: layout.append((t, inc.shape)))
-        tensors, shapes = zip(*layout)
-        size = sum(int(np.prod(shape)) for shape in shapes)
-        ring = np.frombuffer(mmap.mmap(-1, 8 * RING_SLOTS * size), dtype=np.float64)
-        self._slots = [list(zip(tensors, _views(ring[k * size:(k + 1) * size], shapes)))
-                       for k in range(RING_SLOTS)]
-
+        self._params, self._grads = _shared(model.params), _shared(model.params)
         task_r, self._task_w = os.pipe()
         self._result_r, result_w = os.pipe()
-        free_r, self._free_w = os.pipe()
         self._running = ExitStack()
         self.pid, self._outcome = self._running.enter_context(
-            _child("helper process", self._serve, items, task_r, result_w, free_r))
-        for fd in (task_r, result_w, free_r):
+            _child("helper process", self._serve, items, task_r, result_w))
+        for fd in (task_r, result_w):
             os.close(fd)
 
-    def _serve(self, items, task_r, result_w, free_r) -> None:
+    def _serve(self, items, task_r, result_w) -> None:
         """The helper's loop: run each task's sequences in order until EOF."""
-        for fd in (self._task_w, self._result_r, self._free_w):
+        for fd in (self._task_w, self._result_r):
             os.close(fd)
         model = self.model
         for k, view in self._params.items():
             model.params[k].data = view
-        free, slot = RING_SLOTS, 0
         try:
             while head := _read(task_r, _TASK.size):
                 backward, g, n = _TASK.unpack(head)
-                for i in np.frombuffer(_read(task_r, 8 * n), dtype=np.int64):
-                    seq = items[i]
-                    mark, time, cache = model._forward(seq)
-                    k = _NO_SLOT
-                    if backward:
-                        if not free:
-                            tokens = os.read(free_r, RING_SLOTS)
-                            if not tokens:
-                                return
-                            free = len(tokens)
-                        views = iter(self._slots[slot])
-                        model._backward(seq, cache, g,
-                                        add=lambda t, inc: np.copyto(next(views)[1], inc))
-                        k, slot, free = slot, (slot + 1) % RING_SLOTS, free - 1
-                    _write(result_w, _RESULT.pack(k, mark + time))
+                tail = [items[i] for i in np.frombuffer(_read(task_r, 8 * n), dtype=np.int64)]
+                model.zero_grad()
+                out = model._run(tail, g if backward else None)
+                if backward:
+                    for k, view in self._grads.items():
+                        np.copyto(view, model.params[k].grad)
+                _write(result_w, np.array(out, dtype=np.float64).tobytes())
         finally:
             os.close(result_w)  # the parent reads the outcome only after this EOF
 
-    def send(self, batch, g: float | None = None) -> None:
-        """Give the helper the odd positions of ``batch``: their backward
-        passes with ``g``, or with ``g=None`` their log-likelihoods only.
+    def send(self, tail, g: float | None = None) -> None:
+        """Give the helper ``tail``: its backward passes with ``g``, or with
+        ``g=None`` its log-likelihoods only.
 
-        Every one of them must be a sequence the helper was forked with; any
-        other raises ``KeyError``, and a closed helper ``ValueError``, before
+        Every sequence must be one the helper was forked with; any other
+        raises ``KeyError``, and a closed helper ``ValueError``, before
         anything is sent.
         """
         if self._task_w is None:
             raise ValueError("the helper process is closed")
-        idx = np.array([self._index[id(seq)] for seq in batch[1::2]], dtype=np.int64)
+        idx = np.array([self._index[id(seq)] for seq in tail], dtype=np.int64)
         for k, view in self._params.items():
             view[...] = self.model.params[k].data
-        if len(idx):
-            head = _TASK.pack(g is not None, 0.0 if g is None else g, len(idx))
-            _write(self._task_w, head + idx.tobytes())
+        head = _TASK.pack(g is not None, 0.0 if g is None else g, len(idx))
+        _write(self._task_w, head + idx.tobytes())
 
-    def receive(self) -> float:
-        """The next sequence's log-likelihood; after a backward pass its
-        increments are first added to the parameters' ``grad``."""
-        head = _read(self._result_r, _RESULT.size)
-        if not head:
+    def receive(self, n: int, backward: bool) -> list:
+        """The log-likelihoods of the ``n`` sequences sent last; after a
+        backward pass their gradient is first added to the parameters' ``grad``."""
+        body = _read(self._result_r, 8 * n)
+        if not body:
             self._outcome()  # raises the helper's exception, or that it sent none
             raise RuntimeError("the helper process exited without a result")
-        k, ll = _RESULT.unpack(head)
-        if k != _NO_SLOT:
-            for t, inc in self._slots[k]:
-                _accumulate(t, inc)
-            _write(self._free_w, b"\0")
-        return ll
+        if backward:
+            for k, view in self._grads.items():
+                _accumulate(self.model.params[k], view)
+        return np.frombuffer(body, dtype=np.float64).tolist()
 
     def close(self) -> None:
         """Close the pipes, then kill and reap the helper. The helper keeps
         no fd number, which a file opened later could take."""
         with self._running:
-            fds = (self._task_w, self._free_w, self._result_r)
-            self._task_w = self._free_w = self._result_r = None
+            fds = (self._task_w, self._result_r)
+            self._task_w = self._result_r = None
             for fd in fds:
                 os.close(fd)
 

@@ -5,12 +5,15 @@
 forward and adjoint. This module keeps the same models as graphs of ``tape``
 operations, one tape per sequence or per loss, so the tests can check that
 the adjoints match them bit for bit: the same values, and every gradient
-summed in the same order. Gradients go straight into the parameters' grad.
+summed in the same order. Gradients go straight into the parameters' grad,
+except a batch's tail: ``backward_nll`` sums it apart and adds it last, as
+``SequenceModel.passes`` does.
 """
 
 import numpy as np
 
 import tape
+from coact import autodiff as ad
 from coact.pointprocess import FIRST_GAP, LOG_2PI, MIN_GAP, NEG_INF, positional_encoding
 
 
@@ -81,15 +84,36 @@ def ll_terms_t(model, s):
     return mark_ll, time_ll
 
 
+def cut(batch):
+    """The kernel's cut of ``batch``: the first sequence at which the running
+    event count reaches half, kept within 1..n - 1; n for fewer than two."""
+    n = len(batch)
+    if n < 2:
+        return n
+    counts = np.cumsum([len(s) for s in batch])
+    return int(np.clip(np.searchsorted(counts, counts[-1] / 2), 1, n - 1))
+
+
 def backward_nll(model, batch, scale=1.0):
     """The tape's ``-sum(SequenceModel.passes(batch, -scale))``: adds the gradient
     of ``scale`` times the summed NLL to ``grad`` and returns that NLL, one
-    tape per sequence."""
+    tape per sequence. The head, before ``cut(batch)``, backpropagates into
+    ``grad``; the tail into a gradient summed from zero, added last."""
     nll = 0.0
-    for s in batch:
+    at = cut(batch)
+    held = None
+    for i, s in enumerate(batch):
+        if i == at:  # the tail starts from no gradient
+            held = {k: t.grad for k, t in model.params.items()}
+            model.zero_grad()
         mark, time = ll_terms_t(model, s)
         nll -= mark.item() + time.item()
         ((mark + time) * -scale).backward()
+    if held is not None:
+        for k, t in model.params.items():
+            t.grad, part = held[k], t.grad
+            if part is not None:
+                ad._accumulate(t, part)
     return nll
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,19 @@ def test_detect_reruns_from_its_config_byte_for_byte(tmp_path, data):
     want = config_of(first)
     want.update(run_dir=str(again), config=str(first / "config.json"))
     assert config_of(again) == want
+
+
+def test_detect_warns_of_each_e_step_that_did_not_converge(tmp_path, data, capsys):
+    code, _ = detect(tmp_path, "capped", *data, *SMALL, "--estep-iters", "1")
+    assert code == 0
+    warned = [re.fullmatch(r"warning: the E-step of EM loop (\d) did not converge: "
+                           r"residual \S+ after 1 sweep\(s\), --estep-tol 1e-06", line)
+              for line in capsys.readouterr().err.splitlines()]
+    assert [m and m[1] for m in warned] == ["0", "1"]  # the start and the one loop
+    code, run_dir = detect(tmp_path, "converged", *data, *SMALL)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert (run_dir / "result.csv").exists()
 
 
 def test_command_line_flag_beats_config_file(tmp_path, data):

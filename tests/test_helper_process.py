@@ -73,8 +73,8 @@ def test_an_exception_in_either_process_reaches_the_caller(forks, monkeypatch, w
 
     def failing(self, seq):
         calls.append(seq)
-        # the parent fails in the first minibatch, the helper on its first sequence,
-        # with a message longer than a pipe holds
+        # the parent fails in the validation pass after the first epoch, the
+        # helper on its first sequence, with a message longer than a pipe holds
         if (os.getpid() != parent) if where == "helper" else len(calls) == 10:
             raise exc_type(f"failed in the {where}" + "." * (1 << 17))
         return forward(self, seq)
@@ -110,7 +110,7 @@ def test_a_helper_still_running_is_killed_when_fit_raises(forks, monkeypatch):
         if os.getpid() != parent:
             time.sleep(60.0)
         calls.append(seq)
-        if len(calls) == 2:  # the parent's first pass, after the helper's dry run
+        if len(calls) == 2:  # in the head of the first validation pass
             raise ValueError("failed in the parent")
         return forward(self, seq)
 
@@ -129,6 +129,31 @@ def test_a_helper_handed_a_sequence_it_was_not_forked_with_raises(forks):
     items = model.prepare(d.sequences)
     with pytest.raises(KeyError), pointprocess._helper(model, items[:4]) as helper:
         model.passes(items, helper=helper)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("g", [None, -0.5])
+@pytest.mark.parametrize("n", [2, 3, 7, 11])
+def test_a_pass_with_a_helper_is_one_task_and_one_result(forks, monkeypatch, n, g):
+    d = random_dataset()
+    model = SequenceModel(d.registry.keys, TINY, seed=0)
+    items = model.prepare(d.sequences)[:n]
+    read, write, calls = pointprocess._read, pointprocess._write, []
+
+    def counted_read(fd, size):
+        calls.append(("read", fd))
+        return read(fd, size)
+
+    def counted_write(fd, data):
+        calls.append(("write", fd))
+        return write(fd, data)
+
+    monkeypatch.setattr(pointprocess, "_read", counted_read)
+    monkeypatch.setattr(pointprocess, "_write", counted_write)
+    with pointprocess._helper(model, items) as helper:
+        model.passes(items, g, helper)
+        assert calls == [("write", helper._task_w), ("read", helper._result_r)]
     assert len(forks) == 1
     assert_no_child_left()
 

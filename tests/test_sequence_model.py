@@ -18,6 +18,7 @@ from oracles import (
 )
 from records import dataset, events
 
+from coact import pointprocess
 from coact.autodiff import Tensor
 from coact.events import AccountRegistry, EventSequence
 from coact.pointprocess import (
@@ -444,12 +445,13 @@ def test_training_is_deterministic():
         np.testing.assert_array_equal(m1.params[k].data, m2.params[k].data)
 
 
-@pytest.mark.parametrize("batch_size", [1, 3, 4, 64])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 64])
 @pytest.mark.parametrize("with_val", [False, True])
 def test_training_with_a_helper_is_bit_identical_to_without(forks, monkeypatch, tmp_path,
                                                             batch_size, with_val):
-    # 11 training sequences: batches of 1, of 3 (the last of 2), of 4 (the
-    # last of 3) and one batch of 11
+    # 11 training sequences: batches of 1 (no tail), of 2 (tails of one
+    # sequence, the last batch of 1), of 3 (the last of 2), of 4 (the last of
+    # 3) and one batch of 11
     d = random_dataset(np.random.default_rng(12), n_accounts=5, n_sequences=16)
     fit_on = d.take(range(11))
     val = d.take(range(11, len(d.seq_ids))) if with_val else None
@@ -536,3 +538,32 @@ def test_checkpoint_arrays_that_disagree_with_its_accounts_or_config_are_refused
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError):
         train(dataset([]), TrainConfig(), TINY)
+
+
+def test_a_head_of_one_sequence_adds_the_same_gradient_with_a_helper(forks):
+    # the first sequence holds more than half of the events, so it alone is the head
+    rng = np.random.default_rng(13)
+    accounts = [f"u{i}" for i in range(5)]
+    d = dataset([(f"s{i}", [(accounts[int(rng.integers(5))], float(t))
+                            for t in np.sort(rng.uniform(0, 20, n))])
+                 for i, n in enumerate([30, 4, 6, 3])])
+    m = SequenceModel(d.registry.keys, TINY, seed=2)
+    items = m.prepare(d.sequences)
+    assert pointprocess._cut(items) == 1
+    held = {k: rng.normal(size=t.data.shape) for k, t in m.params.items()}
+
+    def run(helper):
+        for k, t in m.params.items():  # gradient left over from an earlier batch
+            t.grad = held[k].copy()
+        lls = m.passes(items, -0.25, helper)
+        grads = {k: t.grad for k, t in m.params.items()}
+        m.zero_grad()
+        return lls, grads
+
+    want_lls, want = run(None)
+    with pointprocess._helper(m, items) as helper:
+        got_lls, got = run(helper)
+    assert len(forks) == 1
+    assert got_lls == want_lls
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 import time
@@ -224,9 +225,9 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(f"stage '{name}' failed: {exc}") from exc
 
 
-def run_pipeline(args, run_dir: Path) -> tuple:
-    """detect pipeline; returns EM's ``DetectionResult`` and the metrics
-    dict, which is None without truth labels.
+def run_pipeline(args, run_dir: Path | None) -> tuple:
+    """detect pipeline; returns the run directory (``_make_run_dir``), EM's
+    ``DetectionResult`` and the metrics dict, None without truth labels.
 
     With ``--checkpoint`` the stages run as load-checkpoint, the label files
     (checked against the checkpoint's accounts), ingest and the check that
@@ -248,11 +249,11 @@ def run_pipeline(args, run_dir: Path) -> tuple:
         if model.accounts != d.registry.keys:
             raise StageError("stage 'load-checkpoint' failed: checkpoint accounts "
                              "do not match the dataset registry")
-        _write_config(args, run_dir)
+        run_dir = _make_run_dir(args, run_dir)
     else:
         d = _stage("ingest", _load_data, args)
         revealed, labels = _read_label_files(args, d.registry.keys)  # checked before pretraining
-        _write_config(args, run_dir)
+        run_dir = _make_run_dir(args, run_dir)
         model = _stage("pretrain", _pretrain, d, args)
     g = _stage("build-graph", _build_graph, d, args)
 
@@ -265,10 +266,10 @@ def run_pipeline(args, run_dir: Path) -> tuple:
     _stage("write-result", write_q_csv, result, run_dir / "q_matrix.csv")
 
     if labels is None:
-        return result, None
+        return run_dir, result, None
     rows = _stage("eval", read_result_csv, run_dir / "result.csv")
-    return result, _stage("eval", score_result, rows, labels, revealed or (), args.threshold,
-                          run_dir / "metrics.csv")
+    return run_dir, result, _stage("eval", score_result, rows, labels, revealed or (),
+                                   args.threshold, run_dir / "metrics.csv")
 
 
 def _save_model_and_graph(model: SequenceModel, g, run_dir: Path, pretrained: bool) -> None:
@@ -280,14 +281,26 @@ def _save_model_and_graph(model: SequenceModel, g, run_dir: Path, pretrained: bo
     _stage("build-graph", graph_mod.save_graph, g, run_dir / "graph.csv")
 
 
-def _write_config(args, run_dir: Path) -> None:
-    """Make ``run_dir`` and write the fully resolved flags to its ``config.json``."""
+def _make_run_dir(args, run_dir: Path | None) -> Path:
+    """Make ``run_dir``, or without it the first free ``runs/<stamp>-<tag>``,
+    ``<stamp>-<tag>-2``, ..., which no other run can take too; write the
+    fully resolved flags to its ``config.json`` and return it."""
+    if run_dir is None:
+        base = Path("runs") / f"{time.strftime('%Y%m%d-%H%M%S')}-{args.tag}"
+        for n in itertools.count(1):
+            run_dir = base.with_name(base.name + (f"-{n}" if n > 1 else ""))
+            try:
+                run_dir.mkdir(parents=True, exist_ok=False)
+                break
+            except FileExistsError:
+                continue
     run_dir.mkdir(parents=True, exist_ok=True)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     (run_dir / "config.json").write_text(
         json.dumps(config, indent=2, sort_keys=True, default=str) + "\n",
         encoding="utf-8",
     )
+    return run_dir
 
 
 # ---- subcommands ----
@@ -333,10 +346,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    run_dir = Path(args.run_dir) if args.run_dir else (
-        Path("runs") / f"{time.strftime('%Y%m%d-%H%M%S')}-{args.tag}"
-    )
-    result, metrics = run_pipeline(args, run_dir)
+    run_dir, result, metrics = run_pipeline(args, Path(args.run_dir) if args.run_dir else None)
     for record in result.history:
         if not record["estep_converged"]:
             print(f"warning: the E-step of EM loop {record['loop']} did not converge: "

@@ -4,12 +4,12 @@ EM starts from the prior graph. ``initialize`` splits the accounts by the
 leading eigenvectors of the graph's regularised coupling
 (``graph.regularized_spectrum``): the exact 2-means of the first one for two
 groups, ``kmeans`` of the first M - 1 for more. ``run_em`` has it align the
-groups to any revealed accounts, and it fits the unary scorer to them,
-stopping on a held-out fifth of the accounts. Without a graph, or on one
-without edges, ``kmeans`` of the account embeddings takes the spectral
-split's place. Each EM loop then alternates an E-step (mean-field
-fixed-point sweeps, with any revealed accounts clamped to one-hot beliefs)
-and an M-step that ascends
+groups to any revealed accounts, and ``pointprocess.fit`` fits the unary
+scorer to them, keeping its best weights, the start's included, on a held-out
+fifth of the accounts. Without a graph, or on one without edges, ``kmeans``
+of the account embeddings takes the spectral split's place. Each EM loop
+then alternates an E-step (mean-field fixed-point sweeps, with any revealed
+accounts clamped to one-hot beliefs) and an M-step that ascends
 
     sum_S log p(S | E)  +  lambda * sum_u sum_m Q_u(m) log softmax_m(theta_u)
 
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam
 from .crf import CrfParams, MeanField, UnaryScorer, estep_converge, softmax_init
 from .events import Dataset, check_fractions, train_val_test_split
 from .graph import KnowledgeGraph, regularized_spectrum
@@ -228,8 +227,8 @@ def _start_labels(E, n_groups: int, seed: int, graph: KnowledgeGraph | None) -> 
 
 
 # the scorer fit holds out a seeded 1/SCORER_HOLDOUT of the accounts (at least
-# one) and keeps the epoch of the lowest held-out cross-entropy; it stops
-# SCORER_FIT_PATIENCE epochs after that one, or after SCORER_FIT_EPOCHS
+# one), keeps the weights, start included, of the lowest held-out cross-entropy
+# and stops SCORER_FIT_PATIENCE epochs after those, or after SCORER_FIT_EPOCHS
 SCORER_FIT_EPOCHS = 300
 SCORER_FIT_PATIENCE = 10
 SCORER_HOLDOUT = 5
@@ -271,10 +270,9 @@ def _fit_unary(E, labels, n_groups: int, seed: int, hidden: int,
                fit_weight_decay: float) -> UnaryScorer:
     """A unary scorer fitted to the one-hot ``labels`` of the rows of ``E``.
 
-    A seeded fifth of the rows, at least one, is held out. Adam fits the
-    scorer to the other rows, full batch, and after each epoch scores the
-    held-out rows; the scorer keeps the weights of the epoch with the lowest
-    held-out cross-entropy.
+    ``fit`` runs full-batch Adam on all rows but a seeded fifth (at least
+    one), which it scores after each epoch; the scorer keeps the weights,
+    its start ones included, of the lowest held-out cross-entropy.
     """
     scorer = UnaryScorer(E.shape[1], n_groups, hidden=hidden, seed=seed)
     onehot = np.eye(n_groups)[labels]
@@ -282,20 +280,11 @@ def _fit_unary(E, labels, n_groups: int, seed: int, hidden: int,
     n_held = max(1, len(E) // SCORER_HOLDOUT)
     held[np.random.default_rng(seed).permutation(len(E))[:n_held]] = True
     E_fit, fit_targets, E_held, held_targets = E[~held], onehot[~held], E[held], onehot[held]
-    opt = Adam(scorer.params, lr=1e-2, weight_decay=fit_weight_decay)
-    best, best_epoch, kept = np.inf, 0, None
-    for epoch in range(1, SCORER_FIT_EPOCHS + 1):
-        opt.zero_grad()
-        scorer.crossent(E_fit, fit_targets, -1.0 / len(E_fit))
-        opt.step()
-        loss = -scorer.crossent(E_held, held_targets)
-        if loss < best:
-            best, best_epoch = loss, epoch
-            kept = {k: t.data.copy() for k, t in scorer.params.items()}
-        elif epoch - best_epoch >= SCORER_FIT_PATIENCE:
-            break
-    for k, t in kept.items():
-        scorer.params[k].data = t
+    fit(scorer.params, [E_fit],
+        lambda batch: scorer.crossent(batch[0], fit_targets, -1.0 / len(E_fit)),
+        lambda: scorer.crossent(E_held, held_targets), epochs=SCORER_FIT_EPOCHS, lr=1e-2,
+        weight_decay=fit_weight_decay, batch_size=1, patience=SCORER_FIT_PATIENCE,
+        rng=np.random.default_rng(seed))
     return scorer
 
 
@@ -315,12 +304,11 @@ def initialize(
     of the embeddings when ``graph`` is None or has no edges
     (``_start_labels``); ``align_rows``/``align_groups`` relabel them to
     agree with revealed accounts (semi-supervised runs). ``run_em`` runs
-    this with EM's settings. The scorer is trained by Adam on the
-    cross-entropy against the one-hot groups, with L2 weight decay
-    ``fit_weight_decay``, for up to SCORER_FIT_EPOCHS full-batch epochs, and
-    keeps the epoch with the lowest cross-entropy on a held-out fifth of the
-    accounts (``_fit_unary``). With ``graph=None`` the field carries a zero
-    prior graph (unary-only).
+    this with EM's settings. ``_fit_unary`` fits the scorer to the one-hot
+    groups through ``pointprocess.fit``, with L2 weight decay
+    ``fit_weight_decay``, start weights included as a candidate; a NaN in
+    the embeddings raises ``TrainingDiverged``. With ``graph=None`` the
+    field carries a zero prior graph (unary-only).
     """
     if n_groups < 2:
         raise ValueError("need at least 2 groups")

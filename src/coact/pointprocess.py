@@ -783,7 +783,8 @@ def fit(params: dict, items, batch_loss, val_fn, *, epochs: int, lr: float,
 
     Returns (start value, best value, history), with one history record per
     epoch: ``train_loss`` is the running loss per item, each scored at the
-    parameters before its batch's step.
+    parameters before its batch's step. Pretraining, the M-step and the
+    scorer fit at EM's start (``em._fit_unary``) all run through this loop.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

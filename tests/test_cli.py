@@ -105,6 +105,21 @@ def test_rerun_from_a_config_without_run_dir_leaves_that_run_alone(tmp_path, dat
     assert config_of(rerun)["config"] == str(first / "config.json")
 
 
+def test_detects_in_the_same_second_without_run_dir_each_get_their_own(tmp_path, data,
+                                                                      monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    made = []
+    for seed in ("1", "2"):
+        assert main(["detect", *data, *SMALL, "--seed", seed]) == 0
+        made.append(capsys.readouterr().out.splitlines()[0])
+    first, second = Path("runs/20260101-000000-run"), Path("runs/20260101-000000-run-2")
+    assert made == [f"run artifacts -> {first}", f"run artifacts -> {second}"]
+    assert sorted((tmp_path / "runs").iterdir()) == [tmp_path / first, tmp_path / second]
+    assert [config_of(d)["seed"] for d in (first, second)] == [1, 2]
+    assert (first / "result.csv").read_bytes() != (second / "result.csv").read_bytes()
+
+
 def exit_code(argv):
     try:
         return main(argv)

@@ -13,7 +13,7 @@ from coact.autodiff import Tensor
 from coact.crf import CrfParams, UnaryScorer
 from coact.em import EmConfig, initialize, run_em
 from coact.graph import KnowledgeGraph, co_occurrence
-from coact.pointprocess import SeqModelConfig, SequenceModel
+from coact.pointprocess import SeqModelConfig, SequenceModel, TrainingDiverged
 
 TINY = SeqModelConfig(d_embed=4, d_pos=4, d_time=4, n_mix=2,
                       time_scale_min=0.1, time_scale_max=100.0)
@@ -317,15 +317,18 @@ def test_two_means_matches_a_brute_force_search_over_the_cuts():
     assert np.array_equal(em._two_means(np.array([0.0, 1.0, 1.0, 2.0])), [0, 1, 1, 1])
 
 
-def test_the_scorer_fit_keeps_the_epoch_of_the_lowest_held_out_cross_entropy(monkeypatch):
-    rng = np.random.default_rng(22)
-    E = rng.normal(size=(60, 4))
-    labels = rng.integers(2, size=60)  # no signal in E: held-out loss soon rises
+# (data seed, accounts, whether no epoch beats the start's held-out loss)
+@pytest.mark.parametrize("data_seed,n_accounts,start_kept", [(22, 60, False), (0, 10, True)])
+def test_the_scorer_fit_keeps_the_epoch_of_the_lowest_held_out_cross_entropy(
+        monkeypatch, data_seed, n_accounts, start_kept):
+    rng = np.random.default_rng(data_seed)
+    E = rng.normal(size=(n_accounts, 4))
+    labels = rng.integers(2, size=n_accounts)  # no signal in E: held-out loss soon rises
     crossent, held_out = UnaryScorer.crossent, []
 
     def recorded(scorer, E_, targets, scale=None):
         value = crossent(scorer, E_, targets, scale)
-        if scale is None:  # the held-out evaluation after each epoch
+        if scale is None:  # the held-out evaluation of the start and after each epoch
             held_out.append((-value, len(E_),
                              {k: t.data.copy() for k, t in scorer.params.items()}))
         return value
@@ -336,9 +339,22 @@ def test_the_scorer_fit_keeps_the_epoch_of_the_lowest_held_out_cross_entropy(mon
     best = int(np.argmin(losses))
     assert best < len(losses) - 1 and len(losses) < em.SCORER_FIT_EPOCHS  # the stop fired
     assert len(losses) == best + 1 + em.SCORER_FIT_PATIENCE
-    assert {rows for _, rows, _ in held_out} == {60 // em.SCORER_HOLDOUT}
+    assert {rows for _, rows, _ in held_out} == {n_accounts // em.SCORER_HOLDOUT}
     for k, t in scorer.params.items():
         assert np.array_equal(t.data, held_out[best][2][k]), k
+    assert (best == 0) == start_kept
+    if start_kept:
+        fresh = UnaryScorer(4, 2, hidden=8, seed=3)
+        for k, t in scorer.params.items():
+            assert np.array_equal(t.data, fresh.params[k].data), k
+
+
+def test_a_nan_in_the_embeddings_stops_the_scorer_fit_as_diverged():
+    d = random_dataset(np.random.default_rng(23), n_accounts=10, n_sequences=20)
+    model = SequenceModel(d.registry.keys, TINY, seed=1)
+    model.params["E"].data[3, 1] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="non-finite"):
+        initialize(model, 2, seed=4, graph=co_occurrence(d), hidden=5)
 
 
 @pytest.mark.parametrize("edges", [None, "no edges", "edges"])

@@ -21,8 +21,10 @@ until the beliefs stop moving, and ``max_iter=1`` runs a single sweep.
 B is never formed in a sweep: ``KnowledgeGraph.couple`` sums
 sum_v B_uv Q_v over the graph's edge list, for all rows at once (Jacobi)
 or for one row (Gauss-Seidel), so a sweep costs time and memory in
-proportion to the number of edges. The tests check this maths against
-exhaustive enumeration of small fields (``tests/oracles.py``).
+proportion to the number of edges. Jacobi couples only the first M - 1
+belief columns: each row of Q sums to one, so the last column of B Q is
+the graph's cached row sums B 1 less the others. The tests check this
+maths against exhaustive enumeration of small fields (``tests/oracles.py``).
 
 Degree normalization bounds the spectral norm of B by 1, and softmax is
 1/2-Lipschitz, so the update is a contraction whose unique fixed point is
@@ -144,7 +146,11 @@ class MeanField:
 
 def _sweep(q, theta, g, clamped, schedule):
     if schedule == "jacobi":
-        out = row_softmax(theta + g.couple(q))
+        # rows of q sum to one, so the last column of B q is B 1 less the others
+        coupled = np.empty_like(q)
+        coupled[:, :-1] = g.couple(q[:, :-1])
+        np.subtract(g.row_sums, coupled[:, :-1].sum(axis=1), out=coupled[:, -1])
+        out = row_softmax(theta + coupled)
         out[clamped] = q[clamped]
         return out
     if schedule == "gauss_seidel":

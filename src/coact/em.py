@@ -23,12 +23,12 @@ inequality by enumeration on small instances). A final E-step after the
 last M-step produces the beliefs that the detection scores are read from.
 A single loop differs from the E-step-only (post-processing) mode only if
 its M-step beats its start on the validation objective: when no epoch does
-(the history's ``val_objective_after`` equals ``val_objective_before``),
-``fit`` restores the start parameters, the final E-step continues the first
-one from its beliefs, and the scores are the E-step-only ones to within
-``estep_tol`` once the first E-step has converged. The coordinated group is
-group 1 when accounts are revealed, since their clamps keep that label, and
-else the smaller of two.
+(the history's ``val_objective_after`` equals ``val_objective_before``, and
+its ``m_step_best_epoch`` is -1), ``fit`` restores the start parameters,
+the final E-step continues the first one from its beliefs, and the scores
+are the E-step-only ones to within ``estep_tol`` once the first E-step has
+converged. The coordinated group is group 1 when accounts are revealed,
+since their clamps keep that label, and else the smaller of two.
 """
 
 from __future__ import annotations
@@ -334,7 +334,8 @@ def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng, helper):
 
     ``train_items`` and ``val_items`` come from ``model.prepare``, and ``helper``
     is ``run_em``'s one ``_helper`` over them (or None). Returns the
-    validation objective before and after (at the best epoch).
+    validation objective before and after (at the best epoch), and the best
+    epoch, -1 when ``fit`` kept the start.
     """
     params = dict(model.params)
     for k, t in crf.scorer.params.items():
@@ -346,13 +347,16 @@ def _m_step(model, crf, train_items, val_items, Q, cfg: EmConfig, rng, helper):
         ce_weight = cfg.lambda_balance * len(batch) / len(train_items)
         return nll + crf.scorer.crossent(model.params["E"], Q, -ce_weight)
 
-    start, best, _ = fit(
+    start, best, history = fit(
         params, train_items, batch_loss,
         lambda: _val_objective(model, crf.scorer, val_items, Q, cfg.lambda_balance, helper),
         epochs=cfg.m_step_epochs, lr=cfg.m_step_lr, weight_decay=cfg.weight_decay,
         batch_size=cfg.batch_size, patience=cfg.patience, rng=rng,
     )
-    return start, best
+    if best == start:  # no epoch beat the start, which fit restored
+        return start, best, -1
+    # fit keeps an epoch only when it beats every earlier one, so the first to reach best
+    return start, best, next(h["epoch"] for h in history if h["val"] == best)
 
 
 def _clamps(accounts, revealed: dict | None, n_groups: int) -> tuple:
@@ -423,10 +427,12 @@ def run_em(
         # one helper for every loop: it waits while the E-steps run here
         with _helper(model, train_items, val_items) as helper:
             for loop in range(1, cfg.n_loops + 1):
-                before, after = _m_step(model, crf, train_items, val_items, mf.q, cfg, rng, helper)
+                before, after, best_epoch = _m_step(model, crf, train_items, val_items, mf.q,
+                                                    cfg, rng, helper)
                 mf, record = estep(mf, loop)  # estep_converge copies its init
                 record["val_objective_before"] = before
                 record["val_objective_after"] = after
+                record["m_step_best_epoch"] = best_epoch
                 history.append(record)
 
     # revealed accounts stay clamped one-hot, so their label 1 is the coordinated group

@@ -16,9 +16,13 @@ level is the narrowest unsigned type that indexes the table. Every weight
 the builders make is a count of sequences, raw or raised to a power, so
 their table holds one weight per count up to the largest, and a graph holds
 6 bytes per edge up to 65 536 accounts and 65 536 sequences (5 while no pair
-shares more than 256 sequences); the power filter powers only the table. The coupling w_uv / sqrt(d_u d_v) is not kept:
-``KnowledgeGraph.couple``, which applies it in the E-step, computes it slice
-by slice, and ``regularized_spectrum``, EM's start, runs the same loop with
+shares more than 256 sequences); the power filter powers only the table.
+The coupling w_uv / sqrt(d_u d_v) is not kept, per edge or at all: both
+products with it scale the beliefs around one degree-free edge product W Y
+(``KnowledgeGraph._couple``), which gathers each slice's weights from the
+table and touches no degree. ``KnowledgeGraph.couple``, the E-step's, is
+s * W (s * q) with s = 1/sqrt(d) (0 on an isolated account), and
+``regularized_spectrum``, EM's start, runs the same product with
 regularised degrees. The builders count the account pairs of each sequence
 in one preallocated key buffer (int32 keys while V * V fits in them), and that
 buffer then holds the second edge ends. Counting needs, beside the sorted
@@ -156,11 +160,18 @@ class KnowledgeGraph:
             np.add.at(dv, self.v[s], w)
         return du + dv
 
-    def _b_slice(self, s: slice, u: np.ndarray, v: np.ndarray,
-                 deg: np.ndarray) -> np.ndarray:
-        """w_uv / sqrt(deg_u deg_v) for the edges in slice ``s``, whose ends are ``u`` and ``v``."""
-        d = deg[u]
-        np.multiply(d, deg[v], out=d)
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """(V,) B 1, each account's coupling summed over its neighbours.
+
+        The Jacobi sweep derives its last belief column from it.
+        """
+        return self.couple(np.ones((self.n, 1)))[:, 0]
+
+    def _b_slice(self, s: slice, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """w_uv / sqrt(d_u d_v) for the edges in slice ``s``, whose ends are ``u`` and ``v``."""
+        d = self.deg[u]
+        np.multiply(d, self.deg[v], out=d)
         np.sqrt(d, out=d)
         return np.divide(self.values.take(self.level[s]), d, out=d)
 
@@ -168,12 +179,12 @@ class KnowledgeGraph:
     def b(self) -> np.ndarray:
         """(E,) per-edge coupling w_uv / sqrt(d_u d_v), built on each access.
 
-        The graph does not keep it; ``couple`` computes the same values slice
-        by slice with the same expression.
+        The graph does not keep it, and ``couple`` does not form it: for
+        tests, small instances and the Gauss-Seidel layout (``_rows``).
         """
         out = np.empty(len(self.u))
         for s in _slices(len(self.u)):
-            out[s] = self._b_slice(s, self.u[s], self.v[s], self.deg)
+            out[s] = self._b_slice(s, self.u[s], self.v[s])
         return out
 
     @cached_property
@@ -188,28 +199,34 @@ class KnowledgeGraph:
     def couple(self, q: np.ndarray, row: int | None = None) -> np.ndarray:
         """sum_v B_uv q_v for every account u, as a (V, M) array like ``q``.
 
-        The sums run over the edges with ``np.bincount`` on both ends, and
-        each slice of edges computes its own coupling on the way. With
-        ``row``, only that account's (M,) sum, from its slice of a layout
-        that lists both orientations of each edge by row; that layout is
-        built on the first such call.
+        B q = s * W (s * q) with s = 1/sqrt(d), and s = 0 on an isolated
+        account, whose row of B is empty: the beliefs are scaled around the
+        degree-free product ``_couple``, so no edge's coupling is formed.
+        With ``row``, only that account's (M,) sum, from its slice of a
+        layout that lists both orientations of each edge by row; that layout
+        is built on the first such call.
         """
         if row is not None:
             starts, cols, b = self._rows
             lo, hi = starts[row], starts[row + 1]
             return b[lo:hi] @ q[cols[lo:hi]]
-        return self._couple(q, self.deg)
+        s = np.zeros((self.n, 1))
+        np.divide(1.0, np.sqrt(self.deg)[:, None], out=s, where=self.deg[:, None] > 0)
+        return s * self._couple(s * q)
 
-    def _couple(self, q: np.ndarray, deg: np.ndarray) -> np.ndarray:
-        """sum_v w_uv / sqrt(deg_u deg_v) q_v for every account u: ``couple``
-        with the degrees ``deg``, which ``regularized_spectrum`` also uses."""
-        out = np.zeros_like(q)
+    def _couple(self, y: np.ndarray) -> np.ndarray:
+        """W y: sum_v w_uv y_v for every account u, as a (V, M) array like ``y``.
+
+        Each slice of edges gathers its weights from the table, and each
+        column then takes two gathers and two ``np.bincount`` calls.
+        """
+        out = np.zeros_like(y)
         for s in _slices(len(self.u), max(COUPLE_EDGES, self.n)):
             u, v = self.u[s].astype(np.intp), self.v[s].astype(np.intp)
-            b = self._b_slice(s, u, v, deg)
-            for m in range(q.shape[1]):
-                qm = q[:, m]
-                out[:, m] += np.bincount(u, b * qm[v], self.n) + np.bincount(v, b * qm[u], self.n)
+            w = self.values.take(self.level[s])
+            for m in range(y.shape[1]):
+                ym = y[:, m]
+                out[:, m] += np.bincount(u, w * ym[v], self.n) + np.bincount(v, w * ym[u], self.n)
         return out
 
     def _dense(self, values: np.ndarray) -> np.ndarray:
@@ -256,9 +273,9 @@ def regularized_spectrum(g: KnowledgeGraph, k: int) -> tuple:
     gains the weight tau/V (Qin & Rohe, "Regularized Spectral Clustering under
     the Degree-Corrected Stochastic Blockmodel", NIPS 2013). Its top
     eigenvector is sqrt(d_tau), of eigenvalue 1, and is projected out. The
-    product runs over the edge list (``KnowledgeGraph._couple`` with d_tau),
-    and the tau term is applied as (tau/V)(1(1^T Y) - Y) to Y = D_tau^{-1/2} X,
-    so no (V, V) array is made.
+    product scales the block around the graph's one degree-free edge product
+    (``KnowledgeGraph._couple``): B_tau X = s (W Y + (tau/V)(1(1^T Y) - Y))
+    with s = d_tau^{-1/2} and Y = s X, so no (V, V) array is made.
 
     The iteration is a block Rayleigh-Ritz method on min(k + 2, V - 1)
     columns from a fixed random start: each step adds the residuals of the k
@@ -280,7 +297,7 @@ def regularized_spectrum(g: KnowledgeGraph, k: int) -> tuple:
 
     def product(X):
         Y = X * scale
-        return g._couple(X, d_tau) + (tau / V) * scale * (Y.sum(axis=0) - Y)
+        return scale * (g._couple(Y) + (tau / V) * (Y.sum(axis=0) - Y))
 
     p = min(k + 2, V - 1)
     # a fixed start: the eigenvectors are a function of the graph alone

@@ -433,10 +433,11 @@ def test_detect_and_build_graph_never_form_a_dense_graph_or_the_edge_weights(
 
 
 @pytest.mark.parametrize("path", ["checkpoint", "pretrain"])
-def test_detect_writes_the_same_bytes_with_and_without_the_scorer_child(
+def test_detect_writes_the_same_bytes_with_and_without_the_writer_child(
         tmp_path, data, forks, monkeypatch, path):
-    # with a checkpoint, --groups 3 and --revealed round and align the split in the
-    # child, and two EM loops share one M-step helper
+    # the writer child writes graph.csv, and checkpoint.npz after pretraining,
+    # beside EM; with a checkpoint, k-means rounds the --groups 3 split,
+    # --revealed aligns it, and two EM loops share one M-step helper
     argv = [*data, *SMALL, "--seed", "2"]
     if path == "checkpoint":
         ckpt = tmp_path / "pretrained.npz"

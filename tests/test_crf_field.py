@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 import tape_reference as ref
-from coact.autodiff import Tensor
+from coact.autodiff import Tensor, row_softmax
 from coact.crf import (
     CrfParams,
     MeanField,
@@ -352,9 +352,10 @@ def dense_sweep(q, theta, B, clamped, schedule):
     return out
 
 
-def sparse_instance(rng):
-    """A random field on a graph with isolated accounts, and beliefs with clamped rows."""
-    n, m = int(rng.integers(2, 40)), int(rng.integers(2, 5))
+def sparse_instance(rng, m=None):
+    """A random field on a graph with isolated accounts, and beliefs with clamped
+    rows, over ``m`` groups (drawn from 2 to 4 if not given)."""
+    n, m = int(rng.integers(2, 40)), m or int(rng.integers(2, 5))
     w = np.triu(rng.exponential(2.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 1)), 1)
     isolated = rng.random(n) < 0.2
     w[isolated] = w[:, isolated] = 0.0
@@ -386,6 +387,30 @@ def test_couple_equals_the_dense_product_for_all_rows_and_each_row():
         np.testing.assert_allclose(g.couple(mf.q), B @ mf.q, rtol=0, atol=1e-12)
         for u in range(g.n):
             np.testing.assert_allclose(g.couple(mf.q, u), B[u] @ mf.q, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_the_jacobi_sweep_with_the_derived_last_column_equals_the_dense_update(m):
+    # the sweep couples M - 1 columns and takes the last from the row sums
+    rng = np.random.default_rng(43)
+    n_clamped = 0
+    for _ in range(100):
+        crf, E, mf = sparse_instance(rng, m)
+        want = row_softmax(crf.scorer.scores(E) + crf.graph.coupling() @ mf.q)
+        want[mf.clamped] = mf.q[mf.clamped]
+        got = one_sweep(mf, crf, E).q
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+        assert np.array_equal(got[mf.clamped], mf.q[mf.clamped])
+        n_clamped += int(mf.clamped.sum())
+    assert n_clamped > 100
+
+
+def test_row_sums_are_the_coupling_summed_over_each_row():
+    rng = np.random.default_rng(44)
+    for _ in range(50):
+        g = sparse_instance(rng)[0].graph
+        np.testing.assert_allclose(g.row_sums, g.coupling().sum(axis=1), rtol=0, atol=1e-13)
+        assert (g.row_sums[g.deg == 0] == 0).all()
 
 
 def test_free_energy_pair_term_equals_the_dense_formula():

@@ -59,6 +59,7 @@ def test_one_loop_gives_the_estep_only_scores_when_its_m_step_keeps_its_start(lr
     got = run_em(d, g, model, cfg)
     loop = got.history[1]
     assert (loop["val_objective_after"] == loop["val_objective_before"]) == kept
+    assert (loop["m_step_best_epoch"] == -1) == kept
     assert (np.max(np.abs(got.scores - estep_only.scores)) <= cfg.estep_tol) == kept
 
 

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -694,15 +695,18 @@ def unsliced(g):
     u, v, w, n = g.u.astype(np.intp), g.v.astype(np.intp), g.weight, g.n
     deg = np.bincount(u, w, n) + np.bincount(v, w, n)
     b = w / np.sqrt(deg[u] * deg[v])
+    s = np.zeros((n, 1))
+    s[deg > 0, 0] = 1 / np.sqrt(deg[deg > 0])
 
     def couple(q):
-        out = np.zeros_like(q)
+        # s * W (s * q): the beliefs scaled around the degree-free edge product
+        y, out = s * q, np.zeros_like(q)
         step = max(graph_mod.COUPLE_EDGES, n)  # couple's slices fix its order of summation
         for lo in range(0, len(u), step):
-            uu, vv, bb = u[lo:lo + step], v[lo:lo + step], b[lo:lo + step]
+            uu, vv, ww = u[lo:lo + step], v[lo:lo + step], w[lo:lo + step]
             for m in range(q.shape[1]):
-                out[:, m] += np.bincount(uu, bb * q[vv, m], n) + np.bincount(vv, bb * q[uu, m], n)
-        return out
+                out[:, m] += np.bincount(uu, ww * y[vv, m], n) + np.bincount(vv, ww * y[uu, m], n)
+        return s * out
 
     rows = np.concatenate([u, v])
     order = np.argsort(rows, kind="stable")
@@ -738,6 +742,26 @@ def test_sliced_graph_sums_equal_the_unsliced_formulas_on_non_integer_weights(
         assert np.array_equal(g.couple(q), couple(q))
         for r in (0, 1, g.n // 2, g.n - 1):
             assert np.array_equal(g.couple(q, r), couple_row(q, r))
+
+
+def test_couple_gives_the_isolated_accounts_of_a_temporal_logic_graph_zero_rows():
+    # an account that posts once in a sequence is active at one instant there,
+    # which overlaps no interval by more than c, so the filter gives it no edge
+    rng = np.random.default_rng(25)
+    seqs = []
+    for i in range(30):
+        evs = [(f"u{a}", x) for a in rng.choice(80, 10, replace=False)
+               for x in rng.uniform(0, 100, 2)] + [(f"lone{i}", rng.uniform(0, 100))]
+        seqs.append((f"s{i}", sorted(evs, key=lambda e: e[1])))
+    g = filter_temporal_logic(dataset(seqs), 10.0)
+    isolated = g.deg == 0
+    assert isolated.sum() >= 30 and not isolated.all()
+    q = rng.dirichlet(np.ones(3), g.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = g.couple(q)
+    assert (got[isolated] == 0).all()
+    np.testing.assert_allclose(got, g.coupling() @ q, rtol=1e-12, atol=0)
 
 
 def interval_dataset(V=600, n_seqs=40, size=60, seed=23):
